@@ -165,12 +165,14 @@ _BITWISE = {
 }
 
 
-def bb_bitwise(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
-    """Map a bitwise operation to the pointwise combination of operand bits."""
+def bb_bitwise(store: TermStore, state: BitBlastState, payload: BvPayload,
+               kind: Kind) -> Clause:
+    """Map a bitwise operation of the given kind to the pointwise combination
+    of operand bits; a target of any other kind is rejected."""
     t = payload.target
-    if not (0 <= t < len(store)):
+    if not (0 <= t < len(store)) or store.kind(t) is not kind:
         return TRIVIALLY_TRUE
-    op = _BITWISE.get(store.kind(t))
+    op = _BITWISE.get(kind)
     if op is None or t in state.bits:
         return TRIVIALLY_TRUE
     operand_bits = []

@@ -37,12 +37,11 @@ from dataclasses import dataclass, field
 
 from .errors import ForwardReferenceError, ParseError, SortError, UnsupportedError
 from .euf import EqRule, EqStep, EufPayload
+from .kernel import RULES
 from .lia import LiaPayload
 from .bitblast import BvPayload
-from .resolution import CnfPayload
-from .steps import (
-    AssumePayload, BB_RULES, CNF_RULES, Certificate, RULE_BY_NAME, RuleKind, Step,
-)
+from .resolution import INDEXED, CnfPayload
+from .steps import AssumePayload, Certificate, RULE_BY_NAME, RuleKind, Step
 from .terms import (
     BOOL, Clause, FunSym, INT, Kind, Literal, Sort, TermId, TermStore,
     BitVecSort, UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos,
@@ -140,6 +139,15 @@ def _pos_of(sx) -> tuple[int, int]:
     return (sx.line, sx.col)
 
 
+def _to_int(text: str, line: int, col: int) -> int:
+    """Convert a numeral the caller has matched; past CPython's digit limit
+    for int-string conversion it is a ParseError, not a crash."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise ParseError(f"numeral too long ({len(text)} characters)", line, col) from e
+
+
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ def _parse_sort(problem: Problem, sx) -> Sort:
     if len(items) == 3 and isinstance(items[0], Token) and items[0].text == "_" \
             and isinstance(items[1], Token) and items[1].text == "BitVec" \
             and isinstance(items[2], Token) and _NUMERAL.match(items[2].text):
-        width = int(items[2].text)
+        width = _to_int(items[2].text, *_pos_of(items[2]))
         if width < 1:
             raise ParseError("bit-vector width must be >= 1", *_pos_of(sx))
         return BitVecSort(width)
@@ -199,7 +207,7 @@ def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> Te
     if isinstance(sx, Token):
         text = sx.text
         if _NUMERAL.match(text):
-            return store.int_const(int(text))
+            return store.int_const(_to_int(text, *_pos_of(sx)))
         if text.startswith("#"):
             if not _BV_LIT.match(text):
                 raise ParseError(f"malformed bit-vector literal {text}", *_pos_of(sx))
@@ -303,7 +311,7 @@ def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> Te
                 # Fold a negated numeral into a negative constant so that
                 # printing and parsing are exact inverses.
                 if isinstance(rest[0], Token) and _NUMERAL.match(rest[0].text):
-                    return store.int_const(-int(rest[0].text))
+                    return store.int_const(-_to_int(rest[0].text, *_pos_of(rest[0])))
                 return store.neg(sub(0))
             if not rest:
                 raise ParseError("- needs arguments", *_pos_of(sx))
@@ -457,7 +465,7 @@ def parse_dimacs(text: str) -> Problem:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf" \
                     or not _NUMERAL.match(fields[2]) or not _NUMERAL.match(fields[3]):
                 raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
-            header = (int(fields[2]), int(fields[3]))
+            header = (_to_int(fields[2], lineno, 1), _to_int(fields[3], lineno, 1))
             n_vars = header[0]
             var_ids = [store.var(f"v{i}", BOOL) for i in range(1, n_vars + 1)]
             continue
@@ -466,7 +474,7 @@ def parse_dimacs(text: str) -> Problem:
             col = raw.index(fieldtext, col - 1) + 1
             if not _SIGNED.match(fieldtext):
                 raise ParseError(f"expected a literal, got {fieldtext!r}", lineno, col)
-            value = int(fieldtext)
+            value = _to_int(fieldtext, lineno, col)
             if value == 0:
                 problem.input_clauses.append(mk_clause(store, lits))
                 lits = []
@@ -520,10 +528,10 @@ def _parse_clause(problem: Problem, items, line: int, col: int) -> Clause:
         raise ParseError(str(e), line, col) from e
 
 
-def _parse_int(sx) -> int:
+def parse_int(sx) -> int:
     if not isinstance(sx, Token) or not _SIGNED.match(sx.text):
         raise ParseError("expected an integer", *_pos_of(sx))
-    return int(sx.text)
+    return _to_int(sx.text, *_pos_of(sx))
 
 
 def _tagged(items, line: int, col: int) -> dict[str, SList]:
@@ -551,11 +559,11 @@ def _parse_eqstep(problem: Problem, sx) -> EqStep:
     if head == "sym":
         if len(rest) != 1:
             raise ParseError("sym takes one index", *_pos_of(sx))
-        return EqStep(EqRule.SYM, refs=(_parse_int(rest[0]),))
+        return EqStep(EqRule.SYM, refs=(parse_int(rest[0]),))
     if head == "trans":
         if len(rest) != 2:
             raise ParseError("trans takes two indices", *_pos_of(sx))
-        return EqStep(EqRule.TRANS, refs=(_parse_int(rest[0]), _parse_int(rest[1])))
+        return EqStep(EqRule.TRANS, refs=(parse_int(rest[0]), parse_int(rest[1])))
     if head == "cong":
         if not rest or not isinstance(rest[0], Token):
             raise ParseError("cong takes a function name and indices", *_pos_of(sx))
@@ -563,11 +571,11 @@ def _parse_eqstep(problem: Problem, sx) -> EqStep:
         if decl is None or decl[0] == "var":
             raise ParseError(f"unknown function {rest[0].text}", *_pos_of(rest[0]))
         return EqStep(EqRule.CONG, fun=decl[1],
-                      refs=tuple(_parse_int(r) for r in rest[1:]))
+                      refs=tuple(parse_int(r) for r in rest[1:]))
     if head == "hyp":
         if len(rest) != 1:
             raise ParseError("hyp takes one literal index", *_pos_of(sx))
-        return EqStep(EqRule.HYP, hyp=_parse_int(rest[0]))
+        return EqStep(EqRule.HYP, hyp=parse_int(rest[0]))
     raise ParseError(f"unknown justification rule {head}", *_pos_of(sx))
 
 
@@ -590,40 +598,44 @@ def _parse_aux(problem: Problem, sx) -> tuple[TermId, ...]:
 
 
 def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col: int):
-    """Build the rule-specific payload object from the brace contents."""
-    if rule is RuleKind.RES:
+    """Build the rule-specific payload object from the brace contents, in
+    the syntax of the payload type the rule registry gives the rule."""
+    payload_type = RULES[rule].payload if rule in RULES else None
+    if payload_type is type(None):
         if items:
-            raise ParseError("res takes no payload", line, col)
+            raise ParseError(f"{rule.value} takes no payload", line, col)
         return None
-    if rule in CNF_RULES:
+    if payload_type is CnfPayload:
         if not items or len(items) > 2:
             raise ParseError(f"{rule.value} payload is a term and an optional index",
                              line, col)
-        index = _parse_int(items[1]) if len(items) == 2 else 0
+        index = parse_int(items[1]) if len(items) == 2 else 0
         return CnfPayload(parse_term(problem, items[0]), index)
-    if rule is RuleKind.EUF:
+    if payload_type is EufPayload:
         groups = _tagged(items, line, col)
         lemma_grp = groups.get("lemma")
         just_grp = groups.get("just")
         if not isinstance(lemma_grp, SList) or not isinstance(just_grp, SList):
-            raise ParseError("euf payload needs (lemma ...) and (just ...)", line, col)
+            raise ParseError(f"{rule.value} payload needs (lemma ...) and (just ...)",
+                             line, col)
         lemma = _parse_clause(problem, lemma_grp.items[1:], line, col)
         just = tuple(_parse_eqstep(problem, sx) for sx in just_grp.items[1:])
         return EufPayload(lemma, just)
-    if rule is RuleKind.LIA:
+    if payload_type is LiaPayload:
         groups = _tagged(items, line, col)
         lemma_grp = groups.get("lemma")
         farkas_grp = groups.get("farkas")
         if not isinstance(lemma_grp, SList) or not isinstance(farkas_grp, SList):
-            raise ParseError("lia payload needs (lemma ...) and (farkas ...)", line, col)
+            raise ParseError(f"{rule.value} payload needs (lemma ...) and (farkas ...)",
+                             line, col)
         lemma = _parse_clause(problem, lemma_grp.items[1:], line, col)
         combo = []
         for entry in farkas_grp.items[1:]:
             if not isinstance(entry, SList) or len(entry.items) != 2:
                 raise ParseError("farkas entries are (index coeff) pairs", *_pos_of(entry))
-            combo.append((_parse_int(entry.items[0]), _parse_int(entry.items[1])))
+            combo.append((parse_int(entry.items[0]), parse_int(entry.items[1])))
         return LiaPayload(lemma, tuple(combo), tighten="tighten" in groups)
-    if rule in BB_RULES:
+    if payload_type is BvPayload:
         if not items:
             raise ParseError(f"{rule.value} payload needs a target term", line, col)
         target = parse_term(problem, items[0])
@@ -633,7 +645,7 @@ def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col:
         elif len(items) > 2:
             raise ParseError("too many payload groups", line, col)
         return BvPayload(target, aux)
-    if rule is RuleKind.ASSUME:
+    if payload_type is AssumePayload:
         return AssumePayload(_parse_clause(problem, items, line, col))
     raise ParseError(f"rule {rule.value} cannot appear in a certificate", line, col)
 
@@ -654,7 +666,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
         if items and isinstance(items[0], Token) and items[0].text == "qed":
             if len(items) != 2:
                 raise ParseError("qed takes one step id", lineno, 1)
-            qed = _parse_int(items[1])
+            qed = parse_int(items[1])
             if qed >= next_id or qed < 0:
                 raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
             continue
@@ -662,13 +674,13 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
                 or not isinstance(items[2], SList) or items[2].bracket != "(" \
                 or not isinstance(items[3], SList) or items[3].bracket != "{":
             raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
-        step_id = _parse_int(items[0])
+        step_id = parse_int(items[0])
         if step_id != next_id:
             raise ParseError(f"step id {step_id}, expected {next_id}", lineno, 1)
         rule = RULE_BY_NAME.get(items[1].text)
-        if rule is None or rule is RuleKind.INPUT:
+        if rule not in RULES:
             raise ParseError(f"unknown rule {items[1].text}", *_pos_of(items[1]))
-        premises = tuple(_parse_int(p) for p in items[2].items)
+        premises = tuple(parse_int(p) for p in items[2].items)
         for p in premises:
             if p >= step_id or p < 0:
                 raise ForwardReferenceError(
@@ -686,22 +698,20 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
 # Certificate printing
 # ---------------------------------------------------------------------------
 
-_INDEXED_CNF = frozenset({RuleKind.AND_POS, RuleKind.OR_NEG, RuleKind.NOT_NOT})
-
-
 def _group(tag: str, body: str) -> str:
     return f"({tag} {body})" if body else f"({tag})"
 
 
 def _render_payload(store: TermStore, rule: RuleKind, payload) -> str:
-    if rule is RuleKind.RES:
+    payload_type = RULES[rule].payload if rule in RULES else None
+    if payload_type is type(None):
         return ""
-    if rule in CNF_RULES:
+    if payload_type is CnfPayload:
         body = store.to_sexpr(payload.target)
-        if rule in _INDEXED_CNF:
+        if rule in INDEXED:
             body += f" {payload.index}"
         return body
-    if rule is RuleKind.EUF:
+    if payload_type is EufPayload:
         rendered = []
         for s in payload.justification:
             if s.rule is EqRule.REFL:
@@ -719,7 +729,7 @@ def _render_payload(store: TermStore, rule: RuleKind, payload) -> str:
             _group("lemma", clause_to_sexpr(store, payload.lemma)),
             _group("just", " ".join(rendered)),
         ])
-    if rule is RuleKind.LIA:
+    if payload_type is LiaPayload:
         parts = [
             _group("lemma", clause_to_sexpr(store, payload.lemma)),
             _group("farkas", " ".join(f"({i} {c})" for i, c in payload.combination)),
@@ -727,13 +737,13 @@ def _render_payload(store: TermStore, rule: RuleKind, payload) -> str:
         if payload.tighten:
             parts.append("tighten")
         return " ".join(parts)
-    if rule in BB_RULES:
+    if payload_type is BvPayload:
         body = store.to_sexpr(payload.target)
         if payload.aux:
             names = " ".join(store.node(v).extra[0] for v in payload.aux)
             body += f" (aux {names})"
         return body
-    if rule is RuleKind.ASSUME:
+    if payload_type is AssumePayload:
         return clause_to_sexpr(store, payload.clause)
     raise ValueError(f"cannot render rule {rule}")
 

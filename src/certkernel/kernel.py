@@ -11,10 +11,18 @@ the run as Invalid at the offending step, as does a rejected step whose
 payload declared a specific conclusion.
 
 A run is strictly sequential; distinct runs share nothing mutable.
+
+How each rule is replayed is decided in one place, the ``RULES`` registry.
+Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
+type, small checker and the two flags.  A Tseitin-style CNF rule needs only
+a head kind and literal template in ``resolution.TSEITIN``, from which its
+entry is made.  The frontend parses and prints a payload by its type, so
+only a new payload type needs new certificate syntax there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,8 +31,8 @@ from .bitblast import BitBlastState, BvPayload
 from .euf import EufPayload
 from .lia import LiaPayload
 from .resolution import CnfPayload
-from .steps import AssumePayload, BB_RULES, CNF_RULES, Certificate, RuleKind
-from .terms import Clause, TRIVIALLY_TRUE, TermStore
+from .steps import AssumePayload, Certificate, RuleKind
+from .terms import Clause, Kind, TRIVIALLY_TRUE, TermStore
 
 
 class Verdict(Enum):
@@ -55,16 +63,59 @@ class CheckContext:
     bitblast: BitBlastState = field(default_factory=BitBlastState)
 
 
-_PAYLOAD_TYPES: dict[RuleKind, type] = {RuleKind.RES: type(None)}
-_PAYLOAD_TYPES.update({r: CnfPayload for r in CNF_RULES})
-_PAYLOAD_TYPES.update({r: BvPayload for r in BB_RULES})
-_PAYLOAD_TYPES[RuleKind.EUF] = EufPayload
-_PAYLOAD_TYPES[RuleKind.LIA] = LiaPayload
-_PAYLOAD_TYPES[RuleKind.ASSUME] = AssumePayload
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """How the main checker replays one rule.
 
-_BITWISE_RULES = frozenset({
-    RuleKind.BB_NOT, RuleKind.BB_AND, RuleKind.BB_OR, RuleKind.BB_XOR,
-})
+    ``checker(ctx, premises, payload)`` is the small checker; a step must
+    carry a ``payload`` instance.  ``declares``: the payload names the
+    intended conclusion (``payload.lemma``), so a rejection stops the run as
+    Invalid.  ``blasts``: the checker consults the aux-freshness registry,
+    so every stored clause is scanned before it runs.
+    """
+
+    payload: type
+    checker: Callable[[CheckContext, list[Clause], object], Clause]
+    declares: bool = False
+    blasts: bool = False
+
+
+def _cnf(rule: RuleKind) -> Rule:
+    return Rule(CnfPayload,
+                lambda ctx, premises, p: resolution.cnf_lemma(ctx.store, rule, p))
+
+
+def _bb(checker) -> Rule:
+    return Rule(BvPayload,
+                lambda ctx, premises, p: checker(ctx.store, ctx.bitblast, p),
+                blasts=True)
+
+
+def _bitwise(kind: Kind) -> Rule:
+    return _bb(lambda store, state, p: bitblast.bb_bitwise(store, state, p, kind))
+
+
+RULES: dict[RuleKind, Rule] = {
+    RuleKind.RES: Rule(type(None),
+                       lambda ctx, premises, p: resolution.resolve_chain(premises)),
+    **{rule: _cnf(rule) for rule in resolution.TSEITIN},
+    RuleKind.EUF: Rule(EufPayload,
+                       lambda ctx, premises, p: euf.check_euf(ctx.store, p),
+                       declares=True),
+    RuleKind.LIA: Rule(LiaPayload,
+                       lambda ctx, premises, p: lia.check_lia(ctx.store, p),
+                       declares=True),
+    RuleKind.BB_VAR: _bb(bitblast.bb_var),
+    RuleKind.BB_CONST: _bb(bitblast.bb_const),
+    RuleKind.BB_NOT: _bitwise(Kind.BV_NOT),
+    RuleKind.BB_AND: _bitwise(Kind.BV_AND),
+    RuleKind.BB_OR: _bitwise(Kind.BV_OR),
+    RuleKind.BB_XOR: _bitwise(Kind.BV_XOR),
+    RuleKind.BB_ADD: _bb(bitblast.bb_add),
+    RuleKind.BB_EQ: _bb(bitblast.bb_eq),
+    RuleKind.BB_ULT: _bb(bitblast.bb_ult),
+    RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p: p.clause),
+}
 
 
 def dispatch(ctx: CheckContext, rule: RuleKind, premises: list[Clause],
@@ -74,29 +125,7 @@ def dispatch(ctx: CheckContext, rule: RuleKind, premises: list[Clause],
     Total given a payload of the matching type: small checkers signal
     rejection by returning the trivially true clause.
     """
-    if rule is RuleKind.RES:
-        return resolution.resolve_chain(premises)
-    if rule in CNF_RULES:
-        return resolution.cnf_lemma(ctx.store, rule, payload)
-    if rule is RuleKind.EUF:
-        return euf.check_euf(ctx.store, payload)
-    if rule is RuleKind.LIA:
-        return lia.check_lia(ctx.store, payload)
-    if rule is RuleKind.BB_VAR:
-        return bitblast.bb_var(ctx.store, ctx.bitblast, payload)
-    if rule is RuleKind.BB_CONST:
-        return bitblast.bb_const(ctx.store, ctx.bitblast, payload)
-    if rule in _BITWISE_RULES:
-        return bitblast.bb_bitwise(ctx.store, ctx.bitblast, payload)
-    if rule is RuleKind.BB_ADD:
-        return bitblast.bb_add(ctx.store, ctx.bitblast, payload)
-    if rule is RuleKind.BB_EQ:
-        return bitblast.bb_eq(ctx.store, ctx.bitblast, payload)
-    if rule is RuleKind.BB_ULT:
-        return bitblast.bb_ult(ctx.store, ctx.bitblast, payload)
-    if rule is RuleKind.ASSUME:
-        return payload.clause
-    raise AssertionError(f"no small checker for rule {rule}")
+    return RULES[rule].checker(ctx, premises, payload)
 
 
 def _clause_vars(store: TermStore, clause: Clause):
@@ -144,12 +173,12 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                           f"step id {step.id}, expected {len(clauses)}", step.id)
         if any(not (0 <= p < step.id) for p in step.premises):
             return result(Verdict.INVALID, "bad premise reference", step.id)
-        expected_type = _PAYLOAD_TYPES.get(step.rule)
-        if expected_type is None or not isinstance(step.payload, expected_type):
+        entry = RULES.get(step.rule)
+        if entry is None or not isinstance(step.payload, entry.payload):
             return result(Verdict.INVALID,
                           f"payload does not match rule {step.rule.value}", step.id)
 
-        if step.rule in BB_RULES:
+        if entry.blasts:
             while scanned < len(clauses):
                 ctx.bitblast.note_used(_clause_vars(store, clauses[scanned]))
                 scanned += 1
@@ -157,10 +186,8 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
         premises = [clauses[p] for p in step.premises]
         conclusion = dispatch(ctx, step.rule, premises, step.payload)
 
-        declared = None
-        if step.rule in (RuleKind.EUF, RuleKind.LIA):
-            declared = step.payload.lemma
-        if declared is not None and conclusion == TRIVIALLY_TRUE and declared != TRIVIALLY_TRUE:
+        if entry.declares and conclusion == TRIVIALLY_TRUE \
+                and step.payload.lemma != TRIVIALLY_TRUE:
             return result(Verdict.INVALID,
                           f"{step.rule.value} checker rejected the step", step.id)
 

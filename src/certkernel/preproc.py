@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, UnboundNameError
-from .frontend import Problem, SList, Token, parse_payload, read_sexprs, tokenize
+from .frontend import (
+    Problem, SList, Token, parse_int, parse_payload, read_sexprs, tokenize,
+)
+from .kernel import RULES
 from .steps import Certificate, RULE_BY_NAME, RuleKind, Step
 from .terms import Clause
 
@@ -176,14 +179,14 @@ def _convert(problem: Problem, sx) -> NestedProof:
             raise ParseError("expected (step <rule> (<premises>) {<payload>})",
                              sx.line, sx.col)
         rule = RULE_BY_NAME.get(items[1].text)
-        if rule is None or rule is RuleKind.INPUT:
+        if rule not in RULES:
             raise ParseError(f"unknown rule {items[1].text}",
                              items[1].line, items[1].col)
         premises: list = []
         for p in items[2].items:
             if isinstance(p, Token):
-                if p.text.lstrip("-").isdigit():
-                    premises.append(int(p.text))
+                if p.text.removeprefix("-").isdigit():
+                    premises.append(parse_int(p))
                 else:
                     premises.append(p.text)
             else:

@@ -64,29 +64,38 @@ class CnfPayload:
     index: int = 0
 
 
-# rule -> (head kind, whether the index selects an argument)
-_CNF_HEADS = {
-    RuleKind.AND_POS: (Kind.AND, True),
-    RuleKind.AND_NEG: (Kind.AND, False),
-    RuleKind.OR_POS: (Kind.OR, False),
-    RuleKind.OR_NEG: (Kind.OR, True),
-    RuleKind.IMP_POS: (Kind.IMPLIES, False),
-    RuleKind.IMP_NEG1: (Kind.IMPLIES, False),
-    RuleKind.IMP_NEG2: (Kind.IMPLIES, False),
-    RuleKind.XOR_POS1: (Kind.XOR, False),
-    RuleKind.XOR_POS2: (Kind.XOR, False),
-    RuleKind.XOR_NEG1: (Kind.XOR, False),
-    RuleKind.XOR_NEG2: (Kind.XOR, False),
-    RuleKind.ITE_POS1: (Kind.ITE, False),
-    RuleKind.ITE_POS2: (Kind.ITE, False),
-    RuleKind.ITE_NEG1: (Kind.ITE, False),
-    RuleKind.ITE_NEG2: (Kind.ITE, False),
-    RuleKind.IFF_POS1: (Kind.IFF, False),
-    RuleKind.IFF_POS2: (Kind.IFF, False),
-    RuleKind.IFF_NEG1: (Kind.IFF, False),
-    RuleKind.IFF_NEG2: (Kind.IFF, False),
-    RuleKind.NOT_NOT: (Kind.NOT, False),
+# rule -> (head kind, literal templates).  A template lists signed
+# references: t is the target, 0/1/2 its arguments by position, i the
+# argument the payload index selects, * every argument in order.  A rule
+# with several templates (not_not) takes the one its index selects.
+TSEITIN = {
+    RuleKind.AND_POS: (Kind.AND, "-t +i"),
+    RuleKind.AND_NEG: (Kind.AND, "+t -*"),
+    RuleKind.OR_POS: (Kind.OR, "-t +*"),
+    RuleKind.OR_NEG: (Kind.OR, "+t -i"),
+    RuleKind.IMP_POS: (Kind.IMPLIES, "-t -0 +1"),
+    RuleKind.IMP_NEG1: (Kind.IMPLIES, "+t +0"),
+    RuleKind.IMP_NEG2: (Kind.IMPLIES, "+t -1"),
+    RuleKind.XOR_POS1: (Kind.XOR, "-t +0 +1"),
+    RuleKind.XOR_POS2: (Kind.XOR, "-t -0 -1"),
+    RuleKind.XOR_NEG1: (Kind.XOR, "+t +0 -1"),
+    RuleKind.XOR_NEG2: (Kind.XOR, "+t -0 +1"),
+    RuleKind.ITE_POS1: (Kind.ITE, "-t +0 +2"),
+    RuleKind.ITE_POS2: (Kind.ITE, "-t -0 +1"),
+    RuleKind.ITE_NEG1: (Kind.ITE, "+t +0 -2"),
+    RuleKind.ITE_NEG2: (Kind.ITE, "+t -0 -1"),
+    RuleKind.IFF_POS1: (Kind.IFF, "-t -0 +1"),
+    RuleKind.IFF_POS2: (Kind.IFF, "-t +0 -1"),
+    RuleKind.IFF_NEG1: (Kind.IFF, "+t +0 +1"),
+    RuleKind.IFF_NEG2: (Kind.IFF, "+t -0 -1"),
+    # index 0 links t=not(a) downward, index 1 upward.
+    RuleKind.NOT_NOT: (Kind.NOT, "-t -0", "+t +0"),
 }
+
+# Rules whose payload index changes the lemma, and so is printed.
+INDEXED = frozenset(
+    rule for rule, (_, *templates) in TSEITIN.items()
+    if len(templates) > 1 or "i" in templates[0])
 
 
 def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
@@ -96,10 +105,10 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
     target term t to its immediate arguments.  Head/kind mismatches and
     out-of-range indices yield the trivially true clause.
     """
-    info = _CNF_HEADS.get(rule)
-    if info is None:
+    entry = TSEITIN.get(rule)
+    if entry is None:
         return TRIVIALLY_TRUE
-    head, indexed = info
+    head, *templates = entry
     t = payload.target
     if not (0 <= t < len(store)) or store.kind(t) is not head:
         return TRIVIALLY_TRUE
@@ -107,68 +116,24 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
         return TRIVIALLY_TRUE
     args = store.args(t)
     i = payload.index
-    if indexed and not (0 <= i < len(args)):
+    if len(templates) == 1:
+        template = templates[0]
+    elif 0 <= i < len(templates):
+        template = templates[i]
+    else:
         return TRIVIALLY_TRUE
-
-    if rule is RuleKind.AND_POS:
-        lits = [neg(t), pos(args[i])]
-    elif rule is RuleKind.AND_NEG:
-        lits = [pos(t)] + [neg(a) for a in args]
-    elif rule is RuleKind.OR_POS:
-        lits = [neg(t)] + [pos(a) for a in args]
-    elif rule is RuleKind.OR_NEG:
-        lits = [pos(t), neg(args[i])]
-    elif rule is RuleKind.IMP_POS:
-        a, b = args
-        lits = [neg(t), neg(a), pos(b)]
-    elif rule is RuleKind.IMP_NEG1:
-        lits = [pos(t), pos(args[0])]
-    elif rule is RuleKind.IMP_NEG2:
-        lits = [pos(t), neg(args[1])]
-    elif rule is RuleKind.XOR_POS1:
-        a, b = args
-        lits = [neg(t), pos(a), pos(b)]
-    elif rule is RuleKind.XOR_POS2:
-        a, b = args
-        lits = [neg(t), neg(a), neg(b)]
-    elif rule is RuleKind.XOR_NEG1:
-        a, b = args
-        lits = [pos(t), pos(a), neg(b)]
-    elif rule is RuleKind.XOR_NEG2:
-        a, b = args
-        lits = [pos(t), neg(a), pos(b)]
-    elif rule is RuleKind.IFF_POS1:
-        a, b = args
-        lits = [neg(t), neg(a), pos(b)]
-    elif rule is RuleKind.IFF_POS2:
-        a, b = args
-        lits = [neg(t), pos(a), neg(b)]
-    elif rule is RuleKind.IFF_NEG1:
-        a, b = args
-        lits = [pos(t), pos(a), pos(b)]
-    elif rule is RuleKind.IFF_NEG2:
-        a, b = args
-        lits = [pos(t), neg(a), neg(b)]
-    elif rule is RuleKind.ITE_POS1:
-        c, a, b = args
-        lits = [neg(t), pos(c), pos(b)]
-    elif rule is RuleKind.ITE_POS2:
-        c, a, b = args
-        lits = [neg(t), neg(c), pos(a)]
-    elif rule is RuleKind.ITE_NEG1:
-        c, a, b = args
-        lits = [pos(t), pos(c), neg(b)]
-    elif rule is RuleKind.ITE_NEG2:
-        c, a, b = args
-        lits = [pos(t), neg(c), neg(a)]
-    elif rule is RuleKind.NOT_NOT:
-        # index 0 links t=not(a) downward ([-t, -a]); index 1 upward ([t, a]).
-        if i == 0:
-            lits = [neg(t), neg(args[0])]
-        elif i == 1:
-            lits = [pos(t), pos(args[0])]
+    lits = []
+    for ref in template.split():
+        positive, ref = ref[0] == "+", ref[1:]
+        if ref == "t":
+            atoms = (t,)
+        elif ref == "*":
+            atoms = args
+        elif ref != "i":
+            atoms = (args[int(ref)],)
+        elif 0 <= i < len(args):
+            atoms = (args[i],)
         else:
             return TRIVIALLY_TRUE
-    else:  # pragma: no cover - table and branches agree
-        return TRIVIALLY_TRUE
+        lits.extend(pos(a) if positive else neg(a) for a in atoms)
     return mk_clause(store, lits)

@@ -52,21 +52,6 @@ class RuleKind(Enum):
     ASSUME = "assume"
 
 
-CNF_RULES = frozenset({
-    RuleKind.AND_POS, RuleKind.AND_NEG, RuleKind.OR_POS, RuleKind.OR_NEG,
-    RuleKind.IMP_POS, RuleKind.IMP_NEG1, RuleKind.IMP_NEG2,
-    RuleKind.XOR_POS1, RuleKind.XOR_POS2, RuleKind.XOR_NEG1, RuleKind.XOR_NEG2,
-    RuleKind.ITE_POS1, RuleKind.ITE_POS2, RuleKind.ITE_NEG1, RuleKind.ITE_NEG2,
-    RuleKind.IFF_POS1, RuleKind.IFF_POS2, RuleKind.IFF_NEG1, RuleKind.IFF_NEG2,
-    RuleKind.NOT_NOT,
-})
-
-BB_RULES = frozenset({
-    RuleKind.BB_VAR, RuleKind.BB_CONST, RuleKind.BB_NOT, RuleKind.BB_AND,
-    RuleKind.BB_OR, RuleKind.BB_XOR, RuleKind.BB_ADD, RuleKind.BB_EQ,
-    RuleKind.BB_ULT,
-})
-
 RULE_BY_NAME = {r.value: r for r in RuleKind}
 
 

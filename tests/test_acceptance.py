@@ -240,7 +240,7 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
             "xor": store.bv_xor(x, y),
         }
         for t in ops.values():
-            bb_bitwise(store, state, BvPayload(t))
+            bb_bitwise(store, state, BvPayload(t), store.kind(t))
         t_add = store.bv_add(x, y)
         carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
         add_link = bb_add(store, state, BvPayload(t_add, carries))

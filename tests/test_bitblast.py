@@ -4,8 +4,8 @@ import itertools
 import random
 
 from certkernel import (
-    BOOL, BitBlastState, BitVecSort, BvPayload, Kind, Model, TRIVIALLY_TRUE,
-    TermStore, eval_term, mk_clause, pos,
+    BOOL, BitBlastState, BitVecSort, BvPayload, CheckContext, Kind, Model,
+    RuleKind, TRIVIALLY_TRUE, TermStore, dispatch, eval_term, mk_clause, pos,
 )
 from certkernel.bitblast import bb_add, bb_bitwise, bb_const, bb_eq, bb_ult, bb_var
 from certkernel.oracle import int_to_bits
@@ -74,18 +74,30 @@ def test_bb_const_lsb_first():
 def test_bb_bitwise_shapes():
     store, state, x, y = _setup(2)
     t = store.bv_and(x, y)
-    bb_bitwise(store, state, BvPayload(t))
+    bb_bitwise(store, state, BvPayload(t), Kind.BV_AND)
     x0, x1 = state.bits[x]
     y0, y1 = state.bits[y]
     assert state.bits[t] == (store.and_([x0, y0]), store.and_([x1, y1]))
     tn = store.bv_not(x)
-    bb_bitwise(store, state, BvPayload(tn))
+    bb_bitwise(store, state, BvPayload(tn), Kind.BV_NOT)
     assert state.bits[tn] == (store.not_(x0), store.not_(x1))
     # unmapped operand
     z = store.var("z", BitVecSort(2))
     tz = store.bv_or(z, x)
-    bb_bitwise(store, state, BvPayload(tz))
+    bb_bitwise(store, state, BvPayload(tz), Kind.BV_OR)
     assert tz not in state.bits
+
+
+def test_bitwise_rules_map_only_their_own_operation():
+    rules = {RuleKind.BB_NOT: Kind.BV_NOT, RuleKind.BB_AND: Kind.BV_AND,
+             RuleKind.BB_OR: Kind.BV_OR, RuleKind.BB_XOR: Kind.BV_XOR}
+    for rule, kind in rules.items():
+        for target_kind in rules.values():
+            store, state, x, y = _setup(2)
+            t = store.intern(target_kind, (x,) if target_kind is Kind.BV_NOT else (x, y))
+            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t))
+            assert out == TRIVIALLY_TRUE
+            assert (t in state.bits) == (target_kind is kind), (rule, target_kind)
 
 
 def test_bitwise_agrees_with_word_semantics_exhaustively():
@@ -96,13 +108,13 @@ def test_bitwise_agrees_with_word_semantics_exhaustively():
     ):
         store, state, x, y = _setup(2)
         t = store.intern(op_kind, (x, y))
-        bb_bitwise(store, state, BvPayload(t))
+        bb_bitwise(store, state, BvPayload(t), op_kind)
         for xv, yv in itertools.product(range(4), repeat=2):
             model = _bit_model(store, state, {x: xv, y: yv})
             assert _eval_bits(store, model, state.bits[t]) == word_op(xv, yv)
     store, state, x, y = _setup(2)
     t = store.bv_not(x)
-    bb_bitwise(store, state, BvPayload(t))
+    bb_bitwise(store, state, BvPayload(t), Kind.BV_NOT)
     for xv in range(4):
         model = _bit_model(store, state, {x: xv})
         assert _eval_bits(store, model, state.bits[t]) == (~xv) & 3

@@ -201,3 +201,26 @@ def test_multiple_pairs_and_jobs(files, capsys):
 
 def test_mismatched_pair_counts(files, capsys):
     assert main(["--problem", str(files / "prob.cnf")]) == 3
+
+
+def test_deeply_nested_input_exits_three(tmp_path, capsys):
+    depth = 3000
+    (tmp_path / "deep.smt2").write_text(
+        "(declare-const p Bool)\n(assert " + "(not " * depth + "p" + ")" * depth + ")\n")
+    (tmp_path / "empty.cert").write_text("qed 0\n")
+    code = main(["--problem", str(tmp_path / "deep.smt2"),
+                 "--proof", str(tmp_path / "empty.cert")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overlong_numeral_exits_three(tmp_path, capsys):
+    (tmp_path / "big.smt2").write_text(
+        "(declare-const x Int)\n(assert (<= x " + "9" * 5000 + "))\n")
+    (tmp_path / "empty.cert").write_text("qed 0\n")
+    code = main(["--problem", str(tmp_path / "big.smt2"),
+                 "--proof", str(tmp_path / "empty.cert")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2, col 15:") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 """Parsers: DIMACS, SMT-LIB subset, certificates.  Totality and round trips."""
 
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from certkernel import (
     print_certificate, print_dimacs,
 )
 from certkernel.errors import CertKernelError
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 # -- DIMACS -------------------------------------------------------------------
@@ -210,6 +213,27 @@ def test_certificate_round_trip_over_generators():
         parsed = parse_certificate(text, prob)
         assert print_certificate(store, parsed) == text
         assert check(store, inputs, parsed).verdict is Verdict.VALID
+
+
+def test_certificate_round_trip_over_corpus():
+    rules = set()
+    certs = sorted(CORPUS.rglob("*.cert"))
+    assert len(certs) == 32
+    for cert_path in certs:
+        prob_path = cert_path.with_suffix(".cnf")
+        if not prob_path.exists():
+            prob_path = cert_path.with_suffix(".smt2")
+        parse = parse_dimacs if prob_path.suffix == ".cnf" else parse_smt2
+        prob = parse(prob_path.read_text())
+        cert = parse_certificate(cert_path.read_text(), prob)
+        text = print_certificate(prob.store, cert)
+        reparsed = parse_certificate(text, prob)
+        assert reparsed == cert, cert_path
+        assert print_certificate(prob.store, reparsed) == text, cert_path
+        assert check(prob.store, prob.input_clauses, reparsed) \
+            == check(prob.store, prob.input_clauses, cert), cert_path
+        rules |= {step.rule for step in cert.steps}
+    assert len(rules) == 21
 
 
 def test_parser_totality_fuzz():

@@ -8,6 +8,7 @@ from certkernel import (
     EufPayload, LiaPayload, RuleKind, Step, TRIVIALLY_TRUE, TermStore, Verdict,
     brute_unsat, check, dispatch, mk_clause, neg, pos, stats_report,
 )
+from certkernel.kernel import RULES
 from certkernel.oracle import UNSAT
 
 
@@ -117,6 +118,11 @@ def test_dispatch_examples():
     # malformed euf chain: rejection convention
     bad = EufPayload(mk_clause(store, [pos(p)]), (EqStep(EqRule.SYM, refs=(4,)),))
     assert dispatch(ctx, RuleKind.EUF, [], bad) == TRIVIALLY_TRUE
+
+
+def test_every_rule_but_input_has_one_registry_entry():
+    # dict keys are unique, so equal key sets mean exactly one entry each
+    assert set(RULES) == set(RuleKind) - {RuleKind.INPUT}
 
 
 def test_euf_end_to_end_with_oracle():

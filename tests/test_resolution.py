@@ -117,6 +117,27 @@ def test_cnf_lemma_projections():
         == mk_clause(store, [pos(t_imp), pos(a)])
     assert cnf_lemma(store, RuleKind.IMP_NEG2, CnfPayload(t_imp)) \
         == mk_clause(store, [pos(t_imp), neg(b)])
+    assert cnf_lemma(store, RuleKind.OR_POS, CnfPayload(t_or)) \
+        == mk_clause(store, [neg(t_or), pos(a), pos(b)])
+    t_xor, t_iff = store.xor(a, b), store.iff(a, b)
+    c = store.var("c", BOOL)
+    t_ite = store.ite(c, a, b)
+    expected = {
+        (RuleKind.XOR_POS1, t_xor): [neg(t_xor), pos(a), pos(b)],
+        (RuleKind.XOR_POS2, t_xor): [neg(t_xor), neg(a), neg(b)],
+        (RuleKind.XOR_NEG1, t_xor): [pos(t_xor), pos(a), neg(b)],
+        (RuleKind.XOR_NEG2, t_xor): [pos(t_xor), neg(a), pos(b)],
+        (RuleKind.IFF_POS1, t_iff): [neg(t_iff), neg(a), pos(b)],
+        (RuleKind.IFF_POS2, t_iff): [neg(t_iff), pos(a), neg(b)],
+        (RuleKind.IFF_NEG1, t_iff): [pos(t_iff), pos(a), pos(b)],
+        (RuleKind.IFF_NEG2, t_iff): [pos(t_iff), neg(a), neg(b)],
+        (RuleKind.ITE_POS1, t_ite): [neg(t_ite), pos(c), pos(b)],
+        (RuleKind.ITE_POS2, t_ite): [neg(t_ite), neg(c), pos(a)],
+        (RuleKind.ITE_NEG1, t_ite): [pos(t_ite), pos(c), neg(b)],
+        (RuleKind.ITE_NEG2, t_ite): [pos(t_ite), neg(c), neg(a)],
+    }
+    for (rule, target), lits in expected.items():
+        assert cnf_lemma(store, rule, CnfPayload(target)) == mk_clause(store, lits), rule
 
 
 def test_cnf_lemma_not_not_directions():
