@@ -141,6 +141,8 @@ def run_one(problem_path: str, proof_path: str | None, mode: str,
         return EXIT_ERROR, f"error: {e}\n"
     except RecursionError:
         return EXIT_ERROR, "error: input nested too deeply\n"
+    except MemoryError:
+        return EXIT_ERROR, "error: out of memory\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

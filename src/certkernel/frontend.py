@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import ForwardReferenceError, ParseError, SortError, UnsupportedError
 from .euf import EqRule, EqStep, EufPayload
@@ -72,9 +73,6 @@ class SList:
     col: int
 
 
-SExpr = object  # Token | SList
-
-
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
     line, col, i = first_line, 1, 0
@@ -107,31 +105,29 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     return tokens
 
 
-def _read_seq(tokens: list[Token], i: int, close: str | None):
-    items: list = []
-    while i < len(tokens):
-        t = tokens[i]
-        if t.text in (")", "}"):
-            if close != t.text:
-                raise ParseError(f"unbalanced {t.text!r}", t.line, t.col)
-            return items, i + 1
-        if t.text == "(":
-            sub, i = _read_seq(tokens, i + 1, ")")
-            items.append(SList(sub, "(", t.line, t.col))
-        elif t.text == "{":
-            sub, i = _read_seq(tokens, i + 1, "}")
-            items.append(SList(sub, "{", t.line, t.col))
-        else:
-            items.append(t)
-            i += 1
-    if close is not None:
-        last = tokens[-1] if tokens else Token("", 1, 1)
-        raise ParseError(f"missing closing {close!r}", last.line, last.col)
-    return items, i
+_CLOSING = {"(": ")", "{": "}"}
 
 
 def read_sexprs(tokens: list[Token]) -> list:
-    items, _ = _read_seq(tokens, 0, None)
+    """Group tokens into s-expressions.  Iterative, so any depth is read."""
+    items: list = []
+    open_lists: list[tuple[list, Token]] = []  # (enclosing items, opening token)
+    for t in tokens:
+        if t.text in _CLOSING:
+            open_lists.append((items, t))
+            items = []
+        elif t.text in (")", "}"):
+            if not open_lists or _CLOSING[open_lists[-1][1].text] != t.text:
+                raise ParseError(f"unbalanced {t.text!r}", t.line, t.col)
+            outer, opener = open_lists.pop()
+            outer.append(SList(items, opener.text, opener.line, opener.col))
+            items = outer
+        else:
+            items.append(t)
+    if open_lists:
+        last = tokens[-1]
+        raise ParseError(f"missing closing {_CLOSING[open_lists[-1][1].text]!r}",
+                         last.line, last.col)
     return items
 
 
@@ -179,6 +175,19 @@ _UNSUPPORTED_HEADS = frozenset({
     "bvshl", "bvlshr", "bvsub", "bvneg", "bvule", "bvugt", "bvuge", "bvslt",
     "str.len", "!",
 })
+
+
+# SMT-LIB operator heads and the kind each builds; the signature table in
+# terms checks arity and sorts.  (>= a b) is (<= b a), so the _SWAPPED heads
+# read their arguments in reverse order.
+_HEADS = {
+    "not": Kind.NOT, "and": Kind.AND, "or": Kind.OR, "=>": Kind.IMPLIES,
+    "xor": Kind.XOR, "ite": Kind.ITE, "=": Kind.EQ, "<=": Kind.LE, "<": Kind.LT,
+    ">=": Kind.LE, ">": Kind.LT, "+": Kind.ADD, "-": Kind.SUB, "*": Kind.MUL,
+    "bvnot": Kind.BV_NOT, "bvand": Kind.BV_AND, "bvor": Kind.BV_OR,
+    "bvxor": Kind.BV_XOR, "bvadd": Kind.BV_ADD, "bvult": Kind.BV_ULT,
+}
+_SWAPPED = frozenset({">=", ">"})
 
 
 def _parse_sort(problem: Problem, sx) -> Sort:
@@ -230,17 +239,7 @@ def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> Te
         raise ParseError("malformed term", *_pos_of(sx))
     head = items[0].text
     rest = items[1:]
-
-    def sub(i: int) -> TermId:
-        return parse_term(problem, rest[i], env)
-
-    def allsub() -> list[TermId]:
-        return [parse_term(problem, a, env) for a in rest]
-
-    def arity(n: int):
-        if len(rest) != n:
-            raise ParseError(f"{head} takes {n} arguments, got {len(rest)}", *_pos_of(sx))
-
+    kind = _HEADS.get(head)
     try:
         if head == "let":
             if len(rest) != 2 or not isinstance(rest[0], SList):
@@ -253,110 +252,39 @@ def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> Te
                 # Parallel let: right-hand sides see the outer environment.
                 new_env[binding.items[0].text] = parse_term(problem, binding.items[1], env)
             return parse_term(problem, rest[1], new_env)
-        if head == "not":
-            arity(1)
-            return store.not_(sub(0))
-        if head == "and":
-            if not rest:
-                raise ParseError("and needs arguments", *_pos_of(sx))
-            return store.and_(allsub())
-        if head == "or":
-            if not rest:
-                raise ParseError("or needs arguments", *_pos_of(sx))
-            return store.or_(allsub())
-        if head == "=>":
-            if len(rest) < 2:
-                raise ParseError("=> needs at least 2 arguments", *_pos_of(sx))
-            args = allsub()
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = store.implies(a, out)
-            return out
-        if head == "xor":
-            if len(rest) < 2:
-                raise ParseError("xor needs at least 2 arguments", *_pos_of(sx))
-            args = allsub()
-            out = args[0]
-            for a in args[1:]:
-                out = store.xor(out, a)
-            return out
-        if head == "ite":
-            arity(3)
-            return store.ite(sub(0), sub(1), sub(2))
-        if head == "=":
-            if len(rest) != 2:
-                raise UnsupportedError("chained = is not supported", *_pos_of(sx))
-            l, r = sub(0), sub(1)
-            if store.sort_of(l) == BOOL:
-                return store.iff(l, r)
-            return store.eq(l, r)
-        if head == "<=":
-            arity(2)
-            return store.le(sub(0), sub(1))
-        if head == "<":
-            arity(2)
-            return store.lt(sub(0), sub(1))
-        if head == ">=":
-            arity(2)
-            return store.le(sub(1), sub(0))
-        if head == ">":
-            arity(2)
-            return store.lt(sub(1), sub(0))
-        if head == "+":
-            if len(rest) < 2:
-                raise ParseError("+ needs at least 2 arguments", *_pos_of(sx))
-            return store.add(allsub())
-        if head == "-":
-            if len(rest) == 1:
-                # Fold a negated numeral into a negative constant so that
-                # printing and parsing are exact inverses.
-                if isinstance(rest[0], Token) and _NUMERAL.match(rest[0].text):
-                    return store.int_const(-_to_int(rest[0].text, *_pos_of(rest[0])))
-                return store.neg(sub(0))
-            if not rest:
-                raise ParseError("- needs arguments", *_pos_of(sx))
-            args = allsub()
-            out = args[0]
-            for a in args[1:]:
-                out = store.sub(out, a)
-            return out
-        if head == "*":
-            arity(2)
-            l, r = sub(0), sub(1)
-            if store.kind(l) is not Kind.INT_CONST and store.kind(r) is not Kind.INT_CONST:
-                raise UnsupportedError("nonlinear multiplication", *_pos_of(sx))
-            return store.mul(l, r)
-        if head == "bvnot":
-            arity(1)
-            return store.bv_not(sub(0))
-        if head == "bvand":
-            arity(2)
-            return store.bv_and(sub(0), sub(1))
-        if head == "bvor":
-            arity(2)
-            return store.bv_or(sub(0), sub(1))
-        if head == "bvxor":
-            arity(2)
-            return store.bv_xor(sub(0), sub(1))
-        if head == "bvadd":
-            arity(2)
-            return store.bv_add(sub(0), sub(1))
-        if head == "bvult":
-            arity(2)
-            return store.bv_ult(sub(0), sub(1))
-        if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedError(f"unsupported construct: {head}", *_pos_of(sx))
-        decl = problem.decls.get(head)
-        if decl is None:
-            raise ParseError(f"unknown function {head}", *_pos_of(sx))
-        tag, fn = decl
-        if tag == "var":
-            raise ParseError(f"{head} is not a function", *_pos_of(sx))
-        args = allsub()
-        applied = store.apply(fn, tuple(args))
-        if tag == "pred":
-            return store.eq(applied, problem.decls["$tt"][1])
-        return applied
+        if kind is None:
+            if head in _UNSUPPORTED_HEADS:
+                raise UnsupportedError(f"unsupported construct: {head}", *_pos_of(sx))
+            decl = problem.decls.get(head)
+            if decl is None:
+                raise ParseError(f"unknown function {head}", *_pos_of(sx))
+            tag, fn = decl
+            if tag == "var":
+                raise ParseError(f"{head} is not a function", *_pos_of(sx))
+            applied = store.apply(fn, tuple(parse_term(problem, a, env) for a in rest))
+            if tag == "pred":
+                return store.eq(applied, problem.decls["$tt"][1])
+            return applied
+        if kind is Kind.EQ and len(rest) != 2:
+            raise UnsupportedError("chained = is not supported", *_pos_of(sx))
+        if kind is Kind.SUB and len(rest) == 1:
+            # Fold a negated numeral into a negative constant so that
+            # printing and parsing are exact inverses.
+            if isinstance(rest[0], Token) and _NUMERAL.match(rest[0].text):
+                return store.int_const(-_to_int(rest[0].text, *_pos_of(rest[0])))
+            kind = Kind.NEG
+        args = [parse_term(problem, a, env)
+                for a in (rest[::-1] if head in _SWAPPED else rest)]
+        if kind is Kind.EQ and store.sort_of(args[0]) == BOOL:
+            kind = Kind.IFF
+        elif kind is Kind.MUL and len(args) == 2 \
+                and all(store.kind(a) is not Kind.INT_CONST for a in args):
+            raise UnsupportedError("nonlinear multiplication", *_pos_of(sx))
+        elif kind is Kind.IMPLIES and len(args) > 2:
+            return reduce(lambda r, a: store.intern(kind, (a, r)), reversed(args[:-1]), args[-1])
+        elif kind in (Kind.XOR, Kind.SUB) and len(args) > 2:
+            return reduce(lambda l, a: store.intern(kind, (l, a)), args[1:], args[0])
+        return store.intern(kind, args)
     except SortError as e:
         raise ParseError(str(e), *_pos_of(sx)) from e
 
@@ -429,7 +357,10 @@ def parse_smt2(text: str) -> Problem:
         elif head == "assert":
             if len(rest) != 1:
                 raise ParseError("malformed assert", *_pos_of(cmd))
-            t = parse_term(problem, rest[0])
+            try:
+                t = parse_term(problem, rest[0])
+            except RecursionError:
+                raise ParseError("term nested too deeply", *_pos_of(cmd)) from None
             if problem.store.sort_of(t) != BOOL:
                 raise ParseError("asserted term is not Bool", *_pos_of(rest[0]))
             problem.assertions.append(t)
@@ -685,7 +616,10 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             if p >= step_id or p < 0:
                 raise ForwardReferenceError(
                     f"premise {p} is not before step {step_id}", lineno, 1)
-        payload = parse_payload(problem, rule, items[3].items, lineno, 1)
+        try:
+            payload = parse_payload(problem, rule, items[3].items, lineno, 1)
+        except RecursionError:
+            raise ParseError("term nested too deeply", lineno, 1) from None
         steps.append(Step(step_id, rule, premises, payload))
         next_id += 1
 

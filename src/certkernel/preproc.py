@@ -201,4 +201,7 @@ def parse_nested_proof(text: str, problem: Problem) -> NestedProof:
     items = read_sexprs(tokenize(text))
     if len(items) != 1:
         raise ParseError("expected exactly one proof expression", 1, 1)
-    return _convert(problem, items[0])
+    try:
+        return _convert(problem, items[0])
+    except RecursionError:
+        raise ParseError("proof nested too deeply", items[0].line, items[0].col) from None

@@ -117,9 +117,33 @@ BOOL_STRUCTURE = frozenset({
     Kind.IMPLIES, Kind.XOR, Kind.IFF, Kind.ITE,
 })
 
-# Integer-arithmetic constructors; anything else of sort Int is treated as an
-# opaque variable by the linear normalizer.
-ARITH_KINDS = frozenset({Kind.ADD, Kind.SUB, Kind.NEG, Kind.MUL, Kind.INT_CONST})
+# Operator signatures: kind -> (min args, max args or None for any number,
+# operand sort, result sort).  Every argument must have the operand sort; the
+# operand ``BitVecSort`` stands for "bit-vectors of one width", and a result
+# of None means "the operand sort".  Kinds not listed here carry a payload or
+# relate operands of any sort, and _compute_sort checks them one by one.
+SIGNATURES: dict[Kind, tuple[int, int | None, object, Sort | None]] = {
+    Kind.TRUE: (0, 0, BOOL, BOOL),
+    Kind.FALSE: (0, 0, BOOL, BOOL),
+    Kind.NOT: (1, 1, BOOL, BOOL),
+    Kind.AND: (1, None, BOOL, BOOL),
+    Kind.OR: (1, None, BOOL, BOOL),
+    Kind.IMPLIES: (2, 2, BOOL, BOOL),
+    Kind.XOR: (2, 2, BOOL, BOOL),
+    Kind.IFF: (2, 2, BOOL, BOOL),
+    Kind.LE: (2, 2, INT, BOOL),
+    Kind.LT: (2, 2, INT, BOOL),
+    Kind.ADD: (2, None, INT, INT),
+    Kind.SUB: (2, 2, INT, INT),
+    Kind.NEG: (1, 1, INT, INT),
+    Kind.MUL: (2, 2, INT, INT),
+    Kind.BV_NOT: (1, 1, BitVecSort, None),
+    Kind.BV_AND: (2, 2, BitVecSort, None),
+    Kind.BV_OR: (2, 2, BitVecSort, None),
+    Kind.BV_XOR: (2, 2, BitVecSort, None),
+    Kind.BV_ADD: (2, 2, BitVecSort, None),
+    Kind.BV_ULT: (2, 2, BitVecSort, BOOL),
+}
 
 
 class Node(NamedTuple):
@@ -129,10 +153,6 @@ class Node(NamedTuple):
     # Per-kind payload: variable name (str), integer value (int),
     # bit tuple LSB-first (tuple[bool, ...]), or FunSym.  None otherwise.
     extra: object
-
-
-_BINARY_BOOL = {Kind.IMPLIES, Kind.XOR, Kind.IFF}
-_BV_BINOPS = {Kind.BV_AND, Kind.BV_OR, Kind.BV_XOR, Kind.BV_ADD}
 
 
 class TermStore:
@@ -185,24 +205,33 @@ class TermStore:
 
     def _compute_sort(self, kind: Kind, args: tuple[TermId, ...], extra: object) -> Sort:
         sorts = tuple(self._nodes[a].sort for a in args)
-
-        def demand(n: int):
-            if len(args) != n:
-                raise SortError(f"{kind.value} takes {n} arguments, got {len(args)}")
-
+        sig = SIGNATURES.get(kind)
+        if sig is not None:
+            lo, hi, operand, result = sig
+            if len(args) < lo or (hi is not None and len(args) > hi):
+                wanted = lo if lo == hi else f"at least {lo}" if hi is None else f"{lo} to {hi}"
+                raise SortError(f"{kind.value} takes {wanted} arguments, got {len(args)}")
+            if operand is BitVecSort:
+                operand = sorts[0]
+                if not isinstance(operand, BitVecSort) or sorts.count(operand) != len(sorts):
+                    raise SortError(f"{kind.value} needs bit-vectors of one width, "
+                                    f"got {[str(s) for s in sorts]}")
+            elif sorts.count(operand) != len(sorts):
+                raise SortError(f"{kind.value} needs {operand} operands, "
+                                f"got {[str(s) for s in sorts]}")
+            return operand if result is None else result
+        if kind in (Kind.VAR, Kind.INT_CONST, Kind.BV_CONST) and args:
+            raise SortError(f"{kind.value} takes 0 arguments, got {len(args)}")
         if kind is Kind.VAR:
-            demand(0)
             name, sort = extra
             if not isinstance(name, str):
                 raise SortError("variable name must be a string")
             return sort
         if kind is Kind.INT_CONST:
-            demand(0)
             if not isinstance(extra, int):
                 raise SortError("integer constant payload must be int")
             return INT
         if kind is Kind.BV_CONST:
-            demand(0)
             bits = extra
             if not isinstance(bits, tuple) or not bits or not all(isinstance(b, bool) for b in bits):
                 raise SortError("bit-vector constant payload must be a non-empty bool tuple")
@@ -217,80 +246,21 @@ class TermStore:
                     f"got {[str(s) for s in sorts]}")
             return fn.ret_sort
         if kind is Kind.EQ:
-            demand(2)
+            if len(args) != 2:
+                raise SortError(f"= takes 2 arguments, got {len(args)}")
             if sorts[0] != sorts[1]:
                 raise SortError(f"= over distinct sorts {sorts[0]} / {sorts[1]}")
             if sorts[0] == BOOL:
                 raise SortError("= over Bool is represented as iff")
             return BOOL
-        if kind in (Kind.LE, Kind.LT):
-            demand(2)
-            if sorts != (INT, INT):
-                raise SortError(f"{kind.value} needs Int operands, got {[str(s) for s in sorts]}")
-            return BOOL
-        if kind in (Kind.TRUE, Kind.FALSE):
-            demand(0)
-            return BOOL
-        if kind is Kind.NOT:
-            demand(1)
-            if sorts[0] != BOOL:
-                raise SortError(f"not needs a Bool operand, got {sorts[0]}")
-            return BOOL
-        if kind in (Kind.AND, Kind.OR):
-            if not args:
-                raise SortError(f"{kind.value} needs at least one argument")
-            if any(s != BOOL for s in sorts):
-                raise SortError(f"{kind.value} needs Bool operands")
-            return BOOL
-        if kind in _BINARY_BOOL:
-            demand(2)
-            if sorts != (BOOL, BOOL):
-                raise SortError(f"{kind.value} needs Bool operands")
-            return BOOL
         if kind is Kind.ITE:
-            demand(3)
+            if len(args) != 3:
+                raise SortError(f"ite takes 3 arguments, got {len(args)}")
             if sorts[0] != BOOL:
                 raise SortError("ite condition must be Bool")
             if sorts[1] != sorts[2]:
                 raise SortError(f"ite branches disagree: {sorts[1]} / {sorts[2]}")
             return sorts[1]
-        if kind is Kind.ADD:
-            if len(args) < 2:
-                raise SortError("+ needs at least two arguments")
-            if any(s != INT for s in sorts):
-                raise SortError("+ needs Int operands")
-            return INT
-        if kind is Kind.SUB:
-            demand(2)
-            if sorts != (INT, INT):
-                raise SortError("- needs Int operands")
-            return INT
-        if kind is Kind.NEG:
-            demand(1)
-            if sorts[0] != INT:
-                raise SortError("unary - needs an Int operand")
-            return INT
-        if kind is Kind.MUL:
-            demand(2)
-            if sorts != (INT, INT):
-                raise SortError("* needs Int operands")
-            return INT
-        if kind is Kind.BV_NOT:
-            demand(1)
-            if not isinstance(sorts[0], BitVecSort):
-                raise SortError("bvnot needs a bit-vector operand")
-            return sorts[0]
-        if kind in _BV_BINOPS:
-            demand(2)
-            if not isinstance(sorts[0], BitVecSort) or sorts[0] != sorts[1]:
-                raise SortError(f"{kind.value} needs two bit-vectors of one width, "
-                                f"got {sorts[0]} / {sorts[1] if len(sorts) > 1 else '?'}")
-            return sorts[0]
-        if kind is Kind.BV_ULT:
-            demand(2)
-            if not isinstance(sorts[0], BitVecSort) or sorts[0] != sorts[1]:
-                raise SortError("bvult needs two bit-vectors of one width")
-            return BOOL
         raise SortError(f"unknown kind {kind}")
 
     # -- constructors -------------------------------------------------------
@@ -394,22 +364,6 @@ class TermStore:
             out = frozenset(acc)
         self._vars_cache[t] = out
         return out
-
-    def subterms(self, t: TermId) -> Iterable[TermId]:
-        """All distinct subterm ids of t, children before parents."""
-        seen: set[TermId] = set()
-        order: list[TermId] = []
-
-        def walk(u: TermId):
-            if u in seen:
-                return
-            seen.add(u)
-            for a in self._nodes[u].args:
-                walk(a)
-            order.append(u)
-
-        walk(t)
-        return order
 
     # -- printing ------------------------------------------------------------
 

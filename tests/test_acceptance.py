@@ -17,11 +17,13 @@ from naive_linear import naive_linearize
 from certkernel import (
     BOOL, BitBlastState, BitVecSort, BvPayload, CheckContext, Kind, Model,
     RuleKind, TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check,
-    check_euf, check_lia, cnf_lemma, compact, dispatch, euf_lemma_valid,
-    eval_clause, eval_term, is_tautology, linearize, parse_certificate,
-    parse_dimacs, parse_smt2, propositionally_implies, resolve_chain,
+    check_euf, check_lia, clause_to_sexpr, cnf_lemma, compact, dispatch,
+    euf_lemma_valid, eval_clause, eval_term, is_tautology, linearize,
+    parse_certificate, parse_dimacs, parse_smt2, propositionally_implies,
+    resolve_chain,
 )
 from certkernel.bitblast import bb_add, bb_bitwise, bb_eq, bb_ult, bb_var
+from certkernel.cli import run_one
 from certkernel.errors import CertKernelError
 from certkernel.oracle import SAT, UNSAT, _eval_skeleton
 
@@ -349,6 +351,43 @@ def test_c6_mutation_fuzz_100k_files():
           f"no VALID on satisfiable inputs in {elapsed:.0f}s")
 
 
+def _corpus_pairs():
+    for cert_path in sorted(CORPUS.rglob("*.cert")):
+        prob_path = cert_path.with_suffix(".cnf")
+        if not prob_path.exists():
+            prob_path = cert_path.with_suffix(".smt2")
+        yield prob_path, cert_path
+
+
+def test_c6_problem_text_fuzz_5000_edits(tmp_path):
+    """Character edits of the corpus problems, each checked with its own
+    certificate: every run ends in a documented exit code, and whatever
+    still gets VALID or TRUSTED is not satisfiable."""
+    rng = random.Random(0xC6B)
+    t0 = time.time()
+    pairs = [(p.read_text(), p.suffix, str(c)) for p, c in _corpus_pairs()]
+    alphabet = "()\n ;0123456789-+=<>#_abnoprtxy"
+    oracle_verdicts: dict = {}
+    accepted = 0
+    for i in range(5000):
+        text, suffix, cert_path = pairs[i % len(pairs)]
+        j, op, ch = rng.randrange(len(text) + 1), rng.randrange(3), rng.choice(alphabet)
+        mutated = text[:j] + (ch if op < 2 else "") + text[j + (op != 1):]
+        prob_path = tmp_path / ("mutated" + suffix)
+        prob_path.write_text(mutated)
+        code, report = run_one(str(prob_path), cert_path, "check", None, True, False)
+        assert code in (0, 1, 2, 3), (mutated, report)
+        if code in (0, 2):
+            accepted += 1
+            prob = parse_dimacs(mutated) if suffix == ".cnf" else parse_smt2(mutated)
+            key = tuple(clause_to_sexpr(prob.store, c) for c in prob.input_clauses)
+            if key not in oracle_verdicts:
+                oracle_verdicts[key] = brute_unsat(prob.store, prob.input_clauses).status
+            assert oracle_verdicts[key] != SAT, mutated
+    print(f"\nPASS criterion 6 (problems): 5000 mutated problems, {accepted} "
+          f"accepted, none satisfiable, in {time.time() - t0:.1f}s")
+
+
 # -- criterion 7: linearizer differential -------------------------------------
 
 def test_c7_linearizer_and_compact_differentials_1000_each():
@@ -372,14 +411,10 @@ def test_c7_linearizer_and_compact_differentials_1000_each():
 
 def test_c8_corpus_checks_valid():
     t0 = time.time()
-    entries = sorted(CORPUS.rglob("*.cert"))
+    entries = list(_corpus_pairs())
     assert len(entries) >= 30
     logics = set()
-    for cert_path in entries:
-        stem = cert_path.with_suffix("")
-        prob_path = stem.with_suffix(".cnf")
-        if not prob_path.exists():
-            prob_path = stem.with_suffix(".smt2")
+    for prob_path, cert_path in entries:
         text = prob_path.read_text()
         prob = parse_dimacs(text) if prob_path.suffix == ".cnf" else parse_smt2(text)
         logics.add(prob.logic)
@@ -424,8 +459,8 @@ print(f"{elapsed:.3f} {rss_mb:.0f}")
 
 
 def test_c9_100k_step_resolution_throughput():
-    proc = subprocess.run([sys.executable, "-c", _BENCH],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _BENCH], capture_output=True, text=True)
+    assert proc.returncode == 0, f"benchmark child exited {proc.returncode}:\n{proc.stderr}"
     elapsed, rss_mb = proc.stdout.split()
     elapsed, rss_mb = float(elapsed), float(rss_mb)
     assert elapsed < 5.0, f"100k-step replay took {elapsed:.2f}s"

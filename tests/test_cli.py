@@ -215,6 +215,18 @@ def test_deeply_nested_input_exits_three(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_out_of_memory_exits_three(files, capsys, monkeypatch):
+    import certkernel.cli as cli
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_smt2", exhausted)
+    code = main(["--problem", str(files / "prob.smt2"), "--proof", str(files / "prob.cert")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_overlong_numeral_exits_three(tmp_path, capsys):
     (tmp_path / "big.smt2").write_text(
         "(declare-const x Int)\n(assert (<= x " + "9" * 5000 + "))\n")

@@ -256,6 +256,32 @@ def test_parser_totality_fuzz():
                 assert e.line >= 0 and e.col >= 0
 
 
+def test_deep_nesting_is_a_parse_error_not_a_crash():
+    depth = 3000
+    deep = "(not " * depth + "p" + ")" * depth
+    with pytest.raises(ParseError) as e:
+        parse_smt2(f"(declare-const p Bool)\n(assert {deep})\n")
+    assert (e.value.line, e.value.col) == (2, 1)
+    prob = _simple_problem()
+    with pytest.raises(ParseError) as e:
+        parse_certificate(f"; deep payload\n2 assume () {{{deep}}}\nqed 2\n", prob)
+    assert (e.value.line, e.value.col) == (2, 1)
+
+
+def test_reader_takes_any_depth():
+    from certkernel.frontend import SList, read_sexprs, tokenize
+    depth = 100_000
+    (sx,) = read_sexprs(tokenize("(" * depth + "x" + ")" * depth))
+    for _ in range(depth - 1):
+        (sx,) = sx.items
+        assert isinstance(sx, SList)
+    assert sx.items[0].text == "x"
+    with pytest.raises(ParseError, match="missing closing"):
+        read_sexprs(tokenize("(" * depth + "x" + ")" * (depth - 1)))
+    with pytest.raises(ParseError, match="unbalanced"):
+        read_sexprs(tokenize("{" * depth + "x" + ")" * depth))
+
+
 def test_parse_determinism():
     text = """
         (set-logic QF_LIA)
@@ -267,3 +293,75 @@ def test_parse_determinism():
     assert p1.assertions == p2.assertions
     assert [c.enc for c in p1.input_clauses] == [c.enc for c in p2.input_clauses]
     assert len(p1.store) == len(p2.store)
+
+
+# One or more terms per SMT-LIB operator head; the special cases are >= and
+# > (swapped arguments), = over Bool (iff), the left/right folds of longer
+# =>, xor and - lists, and unary - on a numeral and on a variable.
+HEAD_CASES = {
+    "not": ["(not p)"],
+    "and": ["(and p)", "(and p q r)"],
+    "or": ["(or p q)"],
+    "=>": ["(=> p q)", "(=> p q r)"],
+    "xor": ["(xor p q)", "(xor p q r)"],
+    "ite": ["(ite p x y)", "(ite p q r)"],
+    "=": ["(= x y)", "(= p q)", "(= a b)"],
+    "<=": ["(<= x y)"],
+    "<": ["(< x y)"],
+    ">=": ["(>= x y)"],
+    ">": ["(> x (+ y 1))"],
+    "+": ["(+ x y)", "(+ x y 3)"],
+    "-": ["(- x y)", "(- x y z)", "(- 5)", "(- x)"],
+    "*": ["(* 2 x)", "(* x 3)"],
+    "bvnot": ["(bvnot a)"],
+    "bvand": ["(bvand a b)"],
+    "bvor": ["(bvor a #b0101)"],
+    "bvxor": ["(bvxor a b)"],
+    "bvadd": ["(bvadd a b)"],
+    "bvult": ["(bvult a b)"],
+}
+
+_HEAD_DECLS = """
+    (declare-const p Bool) (declare-const q Bool) (declare-const r Bool)
+    (declare-const x Int) (declare-const y Int) (declare-const z Int)
+    (declare-const a (_ BitVec 4)) (declare-const b (_ BitVec 4))
+"""
+
+
+def _term(prob, text):
+    from certkernel.frontend import parse_term, read_sexprs, tokenize
+    (sx,) = read_sexprs(tokenize(text))
+    return parse_term(prob, sx)
+
+
+def test_head_cases_cover_every_head():
+    from certkernel.frontend import _HEADS
+    assert set(HEAD_CASES) == set(_HEADS)
+
+
+@pytest.mark.parametrize("head", list(HEAD_CASES))
+def test_operator_head_round_trip(head):
+    prob = parse_smt2(_HEAD_DECLS)
+    for text in HEAD_CASES[head]:
+        t = _term(prob, text)
+        assert _term(prob, prob.store.to_sexpr(t)) == t, text
+
+
+def test_operator_head_special_cases():
+    prob = parse_smt2(_HEAD_DECLS)
+    store = prob.store
+    p, q, r, x, y, z = (_term(prob, n) for n in "pqrxyz")
+    assert _term(prob, "(>= x y)") == store.le(y, x)
+    assert _term(prob, "(> x y)") == store.lt(y, x)
+    assert _term(prob, "(= p q)") == store.iff(p, q)
+    assert _term(prob, "(=> p q r)") == store.implies(p, store.implies(q, r))
+    assert _term(prob, "(xor p q r)") == store.xor(store.xor(p, q), r)
+    assert _term(prob, "(- x y z)") == store.sub(store.sub(x, y), z)
+    assert _term(prob, "(- 5)") == store.int_const(-5)
+    assert _term(prob, "(- x)") == store.neg(x)
+    for text in ("(iff p q)", "(neg x)", "(true)", "(false)", "(not p q)",
+                 "(=> p)", "(- )", "(bvadd a x)", "(<= x p)"):
+        with pytest.raises(ParseError):
+            _term(prob, text)
+    with pytest.raises(UnsupportedError):
+        _term(prob, "(= x y z)")

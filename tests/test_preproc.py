@@ -7,7 +7,7 @@ import pytest
 import gens
 from naive_linear import naive_linearize
 from certkernel import (
-    BOOL, AssumePayload, Certificate, NLet, NRef, NStep, RuleKind, Step,
+    BOOL, AssumePayload, Certificate, NLet, NRef, NStep, ParseError, RuleKind, Step,
     TermStore, UnboundNameError, Verdict, check, compact, extract_trust,
     linearize, mk_clause, neg, parse_nested_proof, parse_smt2, pos,
 )
@@ -151,6 +151,17 @@ def test_nested_proof_concrete_syntax():
     """
     cert2 = linearize(parse_nested_proof(text2, prob), len(prob.input_clauses))
     assert check(prob.store, prob.input_clauses, cert2).verdict is Verdict.VALID
+
+
+def test_deep_nested_proof_is_a_parse_error_not_a_crash():
+    prob = parse_smt2("(declare-const p Bool)\n(assert p)\n")
+    depth = 3000
+    deep_steps = "(step res (" * depth + "0" + ") {})" * depth
+    deep_term = "(step assume () {" + "(not " * depth + "p" + ")" * depth + "})"
+    for text in (deep_steps, "\n  " + deep_term):
+        with pytest.raises(ParseError, match="nested too deeply") as e:
+            parse_nested_proof(text, prob)
+        assert e.value.line == text.count("\n") + 1
 
 
 def test_fault_injection_buggy_preprocessors_never_validate_sat():

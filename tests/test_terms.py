@@ -149,3 +149,69 @@ def test_hash_consing_soundness_printed_forms():
     for tid in range(len(store)):
         text = store.to_sexpr(tid)
         assert printed.setdefault(text, tid) == tid
+
+
+# Operator signatures, pinned independently of ``terms.SIGNATURES``:
+# kind -> (min args, max args or None for any number, operand sort,
+# result sort or None for "the operand sort").  The operand ``BitVecSort``
+# stands for "bit-vectors of one width".
+OPERATORS = {
+    Kind.TRUE: (0, 0, BOOL, BOOL),
+    Kind.FALSE: (0, 0, BOOL, BOOL),
+    Kind.NOT: (1, 1, BOOL, BOOL),
+    Kind.AND: (1, None, BOOL, BOOL),
+    Kind.OR: (1, None, BOOL, BOOL),
+    Kind.IMPLIES: (2, 2, BOOL, BOOL),
+    Kind.XOR: (2, 2, BOOL, BOOL),
+    Kind.IFF: (2, 2, BOOL, BOOL),
+    Kind.LE: (2, 2, INT, BOOL),
+    Kind.LT: (2, 2, INT, BOOL),
+    Kind.ADD: (2, None, INT, INT),
+    Kind.SUB: (2, 2, INT, INT),
+    Kind.NEG: (1, 1, INT, INT),
+    Kind.MUL: (2, 2, INT, INT),
+    Kind.BV_NOT: (1, 1, BitVecSort, None),
+    Kind.BV_AND: (2, 2, BitVecSort, None),
+    Kind.BV_OR: (2, 2, BitVecSort, None),
+    Kind.BV_XOR: (2, 2, BitVecSort, None),
+    Kind.BV_ADD: (2, 2, BitVecSort, None),
+    Kind.BV_ULT: (2, 2, BitVecSort, BOOL),
+}
+
+
+@pytest.mark.parametrize("kind", list(OPERATORS), ids=lambda k: k.name)
+def test_operator_signature(kind):
+    lo, hi, operand, result = OPERATORS[kind]
+    store = TermStore()
+
+    def operands(n, sort):
+        return [store.var(f"v{i}", sort) for i in range(n)]
+
+    good_sorts = [BitVecSort(3), BitVecSort(8)] if operand is BitVecSort else [operand]
+    for sort in good_sorts:
+        for n in {lo, hi if hi is not None else lo + 2}:
+            t = store.intern(kind, operands(n, sort))
+            assert store.sort_of(t) == (result or sort)
+        if lo > 0:
+            with pytest.raises(SortError):
+                store.intern(kind, operands(lo - 1, sort))
+        if hi is not None:
+            with pytest.raises(SortError):
+                store.intern(kind, operands(hi + 1, sort))
+    if lo == 0:
+        return
+    wrong = INT if operand is not INT else BOOL
+    for i in range(lo):
+        args = operands(lo, good_sorts[0])
+        args[i] = store.var("w", wrong)
+        with pytest.raises(SortError):
+            store.intern(kind, args)
+    if operand is BitVecSort and lo > 1:
+        mixed = [store.var("a", BitVecSort(3)), store.var("b", BitVecSort(4))]
+        with pytest.raises(SortError):
+            store.intern(kind, mixed)
+
+
+def test_signature_table_matches_pinned_operators():
+    from certkernel.terms import SIGNATURES
+    assert SIGNATURES == OPERATORS
