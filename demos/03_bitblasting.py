@@ -11,9 +11,9 @@ against word-level semantics.
 import itertools
 
 from certkernel import (
-    BOOL, BitBlastState, BitVecSort, BvPayload, Model, TermStore, eval_term,
+    BOOL, BitBlastState, BitVecSort, BvPayload, Kind, Model, TermStore, eval_term,
 )
-from certkernel.bitblast import bb_add, bb_eq, bb_var
+from certkernel.bitblast import bb_step
 
 width = 2
 store = TermStore()
@@ -23,20 +23,20 @@ x = store.var("x", BitVecSort(width))
 y = store.var("y", BitVecSort(width))
 for var, tag in ((x, "x"), (y, "y")):
     bits = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
-    bb_var(store, state, BvPayload(var, bits))
+    bb_step(store, state, BvPayload(var, bits), Kind.VAR)
     print(f"bits({tag}) =", [store.to_sexpr(b) for b in state.bits[var]])
 
 # Addition threads a ripple carry through fresh variables and returns a
 # unit clause defining them.
 t = store.bv_add(x, y)
 carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
-link = bb_add(store, state, BvPayload(t, carries))
+link = bb_step(store, state, BvPayload(t, carries), Kind.BV_ADD)
 print("\nbits(x + y) =", [store.to_sexpr(b) for b in state.bits[t]])
 print("carry definitions:", store.to_sexpr(link.enc[0] >> 1))
 
 # The equality atom links to bitwise agreement of both sides.
 atom = store.eq(t, x)
-eq_link = bb_eq(store, state, BvPayload(atom))
+eq_link = bb_step(store, state, BvPayload(atom), Kind.EQ)
 print("link for (x + y = x):", store.to_sexpr(eq_link.enc[0] >> 1))
 
 # Exhaustive cross-check against word-level semantics: for every operand

@@ -115,8 +115,11 @@ def _fiff(store: TermStore, a: TermId, b: TermId) -> TermId:
     return store.iff(a, b)
 
 
-def _fresh_bool_vars(store: TermStore, state: BitBlastState, aux, width: int) -> bool:
-    if len(aux) != width or len(set(aux)) != width:
+def _fresh_bool_vars(store: TermStore, state: BitBlastState, aux, t: TermId) -> bool:
+    """aux holds one distinct, fresh Bool variable per bit of t."""
+    sort = store.sort_of(t)
+    if not isinstance(sort, BitVecSort) or len(aux) != sort.width \
+            or len(set(aux)) != sort.width:
         return False
     for v in aux:
         if not (0 <= v < len(store)):
@@ -128,138 +131,93 @@ def _fresh_bool_vars(store: TermStore, state: BitBlastState, aux, width: int) ->
     return True
 
 
-# -- the small checkers ------------------------------------------------------
+# -- the builders and the one small checker -----------------------------------
 
-def bb_var(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
-    """Name the bits of a bit-vector variable with fresh Boolean variables."""
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not Kind.VAR:
-        return TRIVIALLY_TRUE
-    sort = store.sort_of(t)
-    if not isinstance(sort, BitVecSort) or t in state.bits:
-        return TRIVIALLY_TRUE
-    if not _fresh_bool_vars(store, state, payload.aux, sort.width):
-        return TRIVIALLY_TRUE
-    state.bits[t] = tuple(payload.aux)
-    state.note_used(payload.aux)
-    return TRIVIALLY_TRUE
+def _pointwise(op):
+    return lambda store, t, xs, aux: (tuple(op(store, column) for column in zip(*xs)), None)
 
 
-def bb_const(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
-    """Map a bit-vector constant to true/false bit terms, LSB first."""
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not Kind.BV_CONST:
-        return TRIVIALLY_TRUE
-    if t in state.bits:
-        return TRIVIALLY_TRUE
-    bits = store.node(t).extra
-    state.bits[t] = tuple(store.true_id if b else store.false_id for b in bits)
-    return TRIVIALLY_TRUE
-
-
-_BITWISE = {
-    Kind.BV_NOT: lambda store, xs: _fnot(store, xs[0]),
-    Kind.BV_AND: lambda store, xs: _fand(store, xs),
-    Kind.BV_OR: lambda store, xs: _for(store, xs),
-    Kind.BV_XOR: lambda store, xs: _fxor(store, xs[0], xs[1]),
-}
-
-
-def bb_bitwise(store: TermStore, state: BitBlastState, payload: BvPayload,
-               kind: Kind) -> Clause:
-    """Map a bitwise operation of the given kind to the pointwise combination
-    of operand bits; a target of any other kind is rejected."""
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not kind:
-        return TRIVIALLY_TRUE
-    op = _BITWISE.get(kind)
-    if op is None or t in state.bits:
-        return TRIVIALLY_TRUE
-    operand_bits = []
-    for a in store.args(t):
-        if a not in state.bits:
-            return TRIVIALLY_TRUE
-        operand_bits.append(state.bits[a])
-    width = store.width_of(t)
-    if any(len(bits) != width for bits in operand_bits):
-        return TRIVIALLY_TRUE
-    state.bits[t] = tuple(
-        op(store, [bits[i] for bits in operand_bits]) for i in range(width))
-    return TRIVIALLY_TRUE
-
-
-def bb_add(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
+def _blast_add(store: TermStore, t: TermId, xs, carries):
     """Map an addition through a ripple-carry chain of fresh variables.
 
-    Bit i of the sum is xor(xor(a_i, b_i), c_i).  The returned unit clause
-    defines the carries: c_0 is false and c_{i+1} = or(and(a_i, b_i),
-    and(xor(a_i, b_i), c_i)).  Subsequent CNF and resolution steps decompose
-    that definition clause.
+    Bit i of the sum is xor(xor(a_i, b_i), c_i).  The link defines the
+    carries: c_0 is false and c_{i+1} = or(and(a_i, b_i), and(xor(a_i, b_i),
+    c_i)).  Subsequent CNF and resolution steps decompose that definition.
     """
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not Kind.BV_ADD:
-        return TRIVIALLY_TRUE
-    if t in state.bits:
-        return TRIVIALLY_TRUE
-    l, r = store.args(t)
-    if l not in state.bits or r not in state.bits:
-        return TRIVIALLY_TRUE
-    width = store.width_of(t)
-    a_bits, b_bits = state.bits[l], state.bits[r]
-    if len(a_bits) != width or len(b_bits) != width:
-        return TRIVIALLY_TRUE
-    carries = payload.aux
-    if not _fresh_bool_vars(store, state, carries, width):
-        return TRIVIALLY_TRUE
-
+    a_bits, b_bits = xs
     defs = [_fnot(store, carries[0])]
-    for i in range(1, width):
+    for i in range(1, len(carries)):
         a, b, c = a_bits[i - 1], b_bits[i - 1], carries[i - 1]
         carry_def = _for(store, [
             _fand(store, [a, b]),
             _fand(store, [_fxor(store, a, b), c]),
         ])
         defs.append(_fiff(store, carries[i], carry_def))
-    state.bits[t] = tuple(
-        _fxor(store, _fxor(store, a_bits[i], b_bits[i]), carries[i])
-        for i in range(width))
-    state.note_used(carries)
-    return mk_clause(store, [pos(_fand(store, defs))])
+    bits = tuple(_fxor(store, _fxor(store, a, b), c)
+                 for a, b, c in zip(a_bits, b_bits, carries))
+    return bits, _fand(store, defs)
 
 
-def bb_eq(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
-    """Unit clause linking a bit-vector equality atom to bitwise agreement."""
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not Kind.EQ:
-        return TRIVIALLY_TRUE
-    l, r = store.args(t)
-    if not isinstance(store.sort_of(l), BitVecSort):
-        return TRIVIALLY_TRUE
-    if l not in state.bits or r not in state.bits:
-        return TRIVIALLY_TRUE
-    lb, rb = state.bits[l], state.bits[r]
-    if len(lb) != len(rb):
-        return TRIVIALLY_TRUE
-    agree = _fand(store, [_fiff(store, a, b) for a, b in zip(lb, rb)])
-    return mk_clause(store, [pos(_fiff(store, t, agree))])
+def _blast_eq(store: TermStore, t: TermId, xs, aux):
+    """Link a bit-vector equality atom to bitwise agreement."""
+    agree = _fand(store, [_fiff(store, a, b) for a, b in zip(*xs)])
+    return None, _fiff(store, t, agree)
 
 
-def bb_ult(store: TermStore, state: BitBlastState, payload: BvPayload) -> Clause:
-    """Unit clause linking an unsigned-less-than atom to the lexicographic
-    comparison of the operand bits, most significant bit first."""
-    t = payload.target
-    if not (0 <= t < len(store)) or store.kind(t) is not Kind.BV_ULT:
-        return TRIVIALLY_TRUE
-    l, r = store.args(t)
-    if l not in state.bits or r not in state.bits:
-        return TRIVIALLY_TRUE
-    lb, rb = state.bits[l], state.bits[r]
-    if len(lb) != len(rb):
-        return TRIVIALLY_TRUE
+def _blast_ult(store: TermStore, t: TermId, xs, aux):
+    """Link an unsigned-less-than atom to the lexicographic comparison of the
+    operand bits, most significant bit first."""
+    lb, rb = xs
     formula = _fand(store, [_fnot(store, lb[0]), rb[0]])
     for i in range(1, len(lb)):
         formula = _for(store, [
             _fand(store, [_fnot(store, lb[i]), rb[i]]),
             _fand(store, [_fiff(store, lb[i], rb[i]), formula]),
         ])
-    return mk_clause(store, [pos(_fiff(store, t, formula))])
+    return None, _fiff(store, t, formula)
+
+
+# Target kind -> (takes one fresh aux variable per bit, builder).  A builder
+# gets the store, the target, its operands' bit tuples and the aux variables,
+# and returns the target's bits (None for a Bool atom) and a Bool formula
+# that the step asserts as a unit clause (None for none).  bb_step has
+# checked everything the builder relies on.
+BLASTERS = {
+    Kind.VAR: (True, lambda store, t, xs, aux: (tuple(aux), None)),
+    Kind.BV_CONST: (False, lambda store, t, xs, aux: (tuple(
+        store.true_id if b else store.false_id for b in store.node(t).extra), None)),
+    Kind.BV_NOT: (False, _pointwise(lambda store, col: _fnot(store, col[0]))),
+    Kind.BV_AND: (False, _pointwise(_fand)),
+    Kind.BV_OR: (False, _pointwise(_for)),
+    Kind.BV_XOR: (False, _pointwise(lambda store, col: _fxor(store, *col))),
+    Kind.BV_ADD: (True, _blast_add),
+    Kind.EQ: (False, _blast_eq),
+    Kind.BV_ULT: (False, _blast_ult),
+}
+
+
+def bb_step(store: TermStore, state: BitBlastState, payload: BvPayload,
+            kind: Kind) -> Clause:
+    """The small checker of every bb_* rule; ``kind`` is the rule's target kind.
+
+    The target must be a valid, not yet mapped id of that kind, its operands
+    must map to bits of one width, and a builder that takes aux variables
+    needs a bit-vector target and one fresh Bool variable per bit.  Then the
+    builder of ``BLASTERS`` maps the target's bits and yields the link
+    formula, if any, as a unit clause.  Any failed check yields [true].
+    """
+    t = payload.target
+    if not (0 <= t < len(store)) or store.kind(t) is not kind or t in state.bits:
+        return TRIVIALLY_TRUE
+    xs = [state.bits.get(a) for a in store.args(t)]
+    if None in xs or len({len(bits) for bits in xs}) > 1:
+        return TRIVIALLY_TRUE
+    takes_aux, build = BLASTERS[kind]
+    aux = payload.aux if takes_aux else ()
+    if takes_aux and not _fresh_bool_vars(store, state, aux, t):
+        return TRIVIALLY_TRUE
+    bits, link = build(store, t, xs, aux)
+    if bits is not None:
+        state.bits[t] = bits
+    state.note_used(aux)
+    return TRIVIALLY_TRUE if link is None else mk_clause(store, [pos(link)])

@@ -6,7 +6,8 @@ Exit codes are a stable contract:
     1   certificate rejected: INVALID (reason and step printed)
     2   certificate checked modulo assumptions: TRUSTED
         (becomes 1 under --strict-assumes)
-    3   parse or usage error
+    3   parse or usage error, or an internal error of the checker
+        (one line naming the exception type; other pairs still run)
 
 Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
@@ -143,6 +144,8 @@ def run_one(problem_path: str, proof_path: str | None, mode: str,
         return EXIT_ERROR, "error: input nested too deeply\n"
     except MemoryError:
         return EXIT_ERROR, "error: out of memory\n"
+    except Exception as e:  # a bug must not cost the other pairs their reports
+        return EXIT_ERROR, f"error: internal error: {type(e).__name__}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,8 @@ How each rule is replayed is decided in one place, the ``RULES`` registry.
 Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
 type, small checker and the two flags.  A Tseitin-style CNF rule needs only
 a head kind and literal template in ``resolution.TSEITIN``, from which its
-entry is made.  The frontend parses and prints a payload by its type, so
+entry is made; a bit-blasting rule needs one ``bitblast.BLASTERS`` row for
+its target kind and the entry ``_bb(Kind.X)``.  The frontend parses and prints a payload by its type, so
 only a new payload type needs new certificate syntax there.
 """
 
@@ -85,14 +86,10 @@ def _cnf(rule: RuleKind) -> Rule:
                 lambda ctx, premises, p: resolution.cnf_lemma(ctx.store, rule, p))
 
 
-def _bb(checker) -> Rule:
+def _bb(kind: Kind) -> Rule:
     return Rule(BvPayload,
-                lambda ctx, premises, p: checker(ctx.store, ctx.bitblast, p),
+                lambda ctx, premises, p: bitblast.bb_step(ctx.store, ctx.bitblast, p, kind),
                 blasts=True)
-
-
-def _bitwise(kind: Kind) -> Rule:
-    return _bb(lambda store, state, p: bitblast.bb_bitwise(store, state, p, kind))
 
 
 RULES: dict[RuleKind, Rule] = {
@@ -105,15 +102,15 @@ RULES: dict[RuleKind, Rule] = {
     RuleKind.LIA: Rule(LiaPayload,
                        lambda ctx, premises, p: lia.check_lia(ctx.store, p),
                        declares=True),
-    RuleKind.BB_VAR: _bb(bitblast.bb_var),
-    RuleKind.BB_CONST: _bb(bitblast.bb_const),
-    RuleKind.BB_NOT: _bitwise(Kind.BV_NOT),
-    RuleKind.BB_AND: _bitwise(Kind.BV_AND),
-    RuleKind.BB_OR: _bitwise(Kind.BV_OR),
-    RuleKind.BB_XOR: _bitwise(Kind.BV_XOR),
-    RuleKind.BB_ADD: _bb(bitblast.bb_add),
-    RuleKind.BB_EQ: _bb(bitblast.bb_eq),
-    RuleKind.BB_ULT: _bb(bitblast.bb_ult),
+    RuleKind.BB_VAR: _bb(Kind.VAR),
+    RuleKind.BB_CONST: _bb(Kind.BV_CONST),
+    RuleKind.BB_NOT: _bb(Kind.BV_NOT),
+    RuleKind.BB_AND: _bb(Kind.BV_AND),
+    RuleKind.BB_OR: _bb(Kind.BV_OR),
+    RuleKind.BB_XOR: _bb(Kind.BV_XOR),
+    RuleKind.BB_ADD: _bb(Kind.BV_ADD),
+    RuleKind.BB_EQ: _bb(Kind.EQ),
+    RuleKind.BB_ULT: _bb(Kind.BV_ULT),
     RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p: p.clause),
 }
 

@@ -14,6 +14,7 @@ All arithmetic is arbitrary precision; there is no overflow path.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,61 +51,45 @@ class LiaPayload:
     tighten: bool = False
 
 
-def _const_value(store: TermStore, t: TermId):
-    """Integer value of a constant expression, or None."""
-    node = store.node(t)
-    if node.kind is Kind.INT_CONST:
-        return node.extra
-    if node.kind is Kind.NEG:
-        v = _const_value(store, node.args[0])
-        return None if v is None else -v
-    if node.kind is Kind.ADD:
-        total = 0
-        for a in node.args:
-            v = _const_value(store, a)
-            if v is None:
-                return None
-            total += v
-        return total
-    if node.kind is Kind.SUB:
-        l = _const_value(store, node.args[0])
-        r = _const_value(store, node.args[1])
-        return None if l is None or r is None else l - r
-    if node.kind is Kind.MUL:
-        l = _const_value(store, node.args[0])
-        r = _const_value(store, node.args[1])
-        return None if l is None or r is None else l * r
-    return None
+def _linearize(store: TermStore, sides) -> tuple[dict[TermId, int], int]:
+    """Coefficients and constant of the sum of mult * term over (term, mult).
 
-
-def _linearize(store: TermStore, t: TermId, mult: int, coeffs: dict[TermId, int]) -> int:
-    """Accumulate mult * t into coeffs; returns the constant contribution.
-
-    Any Int term that is not an arithmetic node (variables, applications,
-    if-then-else) acts as an opaque variable with coefficient 1.
+    Multipliers flow from each node to its arguments in descending id order,
+    so every parent has passed its share before a node is visited, and a
+    shared subterm is visited once with its total multiplier.  A product
+    needs an integer literal factor.  Any Int term that is not an arithmetic
+    node (variables, applications, if-then-else) acts as an opaque variable;
+    nodes reached only through one get no multiplier and are skipped.
     """
-    node = store.node(t)
-    k = node.kind
-    if k is Kind.INT_CONST:
-        return mult * node.extra
-    if k is Kind.ADD:
-        return sum(_linearize(store, a, mult, coeffs) for a in node.args)
-    if k is Kind.SUB:
-        return _linearize(store, node.args[0], mult, coeffs) \
-            + _linearize(store, node.args[1], -mult, coeffs)
-    if k is Kind.NEG:
-        return _linearize(store, node.args[0], -mult, coeffs)
-    if k is Kind.MUL:
-        a, b = node.args
-        ca = _const_value(store, a)
-        if ca is not None:
-            return _linearize(store, b, mult * ca, coeffs)
-        cb = _const_value(store, b)
-        if cb is not None:
-            return _linearize(store, a, mult * cb, coeffs)
-        raise RejectError(f"nonlinear product: {store.to_sexpr(t)}")
-    coeffs[t] = coeffs.get(t, 0) + mult
-    return 0
+    mults: defaultdict[TermId, int] = defaultdict(int)
+    for t, m in sides:
+        mults[t] += m
+    coeffs: dict[TermId, int] = {}
+    constant = 0
+    node = store.node
+    for t in reversed(store.postorder(mults)):
+        m = mults.get(t)
+        if m is None:
+            continue
+        k, _, args, value = node(t)
+        if k is Kind.INT_CONST:
+            constant += m * value
+        elif k is Kind.ADD:
+            for a in args:
+                mults[a] += m
+        elif k is Kind.SUB:
+            mults[args[0]] += m
+            mults[args[1]] -= m
+        elif k is Kind.NEG:
+            mults[args[0]] -= m
+        elif k is Kind.MUL:
+            a, b = args if store.kind(args[0]) is Kind.INT_CONST else args[::-1]
+            if store.kind(a) is not Kind.INT_CONST:
+                raise RejectError("nonlinear product")
+            mults[b] += m * node(a).extra
+        else:
+            coeffs[t] = m
+    return coeffs, constant
 
 
 def _mk_row(coeffs: dict[TermId, int], constant: int, relation: LinRel) -> LinAtom:
@@ -112,43 +97,37 @@ def _mk_row(coeffs: dict[TermId, int], constant: int, relation: LinRel) -> LinAt
     return LinAtom(kept, constant, relation)
 
 
-def normalize_lia_literal(store: TermStore, lit: Literal) -> LinAtom:
-    """Normal form of one signed linear comparison.
+# (atom kind, literal polarity) -> (side a, side b, bound, relation): the
+# literal holds iff  arg[a] - arg[b]  REL  bound  over the integers, with
+# strict and negated comparisons tightened by integrality (a > b is
+# a >= b + 1).  A negated equality has no row: it needs a case split.
+_ROWS = {
+    (Kind.LE, True): (1, 0, 0, LinRel.GE),    # l <= r      ==>  r - l >= 0
+    (Kind.LE, False): (0, 1, 1, LinRel.GE),   # not(l <= r) ==>  l - r >= 1
+    (Kind.LT, True): (1, 0, 1, LinRel.GE),    # l < r       ==>  r - l >= 1
+    (Kind.LT, False): (0, 1, 0, LinRel.GE),   # not(l < r)  ==>  l - r >= 0
+    (Kind.EQ, True): (0, 1, 0, LinRel.EQ),    # l = r       ==>  l - r = 0
+}
 
-    Strict and negated comparisons are eliminated with integrality
-    (a > b becomes a >= b + 1).  Raises RejectError for nonlinear atoms and
-    for integer disequalities, which require a case split upstream.
+
+def normalize_lia_literal(store: TermStore, lit: Literal) -> LinAtom:
+    """Normal form of one signed linear comparison, read from ``_ROWS``.
+
+    Raises RejectError for non-comparisons, nonlinear atoms and integer
+    disequalities, which require a case split upstream.
     """
     atom = lit.atom
     kind = store.kind(atom)
-    if kind not in (Kind.LE, Kind.LT, Kind.EQ):
-        raise RejectError(f"not a linear comparison: {store.to_sexpr(atom)}")
-    l, r = store.args(atom)
-    if store.sort_of(l) != INT:
-        raise RejectError(f"not an integer comparison: {store.to_sexpr(atom)}")
-
-    coeffs: dict[TermId, int] = {}
-    if kind is Kind.LE:
-        if lit.positive:
-            # l <= r  ==>  r - l >= 0
-            k = _linearize(store, r, 1, coeffs) + _linearize(store, l, -1, coeffs)
-            return _mk_row(coeffs, -k, LinRel.GE)
-        # not(l <= r)  ==>  l - r >= 1
-        k = _linearize(store, l, 1, coeffs) + _linearize(store, r, -1, coeffs)
-        return _mk_row(coeffs, 1 - k, LinRel.GE)
-    if kind is Kind.LT:
-        if lit.positive:
-            # l < r  ==>  r - l >= 1
-            k = _linearize(store, r, 1, coeffs) + _linearize(store, l, -1, coeffs)
-            return _mk_row(coeffs, 1 - k, LinRel.GE)
-        # not(l < r)  ==>  l - r >= 0
-        k = _linearize(store, l, 1, coeffs) + _linearize(store, r, -1, coeffs)
-        return _mk_row(coeffs, -k, LinRel.GE)
-    # equality
-    if not lit.positive:
-        raise RejectError("integer disequality requires a case split")
-    k = _linearize(store, l, 1, coeffs) + _linearize(store, r, -1, coeffs)
-    return _mk_row(coeffs, -k, LinRel.EQ)
+    shape = _ROWS.get((kind, lit.positive))
+    if shape is None:
+        raise RejectError("integer disequality requires a case split" if kind is Kind.EQ
+                          else "not a linear comparison")
+    args = store.args(atom)
+    if store.sort_of(args[0]) != INT:
+        raise RejectError("not an integer comparison")
+    a, b, bound, relation = shape
+    coeffs, constant = _linearize(store, [(args[a], 1), (args[b], -1)])
+    return _mk_row(coeffs, bound - constant, relation)
 
 
 def _tighten(coeffs: dict[TermId, int], constant: int) -> tuple[dict[TermId, int], int]:

@@ -8,7 +8,10 @@ here is purely syntactic; no operation evaluates semantics.
 Terms live in a per-problem append-only ``TermStore``.  Structurally equal
 nodes always receive the same ``TermId``, so id equality *is* structural
 equality.  ``TrueT`` and ``FalseT`` are interned first in every store and
-therefore always have ids 0 and 1.
+therefore always have ids 0 and 1.  A node's arguments intern before it, so
+every argument id is smaller than its parent's and ascending id order is
+bottom-up.  Walks over a term use ``TermStore.postorder`` or an explicit
+stack, not recursion, so a term of any depth can be walked.
 """
 
 from __future__ import annotations
@@ -349,58 +352,80 @@ class TermStore:
             raise SortError(f"term {t} is not bit-vector sorted")
         return sort.width
 
+    def postorder(self, roots: Iterable[TermId], done=()) -> list[TermId]:
+        """Ids reachable from roots, in ascending order, which is bottom-up.
+
+        Ids in ``done`` are neither listed nor walked into.
+        """
+        nodes = self._nodes
+        seen: set[TermId] = set()
+        stack = list(roots)
+        while stack:
+            t = stack.pop()
+            if t not in seen and t not in done:
+                seen.add(t)
+                stack.extend(nodes[t].args)
+        return sorted(seen)
+
     def vars_of(self, t: TermId) -> frozenset[TermId]:
         """Ids of all VAR nodes reachable from t (cached per store)."""
-        hit = self._vars_cache.get(t)
+        cache = self._vars_cache
+        hit = cache.get(t)
         if hit is not None:
             return hit
-        node = self._nodes[t]
-        if node.kind is Kind.VAR:
-            out = frozenset((t,))
-        else:
-            acc: set[TermId] = set()
-            for a in node.args:
-                acc |= self.vars_of(a)
-            out = frozenset(acc)
-        self._vars_cache[t] = out
-        return out
+        nodes = self._nodes
+        for u in self.postorder((t,), cache):
+            node = nodes[u]
+            if node.kind is Kind.VAR:
+                cache[u] = frozenset((u,))
+            else:
+                cache[u] = frozenset().union(*(cache[a] for a in node.args))
+        return cache[t]
 
     # -- printing ------------------------------------------------------------
 
     def to_sexpr(self, t: TermId) -> str:
-        """SMT-LIB style concrete syntax; parseable back by the frontend."""
-        node = self._nodes[t]
-        k = node.kind
-        if k is Kind.EQ:
-            # Encoded uninterpreted predicates print as their application:
-            # (= (p x) $tt) is exactly what the frontend parses (p x) into,
-            # and $-names are reserved for that encoding.
-            lhs, rhs = (self._nodes[a] for a in node.args)
-            if rhs.kind is Kind.VAR and rhs.extra[0] == "$tt" and lhs.kind is Kind.APPLY:
-                return self.to_sexpr(node.args[0])
-        if k is Kind.VAR:
-            return node.extra[0]
-        if k is Kind.INT_CONST:
-            v = node.extra
-            return str(v) if v >= 0 else f"(- {-v})"
-        if k is Kind.BV_CONST:
-            bits = node.extra
-            return "#b" + "".join("1" if b else "0" for b in reversed(bits))
-        if k is Kind.APPLY:
-            inner = " ".join(self.to_sexpr(a) for a in node.args)
-            return f"({node.extra.name} {inner})"
-        if k is Kind.TRUE:
-            return "true"
-        if k is Kind.FALSE:
-            return "false"
-        if k is Kind.IFF:
-            head = "="
-        elif k is Kind.NEG:
-            head = "-"
-        else:
-            head = k.value
-        inner = " ".join(self.to_sexpr(a) for a in node.args)
-        return f"({head} {inner})"
+        """SMT-LIB style concrete syntax; parseable back by the frontend.
+
+        The text expands shared subterms, so it is emitted from an explicit
+        stack of ids and closing parentheses, in time linear in its length.
+        """
+        nodes = self._nodes
+        out: list[str] = []
+        stack: list[TermId | str] = [t]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            node = nodes[item]
+            k = node.kind
+            if k is Kind.EQ:
+                # Encoded uninterpreted predicates print as their application:
+                # (= (p x) $tt) is exactly what the frontend parses (p x) into,
+                # and $-names are reserved for that encoding.
+                lhs, rhs = (nodes[a] for a in node.args)
+                if rhs.kind is Kind.VAR and rhs.extra[0] == "$tt" and lhs.kind is Kind.APPLY:
+                    stack.append(node.args[0])
+                    continue
+            if k is Kind.VAR:
+                out.append(node.extra[0])
+            elif k is Kind.INT_CONST:
+                v = node.extra
+                out.append(str(v) if v >= 0 else f"(- {-v})")
+            elif k is Kind.BV_CONST:
+                out.append("#b" + "".join("1" if b else "0" for b in reversed(node.extra)))
+            elif k is Kind.TRUE or k is Kind.FALSE:
+                out.append(k.value)
+            else:
+                head = (node.extra.name if k is Kind.APPLY else "=" if k is Kind.IFF
+                        else "-" if k is Kind.NEG else k.value)
+                out.append(f"({head} ")
+                stack.append(")")
+                for a in reversed(node.args[1:]):
+                    stack += (a, " ")
+                stack.extend(node.args[:1])
+        return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from certkernel import (
     parse_certificate, parse_dimacs, parse_smt2, propositionally_implies,
     resolve_chain,
 )
-from certkernel.bitblast import bb_add, bb_bitwise, bb_eq, bb_ult, bb_var
+from certkernel.bitblast import bb_step
 from certkernel.cli import run_one
 from certkernel.errors import CertKernelError
 from certkernel.oracle import SAT, UNSAT, _eval_skeleton
@@ -234,7 +234,7 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
         y = store.var("y", BitVecSort(width))
         for v, tag in ((x, "x"), (y, "y")):
             aux = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
-            bb_var(store, state, BvPayload(v, aux))
+            bb_step(store, state, BvPayload(v, aux), Kind.VAR)
         ops = {
             "not": store.bv_not(x),
             "and": store.bv_and(x, y),
@@ -242,12 +242,12 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
             "xor": store.bv_xor(x, y),
         }
         for t in ops.values():
-            bb_bitwise(store, state, BvPayload(t), store.kind(t))
+            bb_step(store, state, BvPayload(t), store.kind(t))
         t_add = store.bv_add(x, y)
         carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
-        add_link = bb_add(store, state, BvPayload(t_add, carries))
-        eq_link = bb_eq(store, state, BvPayload(store.eq(x, y)))
-        ult_link = bb_ult(store, state, BvPayload(store.bv_ult(x, y)))
+        add_link = bb_step(store, state, BvPayload(t_add, carries), Kind.BV_ADD)
+        eq_link = bb_step(store, state, BvPayload(store.eq(x, y)), Kind.EQ)
+        ult_link = bb_step(store, state, BvPayload(store.bv_ult(x, y)), Kind.BV_ULT)
         mask = (1 << width) - 1
 
         def word(bits, assign, memo):

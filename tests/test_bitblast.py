@@ -7,7 +7,7 @@ from certkernel import (
     BOOL, BitBlastState, BitVecSort, BvPayload, CheckContext, Kind, Model,
     RuleKind, TRIVIALLY_TRUE, TermStore, dispatch, eval_term, mk_clause, pos,
 )
-from certkernel.bitblast import bb_add, bb_bitwise, bb_const, bb_eq, bb_ult, bb_var
+from certkernel.bitblast import bb_step
 from certkernel.oracle import int_to_bits
 
 
@@ -18,7 +18,7 @@ def _setup(width, names="xy"):
     for name in names:
         v = store.var(name, BitVecSort(width))
         aux = tuple(store.var(f"{name}{i}", BOOL) for i in range(width))
-        assert bb_var(store, state, BvPayload(v, aux)) == TRIVIALLY_TRUE
+        assert bb_step(store, state, BvPayload(v, aux), Kind.VAR) == TRIVIALLY_TRUE
         assert state.bits[v] == aux
         out.append(v)
     return out
@@ -44,15 +44,15 @@ def test_bb_var_rejections():
     store, state, x, y = _setup(2)
     # remap
     aux2 = tuple(store.var(f"z{i}", BOOL) for i in range(2))
-    assert bb_var(store, state, BvPayload(x, aux2)) == TRIVIALLY_TRUE
+    assert bb_step(store, state, BvPayload(x, aux2), Kind.VAR) == TRIVIALLY_TRUE
     assert state.bits[x] != aux2
     # width mismatch
     w = store.var("w", BitVecSort(2))
     aux3 = tuple(store.var(f"w{i}", BOOL) for i in range(3))
-    bb_var(store, state, BvPayload(w, aux3))
+    bb_step(store, state, BvPayload(w, aux3), Kind.VAR)
     assert w not in state.bits
     # non-fresh aux (reuses x's bits)
-    bb_var(store, state, BvPayload(w, state.bits[x]))
+    bb_step(store, state, BvPayload(w, state.bits[x]), Kind.VAR)
     assert w not in state.bits
 
 
@@ -60,31 +60,31 @@ def test_bb_const_lsb_first():
     store = TermStore()
     state = BitBlastState()
     c = store.bv_const_of_int(5, 3)  # #b101
-    bb_const(store, state, BvPayload(c))
+    bb_step(store, state, BvPayload(c), Kind.BV_CONST)
     assert state.bits[c] == (store.true_id, store.false_id, store.true_id)
     c0 = store.bv_const_of_int(0, 2)
-    bb_const(store, state, BvPayload(c0))
+    bb_step(store, state, BvPayload(c0), Kind.BV_CONST)
     assert state.bits[c0] == (store.false_id, store.false_id)
     # remap rejected: entries are immutable once set
     before = state.bits[c]
-    bb_const(store, state, BvPayload(c))
+    bb_step(store, state, BvPayload(c), Kind.BV_CONST)
     assert state.bits[c] is before
 
 
 def test_bb_bitwise_shapes():
     store, state, x, y = _setup(2)
     t = store.bv_and(x, y)
-    bb_bitwise(store, state, BvPayload(t), Kind.BV_AND)
+    bb_step(store, state, BvPayload(t), Kind.BV_AND)
     x0, x1 = state.bits[x]
     y0, y1 = state.bits[y]
     assert state.bits[t] == (store.and_([x0, y0]), store.and_([x1, y1]))
     tn = store.bv_not(x)
-    bb_bitwise(store, state, BvPayload(tn), Kind.BV_NOT)
+    bb_step(store, state, BvPayload(tn), Kind.BV_NOT)
     assert state.bits[tn] == (store.not_(x0), store.not_(x1))
     # unmapped operand
     z = store.var("z", BitVecSort(2))
     tz = store.bv_or(z, x)
-    bb_bitwise(store, state, BvPayload(tz), Kind.BV_OR)
+    bb_step(store, state, BvPayload(tz), Kind.BV_OR)
     assert tz not in state.bits
 
 
@@ -108,13 +108,13 @@ def test_bitwise_agrees_with_word_semantics_exhaustively():
     ):
         store, state, x, y = _setup(2)
         t = store.intern(op_kind, (x, y))
-        bb_bitwise(store, state, BvPayload(t), op_kind)
+        bb_step(store, state, BvPayload(t), op_kind)
         for xv, yv in itertools.product(range(4), repeat=2):
             model = _bit_model(store, state, {x: xv, y: yv})
             assert _eval_bits(store, model, state.bits[t]) == word_op(xv, yv)
     store, state, x, y = _setup(2)
     t = store.bv_not(x)
-    bb_bitwise(store, state, BvPayload(t), Kind.BV_NOT)
+    bb_step(store, state, BvPayload(t), Kind.BV_NOT)
     for xv in range(4):
         model = _bit_model(store, state, {x: xv})
         assert _eval_bits(store, model, state.bits[t]) == (~xv) & 3
@@ -123,7 +123,7 @@ def test_bitwise_agrees_with_word_semantics_exhaustively():
 def _install_add(store, state, x, y, width, tag="c"):
     t = store.bv_add(x, y)
     carries = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
-    link = bb_add(store, state, BvPayload(t, carries))
+    link = bb_step(store, state, BvPayload(t, carries), Kind.BV_ADD)
     assert link != TRIVIALLY_TRUE and len(link) == 1
     return t, carries, link
 
@@ -157,9 +157,9 @@ def test_bb_add_additive_identity():
     state = BitBlastState()
     x = store.var("x", BitVecSort(2))
     aux = tuple(store.var(f"x{i}", BOOL) for i in range(2))
-    bb_var(store, state, BvPayload(x, aux))
+    bb_step(store, state, BvPayload(x, aux), Kind.VAR)
     zero = store.bv_const_of_int(0, 2)
-    bb_const(store, state, BvPayload(zero))
+    bb_step(store, state, BvPayload(zero), Kind.BV_CONST)
     t, carries, link = _install_add(store, state, x, zero, 2)
     for xv in range(4):
         model = _bit_model(store, state, {x: xv})
@@ -171,20 +171,20 @@ def test_bb_add_rejects_stale_aux():
     store, state, x, y = _setup(2)
     t = store.bv_add(x, y)
     # reusing x's bit names is not fresh
-    assert bb_add(store, state, BvPayload(t, state.bits[x])) == TRIVIALLY_TRUE
+    assert bb_step(store, state, BvPayload(t, state.bits[x]), Kind.BV_ADD) == TRIVIALLY_TRUE
     assert t not in state.bits
 
 
 def test_bb_eq_link_shape_and_validity():
     store, state, x, y = _setup(1)
     atom = store.eq(x, y)
-    link = bb_eq(store, state, BvPayload(atom))
+    link = bb_step(store, state, BvPayload(atom), Kind.EQ)
     x0 = state.bits[x][0]
     y0 = state.bits[y][0]
     assert link == mk_clause(store, [pos(store.iff(atom, store.iff(x0, y0)))])
     # same term on both sides folds to iff(atom, x0 <-> x0)
     refl = store.eq(x, x)
-    link2 = bb_eq(store, state, BvPayload(refl))
+    link2 = bb_step(store, state, BvPayload(refl), Kind.EQ)
     assert link2 != TRIVIALLY_TRUE
 
 
@@ -192,7 +192,7 @@ def test_bb_eq_random_links_valid_under_bv_semantics():
     rng = random.Random(9)
     store, state, x, y = _setup(3)
     atom = store.eq(x, y)
-    link = bb_eq(store, state, BvPayload(atom))
+    link = bb_step(store, state, BvPayload(atom), Kind.EQ)
     link_term = link.enc[0] >> 1
     for xv, yv in itertools.product(range(8), repeat=2):
         model = _bit_model(store, state, {x: xv, y: yv})
@@ -204,7 +204,7 @@ def test_bb_eq_random_links_valid_under_bv_semantics():
 def test_bb_ult_width1_shape():
     store, state, x, y = _setup(1)
     atom = store.bv_ult(x, y)
-    link = bb_ult(store, state, BvPayload(atom))
+    link = bb_step(store, state, BvPayload(atom), Kind.BV_ULT)
     x0 = state.bits[x][0]
     y0 = state.bits[y][0]
     expected = store.iff(atom, store.and_([store.not_(x0), y0]))
@@ -214,7 +214,7 @@ def test_bb_ult_width1_shape():
 def test_bb_ult_agrees_with_unsigned_order():
     store, state, x, y = _setup(2)
     atom = store.bv_ult(x, y)
-    link = bb_ult(store, state, BvPayload(atom))
+    link = bb_step(store, state, BvPayload(atom), Kind.BV_ULT)
     # extract the comparison formula and evaluate it over all operand pairs
     link_term = link.enc[0] >> 1
     formula = store.args(link_term)[1]
@@ -223,7 +223,7 @@ def test_bb_ult_agrees_with_unsigned_order():
         assert eval_term(store, model, formula) == (xv < yv)
     # irreflexivity: x < x evaluates false for every x
     refl = store.bv_ult(x, x)
-    link2 = bb_ult(store, state, BvPayload(refl))
+    link2 = bb_step(store, state, BvPayload(refl), Kind.BV_ULT)
     formula2 = store.args(link2.enc[0] >> 1)[1]
     for xv in range(4):
         model = _bit_model(store, state, {x: xv})
@@ -243,10 +243,55 @@ def test_aux_freshness_registry_under_fuzz():
             if rng.random() < 0.4 and claimed:
                 aux = (rng.choice(sorted(claimed)),) + aux[1:]
             before = dict(state.bits)
-            bb_var(store, state, BvPayload(v, aux))
+            bb_step(store, state, BvPayload(v, aux), Kind.VAR)
             if any(a in claimed for a in aux) or len(set(aux)) != len(aux):
                 assert v not in state.bits, "non-fresh aux accepted"
             if v in state.bits:
                 claimed.update(aux)
             else:
                 assert state.bits == before, "rejection must not mutate"
+
+
+BB_TARGET_KINDS = {
+    RuleKind.BB_VAR: Kind.VAR, RuleKind.BB_CONST: Kind.BV_CONST,
+    RuleKind.BB_NOT: Kind.BV_NOT, RuleKind.BB_AND: Kind.BV_AND,
+    RuleKind.BB_OR: Kind.BV_OR, RuleKind.BB_XOR: Kind.BV_XOR,
+    RuleKind.BB_ADD: Kind.BV_ADD, RuleKind.BB_EQ: Kind.EQ,
+    RuleKind.BB_ULT: Kind.BV_ULT,
+}
+
+
+def _target_of_kind(store, kind, a, b):
+    if kind is Kind.VAR:
+        return store.var("w", BitVecSort(2))
+    if kind is Kind.BV_CONST:
+        return store.bv_const_of_int(1, 2)
+    return store.intern(kind, (a,) if kind is Kind.BV_NOT else (a, b))
+
+
+def test_every_bb_rule_checks_target_kind_and_operands():
+    """Through dispatch, each of the nine bb_* rules takes only a target of
+    its own kind, and only once its operands are mapped; a rejection yields
+    [true] and leaves the bit-blast state as it was."""
+    for rule, kind in BB_TARGET_KINDS.items():
+        for target_kind in BB_TARGET_KINDS.values():
+            store, state, x, y = _setup(2)
+            t = _target_of_kind(store, target_kind, x, y)
+            aux = (store.var("a0", BOOL), store.var("a1", BOOL))
+            before = (dict(state.bits), set(state.used_vars))
+            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t, aux))
+            if target_kind is kind:
+                assert t in state.bits or out != TRIVIALLY_TRUE, rule
+            else:
+                assert out == TRIVIALLY_TRUE, (rule, target_kind)
+                assert (state.bits, state.used_vars) == before, (rule, target_kind)
+        if kind in (Kind.VAR, Kind.BV_CONST):
+            continue  # no operands
+        store, state, x, y = _setup(2)
+        unmapped = store.var("z", BitVecSort(2))
+        operands = ((unmapped, y),) if kind is Kind.BV_NOT else ((unmapped, y), (x, unmapped))
+        for a, b in operands:
+            t = _target_of_kind(store, kind, a, b)
+            aux = (store.var("a0", BOOL), store.var("a1", BOOL))
+            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t, aux))
+            assert out == TRIVIALLY_TRUE and t not in state.bits, (rule, a, b)

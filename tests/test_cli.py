@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, modes."""
 
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
-from certkernel.cli import main
+from certkernel.cli import main, run_one
 
 SMT = """(set-logic QF_UF)
 (declare-sort U 0)
@@ -236,3 +238,87 @@ def test_overlong_numeral_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: line 2, col 15:") and err.count("\n") == 1
+
+
+def test_internal_error_costs_only_its_own_pair(files, capsys, monkeypatch):
+    """An unexpected exception while checking one pair becomes that pair's
+    exit-3 line; the other pairs keep their reports, with and without
+    --jobs (whose forked workers inherit the patched name)."""
+    import certkernel.cli as cli
+
+    (files / "second.cnf").write_text("p cnf 2 2\n2 0\n-2 0\n")
+    check = cli.check
+
+    def flaky(store, inputs, cert):
+        if len(store) == 4:  # true, false, v1, v2: second.cnf only
+            raise ValueError("bug")
+        return check(store, inputs, cert)
+
+    monkeypatch.setattr(cli, "check", flaky)
+    args = ["--problem", str(files / "prob.cnf"), "--proof", str(files / "cnf.cert"),
+            "--problem", str(files / "prob.smt2"), "--proof", str(files / "prob.cert"),
+            "--problem", str(files / "second.cnf"), "--proof", str(files / "cnf.cert")]
+    for extra in ([], ["--jobs", "2"]):
+        assert main(args + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"{files / 'prob.cnf'}: VALID\n{files / 'prob.smt2'}: VALID\n"
+        assert captured.err == f"{files / 'second.cnf'}: error: internal error: ValueError\n"
+
+
+def _let_chain(levels, op, body):
+    """(let ((a1 (op x x))) (let ((a2 (op a1 a1))) ... body)): a term whose
+    expansion doubles per level."""
+    text = body
+    for i in range(levels, 0, -1):
+        prev = f"a{i - 1}" if i > 1 else "x"
+        text = f"(let ((a{i} ({op} {prev} {prev}))) {text})"
+    return text
+
+
+def _run_within(seconds, *args):
+    """run_one under a wall-clock alarm, so that a path exponential in the
+    let depth fails instead of hanging; returns (outcome, elapsed)."""
+    def expire(signum, frame):
+        raise TimeoutError("run_one took too long")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        start = time.perf_counter()
+        outcome = run_one(*args)
+        return outcome, time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_let_shared_lia_lemma_checks_in_one_pass(tmp_path):
+    """a40 = 2^40 x through 40 shared lets: lia visits each let body once.
+    The certificate is written by hand, because printing the payload would
+    expand the sharing."""
+    a40_neg = _let_chain(40, "+", "(< a40 0)")
+    (tmp_path / "p.smt2").write_text(
+        "(set-logic QF_LIA)\n(declare-const x Int)\n"
+        f"(assert (<= 0 x))\n(assert {a40_neg})\n")
+    (tmp_path / "p.cert").write_text(
+        f"2 lia () {{(lemma (not (<= 0 x)) (not {a40_neg}))"
+        f" (farkas (0 {2 ** 40}) (1 1))}}\n3 res (2 0 1) {{}}\nqed 3\n")
+    (code, report), elapsed = _run_within(
+        30, str(tmp_path / "p.smt2"), str(tmp_path / "p.cert"), "check", None, False, False)
+    assert (code, report) == (0, "VALID\n")
+    assert elapsed < 2
+
+
+def test_rejected_lia_step_does_not_print_its_term(tmp_path):
+    """A lia lemma over a 40-level let chain of (f ai ai) is rejected without
+    rendering the term, whose text would be 2^40 applications long."""
+    atom = _let_chain(40, "f", "(= a40 x)")
+    (tmp_path / "p.smt2").write_text(
+        "(set-logic QF_UF)\n(declare-sort U 0)\n(declare-const x U)\n"
+        f"(declare-fun f (U U) U)\n(assert (not {atom}))\n")
+    (tmp_path / "p.cert").write_text(
+        f"1 lia () {{(lemma {atom}) (farkas (0 1))}}\n2 res (1 0) {{}}\nqed 2\n")
+    (code, report), elapsed = _run_within(
+        30, str(tmp_path / "p.smt2"), str(tmp_path / "p.cert"), "check", None, False, False)
+    assert code == 1 and report == "INVALID: lia checker rejected the step (step 1)\n"
+    assert elapsed < 2

@@ -1,13 +1,16 @@
 """Main checker: replay, dispatch, verdicts, reports."""
 
 import random
+from pathlib import Path
 
 import gens
 from certkernel import (
-    BOOL, AssumePayload, Certificate, CheckContext, CnfPayload, EqRule, EqStep,
-    EufPayload, LiaPayload, RuleKind, Step, TRIVIALLY_TRUE, TermStore, Verdict,
-    brute_unsat, check, dispatch, mk_clause, neg, pos, stats_report,
+    BOOL, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext,
+    CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
+    TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check, dispatch, mk_clause,
+    neg, parse_certificate, parse_dimacs, parse_smt2, pos, stats_report,
 )
+from certkernel.cli import run_one
 from certkernel.kernel import RULES
 from certkernel.oracle import UNSAT
 
@@ -193,3 +196,49 @@ def test_mutated_certificates_never_validate_satisfiable_inputs():
             steps.append(Step(sid, rule, prems, payload))
         r = check(store, inputs, Certificate(tuple(steps)))
         assert r.verdict is not Verdict.VALID
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _corpus_pairs():
+    for cert in sorted(CORPUS.rglob("*.cert")):
+        prob = cert.with_suffix(".cnf")
+        yield (prob if prob.exists() else cert.with_suffix(".smt2")), cert
+
+
+def test_reports_do_not_depend_on_earlier_runs():
+    """Checking A, then B, then A again in one process gives A's report
+    byte for byte, in every output mode."""
+    pairs = [(str(p), str(c)) for p, c in _corpus_pairs()]
+    assert len(pairs) == 32
+    for mode, machine in (("check", True), ("stats", False)):
+        for (a, a_cert), (b, b_cert) in zip(pairs, pairs[1:] + pairs[:1]):
+            first = run_one(a, a_cert, mode, None, machine, False)
+            run_one(b, b_cert, mode, None, machine, False)
+            assert run_one(a, a_cert, mode, None, machine, False) == first, a
+
+
+def test_checking_one_problem_twice_gives_equal_results():
+    """Replay interns into the caller's store (congruence terms, bit
+    formulas); a second replay over the grown store decides the same."""
+    for prob_path, cert_path in _corpus_pairs():
+        text = prob_path.read_text()
+        prob = parse_dimacs(text) if prob_path.suffix == ".cnf" else parse_smt2(text)
+        cert = parse_certificate(cert_path.read_text(), prob)
+        first = check(prob.store, prob.input_clauses, cert)
+        assert check(prob.store, prob.input_clauses, cert) == first, cert_path
+
+
+def test_bit_blast_scan_over_depth_10000_input():
+    """The aux-freshness scan collects the variables of a deep input atom."""
+    store = TermStore()
+    t = store.var("p", BOOL)
+    for _ in range(10_000):
+        t = store.not_(t)
+    x = store.var("x", BitVecSort(1))
+    aux = (store.var("x0", BOOL),)
+    cert = Certificate((Step(1, RuleKind.BB_VAR, (), BvPayload(x, aux)),), qed=1)
+    result = check(store, [mk_clause(store, [pos(t)])], cert)
+    assert result.verdict is Verdict.INVALID
+    assert result.reason == "empty clause not derived"

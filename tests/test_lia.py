@@ -7,7 +7,7 @@ import pytest
 
 import gens
 from certkernel import (
-    BOOL, INT, LiaPayload, Model, RejectError, TRIVIALLY_TRUE, TermStore,
+    BOOL, INT, FunSym, LiaPayload, Model, RejectError, TRIVIALLY_TRUE, TermStore,
     check_lia, eval_clause, mk_clause, neg, normalize_lia_literal, pos,
 )
 from certkernel.lia import LinRel
@@ -140,3 +140,77 @@ def test_corrupted_certificates_all_rejected():
         payload = gens.gen_lia_payload(store, rng)
         bad = gens.corrupt_lia_payload(payload, rng)
         assert check_lia(store, bad) == TRIVIALLY_TRUE
+
+
+@pytest.mark.parametrize("kind, positive, coeffs, constant, relation", [
+    ("le", True, {"x": -1, "y": 1}, -2, LinRel.GE),   # y - x >= -2
+    ("le", False, {"x": 1, "y": -1}, 3, LinRel.GE),   # x - y >= 3
+    ("lt", True, {"x": -1, "y": 1}, -1, LinRel.GE),   # y - x >= -1
+    ("lt", False, {"x": 1, "y": -1}, 2, LinRel.GE),   # x - y >= 2
+    ("eq", True, {"x": 1, "y": -1}, 2, LinRel.EQ),    # x - y = 2
+])
+def test_normalize_every_comparison_row(kind, positive, coeffs, constant, relation):
+    """(x + 3) REL (y + 5) for each row of the (kind, polarity) table."""
+    store = TermStore()
+    x = store.var("x", INT)
+    y = store.var("y", INT)
+    atom = getattr(store, kind)(store.add([x, store.int_const(3)]),
+                                store.add([y, store.int_const(5)]))
+    row = normalize_lia_literal(store, pos(atom) if positive else neg(atom))
+    assert row.coeff_dict() == {x: coeffs["x"], y: coeffs["y"]}
+    assert row.constant == constant and row.relation is relation
+
+
+def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
+    store = TermStore()
+    x = store.var("x", INT)
+    y = store.var("y", INT)
+    # ((3 * x) - (-y)) + (y * 2) + 7 <= 0  ==>  -3x - 3y >= 7
+    lhs = store.add([store.sub(store.mul(store.int_const(3), x), store.neg(y)),
+                     store.mul(y, store.int_const(2)), store.int_const(7)])
+    row = normalize_lia_literal(store, pos(store.le(lhs, store.int_const(0))))
+    assert row.coeff_dict() == {x: -3, y: -3} and row.constant == 7
+    # a shared summand counts once per use: 0 <= a + a with a = x + 1
+    a = store.add([x, store.int_const(1)])
+    row = normalize_lia_literal(store, pos(store.le(store.int_const(0), store.add([a, a]))))
+    assert row.coeff_dict() == {x: 2} and row.constant == -2
+    # an application is an opaque variable, even over a nonlinear product
+    t = store.apply(FunSym("f", (INT,), INT), [store.mul(x, y)])
+    lemma = mk_clause(store, [pos(store.le(t, store.int_const(0))),
+                              pos(store.le(store.int_const(1), t))])
+    assert check_lia(store, LiaPayload(lemma, ((0, 1), (1, 1)))) == lemma
+
+
+def test_normalize_rejects_integer_disequality_and_non_comparisons():
+    store = TermStore()
+    x = store.var("x", INT)
+    with pytest.raises(RejectError, match="case split"):
+        normalize_lia_literal(store, neg(store.eq(x, store.int_const(0))))
+    with pytest.raises(RejectError):
+        normalize_lia_literal(store, pos(store.var("p", BOOL)))
+
+
+def test_product_needs_a_literal_factor():
+    """A constant expression such as (+ 1 1) is not a literal factor; the
+    frontend never builds such a product, and lia rejects it."""
+    store = TermStore()
+    x = store.var("x", INT)
+    nonneg = store.le(store.int_const(0), x)
+    for factor, accepted in ((store.int_const(2), True),
+                             (store.add([store.int_const(1), store.int_const(1)]), False)):
+        # not(0 <= x) or not(factor * x <= -1): 2 * (x >= 0) + (-2x >= 1)
+        product = store.mul(factor, x)
+        lemma = mk_clause(store, [neg(nonneg), neg(store.le(product, store.int_const(-1)))])
+        out = check_lia(store, LiaPayload(lemma, ((0, 2), (1, 1))))
+        assert out == (lemma if accepted else TRIVIALLY_TRUE)
+
+
+def test_deep_sum_does_not_recurse():
+    store = TermStore()
+    x = store.var("x", INT)
+    one = store.int_const(1)
+    s = x
+    for _ in range(10_000):
+        s = store.add([s, one])
+    lemma = mk_clause(store, [neg(store.le(s, x))])
+    assert check_lia(store, LiaPayload(lemma, ((0, 1),))) == lemma

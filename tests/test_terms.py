@@ -7,7 +7,7 @@ import pytest
 import gens
 from certkernel import (
     BOOL, INT, BitVecSort, FunSym, Kind, Literal, SortError, TermStore,
-    UninterpretedSort, mk_clause, neg, pos,
+    UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos,
 )
 
 
@@ -149,6 +149,27 @@ def test_hash_consing_soundness_printed_forms():
     for tid in range(len(store)):
         text = store.to_sexpr(tid)
         assert printed.setdefault(text, tid) == tid
+
+
+def test_postorder_lists_reachable_ids_bottom_up():
+    store = TermStore()
+    p, q = store.var("p", BOOL), store.var("q", BOOL)
+    a = store.and_([p, q])
+    t = store.or_([store.not_(a), a, p])
+    assert store.postorder([t]) == sorted({p, q, a, store.not_(a), t})
+    # ids in done are neither listed nor walked into
+    assert store.postorder([t], done={a}) == sorted({p, store.not_(a), t})
+
+
+def test_depth_10000_terms_walk_without_recursion():
+    store = TermStore()
+    p = store.var("p", BOOL)
+    t = p
+    for _ in range(10_000):
+        t = store.not_(t)
+    assert store.vars_of(t) == {p}
+    text = clause_to_sexpr(store, mk_clause(store, [neg(t)]))
+    assert text == "(not " * 10_001 + "p" + ")" * 10_001
 
 
 # Operator signatures, pinned independently of ``terms.SIGNATURES``:
