@@ -6,8 +6,9 @@ Exit codes are a stable contract:
     1   certificate rejected: INVALID (reason and step printed)
     2   certificate checked modulo assumptions: TRUSTED
         (becomes 1 under --strict-assumes)
-    3   parse or usage error, or an internal error of the checker
-        (one line naming the exception type; other pairs still run)
+    3   parse or usage error, an internal error of the checker (one line
+        naming the exception type), or a --jobs worker that died; the
+        other pairs still run
 
 Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
@@ -188,8 +189,7 @@ def main(argv=None) -> int:
              for p, pr in pairs]
     uses_stdin = any(p == "-" or pr == "-" for p, pr in pairs)
     if args.jobs > 1 and len(tasks) > 1 and not uses_stdin:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_run_star, tasks))
+        outcomes = _run_pool(tasks, args.jobs)
     else:
         outcomes = [_run_star(t) for t in tasks]
 
@@ -206,6 +206,31 @@ def main(argv=None) -> int:
 
 def _run_star(task) -> tuple[int, str]:
     return run_one(*task)
+
+
+_WORKER_DIED = (EXIT_ERROR, "error: worker process died\n")
+
+
+def _run_pool(tasks: list, jobs: int) -> list[tuple[int, str]]:
+    """Run the tasks in worker processes.  A worker that dies outright (for
+    example under the OOM killer) breaks the pool: every pair not finished
+    by then gets the exit-3 line, and the finished pairs keep their reports.
+    It catches BrokenExecutor, the base class of BrokenProcessPool, because
+    naming the latter imports the process-pool module on every start-up."""
+    futures = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        for task in tasks:
+            try:
+                futures.append(pool.submit(_run_star, task))
+            except concurrent.futures.BrokenExecutor:
+                break
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except concurrent.futures.BrokenExecutor:
+                outcomes.append(_WORKER_DIED)
+    return outcomes + [_WORKER_DIED] * (len(tasks) - len(outcomes))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,18 @@ freshness is the kernel's business, not the parser's.  Names starting with
 ``$`` are reserved for the predicate encoding (an uninterpreted predicate
 ``p : S -> Bool`` is parsed as a function into the sort ``$bool`` compared
 to the constant ``$tt``).
+
+Two line shapes that make up most large inputs take a fast path.  A DIMACS
+clause line of ASCII signed numerals separated by spaces or tabs is
+converted in bulk, straight to literal encodings.  A certificate line
+``<id> <rule> (<ints>) {}``, written with single spaces as
+``print_certificate`` writes it, for a rule whose registry payload is
+``type(None)`` (today ``res``), is read with one regex instead of the
+tokenizer and s-expression reader.  Any other line, and any line that
+would raise (a wrong id, a forward premise, a literal out of range, a
+numeral past the digit limit), goes through the full reader.  The full
+reader alone reports errors, so every message, line and column is the
+same on both paths.
 """
 
 from __future__ import annotations
@@ -56,6 +68,10 @@ _SYMBOL_CHARS = frozenset(
 _NUMERAL = re.compile(r"^[0-9]+$")
 _SIGNED = re.compile(r"^-?[0-9]+$")
 _BV_LIT = re.compile(r"^#b[01]+$")
+# A DIMACS clause line of ASCII signed numerals separated by spaces or tabs.
+_DIMACS_LINE = re.compile(r"[ \t]*-?[0-9]+(?:[ \t]+-?[0-9]+)*[ \t]*")
+# A certificate step with no payload, as print_certificate writes it.
+_PAYLOAD_FREE = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{\}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,7 +399,7 @@ def parse_dimacs(text: str) -> Problem:
     store = problem.store
 
     header: tuple[int, int] | None = None
-    lits: list[Literal] = []
+    codes: list[int] = []  # encoded literals of the clause being read
     n_vars = 0
     var_ids: list[TermId] = []
 
@@ -400,25 +416,18 @@ def parse_dimacs(text: str) -> Problem:
             n_vars = header[0]
             var_ids = [store.var(f"v{i}", BOOL) for i in range(1, n_vars + 1)]
             continue
-        col = 1
-        for fieldtext in raw.split():
-            col = raw.index(fieldtext, col - 1) + 1
-            if not _SIGNED.match(fieldtext):
-                raise ParseError(f"expected a literal, got {fieldtext!r}", lineno, col)
-            value = _to_int(fieldtext, lineno, col)
-            if value == 0:
-                problem.input_clauses.append(mk_clause(store, lits))
-                lits = []
-                continue
-            v = abs(value)
-            if not 1 <= v <= n_vars:
-                raise ParseError(f"literal {value} out of range 1..{n_vars}", lineno, col)
-            atom = var_ids[v - 1]
-            lits.append(pos(atom) if value > 0 else neg(atom))
+        # Every atom is a Bool variable made above, so the clauses need no
+        # sort check: a literal v encodes as 2 * atom + (v < 0).
+        for value in _dimacs_values(raw, lineno, n_vars):
+            if value:
+                codes.append(2 * var_ids[abs(value) - 1] + (value < 0))
+            else:
+                problem.input_clauses.append(Clause(tuple(sorted(set(codes)))))
+                codes = []
 
     if header is None:
         raise ParseError("missing DIMACS header", 1, 1)
-    if lits:
+    if codes:
         raise ParseError("last clause is missing its terminating 0",
                          len(text.splitlines()) or 1, 1)
     if len(problem.input_clauses) != header[1]:
@@ -427,6 +436,34 @@ def parse_dimacs(text: str) -> Problem:
             len(text.splitlines()) or 1, 1)
     problem.dimacs_vars = tuple(var_ids)
     return problem
+
+
+def _dimacs_values(raw: str, lineno: int, n_vars: int) -> list[int]:
+    """The literals of one clause line, 0 for a clause end.
+
+    A line of ASCII signed numerals in range takes one regex match and one
+    bulk conversion.  Any other line, and any line that would raise, goes
+    through the field-by-field reader, which alone reports errors.
+    """
+    if _DIMACS_LINE.fullmatch(raw):
+        try:
+            values = list(map(int, raw.split()))
+        except ValueError:  # past CPython's digit limit for int-string conversion
+            pass
+        else:
+            if -n_vars <= min(values) and max(values) <= n_vars:
+                return values
+    values = []
+    col = 1
+    for fieldtext in raw.split():
+        col = raw.index(fieldtext, col - 1) + 1
+        if not _SIGNED.match(fieldtext):
+            raise ParseError(f"expected a literal, got {fieldtext!r}", lineno, col)
+        value = _to_int(fieldtext, lineno, col)
+        if value and not 1 <= abs(value) <= n_vars:
+            raise ParseError(f"literal {value} out of range 1..{n_vars}", lineno, col)
+        values.append(value)
+    return values
 
 
 def print_dimacs(problem: Problem) -> str:
@@ -581,6 +618,26 @@ def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col:
     raise ParseError(f"rule {rule.value} cannot appear in a certificate", line, col)
 
 
+def _payload_free_step(raw: str, next_id: int) -> Step | None:
+    """The step of a well-formed ``<id> <rule> (<ints>) {}`` line whose rule
+    takes no payload, read with one regex match; None for any other line,
+    and for any line with an error, which the full reader then reports."""
+    m = _PAYLOAD_FREE.fullmatch(raw)
+    if m is None:
+        return None
+    rule = RULE_BY_NAME.get(m[2])
+    if rule not in RULES or RULES[rule].payload is not type(None):
+        return None
+    try:
+        step_id = int(m[1])
+        premises = tuple(map(int, m[3].split()))
+    except ValueError:  # past CPython's digit limit for int-string conversion
+        return None
+    if step_id != next_id or (premises and max(premises) >= step_id):
+        return None
+    return Step(step_id, rule, premises, None)
+
+
 def parse_certificate(text: str, problem: Problem) -> Certificate:
     """Parse the line-based certificate format against a parsed problem."""
     steps: list[Step] = []
@@ -593,6 +650,11 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             continue
         if qed is not None:
             raise ParseError("content after qed", lineno, 1)
+        step = _payload_free_step(raw, next_id)
+        if step is not None:
+            steps.append(step)
+            next_id += 1
+            continue
         items = read_sexprs(tokenize(raw, first_line=lineno))
         if items and isinstance(items[0], Token) and items[0].text == "qed":
             if len(items) != 2:

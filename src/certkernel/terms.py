@@ -190,15 +190,22 @@ class TermStore:
         """Intern a node, sort-checking it first.  Idempotent.
 
         Raises SortError when the children do not have the sorts the kind
-        demands (bit-vector children must share one width).
+        demands (bit-vector children must share one width).  A node without
+        a payload that is already interned passed that check on its first
+        interning, so a hit skips it.  Argument ids must be ints and a
+        payload is checked on every call, because 1.0 == 1 and
+        (1,) == (True,) would make malformed nodes equal to interned keys.
         """
         args = tuple(args)
+        n = len(self._nodes)
         for a in args:
-            if not (0 <= a < len(self._nodes)):
+            if a.__class__ is not int or not 0 <= a < n:
                 raise SortError(f"invalid child id {a} for {kind.value}")
-        sort = self._compute_sort(kind, args, extra)
         key = (kind, args, extra)
         hit = self._index.get(key)
+        if hit is not None and extra is None:
+            return hit
+        sort = self._compute_sort(kind, args, extra)
         if hit is not None:
             return hit
         tid = len(self._nodes)

@@ -322,3 +322,36 @@ def test_rejected_lia_step_does_not_print_its_term(tmp_path):
         30, str(tmp_path / "p.smt2"), str(tmp_path / "p.cert"), "check", None, False, False)
     assert code == 1 and report == "INVALID: lia checker rejected the step (step 1)\n"
     assert elapsed < 2
+
+
+def test_dead_worker_costs_only_its_own_pair(files, capsys, monkeypatch):
+    """A --jobs worker that dies outright (here by os._exit, as under the
+    OOM killer) gives its pair the exit-3 line; the pairs that finished
+    keep their reports.  The dying pair waits until the other two are done,
+    so that no finished report is lost with the pool."""
+    import os
+    import certkernel.cli as cli
+
+    (files / "second.cnf").write_text("p cnf 2 2\n2 0\n-2 0\n")
+    run = cli.run_one
+
+    def dying(problem, *rest):
+        if problem.endswith("prob.smt2"):
+            deadline = time.monotonic() + 30
+            while len(list(files.glob("*.done"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(9)
+        outcome = run(problem, *rest)
+        (files / (os.path.basename(problem) + ".done")).write_text("")
+        return outcome
+
+    monkeypatch.setattr(cli, "run_one", dying)
+    args = ["--problem", str(files / "prob.cnf"), "--proof", str(files / "cnf.cert"),
+            "--problem", str(files / "prob.smt2"), "--proof", str(files / "prob.cert"),
+            "--problem", str(files / "second.cnf"), "--proof", str(files / "cnf.cert"),
+            "--jobs", "2"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"{files / 'prob.cnf'}: VALID\n{files / 'second.cnf'}: VALID\n"
+    assert captured.err == f"{files / 'prob.smt2'}: error: worker process died\n"

@@ -47,6 +47,47 @@ def test_dimacs_errors_carry_positions():
         parse_dimacs("p cnf 2 3\n1 0\n")  # clause count mismatch
 
 
+# Clause lines after "p cnf 3 1" that the reader must reject with this exact
+# message, line and column: fields that are not ASCII signed numerals, a
+# numeral past CPython's int-string digit limit, a literal out of range.
+DIMACS_LINE_ERRORS = [
+    ("1 +1 0", "expected a literal, got '+1'", 3),
+    ("1 1_0 0", "expected a literal, got '1_0'", 3),
+    ("2 ٣ 0", "expected a literal, got '٣'", 3),
+    ("1e3 0", "expected a literal, got '1e3'", 1),
+    ("1 --1 0", "expected a literal, got '--1'", 3),
+    ("1 " + "7" * 5000 + " 0", "numeral too long (5000 characters)", 3),
+    ("1 -4 0", "literal -4 out of range 1..3", 3),
+    ("  1  4 0", "literal 4 out of range 1..3", 6),
+    ("1\t2 x 0", "expected a literal, got 'x'", 5),
+    ("1\xa02 4 0", "literal 4 out of range 1..3", 5),
+]
+
+
+def _short(text):
+    """A test id for a line that may hold a numeral of thousands of digits."""
+    return text if len(text) <= 24 else text[:20] + f"...({len(text)})"
+
+
+@pytest.mark.parametrize("line,message,col", DIMACS_LINE_ERRORS,
+                         ids=[_short(case[0]) for case in DIMACS_LINE_ERRORS])
+def test_dimacs_line_errors_keep_message_and_column(line, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_dimacs("p cnf 3 1\n" + line + "\n")
+    assert (str(e.value), e.value.line, e.value.col) == (f"line 2, col {col}: {message}", 2, col)
+
+
+def test_dimacs_clause_line_shapes():
+    one = [(4, 7)]  # (v1 or not v2): v1, v2 intern as ids 2, 3
+    for line in ("1 -2 0", "1\t-2 0", "1 -2 -0", " 1 -2 0 ", "1 -2\n0",
+                 "-2 1 1 0", "01 -02 0", "1\xa0-2 0", "1\n-2 0"):
+        prob = parse_dimacs("p cnf 3 1\n" + line + "\n")
+        assert [c.enc for c in prob.input_clauses] == one, repr(line)
+    prob = parse_dimacs("p cnf 3 3\n1 -2 0 3 0\n-3\n2\n\n1 0\n")
+    assert [c.enc for c in prob.input_clauses] == [(4, 7), (8,), (4, 6, 9)]
+    assert parse_dimacs("p cnf 3 2\n0 0\n").input_clauses[0].is_empty()
+
+
 def test_dimacs_round_trip_corpus():
     rng = random.Random(42)
     for _ in range(100):
@@ -194,6 +235,103 @@ def test_certificate_comments_and_crlf():
     text = "; header\r\n2 res (0 1) {}\r\n\r\nqed 2\r\n"
     cert = parse_certificate(text, prob)
     assert len(cert.steps) == 1
+
+
+_DIMACS_PAIR = "p cnf 2 2\n1 0\n-1 0\n"
+
+# Step lines after the two DIMACS input clauses (ids 0 and 1) that the reader
+# must reject with this exact error type, message, line and column.
+CERT_LINE_ERRORS = [
+    ("3 res (0 1) {}", ParseError, "step id 3, expected 2", 1),
+    ("2 res (3) {}", ForwardReferenceError, "premise 3 is not before step 2", 1),
+    ("2 res (2) {}", ForwardReferenceError, "premise 2 is not before step 2", 1),
+    ("2 res (-1 0) {}", ForwardReferenceError, "premise -1 is not before step 2", 1),
+    ("2 res (0 " + "1" * 5000 + ") {}", ParseError, "numeral too long (5000 characters)", 10),
+    ("2" * 5000 + " res (0 1) {}", ParseError, "numeral too long (5000 characters)", 1),
+    ("2 frob (0 1) {}", ParseError, "unknown rule frob", 3),
+    ("2 input (0 1) {}", ParseError, "unknown rule input", 3),
+    ("2 res (0 1) {x}", ParseError, "res takes no payload", 1),
+    ("2 res (0 x) {}", ParseError, "expected an integer", 10),
+    ("2 res (0 ١) {}", ParseError, "unexpected character '١'", 10),
+    ("2 res (0 1) {} 5", ParseError, "expected: <id> <rule> (<premises>) {<payload>}", 1),
+    ("2 res (0 1) {", ParseError, "missing closing '}'", 13),
+]
+
+
+@pytest.mark.parametrize("line,error,message,col", CERT_LINE_ERRORS,
+                         ids=[_short(case[0]) for case in CERT_LINE_ERRORS])
+def test_certificate_line_errors_keep_message_and_column(line, error, message, col):
+    prob = parse_dimacs(_DIMACS_PAIR)
+    with pytest.raises(error) as e:
+        parse_certificate("; first\n" + line + "\nqed 2\n", prob)
+    assert type(e.value) is error
+    assert (str(e.value), e.value.line, e.value.col) == (f"line 2, col {col}: {message}", 2, col)
+
+
+def test_certificate_step_line_shapes():
+    from certkernel.steps import AssumePayload, Certificate, RuleKind, Step
+    prob = parse_dimacs(_DIMACS_PAIR)
+    res = Certificate((Step(2, RuleKind.RES, (0, 1)),), 2)
+    for line in ("2 res (0 1) {}", "2  res\t(0  1) {}", "\t2 res (0 1) {}  ",
+                 "2 res (0 1) {} ; comment", "2 res(0 1){}", "02 res (00 1) {}",
+                 "2 res ( 0 1 ) { }"):
+        assert parse_certificate(line + "\nqed 2\n", prob) == res, repr(line)
+    assert parse_certificate("2 res () {}\nqed 2\n", prob) \
+        == Certificate((Step(2, RuleKind.RES, ()),), 2)
+    # A payload-free line of a rule whose payload is not empty takes the
+    # full reader: assume with no literals assumes the empty clause.
+    assumed = parse_certificate("2 assume () {}\nqed 2\n", prob)
+    assert assumed == Certificate(
+        (Step(2, RuleKind.ASSUME, (), AssumePayload(mk_clause(prob.store, []))),), 2)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except CertKernelError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("premises", ["", "0", "0 1", "1  0", "2", "-1", "0 x", "0 " + "9" * 5000],
+                         ids=_short)
+def test_every_rule_reads_the_same_with_and_without_a_comment(premises):
+    """A trailing comment sends a line through the full reader; for every
+    registry rule and these premise lists the outcome must not change."""
+    from certkernel.kernel import RULES
+    prob = parse_dimacs(_DIMACS_PAIR)
+    for rule in RULES:
+        for step_id in (2, 3):
+            line = f"{step_id} {rule.value} ({premises}) {{}}"
+            plain = _outcome(lambda: parse_certificate(f"{line}\nqed 2\n", prob))
+            commented = _outcome(lambda: parse_certificate(f"{line} ; x\nqed 2\n", prob))
+            assert plain == commented, line
+
+
+def _implication_chain(n):
+    """DIMACS text of p1, p1 -> p2, ..., p(n-1) -> pn, not pn and its
+    refutation by n two-premise res steps."""
+    cnf = [f"p cnf {n} {n + 1}", "1 0"]
+    cnf += [f"-{i} {i + 1} 0" for i in range(1, n)]
+    cnf.append(f"-{n} 0")
+    steps = [f"{n + 1} res (0 1) {{}}"]
+    steps += [f"{n + 1 + i} res ({n + i} {i + 1}) {{}}" for i in range(1, n)]
+    return "\n".join(cnf) + "\n", steps, f"qed {2 * n}\n"
+
+
+def test_long_chain_reads_the_same_with_every_other_line_commented(tmp_path):
+    from certkernel.cli import run_one
+    cnf, steps, qed = _implication_chain(2000)
+    plain = "\n".join(steps) + "\n" + qed
+    mixed = "\n".join(s + " ; x" if i % 2 else s for i, s in enumerate(steps)) + "\n" + qed
+    prob = parse_dimacs(cnf)
+    cert = parse_certificate(plain, prob)
+    assert len(cert.steps) == 2000
+    assert parse_certificate(mixed, prob) == cert
+    (tmp_path / "chain.cnf").write_text(cnf)
+    (tmp_path / "chain.cert").write_text(mixed)
+    code, report = run_one(str(tmp_path / "chain.cnf"), str(tmp_path / "chain.cert"),
+                           "check", None, True, False)
+    assert (code, report.split("\n")[:2]) == (0, ["verdict VALID", "steps 2000"])
 
 
 def test_certificate_round_trip_over_generators():

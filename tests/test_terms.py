@@ -21,6 +21,42 @@ def test_intern_idempotent():
     assert store.and_([x, y]) != store.and_([y, x])
 
 
+def test_intern_hit_does_not_accept_malformed_nodes():
+    """A node equal to an interned key still gets every check it got on
+    first interning: 1.0 == 1 and (1,) == (True,) as index keys, but they
+    are not an integer and a bit tuple."""
+    store = TermStore()
+    one = store.int_const(1)
+    bit = store.bv_const([True])
+    p = store.var("p", BOOL)
+    not_p = store.not_(p)
+    with pytest.raises(SortError):
+        store.intern(Kind.INT_CONST, (), 1.0)
+    with pytest.raises(SortError):
+        store.intern(Kind.BV_CONST, (), (1,))
+    for bad in (-1, len(store), len(store) + 5):
+        with pytest.raises(SortError, match="invalid child id"):
+            store.intern(Kind.NOT, (bad,))
+    with pytest.raises(SortError, match="invalid child id"):
+        store.intern(Kind.AND, (p, -1))
+    assert store.intern(Kind.INT_CONST, (), 1) == one
+    assert store.intern(Kind.BV_CONST, (), (True,)) == bit
+    assert store.intern(Kind.NOT, [p]) == not_p
+    assert len(store) == 6
+
+
+def test_argument_ids_must_be_ints():
+    """float(p) == p and True == 1 as index keys, so an index hit would
+    otherwise take them for interned argument ids."""
+    store = TermStore()
+    p = store.var("p", BOOL)
+    store.not_(p)
+    store.not_(1)
+    for bad in (float(p), True):
+        with pytest.raises(SortError, match="invalid child id"):
+            store.intern(Kind.NOT, (bad,))
+
+
 def test_true_false_have_fixed_ids():
     store = TermStore()
     assert store.true_id == 0
