@@ -6,7 +6,9 @@ Exit codes are a stable contract:
     1   certificate rejected: INVALID (reason and step printed)
     2   certificate checked modulo assumptions: TRUSTED
         (becomes 1 under --strict-assumes)
-    3   parse or usage error, an internal error of the checker (one line
+    3   parse or usage error (input that is not UTF-8 names the file and
+        byte offset; a CERTKERNEL_BUDGET that is not an integer is a usage
+        error), an internal error of the checker (one line
         naming the exception type), or a --jobs worker that died; the
         other pairs still run
 
@@ -24,7 +26,7 @@ import concurrent.futures
 import os
 import sys
 
-from .errors import CertKernelError
+from .errors import CertKernelError, ParseError
 from .frontend import (
     Problem, parse_certificate, parse_dimacs, parse_smt2, print_certificate,
 )
@@ -43,10 +45,22 @@ _SEVERITY = {EXIT_ERROR: 3, EXIT_INVALID: 2, EXIT_TRUSTED: 1, EXIT_VALID: 0}
 
 
 def _read(path: str) -> str:
+    """The file's text (stdin for ``-``) with newlines translated as text
+    mode does; bytes that are not UTF-8 are a ParseError naming the file
+    and the byte offset."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        name = "<stdin>" if path == "-" else path
+        raise ParseError(f"{name}: invalid UTF-8 at byte {e.start}") from None
+    if "\r" in text:  # one scan; the two replaces cost three times the read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _guess_format(path: str, explicit: str | None) -> str:
@@ -97,7 +111,11 @@ def run_one(problem_path: str, proof_path: str | None, mode: str,
     try:
         problem = _parse_problem(problem_path, fmt)
         if mode == "oracle":
-            budget = int(os.environ.get("CERTKERNEL_BUDGET", "2000000"))
+            setting = os.environ.get("CERTKERNEL_BUDGET", "2000000")
+            try:
+                budget = int(setting)
+            except ValueError:
+                return EXIT_ERROR, f"error: CERTKERNEL_BUDGET is not an integer: {setting!r}\n"
             res = brute_unsat(problem.store, problem.input_clauses, budget=budget)
             lines = [f"status {res.status}" + ("" if res.complete else " bounded")]
             if res.status == SAT:

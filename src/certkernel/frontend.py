@@ -31,15 +31,22 @@ to the constant ``$tt``).
 
 Two line shapes that make up most large inputs take a fast path.  A DIMACS
 clause line of ASCII signed numerals separated by spaces or tabs is
-converted in bulk, straight to literal encodings.  A certificate line
-``<id> <rule> (<ints>) {}``, written with single spaces as
-``print_certificate`` writes it, for a rule whose registry payload is
-``type(None)`` (today ``res``), is read with one regex instead of the
-tokenizer and s-expression reader.  Any other line, and any line that
-would raise (a wrong id, a forward premise, a literal out of range, a
-numeral past the digit limit), goes through the full reader.  The full
-reader alone reports errors, so every message, line and column is the
-same on both paths.
+converted in bulk, straight to literal encodings.  ``_fast_step`` reads
+certificate lines written with single spaces, as ``print_certificate``
+writes them, with a regex instead of the tokenizer: ``<id> <rule> (<ints>)
+{}`` for a rule whose payload is ``type(None)``, and ``<id> <rule>
+(<ints>) {<term>[ <index>]}`` for a ``CnfPayload`` rule, or a ``BvPayload``
+rule without the index, if a memo local to the ``parse_certificate`` call
+maps the term's text to the id the full reader gave it on an earlier line
+whose payload was that one term (and index, so no aux group).  A hit is
+the id a second parse would give: a certificate only adds names to
+``problem.decls`` (``_parse_aux`` never rebinds one), a top-level payload
+has an empty ``let`` environment, and the first parse interned every node.
+The text holds no ``;``, brace, tab or line break, so it tokenizes the same
+on every line.  Any other line, and any line that would raise (a wrong id,
+a forward premise, a literal out of range, a numeral past the digit
+limit), goes through the full reader, which alone reports errors, so every
+message, line and column is the same on both paths.
 """
 
 from __future__ import annotations
@@ -70,8 +77,12 @@ _SIGNED = re.compile(r"^-?[0-9]+$")
 _BV_LIT = re.compile(r"^#b[01]+$")
 # A DIMACS clause line of ASCII signed numerals separated by spaces or tabs.
 _DIMACS_LINE = re.compile(r"[ \t]*-?[0-9]+(?:[ \t]+-?[0-9]+)*[ \t]*")
-# A certificate step with no payload, as print_certificate writes it.
-_PAYLOAD_FREE = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{\}")
+# A certificate step up to its payload, and a payload of one term (a symbol,
+# or "(" to the last ")" over symbol characters, brackets and spaces), an
+# optional index and the closing brace, as print_certificate writes them.
+_STEP_HEAD = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{")
+_SYM = re.escape("".join(sorted(_SYMBOL_CHARS | {"#"})))
+_ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -618,24 +629,38 @@ def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col:
     raise ParseError(f"rule {rule.value} cannot appear in a certificate", line, col)
 
 
-def _payload_free_step(raw: str, next_id: int) -> Step | None:
-    """The step of a well-formed ``<id> <rule> (<ints>) {}`` line whose rule
-    takes no payload, read with one regex match; None for any other line,
-    and for any line with an error, which the full reader then reports."""
-    m = _PAYLOAD_FREE.fullmatch(raw)
-    if m is None:
-        return None
-    rule = RULE_BY_NAME.get(m[2])
-    if rule not in RULES or RULES[rule].payload is not type(None):
-        return None
+def _fast_step(raw: str, next_id: int,
+               memo: dict[str, TermId]) -> tuple[Step | None, re.Match | None]:
+    """(step, None) for a well-formed line of a fast-path shape (see the
+    module docstring); otherwise (None, term), where term is the line's
+    one-term match, if any, for the caller to memo once the full reader has
+    accepted the line."""
+    head = _STEP_HEAD.match(raw)
+    if head is None:
+        return None, None
+    rule = RULE_BY_NAME.get(head[2])
+    entry = RULES.get(rule)  # one lookup: RuleKind hashes in Python
+    payload_type = entry.payload if entry is not None else None
+    term = payload = None
+    if payload_type is CnfPayload or payload_type is BvPayload:
+        term = _ONE_TERM.fullmatch(raw, head.end())
+        if term is None or term[1] not in memo \
+                or (payload_type is BvPayload and term[2] is not None):
+            return None, term
+    elif payload_type is not type(None) or raw[head.end():] != "}":
+        return None, None
     try:
-        step_id = int(m[1])
-        premises = tuple(map(int, m[3].split()))
+        step_id = int(head[1])
+        premises = tuple(map(int, head[3].split()))
+        index = int(term[2]) if term is not None and term[2] is not None else 0
     except ValueError:  # past CPython's digit limit for int-string conversion
-        return None
+        return None, term
     if step_id != next_id or (premises and max(premises) >= step_id):
-        return None
-    return Step(step_id, rule, premises, None)
+        return None, term
+    if term is not None:
+        target = memo[term[1]]
+        payload = CnfPayload(target, index) if payload_type is CnfPayload else BvPayload(target)
+    return Step(step_id, rule, premises, payload), None
 
 
 def parse_certificate(text: str, problem: Problem) -> Certificate:
@@ -643,6 +668,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
     steps: list[Step] = []
     qed: int | None = None
     next_id = len(problem.input_clauses)
+    memo: dict[str, TermId] = {}  # payload term text -> id, for _fast_step
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -650,7 +676,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             continue
         if qed is not None:
             raise ParseError("content after qed", lineno, 1)
-        step = _payload_free_step(raw, next_id)
+        step, term = _fast_step(raw, next_id, memo)
         if step is not None:
             steps.append(step)
             next_id += 1
@@ -682,6 +708,9 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             payload = parse_payload(problem, rule, items[3].items, lineno, 1)
         except RecursionError:
             raise ParseError("term nested too deeply", lineno, 1) from None
+        # Memo the term only if it alone made up the payload's first item.
+        if term is not None and len(items[3].items) == (1 if term[2] is None else 2):
+            memo[term[1]] = payload.target
         steps.append(Step(step_id, rule, premises, payload))
         next_id += 1
 

@@ -180,6 +180,40 @@ def test_oracle_mode_budget_env(files, capsys, monkeypatch):
     assert "status exhausted" in capsys.readouterr().out
 
 
+def test_budget_that_is_not_an_integer_is_a_usage_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("CERTKERNEL_BUDGET", "abc")
+    code = main(["--problem", str(files / "prob.cnf"), "--mode", "oracle"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: CERTKERNEL_BUDGET is not an integer: 'abc'\n"
+
+
+def test_input_that_is_not_utf8_names_file_and_offset(files, capsys):
+    bad_cert = files / "bad.cert"
+    bad_cert.write_bytes(b"2 res (0 1) {}\n\xff\nqed 2\n")
+    code = main(["--problem", str(files / "prob.cnf"), "--proof", str(bad_cert)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad_cert}: invalid UTF-8 at byte 15\n"
+    bad_problem = files / "bad.smt2"
+    bad_problem.write_bytes(SMT.encode() + b"; caf\xc3\n")
+    code = main(["--problem", str(bad_problem), "--proof", str(files / "prob.cert")])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: {bad_problem}: invalid UTF-8 at byte {len(SMT) + 5}\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "certkernel.cli",
+         "--problem", str(files / "prob.cnf"), "--proof", "-"],
+        input=b"\xff" + DIMACS_CERT.encode(), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (3, b"error: <stdin>: invalid UTF-8 at byte 0\n")
+
+
+def test_input_newlines_read_as_in_text_mode(tmp_path):
+    from certkernel.cli import _read
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"a\r\nb\rc\n\r\rd\xc3\xa9")
+    with open(path, encoding="utf-8") as fh:
+        assert _read(str(path)) == fh.read() == "a\nb\nc\n\n\nd\u00e9"
+
+
 def test_stdin_dash(files):
     proc = subprocess.run(
         [sys.executable, "-m", "certkernel.cli",

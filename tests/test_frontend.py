@@ -307,6 +307,116 @@ def test_every_rule_reads_the_same_with_and_without_a_comment(premises):
             assert plain == commented, line
 
 
+def _commented(text):
+    """The same certificate with every line sent through the full reader."""
+    return "".join(line + " ; x\n" for line in text.splitlines())
+
+
+_MEMO_PROBLEM = """
+    (declare-const p Bool) (declare-const q Bool)
+    (declare-const a (_ BitVec 2)) (declare-const b (_ BitVec 2))
+    (assert p) (assert (not p))
+"""
+# One-term payload shapes; the memo must leave every one as the full reader
+# reads it, including the shapes it may not memo (two items, an aux group).
+_MEMO_PAYLOADS = ["{T}", "{T 3}", "{T 007}", "{T -3}", "{T (x)}", "{T (aux)}",
+                  "{T (aux v)}", "{T (and p q)}"]
+
+
+def _same_with_memo_and_full_reader(texts):
+    fast, full = parse_smt2(_MEMO_PROBLEM), parse_smt2(_MEMO_PROBLEM)
+    for text in texts:
+        assert _outcome(lambda: parse_certificate(text, fast)) \
+            == _outcome(lambda: parse_certificate(_commented(text), full)), text
+    assert len(fast.store) == len(full.store)
+    assert fast.decls == full.decls
+
+
+def test_memo_hit_reads_as_the_full_reader_for_every_rule():
+    """Each payload twice, the second copy a memo hit when the first was
+    memoed, for every registry rule followed or preceded by itself and by
+    one rule of each payload type: the Certificate, or the error's type,
+    message, line and column, must equal the full reader's."""
+    from certkernel.kernel import RULES
+    one_per_type = {RULES[rule].payload: rule for rule in RULES}.values()
+    rule_pairs = {(rule, other) for rule in RULES for other in [rule, *one_per_type]}
+    rule_pairs |= {(other, rule) for rule, other in rule_pairs}
+    texts = []
+    for first, second in sorted(rule_pairs, key=lambda pair: (pair[0].value, pair[1].value)):
+        for term in ("p", "(and p q)"):
+            for payload in _MEMO_PAYLOADS:
+                # the same payload twice, and each payload after a bare term
+                for lead in sorted({payload, "{T}"}):
+                    texts.append(f"2 {first.value} () {lead}\n"
+                                 f"3 {second.value} (2) {payload}\nqed 3\n"
+                                 .replace("T", term))
+    _same_with_memo_and_full_reader(texts)
+
+
+def test_memo_hit_keeps_the_line_checks():
+    big = "9" * 5000
+    first = "2 bb_not () {(bvnot a)}\n3 and_pos () {(and p q) 1}\n"
+    hits = ["4 and_pos () {(and p q) 0}", "5 and_pos () {(and p q) 0}",
+            "4 and_pos (4) {(and p q) 0}", "4 and_pos (0 7) {(bvnot a)}",
+            "4 and_pos (-1) {(and p q)}", f"4 and_pos (0 {big}) {{(and p q)}}",
+            f"4 and_pos () {{(and p q) {big}}}", f"{big} and_pos () {{(and p q)}}",
+            "4 bb_not () {(bvnot a) 0}", "4 bb_not () {(bvnot a) (aux)}",
+            "4 not_not () {(bvnot a)}", "4 and_pos () {(and p q)} 5",
+            "4 and_pos () {(and p q)  1}", "4 and_pos () {(and p q) 1 2}",
+            "4 frob () {(and p q)}", "4 input () {(and p q)}",
+            "4 euf () {(and p q)}", "4 lia () {(bvnot a)}", "4 assume () {(and p q)}",
+            "4 res () {(and p q)}"]
+    _same_with_memo_and_full_reader(
+        [f"{first}{hit}\nqed 3\n" for hit in hits]
+        + [f"{first}; {hit}\n{hit}\nqed 3\n" for hit in hits]
+        # a comment after the brace must not make its text part of a term
+        + ["2 not_not () {(not (not p))} ; )}\n3 not_not () {(not (not p))} ; ) 1}\nqed 3\n"])
+    # A term first read under bb_not and then reused by and_pos, and the reverse.
+    from certkernel.bitblast import BvPayload
+    from certkernel.resolution import CnfPayload
+    text = first + "4 and_pos () {(bvnot a) 2}\n5 bb_not () {(and p q)}\nqed 5\n"
+    prob = parse_smt2(_MEMO_PROBLEM)
+    cert = parse_certificate(text, prob)
+    assert cert == parse_certificate(_commented(text), prob)
+    bvnot_a, and_pq = cert.steps[0].payload.target, cert.steps[1].payload.target
+    assert cert.steps[2].payload == CnfPayload(bvnot_a, 2)
+    assert cert.steps[3].payload == BvPayload(and_pq)
+
+
+def test_memo_is_scoped_to_one_certificate():
+    """The same term text interns to different ids in problems A and B;
+    parsing A, B, A must give what a fresh parse of each gives."""
+    text = ("2 and_pos () {(and p q) 0}\n3 and_pos () {(and p q) 1}\n"
+            "4 bb_not () {(and q p)}\n5 not_not () {(and q p)}\nqed 5\n")
+    a = "(declare-const p Bool) (declare-const q Bool) (assert p) (assert (not p))"
+    b = "(declare-const r Bool) " + a
+    expected = {src: parse_certificate(_commented(text), parse_smt2(src)) for src in (a, b)}
+    assert expected[a] != expected[b]
+    for src in (a, b, a):
+        assert parse_certificate(text, parse_smt2(src)) == expected[src]
+
+
+def test_corpus_and_mutations_read_the_same_with_every_line_commented():
+    rng = random.Random(23)
+    pairs = []
+    for cert_path in sorted(CORPUS.rglob("*.cert")):
+        prob_path = cert_path.with_suffix(".cnf")
+        if not prob_path.exists():
+            prob_path = cert_path.with_suffix(".smt2")
+        parse = parse_dimacs if prob_path.suffix == ".cnf" else parse_smt2
+        pairs.append((parse, prob_path.read_text(), cert_path.read_text()))
+    assert len(pairs) == 32
+    cases = [(parse, src, cert) for parse, src, cert in pairs]
+    for _ in range(2000):
+        parse, src, cert = rng.choice(pairs)
+        cases.append((parse, src, gens.mutate_cert_text(cert, rng)))
+    for parse, src, cert in cases:
+        fast, full = parse(src), parse(src)
+        assert _outcome(lambda: parse_certificate(cert, fast)) \
+            == _outcome(lambda: parse_certificate(_commented(cert), full)), cert
+        assert len(fast.store) == len(full.store)
+
+
 def _implication_chain(n):
     """DIMACS text of p1, p1 -> p2, ..., p(n-1) -> pn, not pn and its
     refutation by n two-premise res steps."""
