@@ -214,3 +214,24 @@ def test_deep_sum_does_not_recurse():
         s = store.add([s, one])
     lemma = mk_clause(store, [neg(store.le(s, x))])
     assert check_lia(store, LiaPayload(lemma, ((0, 1),))) == lemma
+
+
+def test_all_zero_multipliers_and_negative_equality_multiplier():
+    """A combination whose multipliers are all zero sums to 0 >= 0 and is
+    rejected, tightened or not; an equality row used in its negative
+    direction still certifies."""
+    store = TermStore()
+    x = store.var("x", INT)
+    one = store.int_const(1)
+    eq_atom, le_atom = store.eq(x, one), store.le(x, one)
+    # not(x = 1) or x <= 1: the rows are x = 1 and x >= 2.
+    lemma = mk_clause(store, [neg(eq_atom), pos(le_atom)])
+    eq_idx = [lit.atom for lit in lemma.lits].index(eq_atom)
+    le_idx = 1 - eq_idx
+    for tighten in (False, True):
+        for combination in (((eq_idx, 0),), ((eq_idx, 0), (le_idx, 0))):
+            assert check_lia(store, LiaPayload(lemma, combination, tighten)) == TRIVIALLY_TRUE
+        assert check_lia(store, LiaPayload(lemma, ((eq_idx, -1), (le_idx, 1)), tighten)) == lemma
+        assert check_lia(store, LiaPayload(lemma, ((eq_idx, 1), (le_idx, 1)), tighten)) \
+            == TRIVIALLY_TRUE
+    assert lia_box_valid(store, lemma)
