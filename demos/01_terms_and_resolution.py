@@ -8,7 +8,7 @@ replayed by the main checker.
 
 from certkernel import (
     BOOL, Certificate, RuleKind, Step, TermStore, check, mk_clause, neg, pos,
-    resolve_pair, stats_report,
+    resolve_pair, stats_report, to_sexpr,
 )
 
 store = TermStore()
@@ -18,7 +18,7 @@ p = store.var("p", BOOL)
 q = store.var("q", BOOL)
 conj = store.and_([p, q])
 print("and(p q) id:", conj, "== rebuilt:", store.and_([p, q]))
-print("printed:", store.to_sexpr(conj))
+print("printed:", to_sexpr(store, conj))
 
 # Literals encode as 2*atom + polarity; clauses keep them sorted and unique.
 c1 = mk_clause(store, [pos(p), pos(q), pos(p)])

@@ -12,6 +12,7 @@ import itertools
 
 from certkernel import (
     BOOL, BitBlastState, BitVecSort, BvPayload, Kind, Model, TermStore, eval_term,
+    to_sexpr,
 )
 from certkernel.bitblast import bb_step
 
@@ -24,20 +25,20 @@ y = store.var("y", BitVecSort(width))
 for var, tag in ((x, "x"), (y, "y")):
     bits = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
     bb_step(store, state, BvPayload(var, bits), Kind.VAR)
-    print(f"bits({tag}) =", [store.to_sexpr(b) for b in state.bits[var]])
+    print(f"bits({tag}) =", [to_sexpr(store, b) for b in state.bits[var]])
 
 # Addition threads a ripple carry through fresh variables and returns a
 # unit clause defining them.
 t = store.bv_add(x, y)
 carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
 link = bb_step(store, state, BvPayload(t, carries), Kind.BV_ADD)
-print("\nbits(x + y) =", [store.to_sexpr(b) for b in state.bits[t]])
-print("carry definitions:", store.to_sexpr(link.enc[0] >> 1))
+print("\nbits(x + y) =", [to_sexpr(store, b) for b in state.bits[t]])
+print("carry definitions:", to_sexpr(store, link.enc[0] >> 1))
 
 # The equality atom links to bitwise agreement of both sides.
 atom = store.eq(t, x)
 eq_link = bb_step(store, state, BvPayload(atom), Kind.EQ)
-print("link for (x + y = x):", store.to_sexpr(eq_link.enc[0] >> 1))
+print("link for (x + y = x):", to_sexpr(store, eq_link.enc[0] >> 1))
 
 # Exhaustive cross-check against word-level semantics: for every operand
 # pair, extending the model with the carry definitions makes the mapped

@@ -16,7 +16,7 @@ Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
 satisfiability of the input clauses; budget via CERTKERNEL_BUDGET).
 Both inputs accept ``-`` for stdin.  --machine switches to a line-oriented
-record with a stable field order.
+record with a stable field order.  ``certkernel.printer`` writes every report.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import os
 import sys
 
 from .errors import CertKernelError, ParseError
-from .frontend import (
-    Problem, parse_certificate, parse_dimacs, parse_smt2, print_certificate,
-)
-from .kernel import CheckResult, Verdict, check, stats_report
-from .oracle import SAT, brute_unsat
+from .frontend import Problem, parse_certificate, parse_dimacs, parse_smt2
+from .kernel import Verdict, check
+from .oracle import brute_unsat
 from .preproc import linearize, parse_nested_proof
-from .terms import clause_to_sexpr
+from .printer import machine_record as _machine_record  # perfbench/child.py wraps this global
+from .printer import oracle_report, plain_record, print_certificate, stats_report
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -78,33 +77,6 @@ def _parse_problem(path: str, fmt: str | None) -> Problem:
     return parse_smt2(text)
 
 
-def _machine_record(problem: Problem, result: CheckResult) -> str:
-    lines = [f"verdict {result.verdict.value}"]
-    if result.reason is not None:
-        lines.append(f"reason {result.reason}")
-    if result.step_id is not None:
-        lines.append(f"failed-step {result.step_id}")
-    replayed = sum(n for name, n in result.stats if name != "input")
-    lines.append(f"steps {replayed}")
-    for name, count in result.stats:
-        lines.append(f"rule {name} {count}")
-    for clause in result.assumptions:
-        lines.append(f"assume {clause_to_sexpr(problem.store, clause)}")
-    return "\n".join(lines) + "\n"
-
-
-def _plain_record(problem: Problem, result: CheckResult) -> str:
-    if result.verdict is Verdict.VALID:
-        return "VALID\n"
-    if result.verdict is Verdict.TRUSTED:
-        lines = [f"TRUSTED: {len(result.assumptions)} assumption(s)"]
-        for clause in result.assumptions:
-            lines.append(f"  assume: {clause_to_sexpr(problem.store, clause)}")
-        return "\n".join(lines) + "\n"
-    where = f" (step {result.step_id})" if result.step_id is not None else ""
-    return f"INVALID: {result.reason}{where}\n"
-
-
 def run_one(problem_path: str, proof_path: str | None, mode: str,
             fmt: str | None, machine: bool, strict: bool) -> tuple[int, str]:
     """Process one problem/proof pair; returns (exit code, report text)."""
@@ -117,21 +89,7 @@ def run_one(problem_path: str, proof_path: str | None, mode: str,
             except ValueError:
                 return EXIT_ERROR, f"error: CERTKERNEL_BUDGET is not an integer: {setting!r}\n"
             res = brute_unsat(problem.store, problem.input_clauses, budget=budget)
-            lines = [f"status {res.status}" + ("" if res.complete else " bounded")]
-            if res.status == SAT:
-                model = res.witness
-                named = []
-                for table in (model.bool_vals, model.int_vals, model.bv_vals,
-                              model.elem_vals):
-                    for tid, value in table.items():
-                        named.append((problem.store.node(tid).extra[0], value))
-                for name, value in sorted(named):
-                    if isinstance(value, tuple):
-                        value = "#b" + "".join("1" if b else "0" for b in reversed(value))
-                    elif value is True or value is False:
-                        value = "true" if value else "false"
-                    lines.append(f"model {name} {value}")
-            return EXIT_VALID, "\n".join(lines) + "\n"
+            return EXIT_VALID, oracle_report(problem.store, res)
 
         if proof_path is None:
             return EXIT_ERROR, "error: this mode needs --proof\n"
@@ -146,9 +104,9 @@ def run_one(problem_path: str, proof_path: str | None, mode: str,
         if mode == "stats":
             report = stats_report(problem.store, result)
         elif machine:
-            report = _machine_record(problem, result)
+            report = _machine_record(problem.store, result)
         else:
-            report = _plain_record(problem, result)
+            report = plain_record(problem.store, result)
         code = {
             Verdict.VALID: EXIT_VALID,
             Verdict.INVALID: EXIT_INVALID,

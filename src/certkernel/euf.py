@@ -47,7 +47,8 @@ class EufPayload:
 
 
 def _lemma_shape(store: TermStore, lemma: Clause):
-    """Split the lemma into (conclusion atom, hypothesis literals) or None."""
+    """The lemma's conclusion: the atom of its one positive literal, when
+    every literal is an equality; otherwise None."""
     conclusion = None
     for code in lemma.enc:
         atom = code >> 1

@@ -4,7 +4,9 @@ These are the only components whose correctness the checking pipeline takes
 on trust, so they stay deliberately small: tokenize, read s-expressions,
 intern terms against the problem's store.  All three parsers are total over
 byte streams — they return a value or raise a structured error carrying a
-1-based line and column, never crash.  UTF-8 text, LF or CRLF.
+1-based line and column, never crash.  UTF-8 text, LF or CRLF.  Nothing
+here renders text: ``certkernel.printer`` holds ``print_certificate`` and
+``print_dimacs``, which these parsers invert exactly.
 
 Certificate concrete syntax, one step per line::
 
@@ -24,29 +26,31 @@ starting with ``;`` are comments.  The payload shapes per rule family:
     assume               {<lit>*}
 
 Names introduced under ``(aux ...)`` become Bool variables on sight; their
-freshness is the kernel's business, not the parser's.  Names starting with
-``$`` are reserved for the predicate encoding (an uninterpreted predicate
-``p : S -> Bool`` is parsed as a function into the sort ``$bool`` compared
-to the constant ``$tt``).
+freshness is the kernel's business, not the parser's.  Any other second
+group, ``(foo v)`` or ``()`` say, is a ParseError at the group.  Names
+starting with ``$`` are reserved for the predicate encoding (an
+uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
+sort ``$bool`` compared to the constant ``$tt``).
 
 Two line shapes that make up most large inputs take a fast path.  A DIMACS
 clause line of ASCII signed numerals separated by spaces or tabs is
 converted in bulk, straight to literal encodings.  ``_fast_step`` reads
-certificate lines written with single spaces, as ``print_certificate``
-writes them, with a regex instead of the tokenizer: ``<id> <rule> (<ints>)
-{}`` for a rule whose payload is ``type(None)``, and ``<id> <rule>
-(<ints>) {<term>[ <index>]}`` for a ``CnfPayload`` rule, or a ``BvPayload``
-rule without the index, if a memo local to the ``parse_certificate`` call
-maps the term's text to the id the full reader gave it on an earlier line
-whose payload was that one term (and index, so no aux group).  A hit is
-the id a second parse would give: a certificate only adds names to
-``problem.decls`` (``_parse_aux`` never rebinds one), a top-level payload
-has an empty ``let`` environment, and the first parse interned every node.
-The text holds no ``;``, brace, tab or line break, so it tokenizes the same
-on every line.  Any other line, and any line that would raise (a wrong id,
-a forward premise, a literal out of range, a numeral past the digit
-limit), goes through the full reader, which alone reports errors, so every
-message, line and column is the same on both paths.
+certificate lines written with single spaces, as
+``printer.print_certificate`` writes them, with a regex instead of the
+tokenizer: ``<id> <rule> (<ints>) {}`` for a rule whose payload is
+``type(None)``, and ``<id> <rule> (<ints>) {<term>[ <index>]}`` for a
+``CnfPayload`` rule, or a ``BvPayload`` rule without the index, if a memo
+local to the ``parse_certificate`` call maps the term's text to the id the
+full reader gave it on an earlier line whose payload was that one term (and
+index, so no aux group).  A hit is the id a second parse would give: a
+certificate only adds names to ``problem.decls`` (``_parse_aux`` never
+rebinds one), a top-level payload has an empty ``let`` environment, and the
+first parse interned every node.  The text holds no ``;``, brace, tab or
+line break, so it tokenizes the same on every line.  Any other line, and
+any line that would raise (a wrong id, a forward premise, a literal out of
+range, a numeral past the digit limit), goes through the full reader, which
+alone reports errors, so every message, line and column is the same on both
+paths.
 """
 
 from __future__ import annotations
@@ -60,11 +64,11 @@ from .euf import EqRule, EqStep, EufPayload
 from .kernel import RULES
 from .lia import LiaPayload
 from .bitblast import BvPayload
-from .resolution import INDEXED, CnfPayload
+from .resolution import CnfPayload
 from .steps import AssumePayload, Certificate, RULE_BY_NAME, RuleKind, Step
 from .terms import (
     BOOL, Clause, FunSym, INT, Kind, Literal, Sort, TermId, TermStore,
-    BitVecSort, UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos,
+    BitVecSort, UninterpretedSort, mk_clause, neg, pos,
 )
 
 LOGICS = ("SAT", "QF_UF", "QF_LIA", "QF_BV", "QF_UFLIA")
@@ -477,17 +481,6 @@ def _dimacs_values(raw: str, lineno: int, n_vars: int) -> list[int]:
     return values
 
 
-def print_dimacs(problem: Problem) -> str:
-    """Canonical DIMACS text; an exact inverse of parse_dimacs on its output."""
-    numbers = {tid: i + 1 for i, tid in enumerate(problem.dimacs_vars)}
-    lines = [f"p cnf {len(problem.dimacs_vars)} {len(problem.input_clauses)}"]
-    for clause in problem.input_clauses:
-        row = [numbers[lit.atom] if lit.positive else -numbers[lit.atom]
-               for lit in clause.lits]
-        lines.append(" ".join(str(x) for x in row + [0]))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
@@ -559,7 +552,8 @@ def _parse_eqstep(problem: Problem, sx) -> EqStep:
 
 
 def _parse_aux(problem: Problem, sx) -> tuple[TermId, ...]:
-    if not isinstance(sx, SList):
+    if not (isinstance(sx, SList) and sx.bracket == "(" and sx.items
+            and isinstance(sx.items[0], Token) and sx.items[0].text == "aux"):
         raise ParseError("expected (aux ...)", *_pos_of(sx))
     out = []
     for tok in sx.items[1:]:
@@ -717,69 +711,3 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
     if qed is None:
         raise ParseError("missing qed line", len(text.splitlines()) or 1, 1)
     return Certificate(tuple(steps), qed)
-
-
-# ---------------------------------------------------------------------------
-# Certificate printing
-# ---------------------------------------------------------------------------
-
-def _group(tag: str, body: str) -> str:
-    return f"({tag} {body})" if body else f"({tag})"
-
-
-def _render_payload(store: TermStore, rule: RuleKind, payload) -> str:
-    payload_type = RULES[rule].payload if rule in RULES else None
-    if payload_type is type(None):
-        return ""
-    if payload_type is CnfPayload:
-        body = store.to_sexpr(payload.target)
-        if rule in INDEXED:
-            body += f" {payload.index}"
-        return body
-    if payload_type is EufPayload:
-        rendered = []
-        for s in payload.justification:
-            if s.rule is EqRule.REFL:
-                rendered.append(f"(refl {store.to_sexpr(s.term)})")
-            elif s.rule is EqRule.SYM:
-                rendered.append(f"(sym {s.refs[0]})")
-            elif s.rule is EqRule.TRANS:
-                rendered.append(f"(trans {s.refs[0]} {s.refs[1]})")
-            elif s.rule is EqRule.CONG:
-                rendered.append(_group("cong", " ".join(
-                    [s.fun.name] + [str(r) for r in s.refs])))
-            else:
-                rendered.append(f"(hyp {s.hyp})")
-        return " ".join([
-            _group("lemma", clause_to_sexpr(store, payload.lemma)),
-            _group("just", " ".join(rendered)),
-        ])
-    if payload_type is LiaPayload:
-        parts = [
-            _group("lemma", clause_to_sexpr(store, payload.lemma)),
-            _group("farkas", " ".join(f"({i} {c})" for i, c in payload.combination)),
-        ]
-        if payload.tighten:
-            parts.append("tighten")
-        return " ".join(parts)
-    if payload_type is BvPayload:
-        body = store.to_sexpr(payload.target)
-        if payload.aux:
-            names = " ".join(store.node(v).extra[0] for v in payload.aux)
-            body += f" (aux {names})"
-        return body
-    if payload_type is AssumePayload:
-        return clause_to_sexpr(store, payload.clause)
-    raise ValueError(f"cannot render rule {rule}")
-
-
-def print_certificate(store: TermStore, cert: Certificate) -> str:
-    """Canonical certificate text; parse_certificate inverts it exactly."""
-    lines = []
-    for step in cert.steps:
-        prem = " ".join(str(p) for p in step.premises)
-        payload = _render_payload(store, step.rule, step.payload)
-        lines.append(f"{step.id} {step.rule.value} ({prem}) {{{payload}}}")
-    if cert.qed is not None:
-        lines.append(f"qed {cert.qed}")
-    return "\n".join(lines) + "\n"

@@ -17,8 +17,9 @@ Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
 type, small checker and the two flags.  A Tseitin-style CNF rule needs only
 a head kind and literal template in ``resolution.TSEITIN``, from which its
 entry is made; a bit-blasting rule needs one ``bitblast.BLASTERS`` row for
-its target kind and the entry ``_bb(Kind.X)``.  The frontend parses and prints a payload by its type, so
-only a new payload type needs new certificate syntax there.
+its target kind and the entry ``_bb(Kind.X)``.  The frontend parses and
+``certkernel.printer`` prints a payload by its type, so only a new payload
+type needs new certificate syntax.  Nothing here renders text.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ class CheckResult:
     step_id: int | None = None
     assumptions: tuple[Clause, ...] = ()
     stats: tuple[tuple[str, int], ...] = ()
-    clause_count: int = 0
-    max_clause_width: int = 0
+    clauses: tuple[Clause, ...] = ()  # every stored clause, inputs first
 
     def rule_count(self, rule: RuleKind) -> int:
         return dict(self.stats).get(rule.value, 0)
@@ -143,7 +143,6 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     ctx = CheckContext(store)
     counts: dict[RuleKind, int] = {RuleKind.INPUT: n_inputs}
     assumptions: list[Clause] = []
-    max_width = max((len(c) for c in clauses), default=0)
     # Variables become "used" for aux-freshness purposes the moment a clause
     # mentioning them is stored; the scan is deferred until a bit-blasting
     # step actually consults the registry.
@@ -153,8 +152,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
         stats = tuple((r.value, counts[r]) for r in RuleKind if counts.get(r))
         return CheckResult(
             verdict, reason=reason, step_id=step_id,
-            assumptions=tuple(assumptions), stats=stats,
-            clause_count=len(clauses), max_clause_width=max_width)
+            assumptions=tuple(assumptions), stats=stats, clauses=tuple(clauses))
 
     def finish():
         if assumptions:
@@ -192,30 +190,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             assumptions.append(conclusion)
         clauses.append(conclusion)
         counts[step.rule] = counts.get(step.rule, 0) + 1
-        width = len(conclusion)
-        if width > max_width:
-            max_width = width
         if not conclusion.enc:
             return finish()
 
     return result(Verdict.INVALID, "empty clause not derived")
-
-
-def stats_report(store: TermStore, result: CheckResult) -> str:
-    """Human-readable run report: verdict, rule histogram, store shape."""
-    from .terms import clause_to_sexpr
-
-    lines = [f"verdict: {result.verdict.value}"]
-    if result.reason:
-        where = f" (step {result.step_id})" if result.step_id is not None else ""
-        lines.append(f"reason: {result.reason}{where}")
-    lines.append(f"clauses stored: {result.clause_count}")
-    lines.append(f"max clause width: {result.max_clause_width}")
-    lines.append("rule counts:")
-    for name, count in result.stats:
-        lines.append(f"  {name} {count}")
-    if result.assumptions:
-        lines.append("assumptions:")
-        for clause in result.assumptions:
-            lines.append(f"  {clause_to_sexpr(store, clause)}")
-    return "\n".join(lines) + "\n"

@@ -150,7 +150,7 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     of that index, normalized, with negative multipliers allowed only to
     flip equality rows.  When tightening is on, every contributed >= row and
     the final sum are gcd-tightened.  Accepts only a ground contradiction
-    (0 >= k with k >= 1, or 0 = k with k != 0).
+    0 >= k with k >= 1 (all-zero multipliers sum to 0 >= 0).
     """
     lemma = payload.lemma
     lits = lemma.lits
@@ -163,7 +163,6 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
         return TRIVIALLY_TRUE
     total: dict[TermId, int] = {}
     total_const = 0
-    relation = LinRel.EQ
     for idx, mult in payload.combination:
         if not (0 <= idx < len(rows)):
             return TRIVIALLY_TRUE
@@ -185,14 +184,9 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
         for v, c in coeffs.items():
             total[v] = total.get(v, 0) + mult * c
         total_const += mult * constant
-        relation = LinRel.GE
 
     if payload.tighten:
         total, total_const = _tighten(total, total_const)
-    if any(c != 0 for c in total.values()):
+    if any(c != 0 for c in total.values()) or total_const < 1:
         return TRIVIALLY_TRUE
-    if relation is LinRel.GE and total_const >= 1:
-        return lemma
-    if relation is LinRel.EQ and total_const != 0:
-        return lemma
-    return TRIVIALLY_TRUE
+    return lemma

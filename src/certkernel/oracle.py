@@ -3,8 +3,8 @@
 Everything here realizes the interpretation of terms at finite scale:
 explicit models, exhaustive satisfiability search, propositional
 tautology/implication checks, and finite-model validity for equational
-lemmas.  It is deliberately independent of the checker modules (it imports
-only the term core) and is allowed to be exponential.
+lemmas.  It shares no checking code with the checker modules, only the term
+core and the printer, and is allowed to be exponential.
 
 Verdict caveats, by construction of the budgets:
 
@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import IncompleteModelError, ResourceError
+from .printer import to_sexpr
 from .terms import (
     BOOL, INT, BOOL_STRUCTURE, BitVecSort, Clause, FunSym, Kind, Sort,
     TermId, TermStore, UninterpretedSort,
@@ -244,7 +245,7 @@ def _eval_skeleton(store: TermStore, t: TermId, assign: dict[TermId, bool], memo
             if _eval_skeleton(store, node.args[0], assign, memo) \
             else _eval_skeleton(store, node.args[2], assign, memo)
     else:
-        raise IncompleteModelError(store.to_sexpr(t))
+        raise IncompleteModelError(to_sexpr(store, t))
     memo[t] = v
     return v
 
@@ -472,7 +473,7 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
 
     for atom in lemma.atoms():
         if store.kind(atom) is not Kind.EQ:
-            raise ResourceError(f"lemma atom {store.to_sexpr(atom)} is not an equality")
+            raise ResourceError(f"lemma atom {to_sexpr(store, atom)} is not an equality")
         walk(atom)
 
     order = sorted(carriers)
@@ -495,7 +496,7 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
                     node = store.node(t)
                     if node.kind is not Kind.APPLY:
                         raise ResourceError(
-                            f"unsupported term in equality lemma: {store.to_sexpr(t)}")
+                            f"unsupported term in equality lemma: {to_sexpr(store, t)}")
                     key = (node.extra, tuple(ev(a) for a in node.args))
                     if key not in tables:
                         raise _NeedValue(key, _values)

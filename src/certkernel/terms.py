@@ -11,7 +11,8 @@ equality.  ``TrueT`` and ``FalseT`` are interned first in every store and
 therefore always have ids 0 and 1.  A node's arguments intern before it, so
 every argument id is smaller than its parent's and ascending id order is
 bottom-up.  Walks over a term use ``TermStore.postorder`` or an explicit
-stack, not recursion, so a term of any depth can be walked.
+stack, not recursion, so a term of any depth can be walked.  Nothing here
+renders text: terms and clauses print through ``certkernel.printer``.
 """
 
 from __future__ import annotations
@@ -389,51 +390,6 @@ class TermStore:
                 cache[u] = frozenset().union(*(cache[a] for a in node.args))
         return cache[t]
 
-    # -- printing ------------------------------------------------------------
-
-    def to_sexpr(self, t: TermId) -> str:
-        """SMT-LIB style concrete syntax; parseable back by the frontend.
-
-        The text expands shared subterms, so it is emitted from an explicit
-        stack of ids and closing parentheses, in time linear in its length.
-        """
-        nodes = self._nodes
-        out: list[str] = []
-        stack: list[TermId | str] = [t]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            node = nodes[item]
-            k = node.kind
-            if k is Kind.EQ:
-                # Encoded uninterpreted predicates print as their application:
-                # (= (p x) $tt) is exactly what the frontend parses (p x) into,
-                # and $-names are reserved for that encoding.
-                lhs, rhs = (nodes[a] for a in node.args)
-                if rhs.kind is Kind.VAR and rhs.extra[0] == "$tt" and lhs.kind is Kind.APPLY:
-                    stack.append(node.args[0])
-                    continue
-            if k is Kind.VAR:
-                out.append(node.extra[0])
-            elif k is Kind.INT_CONST:
-                v = node.extra
-                out.append(str(v) if v >= 0 else f"(- {-v})")
-            elif k is Kind.BV_CONST:
-                out.append("#b" + "".join("1" if b else "0" for b in reversed(node.extra)))
-            elif k is Kind.TRUE or k is Kind.FALSE:
-                out.append(k.value)
-            else:
-                head = (node.extra.name if k is Kind.APPLY else "=" if k is Kind.IFF
-                        else "-" if k is Kind.NEG else k.value)
-                out.append(f"({head} ")
-                stack.append(")")
-                for a in reversed(node.args[1:]):
-                    stack += (a, " ")
-                stack.extend(node.args[:1])
-        return "".join(out)
-
 
 # ---------------------------------------------------------------------------
 # Literals and clauses
@@ -513,12 +469,3 @@ def mk_clause(store: TermStore, lits: Iterable[Literal]) -> Clause:
                 f"{store.sort_of(lit.atom)}, expected Bool")
         codes.append(lit.encode())
     return Clause(tuple(sorted(set(codes))))
-
-
-def clause_to_sexpr(store: TermStore, clause: Clause) -> str:
-    """Literal-per-element notation: ``(not <atom>)`` marks negative literals."""
-    parts = []
-    for code in clause.enc:
-        atom = store.to_sexpr(code >> 1)
-        parts.append(atom if (code & 1) == 0 else f"(not {atom})")
-    return " ".join(parts)

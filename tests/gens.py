@@ -16,7 +16,7 @@ from certkernel import (
     BOOL, INT, BitVecSort, BvPayload, Certificate, CheckContext, Clause,
     CnfPayload, EqRule, EqStep, EufPayload, FunSym, Kind, LiaPayload,
     RuleKind, Step, TermStore, UninterpretedSort, dispatch, mk_clause,
-    neg, pos,
+    neg, pos, to_sexpr,
 )
 from certkernel.kernel import _clause_vars
 
@@ -482,7 +482,7 @@ class BvRefutation:
             cid = self.add(RuleKind.RES, (cid, ub))
         else:
             raise AssertionError(
-                f"no unit for {store.to_sexpr(t)}={val}; planner bug")
+                f"no unit for {to_sexpr(store, t)}={val}; planner bug")
         self.units[key] = cid
         return cid
 
@@ -521,7 +521,7 @@ class BvRefutation:
             mid = self.add(RuleKind.RES, (lemma, cid))
             self._register(c_var, v, self.add(RuleKind.RES, (mid, du)))
         else:
-            raise AssertionError(f"unexpected conjunct {store.to_sexpr(conj)}")
+            raise AssertionError(f"unexpected conjunct {to_sexpr(store, conj)}")
 
     # -- top level ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from certkernel import (
     check_euf, check_lia, clause_to_sexpr, cnf_lemma, compact, dispatch,
     euf_lemma_valid, eval_clause, eval_term, is_tautology, linearize,
     parse_certificate, parse_dimacs, parse_smt2, propositionally_implies,
-    resolve_chain,
+    resolve_chain, to_sexpr,
 )
 from certkernel.bitblast import bb_step
 from certkernel.cli import run_one
@@ -214,7 +214,7 @@ def test_c3_cnf_lemma_tautology_exhaustive():
         if clause == TRIVIALLY_TRUE:
             continue
         assert is_tautology(store, clause, max_atoms=16), \
-            (rule, store.to_sexpr(target))
+            (rule, to_sexpr(store, target))
         emitted += 1
     elapsed = time.time() - t0
     assert elapsed < 60

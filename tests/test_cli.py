@@ -389,3 +389,18 @@ def test_dead_worker_costs_only_its_own_pair(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == f"{files / 'prob.cnf'}: VALID\n{files / 'second.cnf'}: VALID\n"
     assert captured.err == f"{files / 'prob.smt2'}: error: worker process died\n"
+
+
+def test_aux_group_must_be_headed_by_aux(tmp_path):
+    """A bit-blasting payload's second group is (aux <name>*); any other
+    group is a parse error at the group's position, and declares nothing."""
+    prob = tmp_path / "bv.smt2"
+    prob.write_text("(set-logic QF_BV) (declare-const a (_ BitVec 2)) (assert (= a a))")
+    cert = tmp_path / "bv.cert"
+    for group in ("(foo v)", "()", "(and p q)"):
+        cert.write_text(f"1 bb_var () {{a {group}}}\nqed 1\n")
+        code, report = run_one(str(prob), str(cert), "check", None, False, False)
+        assert (code, report) == (3, "error: line 1, col 16: expected (aux ...)\n"), group
+    cert.write_text("1 bb_var () {a (aux v w)}\nqed 1\n")
+    code, report = run_one(str(prob), str(cert), "check", None, False, False)
+    assert code == 1 and report.startswith("INVALID"), report

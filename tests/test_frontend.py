@@ -9,7 +9,7 @@ import gens
 from certkernel import (
     ForwardReferenceError, Kind, ParseError, UnsupportedError, Verdict, check,
     mk_clause, neg, parse_certificate, parse_dimacs, parse_smt2, pos,
-    print_certificate, print_dimacs,
+    print_certificate, print_dimacs, to_sexpr,
 )
 from certkernel.errors import CertKernelError
 
@@ -592,7 +592,7 @@ def test_operator_head_round_trip(head):
     prob = parse_smt2(_HEAD_DECLS)
     for text in HEAD_CASES[head]:
         t = _term(prob, text)
-        assert _term(prob, prob.store.to_sexpr(t)) == t, text
+        assert _term(prob, to_sexpr(prob.store, t)) == t, text
 
 
 def test_operator_head_special_cases():

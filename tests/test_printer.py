@@ -4,32 +4,43 @@ Each corpus pair's reports from ``run_one`` (plain, ``--machine`` and
 ``--mode stats``), its certificate as ``print_certificate`` writes it after
 ``parse_certificate``, its DIMACS problem as ``print_dimacs`` writes it, and
 the ``--mode oracle`` report of the DIMACS problems are compared by sha256
-against ``printer_pins.json``.  A few small satisfiable problems pin the
-oracle's model lines, and one nested proof pins ``--mode translate``.
+against ``printer_pins.json``.  A few small problems pin the oracle's
+model lines and its bounded status, and one nested proof pins ``--mode
+translate``.
+
+The trusted modules hold no renderer: a guard parses them and rejects an
+import of ``certkernel.printer`` or a definition of a rendering function.
 """
 
+import ast
 import hashlib
 import json
 import pathlib
 
-from certkernel import parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs
+from certkernel import (
+    parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs,
+)
 from certkernel.cli import run_one
 
 HERE = pathlib.Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
 PINS = HERE / "printer_pins.json"
 
-# Satisfiable problems whose oracle reports list a model of each value kind.
-SAT_PROBLEMS = {
+# Satisfiable problems whose oracle reports list a model of each value kind,
+# and an unsatisfiable one over Int, whose search is bounded.
+ORACLE_PROBLEMS = {
     "sat_bool.cnf": "p cnf 3 2\n1 -2 0\n2 3 0\n",
-    "sat_bool.smt2": "(declare-const p Bool) (declare-const q Bool) (assert (or p q)) (assert (not q))",
+    "sat_bool.smt2": "(declare-const p Bool) (declare-const q Bool)"
+                     " (assert (or p q)) (assert (not q))",
     "sat_int.smt2": "(set-logic QF_LIA) (declare-const x Int) (declare-const y Int)"
                     " (assert (< x y)) (assert (< y 0))",
-    "sat_bv.smt2": "(set-logic QF_BV) (declare-const a (_ BitVec 3)) (declare-const b (_ BitVec 3))"
+    "sat_bv.smt2": "(set-logic QF_BV) (declare-const a (_ BitVec 3))"
+                   " (declare-const b (_ BitVec 3))"
                    " (assert (bvult a b)) (assert (= (bvand a b) #b010))",
     "sat_uf.smt2": "(set-logic QF_UF) (declare-sort U 0) (declare-const a U) (declare-const b U)"
                    " (declare-fun f (U) U) (declare-fun p (U) Bool)"
                    " (assert (not (= a b))) (assert (p (f a)))",
+    "unsat_int.smt2": "(set-logic QF_LIA) (declare-const x Int) (assert (< x 0)) (assert (> x 0))",
 }
 
 TRANSLATE_PROBLEM = """(set-logic QF_UF)
@@ -75,7 +86,7 @@ def _outputs(tmp_path):
         if prob_path.suffix == ".cnf":
             out[name, "print_dimacs"] = _digest(None, print_dimacs(problem))
             out[name, "oracle"] = _digest(*run_one(prob, None, "oracle", None, False, False))
-    for name, text in SAT_PROBLEMS.items():
+    for name, text in ORACLE_PROBLEMS.items():
         path = tmp_path / name
         path.write_text(text)
         out[name, "oracle"] = _digest(*run_one(str(path), None, "oracle", None, False, False))
@@ -95,3 +106,25 @@ def test_output_bytes_are_pinned(tmp_path):
     assert set(got) == set(pins), sorted(set(got) ^ set(pins))
     for key in sorted(got):
         assert got[key] == pins[key], f"output of {key[0]} in mode {key[1]} changed"
+
+
+TRUSTED = ("terms", "steps", "kernel", "resolution", "euf", "lia", "bitblast", "frontend")
+RENDERERS = {"to_sexpr", "clause_to_sexpr", "stats_report", "print_certificate",
+             "print_dimacs", "_render_payload"}
+
+
+def test_trusted_modules_hold_no_renderer():
+    """The trusted modules neither import the printer nor define a renderer."""
+    src = HERE.parent / "src" / "certkernel"
+    for name in TRUSTED:
+        tree = ast.parse((src / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                assert module not in (".printer", "certkernel.printer"), name
+                if module in (".", "certkernel"):
+                    assert "printer" not in {a.name for a in node.names}, name
+            elif isinstance(node, ast.Import):
+                assert "certkernel.printer" not in {a.name for a in node.names}, name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name not in RENDERERS, f"{name} defines {node.name}"

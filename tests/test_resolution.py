@@ -6,7 +6,7 @@ import gens
 from certkernel import (
     BOOL, INT, CnfPayload, RuleKind, TRIVIALLY_TRUE, TermStore, cnf_lemma,
     is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain,
-    resolve_pair,
+    resolve_pair, to_sexpr,
 )
 
 
@@ -180,6 +180,6 @@ def test_cnf_lemma_every_emission_is_a_tautology():
         clause = cnf_lemma(store, rule, payload)
         if clause == TRIVIALLY_TRUE:
             continue
-        assert is_tautology(store, clause), (rule, store.to_sexpr(target))
+        assert is_tautology(store, clause), (rule, to_sexpr(store, target))
         checked += 1
     assert checked > 300

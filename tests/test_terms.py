@@ -7,7 +7,7 @@ import pytest
 import gens
 from certkernel import (
     BOOL, INT, BitVecSort, FunSym, Kind, Literal, SortError, TermStore,
-    UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos,
+    UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos, to_sexpr,
 )
 
 
@@ -103,7 +103,7 @@ def test_bv_const_width_and_bits():
     store = TermStore()
     t = store.bv_const_of_int(5, 3)
     assert store.node(t).extra == (True, False, True)  # LSB first
-    assert store.to_sexpr(t) == "#b101"
+    assert to_sexpr(store, t) == "#b101"
     with pytest.raises(SortError):
         store.bv_const([])
 
@@ -183,7 +183,7 @@ def test_hash_consing_soundness_printed_forms():
         gens.rand_bool_term(store, rng, atoms, 3)
     printed = {}
     for tid in range(len(store)):
-        text = store.to_sexpr(tid)
+        text = to_sexpr(store, tid)
         assert printed.setdefault(text, tid) == tid
 
 
