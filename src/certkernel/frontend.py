@@ -32,9 +32,14 @@ starting with ``$`` are reserved for the predicate encoding (an
 uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
-Two line shapes that make up most large inputs take a fast path.  A DIMACS
-clause line of ASCII signed numerals separated by spaces or tabs is
-converted in bulk, straight to literal encodings.  ``_fast_step`` reads
+Two input shapes that make up most large inputs take a fast path.  A
+DIMACS clause body, every line after the header, that holds only ASCII
+digits, ``-``, spaces, tabs and line breaks is converted at once: one
+``int`` conversion of all its fields, one range check and a check that the
+last value is the final ``0``; any other body, and any body that would
+raise, goes through the line reader, which alone reports errors.  The
+header's variables ``v1`` .. ``vV`` are made by one ``TermStore.bool_vars``
+call.  ``_fast_step`` reads
 certificate lines written with single spaces, as
 ``printer.print_certificate`` writes them, with a regex instead of the
 tokenizer: ``<id> <rule> (<ints>) {}`` for a rule whose payload is
@@ -47,10 +52,10 @@ certificate only adds names to ``problem.decls`` (``_parse_aux`` never
 rebinds one), a top-level payload has an empty ``let`` environment, and the
 first parse interned every node.  The text holds no ``;``, brace, tab or
 line break, so it tokenizes the same on every line.  Any other line, and
-any line that would raise (a wrong id, a forward premise, a literal out of
-range, a numeral past the digit limit), goes through the full reader, which
-alone reports errors, so every message, line and column is the same on both
-paths.
+any line that would raise (a wrong id, a forward premise, a numeral past
+the digit limit), goes through the full reader, which alone reports errors,
+so every message, line and column is the same on both paths of either
+parser.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ _SYMBOL_CHARS = frozenset(
 _NUMERAL = re.compile(r"^[0-9]+$")
 _SIGNED = re.compile(r"^-?[0-9]+$")
 _BV_LIT = re.compile(r"^#b[01]+$")
-# A DIMACS clause line of ASCII signed numerals separated by spaces or tabs.
-_DIMACS_LINE = re.compile(r"[ \t]*-?[0-9]+(?:[ \t]+-?[0-9]+)*[ \t]*")
+# A DIMACS clause body of ASCII digits, "-", spaces, tabs and line breaks.
+_DIMACS_BODY = re.compile(r"[0-9 \t\n-]*")
 # A certificate step up to its payload, and a payload of one term (a symbol,
 # or "(" to the last ")" over symbol characters, brackets and spaces), an
 # optional index and the closing brace, as print_certificate writes them.
@@ -411,73 +416,72 @@ def parse_dimacs(text: str) -> Problem:
     """Parse DIMACS CNF: ``p cnf V C`` header, 0-terminated clauses,
     ``c`` comment lines.  Literal range and clause count are enforced."""
     problem = Problem(store=TermStore(), logic="SAT")
-    store = problem.store
-
-    header: tuple[int, int] | None = None
-    codes: list[int] = []  # encoded literals of the clause being read
-    n_vars = 0
-    var_ids: list[TermId] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if header is None:
-            fields = stripped.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf" \
-                    or not _NUMERAL.match(fields[2]) or not _NUMERAL.match(fields[3]):
-                raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
-            header = (_to_int(fields[2], lineno, 1), _to_int(fields[3], lineno, 1))
-            n_vars = header[0]
-            var_ids = [store.var(f"v{i}", BOOL) for i in range(1, n_vars + 1)]
-            continue
-        # Every atom is a Bool variable made above, so the clauses need no
-        # sort check: a literal v encodes as 2 * atom + (v < 0).
-        for value in _dimacs_values(raw, lineno, n_vars):
-            if value:
-                codes.append(2 * var_ids[abs(value) - 1] + (value < 0))
-            else:
-                problem.input_clauses.append(Clause(tuple(sorted(set(codes)))))
-                codes = []
-
-    if header is None:
+        if stripped and not stripped.startswith("c"):
+            break
+    else:
         raise ParseError("missing DIMACS header", 1, 1)
-    if codes:
-        raise ParseError("last clause is missing its terminating 0",
-                         len(text.splitlines()) or 1, 1)
-    if len(problem.input_clauses) != header[1]:
+    fields = stripped.split()
+    if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf" \
+            or not _NUMERAL.match(fields[2]) or not _NUMERAL.match(fields[3]):
+        raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
+    n_vars = _to_int(fields[2], lineno, 1)
+    n_clauses = _to_int(fields[3], lineno, 1)
+    var_ids = problem.store.bool_vars(f"v{i}" for i in range(1, n_vars + 1))
+
+    # Every atom is a Bool variable made above, so the clauses need no
+    # sort check: a literal v encodes as 2 * atom + (v < 0).
+    codes: list[int] = []  # encoded literals of the clause being read
+    for value in _dimacs_body(lines, lineno, n_vars):
+        if value:
+            codes.append(2 * var_ids[abs(value) - 1] + (value < 0))
+        else:
+            problem.input_clauses.append(Clause(tuple(sorted(set(codes)))))
+            codes = []
+    if len(problem.input_clauses) != n_clauses:
         raise ParseError(
-            f"header promises {header[1]} clauses, found {len(problem.input_clauses)}",
-            len(text.splitlines()) or 1, 1)
+            f"header promises {n_clauses} clauses, found {len(problem.input_clauses)}",
+            len(lines) or 1, 1)
     problem.dimacs_vars = tuple(var_ids)
     return problem
 
 
-def _dimacs_values(raw: str, lineno: int, n_vars: int) -> list[int]:
-    """The literals of one clause line, 0 for a clause end.
+def _dimacs_body(lines: list[str], header: int, n_vars: int) -> list[int]:
+    """The literals of the lines after line ``header``, 0 for a clause end;
+    the last value is 0.
 
-    A line of ASCII signed numerals in range takes one regex match and one
-    bulk conversion.  Any other line, and any line that would raise, goes
-    through the field-by-field reader, which alone reports errors.
+    A body of ASCII digits, ``-``, spaces, tabs and line breaks takes one
+    bulk conversion, one range check and a check for the final 0.  Any
+    other body, and any body that would raise, is read line by line and
+    field by field, and only that reader reports errors.
     """
-    if _DIMACS_LINE.fullmatch(raw):
+    body = "\n".join(lines[header:])
+    if _DIMACS_BODY.fullmatch(body):
         try:
-            values = list(map(int, raw.split()))
-        except ValueError:  # past CPython's digit limit for int-string conversion
+            values = list(map(int, body.split()))
+        except ValueError:  # "-", "1-2", or past CPython's digit limit
             pass
         else:
-            if -n_vars <= min(values) and max(values) <= n_vars:
+            if not values or (values[-1] == 0
+                              and -n_vars <= min(values) and max(values) <= n_vars):
                 return values
     values = []
-    col = 1
-    for fieldtext in raw.split():
-        col = raw.index(fieldtext, col - 1) + 1
-        if not _SIGNED.match(fieldtext):
-            raise ParseError(f"expected a literal, got {fieldtext!r}", lineno, col)
-        value = _to_int(fieldtext, lineno, col)
-        if value and not 1 <= abs(value) <= n_vars:
-            raise ParseError(f"literal {value} out of range 1..{n_vars}", lineno, col)
-        values.append(value)
+    for lineno, raw in enumerate(lines[header:], start=header + 1):
+        if raw.strip().startswith("c"):
+            continue
+        col = 1
+        for fieldtext in raw.split():
+            col = raw.index(fieldtext, col - 1) + 1
+            if not _SIGNED.match(fieldtext):
+                raise ParseError(f"expected a literal, got {fieldtext!r}", lineno, col)
+            value = _to_int(fieldtext, lineno, col)
+            if value and not 1 <= abs(value) <= n_vars:
+                raise ParseError(f"literal {value} out of range 1..{n_vars}", lineno, col)
+            values.append(value)
+    if values and values[-1]:
+        raise ParseError("last clause is missing its terminating 0", len(lines) or 1, 1)
     return values
 
 

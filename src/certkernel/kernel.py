@@ -159,14 +159,15 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             return result(Verdict.TRUSTED)
         return result(Verdict.VALID)
 
-    if any(c.is_empty() for c in clauses):
+    if any(not c.enc for c in clauses):
         return finish()
 
     for step in cert.steps:
         if step.id != len(clauses):
             return result(Verdict.INVALID,
                           f"step id {step.id}, expected {len(clauses)}", step.id)
-        if any(not (0 <= p < step.id) for p in step.premises):
+        ps = step.premises
+        if ps and (min(ps) < 0 or max(ps) >= step.id):
             return result(Verdict.INVALID, "bad premise reference", step.id)
         entry = RULES.get(step.rule)
         if entry is None or not isinstance(step.payload, entry.payload):
@@ -178,7 +179,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                 ctx.bitblast.note_used(_clause_vars(store, clauses[scanned]))
                 scanned += 1
 
-        premises = [clauses[p] for p in step.premises]
+        premises = [clauses[p] for p in ps]
         conclusion = dispatch(ctx, step.rule, premises, step.payload)
 
         if entry.declares and conclusion == TRIVIALLY_TRUE \

@@ -7,7 +7,9 @@ contribute anything stronger than a tautology.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 from .steps import RuleKind
 from .terms import (
@@ -44,15 +46,9 @@ def resolve_pair(c1: Clause, c2: Clause) -> Clause:
     return Clause(tuple(sorted(merged)))
 
 
-def resolve_chain(premises) -> Clause:
+def resolve_chain(premises: Sequence[Clause]) -> Clause:
     """Left-fold of resolve_pair; a single premise returns itself."""
-    premises = list(premises)
-    if not premises:
-        return TRIVIALLY_TRUE
-    acc = premises[0]
-    for c in premises[1:]:
-        acc = resolve_pair(acc, c)
-    return acc
+    return reduce(resolve_pair, premises) if premises else TRIVIALLY_TRUE
 
 
 @dataclass(frozen=True, slots=True)

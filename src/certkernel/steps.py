@@ -51,6 +51,10 @@ class RuleKind(Enum):
     BB_ULT = "bb_ult"
     ASSUME = "assume"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it runs in C, Enum.__hash__ in Python.
+    __hash__ = object.__hash__
+
 
 RULE_BY_NAME = {r.value: r for r in RuleKind}
 

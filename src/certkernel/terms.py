@@ -113,6 +113,10 @@ class Kind(Enum):
     BV_ADD = "bvadd"
     BV_ULT = "bvult"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it runs in C, Enum.__hash__ in Python.
+    __hash__ = object.__hash__
+
 
 # Kinds whose Bool structure the propositional rules can decompose; any other
 # Bool-sorted node acts as an opaque atom for truth-table purposes.
@@ -278,6 +282,22 @@ class TermStore:
 
     def var(self, name: str, sort: Sort) -> TermId:
         return self.intern(Kind.VAR, (), (name, sort))
+
+    def bool_vars(self, names: Iterable[str]) -> list[TermId]:
+        """``[var(name, BOOL) for name in names]``, in order: the same ids,
+        nodes and index keys, an existing variable's id on a hit, without
+        the per-call sort computation (a Bool variable's sort is BOOL)."""
+        nodes, index = self._nodes, self._index
+        ids = []
+        for name in names:
+            if not isinstance(name, str):
+                raise SortError("variable name must be a string")
+            extra = (name, BOOL)
+            tid = index.setdefault((Kind.VAR, (), extra), len(nodes))
+            if tid == len(nodes):
+                nodes.append(Node(Kind.VAR, BOOL, (), extra))
+            ids.append(tid)
+        return ids
 
     def int_const(self, value: int) -> TermId:
         return self.intern(Kind.INT_CONST, (), value)

@@ -61,6 +61,14 @@ DIMACS_LINE_ERRORS = [
     ("  1  4 0", "literal 4 out of range 1..3", 6),
     ("1\t2 x 0", "expected a literal, got 'x'", 5),
     ("1\xa02 4 0", "literal 4 out of range 1..3", 5),
+    # the last line is the one reported: after valid lines, across line
+    # breaks other than \n, and for a last clause without its 0
+    ("1 0\n-2 0\n1 x 0", "expected a literal, got 'x'", 3),
+    ("1 0\r2 0\x0b4 0", "literal 4 out of range 1..3", 1),
+    ("1 0\x0c-3 -9 0", "literal -9 out of range 1..3", 4),
+    ("1 0\nc note\n2 0\n-4 0", "literal -4 out of range 1..3", 1),
+    ("1 -2", "last clause is missing its terminating 0", 1),
+    ("1 0\n2 -3 0\n3", "last clause is missing its terminating 0", 1),
 ]
 
 
@@ -72,15 +80,18 @@ def _short(text):
 @pytest.mark.parametrize("line,message,col", DIMACS_LINE_ERRORS,
                          ids=[_short(case[0]) for case in DIMACS_LINE_ERRORS])
 def test_dimacs_line_errors_keep_message_and_column(line, message, col):
+    text = "p cnf 3 1\n" + line + "\n"
     with pytest.raises(ParseError) as e:
-        parse_dimacs("p cnf 3 1\n" + line + "\n")
-    assert (str(e.value), e.value.line, e.value.col) == (f"line 2, col {col}: {message}", 2, col)
+        parse_dimacs(text)
+    n = len(text.splitlines())
+    assert (str(e.value), e.value.line, e.value.col) == (f"line {n}, col {col}: {message}", n, col)
 
 
 def test_dimacs_clause_line_shapes():
     one = [(4, 7)]  # (v1 or not v2): v1, v2 intern as ids 2, 3
     for line in ("1 -2 0", "1\t-2 0", "1 -2 -0", " 1 -2 0 ", "1 -2\n0",
-                 "-2 1 1 0", "01 -02 0", "1\xa0-2 0", "1\n-2 0"):
+                 "-2 1 1 0", "01 -02 0", "1\xa0-2 0", "1\n-2 0", "1\nc note\n-2 0",
+                 "1\r-2 0", "1\r\n-2 0\r\n", "1\x0b-2\x0c0", "1 -2 0\x0c\x0b"):
         prob = parse_dimacs("p cnf 3 1\n" + line + "\n")
         assert [c.enc for c in prob.input_clauses] == one, repr(line)
     prob = parse_dimacs("p cnf 3 3\n1 -2 0 3 0\n-3\n2\n\n1 0\n")

@@ -53,6 +53,12 @@ def test_structural_failures():
     # forward premise
     r = check(store, inputs, Certificate((Step(2, RuleKind.RES, (0, 3)),)))
     assert r.verdict is Verdict.INVALID and "premise" in r.reason
+    # a negative premise (Python indexing would take -1 for the last slot)
+    # and a premise naming the step itself
+    for premises in ((0, -1), (2, 1)):
+        r = check(store, inputs, Certificate((Step(2, RuleKind.RES, premises),)))
+        assert (r.verdict, r.reason, r.step_id) == \
+            (Verdict.INVALID, "bad premise reference", 2), premises
     # payload/rule mismatch
     r = check(store, inputs, Certificate((Step(2, RuleKind.RES, (0,),
                                                CnfPayload(0)),)))
