@@ -17,12 +17,19 @@ certificate on stdout), and the debugging mode oracle (brute-force
 satisfiability of the input clauses; budget via CERTKERNEL_BUDGET).
 Both inputs accept ``-`` for stdin.  --machine switches to a line-oriented
 record with a stable field order.  ``certkernel.printer`` writes every report.
+
+Each pair runs with Python's cyclic garbage collector paused (``run_one``).
+A pair keeps its variables, clauses and steps alive to the end, so the
+collector's passes over that growing heap found nothing to free and cost
+about a sixth of the time of a 100 000-step resolution chain; the checker
+and parsers make no reference cycles.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import os
 import sys
 
@@ -79,7 +86,24 @@ def _parse_problem(path: str, fmt: str | None) -> Problem:
 
 def run_one(problem_path: str, proof_path: str | None, mode: str,
             fmt: str | None, machine: bool, strict: bool) -> tuple[int, str]:
-    """Process one problem/proof pair; returns (exit code, report text)."""
+    """Process one problem/proof pair; returns (exit code, report text).
+
+    The cyclic garbage collector is paused for the pair and switched back
+    on afterwards, however the pair ends, if it was on before; reference
+    counting still frees everything.  The switch is process-wide, so
+    run_one is not for concurrent calls from several threads.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_pair(problem_path, proof_path, mode, fmt, machine, strict)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_pair(problem_path: str, proof_path: str | None, mode: str,
+              fmt: str | None, machine: bool, strict: bool) -> tuple[int, str]:
     try:
         problem = _parse_problem(problem_path, fmt)
         if mode == "oracle":

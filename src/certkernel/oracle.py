@@ -192,25 +192,18 @@ def abstract_atoms(store: TermStore, roots) -> tuple[TermId, ...]:
     """
     seen: set[TermId] = set()
     atoms: set[TermId] = set()
-
-    def walk(t: TermId):
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
         if t in seen:
-            return
+            continue
         seen.add(t)
         node = store.node(t)
-        if node.kind in (Kind.TRUE, Kind.FALSE):
-            return
-        if node.kind in BOOL_STRUCTURE:
-            if node.kind is Kind.ITE and store.sort_of(t) != BOOL:
-                atoms.add(t)
-                return
-            for a in node.args:
-                walk(a)
-        else:
+        if node.kind not in BOOL_STRUCTURE \
+                or (node.kind is Kind.ITE and store.sort_of(t) != BOOL):
             atoms.add(t)
-
-    for r in roots:
-        walk(r)
+        else:  # a connective; TRUE and FALSE have no arguments
+            stack.extend(node.args)
     return tuple(sorted(atoms))
 
 
@@ -310,12 +303,7 @@ def _collect_symbols(store: TermStore, clauses):
     elem_vars: dict[UninterpretedSort, set[TermId]] = {}
     funs: set[FunSym] = set()
     u_terms: dict[UninterpretedSort, set[TermId]] = {}
-    seen: set[TermId] = set()
-
-    def walk(t: TermId):
-        if t in seen:
-            return
-        seen.add(t)
+    for t in store.postorder(atom for clause in clauses for atom in clause.atoms()):
         node = store.node(t)
         sort = node.sort
         if isinstance(sort, UninterpretedSort):
@@ -331,12 +319,6 @@ def _collect_symbols(store: TermStore, clauses):
                 elem_vars.setdefault(sort, set()).add(t)
         elif node.kind is Kind.APPLY:
             funs.add(node.extra)
-        for a in node.args:
-            walk(a)
-
-    for clause in clauses:
-        for atom in clause.atoms():
-            walk(atom)
     return bool_vars, int_vars, bv_vars, elem_vars, funs, u_terms
 
 
@@ -455,28 +437,11 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
     exists, which is sound for refuting bad lemmas but cannot certify
     validity.  Raises ResourceError past the evaluation budget.
     """
-    carriers: set[TermId] = set()
-    funs: set[FunSym] = set()
-    seen: set[TermId] = set()
-
-    def walk(t: TermId):
-        if t in seen:
-            return
-        seen.add(t)
-        node = store.node(t)
-        if node.kind in (Kind.VAR, Kind.INT_CONST):
-            carriers.add(t)
-        elif node.kind is Kind.APPLY:
-            funs.add(node.extra)
-        for a in node.args:
-            walk(a)
-
     for atom in lemma.atoms():
         if store.kind(atom) is not Kind.EQ:
             raise ResourceError(f"lemma atom {to_sexpr(store, atom)} is not an equality")
-        walk(atom)
-
-    order = sorted(carriers)
+    order = [t for t in store.postorder(lemma.atoms())
+             if store.kind(t) in (Kind.VAR, Kind.INT_CONST)]
     counter = [0]
     for d in range(1, max_domain + 1):
         values = list(range(d))

@@ -69,37 +69,40 @@ def linearize(proof: NestedProof, n_inputs: int) -> Certificate:
     nothing partial is returned on error.
     """
     steps: list[Step] = []
-
-    def emit(node: NestedProof, env: dict[str, int]) -> int:
-        if isinstance(node, NRef):
-            if node.name not in env:
-                raise UnboundNameError(f"unbound lemma name {node.name}")
-            return env[node.name]
-        if isinstance(node, NLet):
-            if node.name in env:
-                raise UnboundNameError(f"lemma name {node.name} is shadowed")
-            bound_id = emit(node.bound, env)
-            return emit(node.body, {**env, node.name: bound_id})
-        if isinstance(node, NStep):
-            premises = []
-            for p in node.premises:
-                if isinstance(p, int):
-                    if not 0 <= p < n_inputs:
-                        raise UnboundNameError(f"input clause id {p} out of range")
-                    premises.append(p)
-                elif isinstance(p, str):
-                    if p not in env:
-                        raise UnboundNameError(f"unbound lemma name {p}")
-                    premises.append(env[p])
-                else:
-                    premises.append(emit(p, env))
-            step_id = n_inputs + len(steps)
-            steps.append(Step(step_id, node.rule, tuple(premises), node.payload))
-            return step_id
-        raise UnboundNameError(f"not a proof node: {node!r}")
-
-    root_id = emit(proof, {})
+    root_id = _emit(proof, {}, steps, n_inputs)
     return Certificate(tuple(steps), qed=root_id)
+
+
+def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: int) -> int:
+    """Append node's steps to steps; returns the id of its conclusion.  A
+    module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which only the cyclic collector frees."""
+    if isinstance(node, NRef):
+        if node.name not in env:
+            raise UnboundNameError(f"unbound lemma name {node.name}")
+        return env[node.name]
+    if isinstance(node, NLet):
+        if node.name in env:
+            raise UnboundNameError(f"lemma name {node.name} is shadowed")
+        bound_id = _emit(node.bound, env, steps, n_inputs)
+        return _emit(node.body, {**env, node.name: bound_id}, steps, n_inputs)
+    if isinstance(node, NStep):
+        premises = []
+        for p in node.premises:
+            if isinstance(p, int):
+                if not 0 <= p < n_inputs:
+                    raise UnboundNameError(f"input clause id {p} out of range")
+                premises.append(p)
+            elif isinstance(p, str):
+                if p not in env:
+                    raise UnboundNameError(f"unbound lemma name {p}")
+                premises.append(env[p])
+            else:
+                premises.append(_emit(p, env, steps, n_inputs))
+        step_id = n_inputs + len(steps)
+        steps.append(Step(step_id, node.rule, tuple(premises), node.payload))
+        return step_id
+    raise UnboundNameError(f"not a proof node: {node!r}")
 
 
 def compact(cert: Certificate, n_inputs: int) -> Certificate:

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, modes."""
 
+import gc
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,13 @@ ASSUME_CERT = """2 assume () {(not (= a b))}
 3 res (0 2) {}
 qed 3
 """
+
+NESTED = ("(let ((L (step euf () {(lemma (not (= a b)) (= (f a) (f b)))"
+          " (just (hyp 0) (cong f 0))})))\n"
+          "  (step res ((step not_not () {(not (= (f a) (f b))) 0})"
+          " 1 L 0) {}))\n")
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.fixture
@@ -135,11 +144,7 @@ def test_stats_mode(files, capsys):
 
 def test_translate_mode(files, capsys, tmp_path):
     nested = tmp_path / "tree.nest"
-    nested.write_text(
-        "(let ((L (step euf () {(lemma (not (= a b)) (= (f a) (f b)))"
-        " (just (hyp 0) (cong f 0))})))\n"
-        "  (step res ((step not_not () {(not (= (f a) (f b))) 0})"
-        " 1 L 0) {}))\n")
+    nested.write_text(NESTED)
     code = main(["--problem", str(files / "prob.smt2"),
                  "--proof", str(nested), "--mode", "translate"])
     assert code == 0
@@ -404,3 +409,80 @@ def test_aux_group_must_be_headed_by_aux(tmp_path):
     cert.write_text("1 bb_var () {a (aux v w)}\nqed 1\n")
     code, report = run_one(str(prob), str(cert), "check", None, False, False)
     assert code == 1 and report.startswith("INVALID"), report
+
+
+def test_pairs_leave_no_cyclic_garbage(files):
+    """The premise of run_one's collector pause: with the collector off,
+    every corpus pair in every mode, a rejected certificate and a missing
+    file leave nothing that only the cyclic collector could free."""
+    (files / "bad.cert").write_text("2 res (0) {}\nqed 2\n")
+    (files / "tree.nest").write_text(NESTED)
+    runs = []
+    for cert in sorted(CORPUS.rglob("*.cert")):
+        problem = cert.with_suffix(".cnf")
+        if not problem.exists():
+            problem = cert.with_suffix(".smt2")
+        for mode, machine in (("check", False), ("check", True), ("stats", False),
+                              ("translate", False), ("oracle", False)):
+            runs.append((str(problem), str(cert), mode, machine))
+    runs += [(str(files / "prob.smt2"), str(files / "tree.nest"), "translate", False),
+             (str(files / "prob.cnf"), str(files / "bad.cert"), "check", False),
+             (str(files / "nope.smt2"), str(files / "prob.cert"), "check", False)]
+    codes = []
+    gc.collect()
+    gc.disable()
+    try:
+        for problem, proof, mode, machine in runs:
+            codes.append(run_one(problem, proof, mode, None, machine, False)[0])
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert len(runs) > 150 and codes[-3:] == [0, 1, 3]
+    assert garbage == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("case", ["valid", "invalid", "parse error", "internal error",
+                                  "interrupt"])
+def test_run_one_pauses_and_restores_the_collector(files, monkeypatch, case, collecting):
+    """The collector is off while a pair runs, and afterwards it is as it
+    was before, on every way out of run_one: each exit code, and an
+    exception that escapes run_one."""
+    import certkernel.cli as cli
+
+    (files / "bad.cert").write_text("2 res (0) {}\nqed 2\n")
+    (files / "junk.smt2").write_text("(assert (= a b)\n")
+    problem, proof, expected = {
+        "valid": ("prob.cnf", "cnf.cert", 0),
+        "invalid": ("prob.cnf", "bad.cert", 1),
+        "parse error": ("junk.smt2", "prob.cert", 3),
+        "internal error": ("prob.cnf", "cnf.cert", 3),
+        "interrupt": ("prob.cnf", "cnf.cert", None),
+    }[case]
+    read = cli._read
+    paused = []
+
+    def spy(path):
+        paused.append(not gc.isenabled())
+        return read(path)
+
+    def broken(store, inputs, cert):
+        raise (ValueError if case == "internal error" else KeyboardInterrupt)("bug")
+
+    monkeypatch.setattr(cli, "_read", spy)
+    if case in ("internal error", "interrupt"):
+        monkeypatch.setattr(cli, "check", broken)
+    args = (str(files / problem), str(files / proof), "check", None, False, False)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if expected is None:
+            with pytest.raises(KeyboardInterrupt):
+                run_one(*args)
+        else:
+            assert run_one(*args)[0] == expected
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused and all(paused)
+    assert after is collecting

@@ -7,7 +7,9 @@ from certkernel import (
     TermStore, UninterpretedSort, brute_unsat, euf_lemma_valid, eval_clause,
     eval_term, is_tautology, mk_clause, neg, pos, propositionally_implies,
 )
-from certkernel.oracle import EXHAUSTED, SAT, UNSAT, bits_to_int, int_to_bits
+from certkernel.oracle import (
+    EXHAUSTED, SAT, UNSAT, abstract_atoms, bits_to_int, int_to_bits,
+)
 
 
 def test_eval_constants_and_comparison():
@@ -101,6 +103,18 @@ def test_tautology_and_implication():
     premises = [mk_clause(store, [pos(p), pos(q)]), mk_clause(store, [neg(p)])]
     assert propositionally_implies(store, premises, mk_clause(store, [pos(q)]))
     assert not propositionally_implies(store, premises, mk_clause(store, [pos(p)]))
+
+
+def test_depth_10000_terms_walk_without_recursion():
+    store = TermStore()
+    p = store.var("p", BOOL)
+    atom = store.le(store.var("x", INT), store.int_const(0))
+    t = store.and_([p, atom])
+    for _ in range(10_000):
+        t = store.not_(t)
+    assert abstract_atoms(store, [t]) == (p, atom)
+    # 2 * 21 assignments exceed the budget only after the symbols are known
+    assert brute_unsat(store, [mk_clause(store, [pos(t)])], budget=41).status == EXHAUSTED
 
 
 def test_euf_lemma_validity():
