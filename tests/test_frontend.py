@@ -200,6 +200,20 @@ def test_smt2_unsupported_features():
         parse_smt2("(declare-const p Bool)\n(assert (= p 1))\n")
 
 
+def test_smt2_reader_error_precedence_and_columns():
+    """A bad character on a later line beats an unbalanced bracket on an
+    earlier one; a tab and a carriage return inside a line are one column
+    each."""
+    text = "(declare-const p Bool)\n(assert p))\n\n\n(assert \x0b p)\n"
+    with pytest.raises(ParseError) as e:
+        parse_smt2(text)
+    assert (str(e.value), e.value.line, e.value.col) \
+        == ("line 5, col 9: unexpected character '\\x0b'", 5, 9)
+    with pytest.raises(ParseError) as e:
+        parse_smt2("(declare-const p Bool)\r\n(assert\tp)\r\r)\n")
+    assert (str(e.value), e.value.line, e.value.col) == ("line 2, col 13: unbalanced ')'", 2, 13)
+
+
 # -- certificates -------------------------------------------------------------
 
 def _simple_problem():
@@ -266,6 +280,13 @@ CERT_LINE_ERRORS = [
     ("2 res (0 ١) {}", ParseError, "unexpected character '١'", 10),
     ("2 res (0 1) {} 5", ParseError, "expected: <id> <rule> (<premises>) {<payload>}", 1),
     ("2 res (0 1) {", ParseError, "missing closing '}'", 13),
+    # An unexpected character anywhere beats an earlier unbalanced bracket,
+    # only the first unbalanced bracket is reported, and a tab is one column.
+    ("2 res (0 1)) {} ١", ParseError, "unexpected character '١'", 17),
+    ("2 res (0 1)) {}}", ParseError, "unbalanced ')'", 12),
+    ("2 res (0 1} {)", ParseError, "unbalanced '}'", 11),
+    ("2\tres (0 x) {}", ParseError, "expected an integer", 10),
+    ("\t2 res (0 1) {", ParseError, "missing closing '}'", 14),
 ]
 
 
