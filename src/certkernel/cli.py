@@ -216,9 +216,11 @@ def _run_pool(tasks: list, jobs: int) -> list[tuple[int, str]]:
     example under the OOM killer) breaks the pool: every pair not finished
     by then gets the exit-3 line, and the finished pairs keep their reports.
     It catches BrokenExecutor, the base class of BrokenProcessPool, because
-    naming the latter imports the process-pool module on every start-up."""
+    naming the latter imports the process-pool module on every start-up.
+    The pool forks all of its workers at the first submit, so it gets no
+    more workers than tasks."""
     futures = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         for task in tasks:
             try:
                 futures.append(pool.submit(_run_star, task))

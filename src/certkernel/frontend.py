@@ -1,7 +1,7 @@
 """Trusted parsers: DIMACS, an SMT-LIB 2 subset, and the certificate format.
 
 These are the only components whose correctness the checking pipeline takes
-on trust, so they stay deliberately small: tokenize, read s-expressions,
+on trust, so they stay deliberately small: read s-expressions in one pass,
 intern terms against the problem's store.  All three parsers are total over
 byte streams — they return a value or raise a structured error carrying a
 1-based line and column, never crash.  UTF-8 text, LF or CRLF.  Nothing
@@ -39,10 +39,9 @@ digits, ``-``, spaces, tabs and line breaks is converted at once: one
 last value is the final ``0``; any other body, and any body that would
 raise, goes through the line reader, which alone reports errors.  The
 header's variables ``v1`` .. ``vV`` are made by one ``TermStore.bool_vars``
-call.  ``_fast_step`` reads
-certificate lines written with single spaces, as
+call.  ``_fast_step`` reads certificate lines written with single spaces, as
 ``printer.print_certificate`` writes them, with a regex instead of the
-tokenizer: ``<id> <rule> (<ints>) {}`` for a rule whose payload is
+s-expression reader: ``<id> <rule> (<ints>) {}`` for a rule whose payload is
 ``type(None)``, and ``<id> <rule> (<ints>) {<term>[ <index>]}`` for a
 ``CnfPayload`` rule, or a ``BvPayload`` rule without the index, if a memo
 local to the ``parse_certificate`` call maps the term's text to the id the
@@ -51,7 +50,7 @@ index, so no aux group).  A hit is the id a second parse would give: a
 certificate only adds names to ``problem.decls`` (``_parse_aux`` never
 rebinds one), a top-level payload has an empty ``let`` environment, and the
 first parse interned every node.  The text holds no ``;``, brace, tab or
-line break, so it tokenizes the same on every line.  Any other line, and
+line break, so it reads the same on every line.  Any other line, and
 any line that would raise (a wrong id, a forward premise, a numeral past
 the digit limit), goes through the full reader, which alone reports errors,
 so every message, line and column is the same on both paths of either
@@ -109,61 +108,48 @@ class SList:
     col: int
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = first_line, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "(){}":
-            tokens.append(Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and (text[i] in _SYMBOL_CHARS or text[i] == "#"):
-                i += 1
-                col += 1
-            if i == start:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            tokens.append(Token(text[start:i], line, start_col))
-    return tokens
-
-
+# One lexeme per match: a symbol, a bracket, a line break or the end of the
+# text after an optional ";" comment, or any other character but a blank
+# (" ", tab, carriage return).  Each character but a line break is one column.
+_LEXEME = re.compile(rf"([{_SYM}]+)|([(){{}}])|(?:;[^\n]*)?(\n|\Z)|([^ \t\r])")
 _CLOSING = {"(": ")", "{": "}"}
 
 
-def read_sexprs(tokens: list[Token]) -> list:
-    """Group tokens into s-expressions.  Iterative, so any depth is read."""
+def read_sexprs(text: str, first_line: int = 1) -> list:
+    """Read text into symbol Tokens grouped in SLists, in one iterative pass,
+    so any depth is read.  An unexpected character anywhere is reported before
+    the first unbalanced bracket, and that before a missing closing bracket,
+    which is reported at the last symbol or bracket."""
     items: list = []
-    open_lists: list[tuple[list, Token]] = []  # (enclosing items, opening token)
-    for t in tokens:
-        if t.text in _CLOSING:
-            open_lists.append((items, t))
-            items = []
-        elif t.text in (")", "}"):
-            if not open_lists or _CLOSING[open_lists[-1][1].text] != t.text:
-                raise ParseError(f"unbalanced {t.text!r}", t.line, t.col)
-            outer, opener = open_lists.pop()
-            outer.append(SList(items, opener.text, opener.line, opener.col))
-            items = outer
+    open_lists: list[tuple[list, str]] = []  # (enclosing items, closing bracket)
+    line, line_start = first_line, 0
+    unbalanced = last = None
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            line, line_start = line + 1, m.end()
+            continue
+        last, col = m, m.start() - line_start + 1
+        if group == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", line, col)
+        if unbalanced is not None:
+            continue
+        if group == 1:
+            items.append(Token(m[1], line, col))
+        elif (bracket := m[2]) in _CLOSING:
+            open_lists.append((items, _CLOSING[bracket]))
+            items.append(SList([], bracket, line, col))
+            items = items[-1].items
+        elif open_lists and open_lists[-1][1] == bracket:
+            items = open_lists.pop()[0]
         else:
-            items.append(t)
+            unbalanced = ParseError(f"unbalanced {bracket!r}", line, col)
+    if unbalanced is not None:
+        raise unbalanced
     if open_lists:
-        last = tokens[-1]
-        raise ParseError(f"missing closing {_CLOSING[open_lists[-1][1].text]!r}",
-                         last.line, last.col)
+        at = last.start()
+        raise ParseError(f"missing closing {open_lists[-1][1]!r}",
+                         first_line + text.count("\n", 0, at), at - text.rfind("\n", 0, at))
     return items
 
 
@@ -359,7 +345,7 @@ def parse_smt2(text: str) -> Problem:
     the fragment and ParseError for malformed input.
     """
     problem = Problem(store=TermStore())
-    for cmd in read_sexprs(tokenize(text)):
+    for cmd in read_sexprs(text):
         if not isinstance(cmd, SList) or not cmd.items or not isinstance(cmd.items[0], Token):
             raise ParseError("expected a command", *_pos_of(cmd))
         head = cmd.items[0].text
@@ -679,7 +665,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             steps.append(step)
             next_id += 1
             continue
-        items = read_sexprs(tokenize(raw, first_line=lineno))
+        items = read_sexprs(raw, first_line=lineno)
         if items and isinstance(items[0], Token) and items[0].text == "qed":
             if len(items) != 2:
                 raise ParseError("qed takes one step id", lineno, 1)

@@ -6,6 +6,12 @@ tautology/implication checks, and finite-model validity for equational
 lemmas.  It shares no checking code with the checker modules, only the term
 core and the printer, and is allowed to be exponential.
 
+One evaluator serves every search: ``_eval`` walks ``store.postorder``
+bottom-up over a memo seeded with the values the search fixes (a model's
+variables, an assignment of abstract atoms, or of domain elements), so any
+depth is evaluated and no evaluator refers to itself.  A missing function
+entry is requested in ascending id order of its application.
+
 Verdict caveats, by construction of the budgets:
 
 * ``brute_unsat`` enumerates Int variables over a finite box and
@@ -21,6 +27,7 @@ Verdict caveats, by construction of the budgets:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import IncompleteModelError, ResourceError
@@ -55,12 +62,15 @@ class Model:
     fun_tables: dict[FunSym, tuple[dict[tuple, Value], Value | None]] = field(default_factory=dict)
     domains: dict[UninterpretedSort, int] = field(default_factory=dict)
 
-    def var_value(self, store: TermStore, t: TermId) -> Value:
-        name, sort = store.node(t).extra
-        for table in (self.bool_vals, self.int_vals, self.bv_vals, self.elem_vals):
-            if t in table:
-                return table[t]
-        raise IncompleteModelError(name)
+    def fun_value(self, fn: FunSym, args: tuple) -> Value:
+        if fn not in self.fun_tables:
+            raise IncompleteModelError(fn.name)
+        entries, default = self.fun_tables[fn]
+        if args in entries:
+            return entries[args]
+        if default is None:
+            raise IncompleteModelError(f"{fn.name}{args}")
+        return default
 
     def set_var(self, store: TermStore, t: TermId, value: Value) -> None:
         sort = store.sort_of(t)
@@ -82,70 +92,61 @@ def int_to_bits(value: int, width: int) -> tuple[bool, ...]:
     return tuple(bool((value >> i) & 1) for i in range(width))
 
 
-def _eval(store: TermStore, t: TermId, lookup_var, lookup_fun, memo: dict) -> Value:
-    if t in memo:
-        return memo[t]
-    node = store.node(t)
-    k = node.kind
-    if k is Kind.VAR:
-        v = lookup_var(t)
-    elif k is Kind.INT_CONST:
-        v = node.extra
-    elif k is Kind.BV_CONST:
-        v = node.extra
-    elif k is Kind.TRUE:
-        v = True
-    elif k is Kind.FALSE:
-        v = False
-    else:
-        args = [_eval(store, a, lookup_var, lookup_fun, memo) for a in node.args]
-        if k is Kind.APPLY:
-            v = lookup_fun(node.extra, tuple(args))
-        elif k is Kind.EQ:
-            v = args[0] == args[1]
-        elif k is Kind.LE:
-            v = args[0] <= args[1]
-        elif k is Kind.LT:
-            v = args[0] < args[1]
-        elif k is Kind.NOT:
-            v = not args[0]
-        elif k is Kind.AND:
-            v = all(args)
-        elif k is Kind.OR:
-            v = any(args)
-        elif k is Kind.IMPLIES:
-            v = (not args[0]) or args[1]
-        elif k is Kind.XOR:
-            v = args[0] != args[1]
-        elif k is Kind.IFF:
-            v = args[0] == args[1]
-        elif k is Kind.ITE:
-            v = args[1] if args[0] else args[2]
-        elif k is Kind.ADD:
-            v = sum(args)
-        elif k is Kind.SUB:
-            v = args[0] - args[1]
-        elif k is Kind.NEG:
-            v = -args[0]
-        elif k is Kind.MUL:
-            v = args[0] * args[1]
-        elif k is Kind.BV_NOT:
-            v = tuple(not b for b in args[0])
-        elif k is Kind.BV_AND:
-            v = tuple(a and b for a, b in zip(args[0], args[1]))
-        elif k is Kind.BV_OR:
-            v = tuple(a or b for a, b in zip(args[0], args[1]))
-        elif k is Kind.BV_XOR:
-            v = tuple(a != b for a, b in zip(args[0], args[1]))
-        elif k is Kind.BV_ADD:
-            w = len(args[0])
-            v = int_to_bits(bits_to_int(args[0]) + bits_to_int(args[1]), w)
-        elif k is Kind.BV_ULT:
-            v = bits_to_int(args[0]) < bits_to_int(args[1])
-        else:  # pragma: no cover - exhaustive over Kind
-            raise AssertionError(k)
-    memo[t] = v
-    return v
+# Kind -> the value of a node of that kind from its argument values.
+_SEMANTICS = {
+    Kind.TRUE: lambda: True, Kind.FALSE: lambda: False,
+    Kind.NOT: operator.not_, Kind.AND: lambda *args: all(args),
+    Kind.OR: lambda *args: any(args), Kind.IMPLIES: lambda a, b: (not a) or b,
+    Kind.XOR: operator.ne, Kind.IFF: operator.eq, Kind.EQ: operator.eq,
+    Kind.ITE: lambda c, a, b: a if c else b,
+    Kind.LE: operator.le, Kind.LT: operator.lt, Kind.ADD: lambda *args: sum(args),
+    Kind.SUB: operator.sub, Kind.NEG: operator.neg, Kind.MUL: operator.mul,
+    Kind.BV_NOT: lambda a: tuple(not x for x in a),
+    Kind.BV_AND: lambda a, b: tuple(x and y for x, y in zip(a, b)),
+    Kind.BV_OR: lambda a, b: tuple(x or y for x, y in zip(a, b)),
+    Kind.BV_XOR: lambda a, b: tuple(x != y for x, y in zip(a, b)),
+    Kind.BV_ADD: lambda a, b: int_to_bits(bits_to_int(a) + bits_to_int(b), len(a)),
+    Kind.BV_ULT: lambda a, b: bits_to_int(a) < bits_to_int(b),
+}
+
+
+def _eval(store: TermStore, t: TermId, memo: dict, lookup_fun) -> Value:
+    """The value of t, in one bottom-up pass over its nodes not in memo.
+
+    memo maps ids to values: the caller seeds it with the value of every
+    variable, and it gains every node evaluated.  A variable not in memo is
+    an IncompleteModelError, a constant is its own value, an application is
+    ``lookup_fun(function symbol, argument values)``, and any other node
+    follows _SEMANTICS.
+    """
+    for u in store.postorder((t,), memo):
+        node = store.node(u)
+        kind = node.kind
+        if kind is Kind.VAR:
+            raise IncompleteModelError(node.extra[0])
+        args = tuple(map(memo.__getitem__, node.args))
+        if kind is Kind.APPLY:
+            memo[u] = lookup_fun(node.extra, args)
+        elif kind is Kind.INT_CONST or kind is Kind.BV_CONST:
+            memo[u] = node.extra
+        else:
+            memo[u] = _SEMANTICS[kind](*args)
+    return memo[t]
+
+
+def _holds(store: TermStore, clause: Clause, memo: dict, lookup_fun) -> bool:
+    """True iff some literal evaluates to its polarity; empty clause is false."""
+    return any(bool(_eval(store, code >> 1, memo, lookup_fun)) == ((code & 1) == 0)
+               for code in clause.enc)
+
+
+def _model_memo(model: Model, memo: dict | None) -> dict:
+    """memo, seeded with the model's variables if it is new or empty."""
+    if not memo:
+        memo = {} if memo is None else memo
+        for table in (model.elem_vals, model.bv_vals, model.int_vals, model.bool_vals):
+            memo.update(table)
+    return memo
 
 
 def eval_term(store: TermStore, model: Model, t: TermId, memo: dict | None = None) -> Value:
@@ -153,30 +154,14 @@ def eval_term(store: TermStore, model: Model, t: TermId, memo: dict | None = Non
 
     Bit-vector addition is modular at its width, bvult is the unsigned
     order.  Raises IncompleteModelError when the model misses a symbol.
+    A memo passed in is kept for later calls with the same model.
     """
-
-    def lookup_fun(fn: FunSym, args: tuple) -> Value:
-        if fn not in model.fun_tables:
-            raise IncompleteModelError(fn.name)
-        entries, default = model.fun_tables[fn]
-        if args in entries:
-            return entries[args]
-        if default is None:
-            raise IncompleteModelError(f"{fn.name}{args}")
-        return default
-
-    return _eval(store, t, lambda u: model.var_value(store, u), lookup_fun,
-                 {} if memo is None else memo)
+    return _eval(store, t, _model_memo(model, memo), model.fun_value)
 
 
 def eval_clause(store: TermStore, model: Model, clause: Clause, memo: dict | None = None) -> bool:
     """True iff some literal evaluates to its polarity; empty clause is false."""
-    if memo is None:
-        memo = {}
-    for code in clause.enc:
-        if bool(eval_term(store, model, code >> 1, memo)) == ((code & 1) == 0):
-            return True
-    return False
+    return _holds(store, clause, _model_memo(model, memo), model.fun_value)
 
 
 # ---------------------------------------------------------------------------
@@ -207,46 +192,16 @@ def abstract_atoms(store: TermStore, roots) -> tuple[TermId, ...]:
     return tuple(sorted(atoms))
 
 
+def _unassigned(fn: FunSym, args: tuple) -> Value:
+    raise IncompleteModelError(fn.name)
+
+
 def _eval_skeleton(store: TermStore, t: TermId, assign: dict[TermId, bool], memo: dict) -> bool:
-    if t in assign:
-        return assign[t]
-    if t in memo:
-        return memo[t]
-    node = store.node(t)
-    k = node.kind
-    if k is Kind.TRUE:
-        v = True
-    elif k is Kind.FALSE:
-        v = False
-    elif k is Kind.NOT:
-        v = not _eval_skeleton(store, node.args[0], assign, memo)
-    elif k is Kind.AND:
-        v = all(_eval_skeleton(store, a, assign, memo) for a in node.args)
-    elif k is Kind.OR:
-        v = any(_eval_skeleton(store, a, assign, memo) for a in node.args)
-    elif k is Kind.IMPLIES:
-        v = (not _eval_skeleton(store, node.args[0], assign, memo)) \
-            or _eval_skeleton(store, node.args[1], assign, memo)
-    elif k is Kind.XOR:
-        v = _eval_skeleton(store, node.args[0], assign, memo) \
-            != _eval_skeleton(store, node.args[1], assign, memo)
-    elif k is Kind.IFF:
-        v = _eval_skeleton(store, node.args[0], assign, memo) \
-            == _eval_skeleton(store, node.args[1], assign, memo)
-    elif k is Kind.ITE:
-        v = _eval_skeleton(store, node.args[1], assign, memo) \
-            if _eval_skeleton(store, node.args[0], assign, memo) \
-            else _eval_skeleton(store, node.args[2], assign, memo)
-    else:
-        raise IncompleteModelError(to_sexpr(store, t))
-    memo[t] = v
-    return v
-
-
-def _skeleton_clause(store: TermStore, clause: Clause, assign: dict, memo: dict) -> bool:
-    return any(
-        _eval_skeleton(store, code >> 1, assign, memo) == ((code & 1) == 0)
-        for code in clause.enc)
+    """The value of t when its abstract atoms take their values in assign.
+    memo starts empty and is kept for later calls with the same assign."""
+    if not memo:
+        memo.update(assign)
+    return _eval(store, t, memo, _unassigned)
 
 
 def is_tautology(store: TermStore, clause: Clause, max_atoms: int = 20) -> bool:
@@ -255,8 +210,7 @@ def is_tautology(store: TermStore, clause: Clause, max_atoms: int = 20) -> bool:
     if len(atoms) > max_atoms:
         raise ResourceError(f"{len(atoms)} atoms exceed the {max_atoms}-atom budget")
     for values in itertools.product((False, True), repeat=len(atoms)):
-        assign = dict(zip(atoms, values))
-        if not _skeleton_clause(store, clause, assign, {}):
+        if not _holds(store, clause, dict(zip(atoms, values)), _unassigned):
             return False
     return True
 
@@ -271,10 +225,9 @@ def propositionally_implies(store: TermStore, premises, conclusion: Clause,
     if len(atoms) > max_atoms:
         raise ResourceError(f"{len(atoms)} atoms exceed the {max_atoms}-atom budget")
     for values in itertools.product((False, True), repeat=len(atoms)):
-        assign = dict(zip(atoms, values))
-        memo: dict = {}
-        if all(_skeleton_clause(store, p, assign, memo) for p in premises) \
-                and not _skeleton_clause(store, conclusion, assign, memo):
+        memo = dict(zip(atoms, values))
+        if all(_holds(store, p, memo, _unassigned) for p in premises) \
+                and not _holds(store, conclusion, memo, _unassigned):
             return False
     return True
 
@@ -392,18 +345,14 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
             assign = dict(zip(var_order, values))
 
             def evaluate(tables, _assign=assign, _domains=domains):
-                memo: dict = {}
-
                 def lookup_fun(fn: FunSym, args: tuple):
                     key = (fn, args)
                     if key not in tables:
                         raise _NeedValue(key, _sort_values(fn.ret_sort, int_box, _domains))
                     return tables[key]
 
-                return all(
-                    any(bool(_eval(store, code >> 1, _assign.__getitem__, lookup_fun, memo))
-                        == ((code & 1) == 0) for code in clause.enc)
-                    for clause in clauses)
+                memo = dict(_assign)
+                return all(_holds(store, clause, memo, lookup_fun) for clause in clauses)
 
             try:
                 for ok, tables in _search_completions(evaluate, {}, counter, budget):
@@ -440,8 +389,15 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
     for atom in lemma.atoms():
         if store.kind(atom) is not Kind.EQ:
             raise ResourceError(f"lemma atom {to_sexpr(store, atom)} is not an equality")
-    order = [t for t in store.postorder(lemma.atoms())
-             if store.kind(t) in (Kind.VAR, Kind.INT_CONST)]
+    # Variables and integer constants are both abstract domain elements
+    # here; only applications compute.
+    order = []
+    for t in store.postorder(side for atom in lemma.atoms() for side in store.args(atom)):
+        kind = store.kind(t)
+        if kind is Kind.VAR or kind is Kind.INT_CONST:
+            order.append(t)
+        elif kind is not Kind.APPLY:
+            raise ResourceError(f"unsupported term in equality lemma: {to_sexpr(store, t)}")
     counter = [0]
     for d in range(1, max_domain + 1):
         values = list(range(d))
@@ -449,30 +405,13 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
             assign = dict(zip(order, assignment))
 
             def evaluate(tables, _assign=assign, _values=values):
-                memo: dict = {}
-
-                def ev(t: TermId):
-                    # Variables and integer constants are both abstract
-                    # domain elements here; only applications compute.
-                    if t in _assign:
-                        return _assign[t]
-                    if t in memo:
-                        return memo[t]
-                    node = store.node(t)
-                    if node.kind is not Kind.APPLY:
-                        raise ResourceError(
-                            f"unsupported term in equality lemma: {to_sexpr(store, t)}")
-                    key = (node.extra, tuple(ev(a) for a in node.args))
+                def lookup_fun(fn: FunSym, args: tuple):
+                    key = (fn, args)
                     if key not in tables:
                         raise _NeedValue(key, _values)
-                    memo[t] = tables[key]
-                    return memo[t]
+                    return tables[key]
 
-                for code in lemma.enc:
-                    l, r = store.args(code >> 1)
-                    if (ev(l) == ev(r)) == ((code & 1) == 0):
-                        return True
-                return False
+                return _holds(store, lemma, dict(_assign), lookup_fun)
 
             for ok, _tables in _search_completions(evaluate, {}, counter, budget):
                 if not ok:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnboundNameError
 from .frontend import (
-    Problem, SList, Token, parse_int, parse_payload, read_sexprs, tokenize,
+    Problem, SList, Token, parse_int, parse_payload, read_sexprs,
 )
 from .kernel import RULES
 from .steps import Certificate, RULE_BY_NAME, RuleKind, Step
@@ -201,7 +201,7 @@ def _convert(problem: Problem, sx) -> NestedProof:
 
 def parse_nested_proof(text: str, problem: Problem) -> NestedProof:
     """Parse one nested proof expression against a parsed problem."""
-    items = read_sexprs(tokenize(text))
+    items = read_sexprs(text)
     if len(items) != 1:
         raise ParseError("expected exactly one proof expression", 1, 1)
     try:

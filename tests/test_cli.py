@@ -240,6 +240,36 @@ def test_multiple_pairs_and_jobs(files, capsys):
     capsys.readouterr()
 
 
+def test_jobs_start_no_more_workers_than_pairs(files, capsys, monkeypatch):
+    """--jobs N starts min(N, pairs) workers: a process pool under the fork
+    start method forks all of its workers at the first submit.  The pool is
+    a fake that runs each pair inline and starts no process."""
+    import concurrent.futures
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    args = ["--problem", str(files / "prob.cnf"), "--proof", str(files / "cnf.cert")] * 2
+    assert main(args + ["--jobs", "5000"]) == 0
+    assert main(args[:4] * 3 + ["--jobs", "2"]) == 0
+    assert started == [2, 2]
+    capsys.readouterr()
+
+
 def test_mismatched_pair_counts(files, capsys):
     assert main(["--problem", str(files / "prob.cnf")]) == 3
 

@@ -549,17 +549,62 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
 
 
 def test_reader_takes_any_depth():
-    from certkernel.frontend import SList, read_sexprs, tokenize
+    from certkernel.frontend import SList, read_sexprs
     depth = 100_000
-    (sx,) = read_sexprs(tokenize("(" * depth + "x" + ")" * depth))
+    (sx,) = read_sexprs("(" * depth + "x" + ")" * depth)
     for _ in range(depth - 1):
         (sx,) = sx.items
         assert isinstance(sx, SList)
     assert sx.items[0].text == "x"
     with pytest.raises(ParseError, match="missing closing"):
-        read_sexprs(tokenize("(" * depth + "x" + ")" * (depth - 1)))
+        read_sexprs("(" * depth + "x" + ")" * (depth - 1))
     with pytest.raises(ParseError, match="unbalanced"):
-        read_sexprs(tokenize("{" * depth + "x" + ")" * depth))
+        read_sexprs("{" * depth + "x" + ")" * depth)
+
+
+def _read_outcome(read, text, first_line):
+    try:
+        return read(text, first_line)
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+
+
+# Edit characters: brackets, braces, comments, "#", blanks, a vertical tab,
+# line breaks, symbol characters, and non-ASCII digits and spaces.
+_READER_EDITS = "(){};#\t\r\x0b\n a1-\u0661\u0967\u00a0\u2003"
+
+
+def test_reader_matches_the_reference_reader():
+    """read_sexprs gives the trees, or the error type, message, line and
+    column, of the two-pass reader in naive_reader.py: on every corpus file
+    and on 20 000 seeded edits of corpus windows."""
+    from certkernel.frontend import read_sexprs
+    from naive_reader import naive_read_sexprs
+    texts = [p.read_text() for p in sorted(CORPUS.rglob("*")) if p.is_file()]
+    for text in texts:
+        for first_line in (1, 7):
+            assert _read_outcome(read_sexprs, text, first_line) \
+                == _read_outcome(naive_read_sexprs, text, first_line)
+    rng = random.Random(0x5E7)
+    errors = 0
+    for case in range(20_000):
+        text = rng.choice(texts)
+        start = rng.randrange(len(text))
+        chars = list(text[start:start + rng.randrange(1, 300)])
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.random()
+            if edit < 0.4 or not chars[at:]:
+                chars.insert(at, rng.choice(_READER_EDITS))
+            elif edit < 0.7:
+                chars[at] = rng.choice(_READER_EDITS)
+            else:
+                del chars[at]
+        edited, first_line = "".join(chars), rng.choice((1, 7))
+        ours = _read_outcome(read_sexprs, edited, first_line)
+        assert ours == _read_outcome(naive_read_sexprs, edited, first_line), (case, edited)
+        errors += isinstance(ours, tuple)
+    assert 5_000 < errors < 19_000
 
 
 def test_parse_determinism():
@@ -609,8 +654,8 @@ _HEAD_DECLS = """
 
 
 def _term(prob, text):
-    from certkernel.frontend import parse_term, read_sexprs, tokenize
-    (sx,) = read_sexprs(tokenize(text))
+    from certkernel.frontend import parse_term, read_sexprs
+    (sx,) = read_sexprs(text)
     return parse_term(prob, sx)
 
 

@@ -1,5 +1,7 @@
 """Semantic evaluator and brute-force search."""
 
+import gc
+
 import pytest
 
 from certkernel import (
@@ -147,3 +149,64 @@ def test_euf_oracle_budget():
     lemma = mk_clause(store, lits + [pos(store.eq(vs[0], vs[0]))])
     with pytest.raises(ResourceError):
         euf_lemma_valid(store, lemma, max_domain=3, budget=10)
+
+
+def _cyclic_garbage_after(call) -> int:
+    """Objects the cyclic collector finds after call(), with it paused."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_oracle_searches_leave_no_cyclic_garbage():
+    store = TermStore()
+    u = UninterpretedSort("U")
+    a, b = store.var("a", u), store.var("b", u)
+    f = FunSym("f", (u,), u)
+    fa, fb = store.apply(f, [a]), store.apply(f, [b])
+    cong = mk_clause(store, [neg(store.eq(a, b)), pos(store.eq(fa, fb))])
+    p = store.var("p", BOOL)
+    clauses = [mk_clause(store, [pos(store.eq(a, b))]),
+               mk_clause(store, [neg(store.eq(fa, fb)), pos(p)])]
+    assert _cyclic_garbage_after(lambda: euf_lemma_valid(store, cong)) == 0
+    assert _cyclic_garbage_after(lambda: brute_unsat(store, clauses)) == 0
+    assert _cyclic_garbage_after(lambda: is_tautology(store, cong)) == 0
+
+
+def test_oracle_evaluates_10000_deep_chains():
+    store = TermStore()
+    p = store.var("p", BOOL)
+    t = p
+    for _ in range(10_000):
+        t = store.not_(t)
+    assert brute_unsat(store, [mk_clause(store, [pos(t)])]).status == SAT
+    assert brute_unsat(store, [mk_clause(store, [pos(t)]),
+                               mk_clause(store, [neg(p)])]).status == UNSAT
+    assert is_tautology(store, mk_clause(store, [pos(t), neg(p)]))
+    u = UninterpretedSort("U")
+    a, b = store.var("a", u), store.var("b", u)
+    f = FunSym("f", (u,), u)
+    fa, fb = a, b
+    for _ in range(10_000):
+        fa, fb = store.apply(f, [fa]), store.apply(f, [fb])
+    cong = mk_clause(store, [neg(store.eq(a, b)), pos(store.eq(fa, fb))])
+    assert euf_lemma_valid(store, cong, max_domain=2)
+    assert not euf_lemma_valid(store, mk_clause(store, [pos(store.eq(fa, b))]),
+                               max_domain=2)
+
+
+def test_euf_oracle_rejects_an_arithmetic_side_before_the_search():
+    """Every lemma side is checked up front, even behind a literal that
+    holds in every interpretation."""
+    store = TermStore()
+    x, y, z = (store.var(n, INT) for n in "xyz")
+    e = store.eq(x, y)
+    lemma = mk_clause(store, [pos(e), neg(e), pos(store.eq(store.add([x, y]), z))])
+    with pytest.raises(ResourceError, match=r"unsupported term in equality lemma: \(\+ x y\)"):
+        euf_lemma_valid(store, lemma)
