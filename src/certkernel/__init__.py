@@ -25,13 +25,13 @@ from .euf import EqRule, EqStep, EufPayload, check_euf
 from .lia import LiaPayload, LinAtom, LinRel, check_lia, normalize_lia_literal
 from .bitblast import BitBlastState, BvPayload
 from .kernel import CheckContext, CheckResult, Verdict, check, dispatch
-from .frontend import Problem, parse_certificate, parse_dimacs, parse_smt2
+from .frontend import Problem, parse_dimacs, parse_smt2
 from .printer import (
     clause_to_sexpr, print_certificate, print_dimacs, stats_report, to_sexpr,
 )
 from .preproc import (
     NLet, NRef, NStep, TrustReport, compact, extract_trust, linearize,
-    parse_nested_proof,
+    parse_certificate, parse_nested_proof,
 )
 from .oracle import (
     Model, OracleResult, brute_unsat, euf_lemma_valid, eval_clause, eval_term,

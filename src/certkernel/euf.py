@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SortError
-from .terms import Clause, FunSym, Kind, TRIVIALLY_TRUE, TermId, TermStore
+from .terms import Clause, FunSym, Kind, TRIVIALLY_TRUE, TermId, TermStore, well_formed
 
 
 class EqRule(Enum):
@@ -58,20 +58,18 @@ def _lemma_shape(store: TermStore, lemma: Clause):
             if conclusion is not None:
                 return None
             conclusion = atom
-    if conclusion is None:
-        return None
     return conclusion
 
 
 def check_euf(store: TermStore, payload: EufPayload) -> Clause:
     """Replay the justification; return the lemma on success.
 
-    Total: any malformed lemma, dangling reference, middle-term mismatch in
-    a transitivity step, arity error, or wrong final pair yields the
-    trivially true clause instead.
+    Total: any malformed lemma (``terms.well_formed`` or its shape),
+    dangling reference, middle-term mismatch in a transitivity step, arity
+    error, or wrong final pair yields the trivially true clause instead.
     """
     lemma = payload.lemma
-    conclusion = _lemma_shape(store, lemma)
+    conclusion = _lemma_shape(store, lemma) if well_formed(store, lemma) else None
     if conclusion is None:
         return TRIVIALLY_TRUE
 

@@ -1,60 +1,28 @@
-"""Trusted parsers: DIMACS, an SMT-LIB 2 subset, and the certificate format.
+"""Trusted problem readers: DIMACS and an SMT-LIB 2 subset.
 
-These are the only components whose correctness the checking pipeline takes
-on trust, so they stay deliberately small: read s-expressions in one pass,
-intern terms against the problem's store.  All three parsers are total over
-byte streams — they return a value or raise a structured error carrying a
-1-based line and column, never crash.  UTF-8 text, LF or CRLF.  Nothing
-here renders text: ``certkernel.printer`` holds ``print_certificate`` and
-``print_dimacs``, which these parsers invert exactly.
+A verdict is a claim about the problem these readers build, so they are
+trusted, and they stay deliberately small: read s-expressions in one pass,
+intern terms against the problem's store.  Both are total over byte
+streams — they return a value or raise a structured error carrying a
+1-based line and column, never crash.  UTF-8 text, LF or CRLF; only a
+line feed breaks a line.  Nothing here renders text: ``certkernel.printer``
+holds ``print_dimacs``, which ``parse_dimacs`` inverts exactly.
 
-Certificate concrete syntax, one step per line::
+The certificate reader is in the untrusted ``certkernel.preproc``: the
+kernel checks every id, index and clause code a certificate carries, so a
+wrong certificate parse cannot make a satisfiable problem VALID.
 
-    <id> <rule> (<premise ids>) {<payload>}
-    qed <id>
-
-with payload terms written in SMT-LIB syntax.  Clause payloads list their
-literals directly; ``(not <atom>)`` marks a negative literal.  Lines
-starting with ``;`` are comments.  The payload shapes per rule family:
-
-    res                  {}
-    and_pos etc.         {<target term> [<index>]}
-    euf                  {(lemma <lit>*) (just <eqstep>*)}
-    lia                  {(lemma <lit>*) (farkas (<hyp> <coeff>)*) [tighten]}
-    bb_var, bb_add       {<target term> (aux <name>*)}
-    other bb rules       {<target term>}
-    assume               {<lit>*}
-
-Names introduced under ``(aux ...)`` become Bool variables on sight; their
-freshness is the kernel's business, not the parser's.  Any other second
-group, ``(foo v)`` or ``()`` say, is a ParseError at the group.  Names
-starting with ``$`` are reserved for the predicate encoding (an
+Names starting with ``$`` are reserved for the predicate encoding (an
 uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
-Two input shapes that make up most large inputs take a fast path.  A
-DIMACS clause body, every line after the header, that holds only ASCII
+A DIMACS clause body, every line after the header, that holds only ASCII
 digits, ``-``, spaces, tabs and line breaks is converted at once: one
 ``int`` conversion of all its fields, one range check and a check that the
 last value is the final ``0``; any other body, and any body that would
-raise, goes through the line reader, which alone reports errors.  The
-header's variables ``v1`` .. ``vV`` are made by one ``TermStore.bool_vars``
-call.  ``_fast_step`` reads certificate lines written with single spaces, as
-``printer.print_certificate`` writes them, with a regex instead of the
-s-expression reader: ``<id> <rule> (<ints>) {}`` for a rule whose payload is
-``type(None)``, and ``<id> <rule> (<ints>) {<term>[ <index>]}`` for a
-``CnfPayload`` rule, or a ``BvPayload`` rule without the index, if a memo
-local to the ``parse_certificate`` call maps the term's text to the id the
-full reader gave it on an earlier line whose payload was that one term (and
-index, so no aux group).  A hit is the id a second parse would give: a
-certificate only adds names to ``problem.decls`` (``_parse_aux`` never
-rebinds one), a top-level payload has an empty ``let`` environment, and the
-first parse interned every node.  The text holds no ``;``, brace, tab or
-line break, so it reads the same on every line.  Any other line, and
-any line that would raise (a wrong id, a forward premise, a numeral past
-the digit limit), goes through the full reader, which alone reports errors,
-so every message, line and column is the same on both paths of either
-parser.
+raise, goes through the line reader, which alone reports errors, so every
+message, line and column is the same on both paths.  The header's variables
+``v1`` .. ``vV`` are made by one ``TermStore.bool_vars`` call.
 """
 
 from __future__ import annotations
@@ -63,16 +31,10 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import ForwardReferenceError, ParseError, SortError, UnsupportedError
-from .euf import EqRule, EqStep, EufPayload
-from .kernel import RULES
-from .lia import LiaPayload
-from .bitblast import BvPayload
-from .resolution import CnfPayload
-from .steps import AssumePayload, Certificate, RULE_BY_NAME, RuleKind, Step
+from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
-    BOOL, Clause, FunSym, INT, Kind, Literal, Sort, TermId, TermStore,
-    BitVecSort, UninterpretedSort, mk_clause, neg, pos,
+    BOOL, Clause, FunSym, INT, Kind, Sort, TermId, TermStore,
+    BitVecSort, UninterpretedSort, mk_clause, pos,
 )
 
 LOGICS = ("SAT", "QF_UF", "QF_LIA", "QF_BV", "QF_UFLIA")
@@ -85,12 +47,7 @@ _SIGNED = re.compile(r"^-?[0-9]+$")
 _BV_LIT = re.compile(r"^#b[01]+$")
 # A DIMACS clause body of ASCII digits, "-", spaces, tabs and line breaks.
 _DIMACS_BODY = re.compile(r"[0-9 \t\n-]*")
-# A certificate step up to its payload, and a payload of one term (a symbol,
-# or "(" to the last ")" over symbol characters, brackets and spaces), an
-# optional index and the closing brace, as print_certificate writes them.
-_STEP_HEAD = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{")
 _SYM = re.escape("".join(sorted(_SYMBOL_CHARS | {"#"})))
-_ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +112,12 @@ def read_sexprs(text: str, first_line: int = 1) -> list:
 
 def _pos_of(sx) -> tuple[int, int]:
     return (sx.line, sx.col)
+
+
+def split_lines(text: str) -> list[str]:
+    """The text's lines, broken at line feeds only, as ``read_sexprs``
+    counts them; a final line feed ends the last line, not an empty one."""
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def _to_int(text: str, line: int, col: int) -> int:
@@ -222,7 +185,8 @@ def _parse_sort(problem: Problem, sx) -> Sort:
             return problem.sorts[sx.text]
         raise ParseError(f"unknown sort {sx.text}", *_pos_of(sx))
     items = sx.items
-    if len(items) == 3 and isinstance(items[0], Token) and items[0].text == "_" \
+    if sx.bracket == "(" and len(items) == 3 \
+            and isinstance(items[0], Token) and items[0].text == "_" \
             and isinstance(items[1], Token) and items[1].text == "BitVec" \
             and isinstance(items[2], Token) and _NUMERAL.match(items[2].text):
         width = _to_int(items[2].text, *_pos_of(items[2]))
@@ -257,19 +221,19 @@ def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> Te
         raise ParseError(f"unknown symbol {text}", *_pos_of(sx))
 
     items = sx.items
-    if not items or not isinstance(items[0], Token):
+    if sx.bracket != "(" or not items or not isinstance(items[0], Token):
         raise ParseError("malformed term", *_pos_of(sx))
     head = items[0].text
     rest = items[1:]
     kind = _HEADS.get(head)
     try:
         if head == "let":
-            if len(rest) != 2 or not isinstance(rest[0], SList):
+            if len(rest) != 2 or not isinstance(rest[0], SList) or rest[0].bracket != "(":
                 raise ParseError("malformed let", *_pos_of(sx))
             new_env = dict(env) if env else {}
             for binding in rest[0].items:
-                if not (isinstance(binding, SList) and len(binding.items) == 2
-                        and isinstance(binding.items[0], Token)):
+                if not (isinstance(binding, SList) and binding.bracket == "("
+                        and len(binding.items) == 2 and isinstance(binding.items[0], Token)):
                     raise ParseError("malformed let binding", *_pos_of(rest[0]))
                 # Parallel let: right-hand sides see the outer environment.
                 new_env[binding.items[0].text] = parse_term(problem, binding.items[1], env)
@@ -346,7 +310,8 @@ def parse_smt2(text: str) -> Problem:
     """
     problem = Problem(store=TermStore())
     for cmd in read_sexprs(text):
-        if not isinstance(cmd, SList) or not cmd.items or not isinstance(cmd.items[0], Token):
+        if not isinstance(cmd, SList) or cmd.bracket != "(" or not cmd.items \
+                or not isinstance(cmd.items[0], Token):
             raise ParseError("expected a command", *_pos_of(cmd))
         head = cmd.items[0].text
         rest = cmd.items[1:]
@@ -368,7 +333,8 @@ def parse_smt2(text: str) -> Problem:
                 raise ParseError(f"sort {name} is already declared", *_pos_of(rest[0]))
             problem.sorts[name] = UninterpretedSort(name)
         elif head == "declare-fun":
-            if len(rest) != 3 or not isinstance(rest[0], Token) or not isinstance(rest[1], SList):
+            if len(rest) != 3 or not isinstance(rest[0], Token) \
+                    or not isinstance(rest[1], SList) or rest[1].bracket != "(":
                 raise ParseError("malformed declare-fun", *_pos_of(cmd))
             arg_sorts = tuple(_parse_sort(problem, s) for s in rest[1].items)
             _declare(problem, rest[0], arg_sorts, _parse_sort(problem, rest[2]))
@@ -402,7 +368,7 @@ def parse_dimacs(text: str) -> Problem:
     """Parse DIMACS CNF: ``p cnf V C`` header, 0-terminated clauses,
     ``c`` comment lines.  Literal range and clause count are enforced."""
     problem = Problem(store=TermStore(), logic="SAT")
-    lines = text.splitlines()
+    lines = split_lines(text)
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("c"):
@@ -469,235 +435,3 @@ def _dimacs_body(lines: list[str], header: int, n_vars: int) -> list[int]:
     if values and values[-1]:
         raise ParseError("last clause is missing its terminating 0", len(lines) or 1, 1)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
-
-def parse_literal(problem: Problem, sx) -> Literal:
-    """``(not <atom>)`` is a negative literal; anything else is positive."""
-    if isinstance(sx, SList) and len(sx.items) == 2 \
-            and isinstance(sx.items[0], Token) and sx.items[0].text == "not":
-        return neg(parse_term(problem, sx.items[1]))
-    return pos(parse_term(problem, sx))
-
-
-def _parse_clause(problem: Problem, items, line: int, col: int) -> Clause:
-    try:
-        return mk_clause(problem.store, [parse_literal(problem, sx) for sx in items])
-    except SortError as e:
-        raise ParseError(str(e), line, col) from e
-
-
-def parse_int(sx) -> int:
-    if not isinstance(sx, Token) or not _SIGNED.match(sx.text):
-        raise ParseError("expected an integer", *_pos_of(sx))
-    return _to_int(sx.text, *_pos_of(sx))
-
-
-def _tagged(items, line: int, col: int) -> dict[str, SList]:
-    """Split payload items into named sublists plus bare flag tokens."""
-    out: dict[str, object] = {}
-    for sx in items:
-        if isinstance(sx, Token):
-            out[sx.text] = True
-            continue
-        if not sx.items or not isinstance(sx.items[0], Token):
-            raise ParseError("malformed payload group", *_pos_of(sx))
-        out[sx.items[0].text] = sx
-    return out
-
-
-def _parse_eqstep(problem: Problem, sx) -> EqStep:
-    if not isinstance(sx, SList) or not sx.items or not isinstance(sx.items[0], Token):
-        raise ParseError("malformed justification step", *_pos_of(sx))
-    head = sx.items[0].text
-    rest = sx.items[1:]
-    if head == "refl":
-        if len(rest) != 1:
-            raise ParseError("refl takes one term", *_pos_of(sx))
-        return EqStep(EqRule.REFL, term=parse_term(problem, rest[0]))
-    if head == "sym":
-        if len(rest) != 1:
-            raise ParseError("sym takes one index", *_pos_of(sx))
-        return EqStep(EqRule.SYM, refs=(parse_int(rest[0]),))
-    if head == "trans":
-        if len(rest) != 2:
-            raise ParseError("trans takes two indices", *_pos_of(sx))
-        return EqStep(EqRule.TRANS, refs=(parse_int(rest[0]), parse_int(rest[1])))
-    if head == "cong":
-        if not rest or not isinstance(rest[0], Token):
-            raise ParseError("cong takes a function name and indices", *_pos_of(sx))
-        decl = problem.decls.get(rest[0].text)
-        if decl is None or decl[0] == "var":
-            raise ParseError(f"unknown function {rest[0].text}", *_pos_of(rest[0]))
-        return EqStep(EqRule.CONG, fun=decl[1],
-                      refs=tuple(parse_int(r) for r in rest[1:]))
-    if head == "hyp":
-        if len(rest) != 1:
-            raise ParseError("hyp takes one literal index", *_pos_of(sx))
-        return EqStep(EqRule.HYP, hyp=parse_int(rest[0]))
-    raise ParseError(f"unknown justification rule {head}", *_pos_of(sx))
-
-
-def _parse_aux(problem: Problem, sx) -> tuple[TermId, ...]:
-    if not (isinstance(sx, SList) and sx.bracket == "(" and sx.items
-            and isinstance(sx.items[0], Token) and sx.items[0].text == "aux"):
-        raise ParseError("expected (aux ...)", *_pos_of(sx))
-    out = []
-    for tok in sx.items[1:]:
-        if not isinstance(tok, Token):
-            raise ParseError("aux entries must be names", *_pos_of(tok))
-        # Aux names become Bool variables on sight and stay visible to later
-        # payload lines; whether they are fresh is decided during replay.
-        tid = problem.store.var(tok.text, BOOL)
-        existing = problem.decls.setdefault(tok.text, ("var", tid))
-        if existing != ("var", tid):
-            raise ParseError(f"aux name {tok.text} clashes with a declaration",
-                             *_pos_of(tok))
-        out.append(tid)
-    return tuple(out)
-
-
-def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col: int):
-    """Build the rule-specific payload object from the brace contents, in
-    the syntax of the payload type the rule registry gives the rule."""
-    payload_type = RULES[rule].payload if rule in RULES else None
-    if payload_type is type(None):
-        if items:
-            raise ParseError(f"{rule.value} takes no payload", line, col)
-        return None
-    if payload_type is CnfPayload:
-        if not items or len(items) > 2:
-            raise ParseError(f"{rule.value} payload is a term and an optional index",
-                             line, col)
-        index = parse_int(items[1]) if len(items) == 2 else 0
-        return CnfPayload(parse_term(problem, items[0]), index)
-    if payload_type is EufPayload:
-        groups = _tagged(items, line, col)
-        lemma_grp = groups.get("lemma")
-        just_grp = groups.get("just")
-        if not isinstance(lemma_grp, SList) or not isinstance(just_grp, SList):
-            raise ParseError(f"{rule.value} payload needs (lemma ...) and (just ...)",
-                             line, col)
-        lemma = _parse_clause(problem, lemma_grp.items[1:], line, col)
-        just = tuple(_parse_eqstep(problem, sx) for sx in just_grp.items[1:])
-        return EufPayload(lemma, just)
-    if payload_type is LiaPayload:
-        groups = _tagged(items, line, col)
-        lemma_grp = groups.get("lemma")
-        farkas_grp = groups.get("farkas")
-        if not isinstance(lemma_grp, SList) or not isinstance(farkas_grp, SList):
-            raise ParseError(f"{rule.value} payload needs (lemma ...) and (farkas ...)",
-                             line, col)
-        lemma = _parse_clause(problem, lemma_grp.items[1:], line, col)
-        combo = []
-        for entry in farkas_grp.items[1:]:
-            if not isinstance(entry, SList) or len(entry.items) != 2:
-                raise ParseError("farkas entries are (index coeff) pairs", *_pos_of(entry))
-            combo.append((parse_int(entry.items[0]), parse_int(entry.items[1])))
-        return LiaPayload(lemma, tuple(combo), tighten="tighten" in groups)
-    if payload_type is BvPayload:
-        if not items:
-            raise ParseError(f"{rule.value} payload needs a target term", line, col)
-        target = parse_term(problem, items[0])
-        aux: tuple[TermId, ...] = ()
-        if len(items) == 2:
-            aux = _parse_aux(problem, items[1])
-        elif len(items) > 2:
-            raise ParseError("too many payload groups", line, col)
-        return BvPayload(target, aux)
-    if payload_type is AssumePayload:
-        return AssumePayload(_parse_clause(problem, items, line, col))
-    raise ParseError(f"rule {rule.value} cannot appear in a certificate", line, col)
-
-
-def _fast_step(raw: str, next_id: int,
-               memo: dict[str, TermId]) -> tuple[Step | None, re.Match | None]:
-    """(step, None) for a well-formed line of a fast-path shape (see the
-    module docstring); otherwise (None, term), where term is the line's
-    one-term match, if any, for the caller to memo once the full reader has
-    accepted the line."""
-    head = _STEP_HEAD.match(raw)
-    if head is None:
-        return None, None
-    rule = RULE_BY_NAME.get(head[2])
-    entry = RULES.get(rule)  # one lookup: RuleKind hashes in Python
-    payload_type = entry.payload if entry is not None else None
-    term = payload = None
-    if payload_type is CnfPayload or payload_type is BvPayload:
-        term = _ONE_TERM.fullmatch(raw, head.end())
-        if term is None or term[1] not in memo \
-                or (payload_type is BvPayload and term[2] is not None):
-            return None, term
-    elif payload_type is not type(None) or raw[head.end():] != "}":
-        return None, None
-    try:
-        step_id = int(head[1])
-        premises = tuple(map(int, head[3].split()))
-        index = int(term[2]) if term is not None and term[2] is not None else 0
-    except ValueError:  # past CPython's digit limit for int-string conversion
-        return None, term
-    if step_id != next_id or (premises and max(premises) >= step_id):
-        return None, term
-    if term is not None:
-        target = memo[term[1]]
-        payload = CnfPayload(target, index) if payload_type is CnfPayload else BvPayload(target)
-    return Step(step_id, rule, premises, payload), None
-
-
-def parse_certificate(text: str, problem: Problem) -> Certificate:
-    """Parse the line-based certificate format against a parsed problem."""
-    steps: list[Step] = []
-    qed: int | None = None
-    next_id = len(problem.input_clauses)
-    memo: dict[str, TermId] = {}  # payload term text -> id, for _fast_step
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(";"):
-            continue
-        if qed is not None:
-            raise ParseError("content after qed", lineno, 1)
-        step, term = _fast_step(raw, next_id, memo)
-        if step is not None:
-            steps.append(step)
-            next_id += 1
-            continue
-        items = read_sexprs(raw, first_line=lineno)
-        if items and isinstance(items[0], Token) and items[0].text == "qed":
-            if len(items) != 2:
-                raise ParseError("qed takes one step id", lineno, 1)
-            qed = parse_int(items[1])
-            if qed >= next_id or qed < 0:
-                raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
-            continue
-        if len(items) != 4 or not isinstance(items[0], Token) or not isinstance(items[1], Token) \
-                or not isinstance(items[2], SList) or items[2].bracket != "(" \
-                or not isinstance(items[3], SList) or items[3].bracket != "{":
-            raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
-        step_id = parse_int(items[0])
-        if step_id != next_id:
-            raise ParseError(f"step id {step_id}, expected {next_id}", lineno, 1)
-        rule = RULE_BY_NAME.get(items[1].text)
-        if rule not in RULES:
-            raise ParseError(f"unknown rule {items[1].text}", *_pos_of(items[1]))
-        premises = tuple(parse_int(p) for p in items[2].items)
-        for p in premises:
-            if p >= step_id or p < 0:
-                raise ForwardReferenceError(
-                    f"premise {p} is not before step {step_id}", lineno, 1)
-        try:
-            payload = parse_payload(problem, rule, items[3].items, lineno, 1)
-        except RecursionError:
-            raise ParseError("term nested too deeply", lineno, 1) from None
-        # Memo the term only if it alone made up the payload's first item.
-        if term is not None and len(items[3].items) == (1 if term[2] is None else 2):
-            memo[term[1]] = payload.target
-        steps.append(Step(step_id, rule, premises, payload))
-        next_id += 1
-
-    if qed is None:
-        raise ParseError("missing qed line", len(text.splitlines()) or 1, 1)
-    return Certificate(tuple(steps), qed)

@@ -10,6 +10,10 @@ violations — bad ids, forward references, payload/rule mismatches — stop
 the run as Invalid at the offending step, as does a rejected step whose
 payload declared a specific conclusion.
 
+Small checkers are total over any integers in a payload and test a clause
+the payload declares with ``terms.well_formed``, so any ``Certificate`` is
+checked soundly and its reader, ``preproc.parse_certificate``, is untrusted.
+
 A run is strictly sequential; distinct runs share nothing mutable.
 
 How each rule is replayed is decided in one place, the ``RULES`` registry.
@@ -17,8 +21,8 @@ Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
 type, small checker and the two flags.  A Tseitin-style CNF rule needs only
 a head kind and literal template in ``resolution.TSEITIN``, from which its
 entry is made; a bit-blasting rule needs one ``bitblast.BLASTERS`` row for
-its target kind and the entry ``_bb(Kind.X)``.  The frontend parses and
-``certkernel.printer`` prints a payload by its type, so only a new payload
+its target kind and the entry ``_bb(Kind.X)``.  ``certkernel.preproc`` parses
+and ``certkernel.printer`` prints a payload by its type, so only a new payload
 type needs new certificate syntax.  Nothing here renders text.
 """
 
@@ -34,7 +38,7 @@ from .euf import EufPayload
 from .lia import LiaPayload
 from .resolution import CnfPayload
 from .steps import AssumePayload, Certificate, RuleKind
-from .terms import Clause, Kind, TRIVIALLY_TRUE, TermStore
+from .terms import Clause, Kind, TRIVIALLY_TRUE, TermStore, well_formed
 
 
 class Verdict(Enum):
@@ -111,7 +115,9 @@ RULES: dict[RuleKind, Rule] = {
     RuleKind.BB_ADD: _bb(Kind.BV_ADD),
     RuleKind.BB_EQ: _bb(Kind.EQ),
     RuleKind.BB_ULT: _bb(Kind.BV_ULT),
-    RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p: p.clause),
+    RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p:
+                          p.lemma if well_formed(ctx.store, p.lemma) else TRIVIALLY_TRUE,
+                          declares=True),
 }
 
 

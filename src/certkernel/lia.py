@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RejectError
-from .terms import Clause, INT, Kind, Literal, TRIVIALLY_TRUE, TermId, TermStore
+from .terms import Clause, INT, Kind, Literal, TRIVIALLY_TRUE, TermId, TermStore, well_formed
 
 
 class LinRel(Enum):
@@ -150,17 +150,17 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     of that index, normalized, with negative multipliers allowed only to
     flip equality rows.  When tightening is on, every contributed >= row and
     the final sum are gcd-tightened.  Accepts only a ground contradiction
-    0 >= k with k >= 1 (all-zero multipliers sum to 0 >= 0).
+    0 >= k with k >= 1 (all-zero multipliers sum to 0 >= 0).  A lemma
+    that is not ``terms.well_formed`` is rejected.
     """
     lemma = payload.lemma
-    lits = lemma.lits
+    if not payload.combination or not well_formed(store, lemma):
+        return TRIVIALLY_TRUE
     try:
-        rows = [normalize_lia_literal(store, lit.negate()) for lit in lits]
+        rows = [normalize_lia_literal(store, lit.negate()) for lit in lemma.lits]
     except RejectError:
         return TRIVIALLY_TRUE
 
-    if not payload.combination:
-        return TRIVIALLY_TRUE
     total: dict[TermId, int] = {}
     total_const = 0
     for idx, mult in payload.combination:

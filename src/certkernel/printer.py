@@ -113,7 +113,7 @@ def _render_payload(store: TermStore, rule: RuleKind, payload) -> str:
             just.append(_group(s.rule.value, " ".join(args + [str(r) for r in s.refs])))
         return f"{lemma} {_group('just', ' '.join(just))}"
     if kind is AssumePayload:
-        return clause_to_sexpr(store, payload.clause)
+        return clause_to_sexpr(store, payload.lemma)
     raise ValueError(f"cannot render a {kind.__name__} payload of rule {rule}")
 
 

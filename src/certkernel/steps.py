@@ -72,9 +72,9 @@ class Step:
 
 @dataclass(frozen=True, slots=True)
 class AssumePayload:
-    """A clause taken on trust; checking downgrades the verdict to Trusted."""
+    """The clause ``lemma`` taken on trust; checking downgrades the verdict to Trusted."""
 
-    clause: Clause
+    lemma: Clause
 
 
 @dataclass(frozen=True, slots=True)

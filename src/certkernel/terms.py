@@ -476,6 +476,21 @@ EMPTY_CLAUSE = Clause(())
 TRIVIALLY_TRUE = Clause((0,))
 
 
+def well_formed(store: TermStore, clause: Clause) -> bool:
+    """Whether ``mk_clause`` could build the clause over this store: int codes,
+    strictly increasing, in ``[0, 2 * len(store))``, with Bool-sorted atoms.
+    Checkers test payload clauses first: a code < 0 reads the store's end."""
+    nodes, last, end = store._nodes, -1, 2 * len(store)
+    for code in clause.enc:
+        if code.__class__ is not int or not last < code < end:
+            return False
+        sort = nodes[code >> 1].sort
+        if sort is not BOOL and sort != BOOL:  # identity first: == runs in Python
+            return False
+        last = code
+    return True
+
+
 def mk_clause(store: TermStore, lits: Iterable[Literal]) -> Clause:
     """Canonicalize literals into a clause: sort by encoding, deduplicate.
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, modes."""
 
+import ast
 import gc
 import signal
 import subprocess
@@ -516,3 +517,22 @@ def test_run_one_pauses_and_restores_the_collector(files, monkeypatch, case, col
         (gc.enable if was else gc.disable)()
     assert paused and all(paused)
     assert after is collecting
+
+
+def test_benchmark_trace_hooks_exist():
+    """The benchmark's traced mode wraps the names in ``CLI_SPANS`` of
+    ``perfbench/child.py`` (read with ``ast``: importing the file runs it),
+    ``kernel.dispatch`` and ``TermStore.intern``; a refactor that drops or
+    bypasses one fails here rather than in a benchmark run."""
+    from certkernel import TermStore, cli, kernel
+
+    tree = ast.parse((CORPUS.parent / "perfbench" / "child.py").read_text())
+    spans = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["CLI_SPANS"]]
+    assert len(spans) == 1 and spans[0]
+    for span, attr in spans[0]:
+        assert callable(getattr(cli, attr, None)), (span, attr)
+    assert ("frontend.parse_certificate", "parse_certificate") in spans[0]
+    assert callable(kernel.dispatch) and "dispatch" in kernel.check.__code__.co_names
+    assert callable(TermStore.intern)

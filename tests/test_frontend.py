@@ -8,8 +8,8 @@ import pytest
 import gens
 from certkernel import (
     ForwardReferenceError, Kind, ParseError, UnsupportedError, Verdict, check,
-    mk_clause, neg, parse_certificate, parse_dimacs, parse_smt2, pos,
-    print_certificate, print_dimacs, to_sexpr,
+    mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof, parse_smt2,
+    pos, print_certificate, print_dimacs, to_sexpr,
 )
 from certkernel.errors import CertKernelError
 
@@ -61,11 +61,12 @@ DIMACS_LINE_ERRORS = [
     ("  1  4 0", "literal 4 out of range 1..3", 6),
     ("1\t2 x 0", "expected a literal, got 'x'", 5),
     ("1\xa02 4 0", "literal 4 out of range 1..3", 5),
-    # the last line is the one reported: after valid lines, across line
-    # breaks other than \n, and for a last clause without its 0
+    # the last line is the one reported: after valid lines, with \r, \x0b
+    # and \x0c inside it (only \n breaks a line), and for a last clause
+    # without its 0
     ("1 0\n-2 0\n1 x 0", "expected a literal, got 'x'", 3),
-    ("1 0\r2 0\x0b4 0", "literal 4 out of range 1..3", 1),
-    ("1 0\x0c-3 -9 0", "literal -9 out of range 1..3", 4),
+    ("1 0\r2 0\x0b4 0", "literal 4 out of range 1..3", 9),
+    ("1 0\x0c-3 -9 0", "literal -9 out of range 1..3", 8),
     ("1 0\nc note\n2 0\n-4 0", "literal -4 out of range 1..3", 1),
     ("1 -2", "last clause is missing its terminating 0", 1),
     ("1 0\n2 -3 0\n3", "last clause is missing its terminating 0", 1),
@@ -83,7 +84,7 @@ def test_dimacs_line_errors_keep_message_and_column(line, message, col):
     text = "p cnf 3 1\n" + line + "\n"
     with pytest.raises(ParseError) as e:
         parse_dimacs(text)
-    n = len(text.splitlines())
+    n = text.count("\n")
     assert (str(e.value), e.value.line, e.value.col) == (f"line {n}, col {col}: {message}", n, col)
 
 
@@ -690,3 +691,96 @@ def test_operator_head_special_cases():
             _term(prob, text)
     with pytest.raises(UnsupportedError):
         _term(prob, "(= x y z)")
+
+
+# -- Braces and line breaks ----------------------------------------------------
+
+_BRACE_PROBLEM = """(declare-const p Bool) (declare-const q Bool) (declare-const x Int)
+(assert p) (assert (not p))"""
+
+# (reader, text, message, line, col): a {...} group where anything but a
+# step's payload is expected is a ParseError at that group, or at the let
+# whose binding list or binding it is.
+BRACE_ERRORS = [
+    ("smt2", "{declare-const p Bool}", "expected a command", 1, 1),
+    ("smt2", "(declare-const x {_ BitVec 8})", "unknown sort", 1, 18),
+    ("smt2", "(declare-fun f {Int} Int)", "malformed declare-fun", 1, 1),
+    ("smt2", "(declare-const p Bool)\n(assert\n  {not p})", "malformed term", 3, 3),
+    ("smt2", "(declare-const p Bool) (declare-const q Bool) (assert {and p q})",
+     "malformed term", 1, 55),
+    ("smt2", "(declare-const x Int) (assert (let {(y x)} (= y x)))", "malformed let", 1, 31),
+    ("smt2", "(declare-const x Int) (assert (let ({y x}) (= y x)))",
+     "malformed let binding", 1, 36),
+    ("cert", "2 assume () {{not p}}", "malformed term", 1, 14),
+    ("cert", "2 assume () {p {and p q}}", "malformed term", 1, 16),
+    ("cert", "2 and_pos () {{and p q} 0}", "malformed term", 1, 15),
+    ("cert", "2 euf () {{lemma (= x x)} (just (refl x))}", "malformed payload group", 1, 11),
+    ("cert", "2 euf () {(lemma (= x x)) (just {refl x})}",
+     "malformed justification step", 1, 33),
+    ("cert", "2 lia () {(lemma (<= x x)) (farkas {0 1})}",
+     "farkas entries are (index coeff) pairs", 1, 36),
+    ("nested", "{step res (0 1) {}}", "malformed proof node", 1, 1),
+    ("nested", "(step res ({step res (0 1) {}}) {})", "malformed proof node", 1, 12),
+    ("nested", "(let {(L (step res (0 1) {}))} (ref L))", "malformed let", 1, 1),
+    ("nested", "(let ({L (step res (0 1) {})}) (ref L))", "malformed let binding", 1, 1),
+    ("nested", "(step assume () {{not p}})", "malformed term", 1, 18),
+]
+
+
+def _read_with(reader, text):
+    if reader == "smt2":
+        return parse_smt2(text)
+    if reader == "cert":
+        return parse_certificate(text + "\nqed 2\n", parse_smt2(_BRACE_PROBLEM))
+    return parse_nested_proof(text, parse_smt2(_BRACE_PROBLEM))
+
+
+@pytest.mark.parametrize("reader,text,message,line,col", BRACE_ERRORS,
+                         ids=[f"{case[0]}:{case[1]}" for case in BRACE_ERRORS])
+def test_braces_delimit_only_a_payload(reader, text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        _read_with(reader, text)
+    assert (str(e.value), e.value.line, e.value.col) \
+        == (f"line {line}, col {col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x85", "\u2028"], ids=repr)
+def test_only_newline_breaks_a_line(brk):
+    """Other Unicode line boundaries neither split a line nor shift the line
+    numbers of later errors; the s-expression reader rejects them."""
+    def error(parse):
+        with pytest.raises(CertKernelError) as e:
+            parse()
+        return str(e.value)
+
+    pair = parse_dimacs(_DIMACS_PAIR)
+    assert error(lambda: parse_certificate(f"2 res (0{brk}1) {{}}\nqed 2\n", pair)) \
+        == f"line 1, col 9: unexpected character {brk!r}"
+    assert error(lambda: parse_certificate(f"2 res (0 1) {{}}\n{brk}\nqed 5\n", pair)) \
+        == "line 3, col 1: qed names unknown id 5"
+    assert error(lambda: parse_certificate(f"; a{brk}b\n2 res (0 1) {{}}\n", pair)) \
+        == "line 2, col 1: missing qed line"
+    assert error(lambda: parse_dimacs(f"p cnf 2 1\n1{brk}-2 0\n3 0\n")) \
+        == "line 3, col 1: literal 3 out of range 1..2"
+    assert error(lambda: parse_dimacs(f"p cnf 2 2\nc a{brk}b\n1 0\n")) \
+        == "line 3, col 1: header promises 2 clauses, found 1"
+    assert parse_dimacs(f"c a{brk}b\np cnf 2 1\n1{brk}-2 0\n").input_clauses \
+        == parse_dimacs("p cnf 2 1\n1 -2 0\n").input_clauses
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=repr)
+def test_lf_and_crlf_end_of_text_errors_keep_their_line(eol):
+    def error(parse, text):
+        with pytest.raises(ParseError) as e:
+            parse(text.replace("\n", eol))
+        return str(e.value)
+
+    pair = parse_dimacs(_DIMACS_PAIR)
+    assert error(lambda t: parse_certificate(t, pair), "2 res (0 1) {}\n\n") \
+        == "line 2, col 1: missing qed line"
+    assert error(lambda t: parse_certificate(t, pair), "2 res (0 1) {}") \
+        == "line 1, col 1: missing qed line"
+    assert error(parse_dimacs, "p cnf 2 2\n1 0\n\n") \
+        == "line 3, col 1: header promises 2 clauses, found 1"
+    assert error(parse_dimacs, "p cnf 2 1\n1 2\n") \
+        == "line 2, col 1: last clause is missing its terminating 0"

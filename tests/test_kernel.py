@@ -5,7 +5,7 @@ from pathlib import Path
 
 import gens
 from certkernel import (
-    BOOL, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext,
+    BOOL, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext, Clause,
     CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
     TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check, dispatch, mk_clause,
     neg, parse_certificate, parse_dimacs, parse_smt2, pos, stats_report,
@@ -248,3 +248,136 @@ def test_bit_blast_scan_over_depth_10000_input():
     result = check(store, [mk_clause(store, [pos(t)])], cert)
     assert result.verdict is Verdict.INVALID
     assert result.reason == "empty clause not derived"
+
+
+_SHIFT_PROBLEM = """(declare-const x Int) (declare-fun f (Int) Int)
+(assert (or (<= x x) (< x x))) (assert (= x x))"""
+
+
+def test_negative_codes_do_not_index_the_store_from_its_end():
+    """A lemma code -2k would read node k from the store's end, and that
+    node shifts when an euf step interns (f x): the first lia lemma would
+    read (<= x x), the second not (< x x), and res would close a proof of
+    a satisfiable problem."""
+    prob = parse_smt2(_SHIFT_PROBLEM)
+    store = prob.store
+    assert brute_unsat(store, prob.input_clauses).status == "sat"
+    x, f = prob.decls["x"][1], prob.decls["f"][1]
+    k = len(store) - store.le(x, x)
+    steps = (
+        Step(2, RuleKind.LIA, (), LiaPayload(Clause((-2 * k,)), ((0, 1),))),
+        Step(3, RuleKind.EUF, (), EufPayload(
+            mk_clause(store, [pos(store.eq(x, x))]),
+            (EqStep(EqRule.REFL, term=x), EqStep(EqRule.CONG, refs=(0,), fun=f),
+             EqStep(EqRule.REFL, term=x)))),
+        Step(4, RuleKind.LIA, (), LiaPayload(Clause((-2 * k + 1,)), ((0, 1),))),
+        Step(5, RuleKind.RES, (2, 4)),
+    )
+    result = check(store, prob.input_clauses, Certificate(steps, 5))
+    assert (result.verdict, result.step_id, result.reason) \
+        == (Verdict.INVALID, 2, "lia checker rejected the step")
+
+
+def test_malformed_declared_clauses_are_rejected_at_their_step():
+    """An euf or lia lemma, or an assume clause, whose codes are not ints,
+    not strictly increasing, out of [0, 2 * len(store)) or on a non-Bool
+    atom is INVALID at its step; a malformed assume clause is never stored
+    or reported as the clause of another node."""
+    prob = parse_smt2(_SHIFT_PROBLEM)
+    store = prob.store
+    x = prob.decls["x"][1]
+    le, eq = 2 * store.le(x, x), 2 * store.eq(x, x)
+    end = 2 * len(store)
+    bad = [(-1,), (-2,), (-end,), (end,), (end + 1,), (10 ** 30,), (le + 1, le),
+           (eq, eq), (2 * x,), (True,), (float(le),), (le, -1)]
+    for enc in bad:
+        clause = Clause(enc)
+        payloads = {
+            RuleKind.LIA: LiaPayload(clause, ((0, 1),)),
+            RuleKind.EUF: EufPayload(clause, (EqStep(EqRule.REFL, term=x),)),
+            RuleKind.ASSUME: AssumePayload(clause),
+        }
+        for rule, payload in payloads.items():
+            cert = Certificate((Step(2, rule, (), payload), Step(3, RuleKind.RES, (2, 0))), 3)
+            result = check(store, prob.input_clauses, cert)
+            assert (result.verdict, result.step_id, result.reason) \
+                == (Verdict.INVALID, 2, f"{rule.value} checker rejected the step"), (enc, rule)
+            assert result.assumptions == () and len(result.clauses) == 2
+    # The same lemmas well formed are still accepted.
+    lia = LiaPayload(mk_clause(store, [pos(store.le(x, x))]), ((0, 1),))
+    euf = EufPayload(mk_clause(store, [pos(store.eq(x, x))]), (EqStep(EqRule.REFL, term=x),))
+    cert = Certificate((Step(2, RuleKind.LIA, (), lia), Step(3, RuleKind.EUF, (), euf),
+                        Step(4, RuleKind.ASSUME, (), AssumePayload(Clause((le,))))), 4)
+    result = check(store, prob.input_clauses, cert)
+    assert result.reason == "empty clause not derived"
+    assert result.clauses[2:] == (lia.lemma, euf.lemma, Clause((le,)))
+
+
+# Small satisfiable problems over every sort the checkers handle.
+_SAT_PROBLEMS = [
+    ("p cnf 3 2\n1 -2 0\n2 3 0\n", parse_dimacs),
+    (_SHIFT_PROBLEM, parse_smt2),
+    ("(declare-const x Int) (declare-const y Int) (declare-const p Bool)"
+     " (declare-fun f (Int) Int) (assert (or (<= x y) p)) (assert (= (f x) y))"
+     " (assert (not (= x y)))", parse_smt2),
+    ("(declare-sort U 0) (declare-const a U) (declare-const b U) (declare-fun g (U) U)"
+     " (assert (not (= (g a) (g b)))) (assert (= (g a) a))", parse_smt2),
+    ("(declare-const a (_ BitVec 2)) (declare-const b (_ BitVec 2))"
+     " (assert (bvult a b)) (assert (= (bvand a b) a))", parse_smt2),
+]
+
+
+def _raw_certificate(rng, store, funs, n_inputs):
+    """Steps of any rule with arbitrary ints wherever a payload holds one."""
+    size = 2 * len(store) + 2
+
+    def num():
+        return rng.choice([rng.randrange(-size, size), rng.randrange(size),
+                           rng.randrange(-10 ** 6, 10 ** 6), -size * rng.randrange(1, 4),
+                           10 ** rng.randrange(10, 40)])
+
+    def clause():
+        codes = [num() for _ in range(rng.randrange(4))]
+        return Clause(tuple(sorted(set(codes))) if rng.random() < 0.5 else tuple(codes))
+
+    def payload(rule):
+        # the rule's payload type, or any type (a mismatch is INVALID)
+        kind = (RULES[rule] if rule in RULES and rng.random() < 0.9
+                else rng.choice(list(RULES.values()))).payload
+        if kind is CnfPayload:
+            return CnfPayload(num(), num())
+        if kind is BvPayload:
+            return BvPayload(num(), tuple(num() for _ in range(rng.randrange(4))))
+        if kind is AssumePayload:
+            return AssumePayload(clause())
+        if kind is LiaPayload:
+            return LiaPayload(clause(), tuple((num(), num()) for _ in range(rng.randrange(4))),
+                              rng.random() < 0.5)
+        if kind is EufPayload:
+            just = tuple(EqStep(rng.choice(list(EqRule)), term=num(),
+                                refs=tuple(num() for _ in range(rng.randrange(3))),
+                                fun=rng.choice(funs), hyp=num())
+                         for _ in range(rng.randrange(4)))
+            return EufPayload(clause(), just)
+        return None
+
+    steps = []
+    for i in range(rng.randrange(1, 7)):
+        sid = n_inputs + i if rng.random() < 0.9 else num()
+        rule = rng.choice(list(RuleKind))
+        premises = tuple(rng.randrange(-2, n_inputs + i + 2) if rng.random() < 0.8 else num()
+                         for _ in range(rng.randrange(4)))
+        steps.append(Step(sid, rule, premises, payload(rule)))
+    return Certificate(tuple(steps), num())
+
+
+def test_raw_certificates_never_crash_or_validate_satisfiable_inputs():
+    rng = random.Random(11)
+    for text, parse in _SAT_PROBLEMS:
+        prob = parse(text)
+        assert brute_unsat(prob.store, prob.input_clauses).status == "sat", text
+        funs = [None] + [d[1] for d in prob.decls.values() if d[0] != "var"]
+        for _ in range(1500):
+            cert = _raw_certificate(rng, prob.store, funs, len(prob.input_clauses))
+            result = check(prob.store, prob.input_clauses, cert)
+            assert result.verdict is not Verdict.VALID, cert

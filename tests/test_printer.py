@@ -9,13 +9,16 @@ model lines and its bounded status, and one nested proof pins ``--mode
 translate``.
 
 The trusted modules hold no renderer: a guard parses them and rejects an
-import of ``certkernel.printer`` or a definition of a rendering function.
+import of an untrusted module (``printer``, ``preproc``, ``oracle``, ``cli``)
+or a definition of a rendering function, and an import of a checker module
+by the problem readers in ``frontend``.
 """
 
 import ast
 import hashlib
 import json
 import pathlib
+import sys
 
 from certkernel import (
     parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs,
@@ -109,22 +112,45 @@ def test_output_bytes_are_pinned(tmp_path):
 
 
 TRUSTED = ("terms", "steps", "kernel", "resolution", "euf", "lia", "bitblast", "frontend")
+UNTRUSTED = {"printer", "preproc", "oracle", "cli"}
 RENDERERS = {"to_sexpr", "clause_to_sexpr", "stats_report", "print_certificate",
              "print_dimacs", "_render_payload"}
 
 
+def _imports(tree):
+    """(certkernel modules, other top-level modules) that a module imports."""
+    package, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "certkernel"):
+                package |= {a.name for a in node.names}
+            elif module.startswith((".", "certkernel.")):
+                package.add(module.lstrip(".").removeprefix("certkernel."))
+            else:
+                other.add(module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, sub = alias.name.partition(".")
+                if top == "certkernel":
+                    package.add(sub)
+                else:
+                    other.add(top)
+    return package, other
+
+
 def test_trusted_modules_hold_no_renderer():
-    """The trusted modules neither import the printer nor define a renderer."""
+    """The trusted modules import no untrusted module and define no
+    renderer, and the problem readers import no checker module: only
+    errors, terms and the standard library."""
     src = HERE.parent / "src" / "certkernel"
     for name in TRUSTED:
         tree = ast.parse((src / f"{name}.py").read_text())
+        package, other = _imports(tree)
+        assert not package & UNTRUSTED, (name, package & UNTRUSTED)
+        if name == "frontend":
+            assert package <= {"errors", "terms"}, package
+            assert other <= sys.stdlib_module_names, other
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                module = "." * node.level + (node.module or "")
-                assert module not in (".printer", "certkernel.printer"), name
-                if module in (".", "certkernel"):
-                    assert "printer" not in {a.name for a in node.names}, name
-            elif isinstance(node, ast.Import):
-                assert "certkernel.printer" not in {a.name for a in node.names}, name
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name not in RENDERERS, f"{name} defines {node.name}"
