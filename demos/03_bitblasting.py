@@ -50,12 +50,12 @@ for xv, yv in itertools.product(range(1 << width), repeat=2):
     model = Model()
     for var, value in ((x, xv), (y, yv)):
         for i, bit in enumerate(state.bits[var]):
-            model.bool_vals[bit] = bool((value >> i) & 1)
+            model.values[bit] = bool((value >> i) & 1)
     carry = False
     for i, cvar in enumerate(carries):
-        model.bool_vals[cvar] = carry
-        xb = model.bool_vals[state.bits[x][i]]
-        yb = model.bool_vals[state.bits[y][i]]
+        model.values[cvar] = carry
+        xb = model.values[state.bits[x][i]]
+        yb = model.values[state.bits[y][i]]
         carry = (xb and yb) or ((xb != yb) and carry)
     got = sum(1 << i for i, b in enumerate(state.bits[t])
               if eval_term(store, model, b))

@@ -6,9 +6,9 @@ slot, rejected material included (rejections come back as the trivially
 true clause and can never strengthen the derivation).  The run succeeds
 when some stored clause is empty: Valid if no assume step was replayed,
 Trusted otherwise, with the assumed clauses reported verbatim.  Structural
-violations — bad ids, forward references, payload/rule mismatches — stop
-the run as Invalid at the offending step, as does a rejected step whose
-payload declared a specific conclusion.
+violations — bad ids, forward references, payload/rule mismatches, a field
+of a type no reader builds — stop the run as Invalid at the offending step,
+as does a rejected step whose payload declared a specific conclusion.
 
 Small checkers are total over any integers in a payload and test a clause
 the payload declares with ``terms.well_formed``, so any ``Certificate`` is
@@ -173,20 +173,23 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             return result(Verdict.INVALID,
                           f"step id {step.id}, expected {len(clauses)}", step.id)
         ps = step.premises
-        if ps and (min(ps) < 0 or max(ps) >= step.id):
-            return result(Verdict.INVALID, "bad premise reference", step.id)
-        entry = RULES.get(step.rule)
-        if entry is None or not isinstance(step.payload, entry.payload):
-            return result(Verdict.INVALID,
-                          f"payload does not match rule {step.rule.value}", step.id)
+        try:  # a field of a type no reader builds (1.0, None, "res") fails here
+            if ps and (min(ps) < 0 or max(ps) >= step.id):
+                return result(Verdict.INVALID, "bad premise reference", step.id)
+            entry = RULES.get(step.rule)
+            if entry is None or not isinstance(step.payload, entry.payload):
+                return result(Verdict.INVALID,
+                              f"payload does not match rule {step.rule.value}", step.id)
 
-        if entry.blasts:
-            while scanned < len(clauses):
-                ctx.bitblast.note_used(_clause_vars(store, clauses[scanned]))
-                scanned += 1
+            if entry.blasts:
+                while scanned < len(clauses):
+                    ctx.bitblast.note_used(_clause_vars(store, clauses[scanned]))
+                    scanned += 1
 
-        premises = [clauses[p] for p in ps]
-        conclusion = dispatch(ctx, step.rule, premises, step.payload)
+            premises = [clauses[p] for p in ps]
+            conclusion = dispatch(ctx, step.rule, premises, step.payload)
+        except (TypeError, AttributeError):
+            return result(Verdict.INVALID, "malformed step", step.id)
 
         if entry.declares and conclusion == TRIVIALLY_TRUE \
                 and step.payload.lemma != TRIVIALLY_TRUE:

@@ -12,6 +12,16 @@ variables, an assignment of abstract atoms, or of domain elements), so any
 depth is evaluated and no evaluator refers to itself.  A missing function
 entry is requested in ascending id order of its application.
 
+One search answers every question: ``_search`` finds the first assignment
+of some leaves, with the function entries evaluation reached, under which
+every clause of a list holds.  The leaves take their values in
+``itertools.product`` order and the entries are filled depth-first from an
+explicit stack, so no search path, however long, recurses.
+``brute_unsat`` searches the input clauses; ``euf_lemma_valid`` and
+``propositionally_implies`` search the premises plus the negated conclusion
+as unit clauses, and ``is_tautology`` is the implication from no premises.
+A model found is one ``Model.values`` table from variable ids to values.
+
 Verdict caveats, by construction of the budgets:
 
 * ``brute_unsat`` enumerates Int variables over a finite box and
@@ -26,7 +36,9 @@ Verdict caveats, by construction of the budgets:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -54,10 +66,8 @@ DEFAULT_BUDGET = 2_000_000
 class Model:
     """A finite interpretation of the free symbols of some terms."""
 
-    bool_vals: dict[TermId, bool] = field(default_factory=dict)
-    int_vals: dict[TermId, int] = field(default_factory=dict)
-    bv_vals: dict[TermId, tuple[bool, ...]] = field(default_factory=dict)
-    elem_vals: dict[TermId, int] = field(default_factory=dict)
+    # term id -> value: every variable, and any other term taken as given
+    values: dict[TermId, Value] = field(default_factory=dict)
     # FunSym -> (explicit entries keyed by argument-value tuple, default)
     fun_tables: dict[FunSym, tuple[dict[tuple, Value], Value | None]] = field(default_factory=dict)
     domains: dict[UninterpretedSort, int] = field(default_factory=dict)
@@ -71,17 +81,6 @@ class Model:
         if default is None:
             raise IncompleteModelError(f"{fn.name}{args}")
         return default
-
-    def set_var(self, store: TermStore, t: TermId, value: Value) -> None:
-        sort = store.sort_of(t)
-        if sort == BOOL:
-            self.bool_vals[t] = value
-        elif sort == INT:
-            self.int_vals[t] = value
-        elif isinstance(sort, BitVecSort):
-            self.bv_vals[t] = tuple(value)
-        else:
-            self.elem_vals[t] = value
 
 
 def bits_to_int(bits: tuple[bool, ...]) -> int:
@@ -144,8 +143,7 @@ def _model_memo(model: Model, memo: dict | None) -> dict:
     """memo, seeded with the model's variables if it is new or empty."""
     if not memo:
         memo = {} if memo is None else memo
-        for table in (model.elem_vals, model.bv_vals, model.int_vals, model.bool_vals):
-            memo.update(table)
+        memo.update(model.values)
     return memo
 
 
@@ -162,6 +160,61 @@ def eval_term(store: TermStore, model: Model, t: TermId, memo: dict | None = Non
 def eval_clause(store: TermStore, model: Model, clause: Clause, memo: dict | None = None) -> bool:
     """True iff some literal evaluates to its polarity; empty clause is false."""
     return _holds(store, clause, _model_memo(model, memo), model.fun_value)
+
+
+# ---------------------------------------------------------------------------
+# One model search
+# ---------------------------------------------------------------------------
+
+class _Missing(Exception):
+    """Evaluation reached a function entry that the search has not filled."""
+
+
+def _search(store: TermStore, clauses, leaves, values_of, counter: list, budget):
+    """The first (assignment, entries) under which every clause holds, or None.
+
+    ``values_of(sort)`` lists the values a leaf or a function result of that
+    sort may take.  The clauses are evaluated in order, each with the usual
+    short-circuit.  An entry that evaluation reaches unfilled goes on the
+    stack with its values not yet tried and takes the first; after a failing
+    evaluation the top entry takes its next value, or leaves the stack when
+    it has none.  Every complete evaluation adds one to ``counter[0]``, which
+    searches may share, and the one past ``budget`` raises ResourceError.
+    """
+    entries: dict[tuple[FunSym, tuple], Value] = {}
+
+    def lookup(fn: FunSym, args: tuple) -> Value:
+        if (fn, args) not in entries:
+            raise _Missing((fn, args))
+        return entries[fn, args]
+
+    for values in itertools.product(*(values_of(store.sort_of(t)) for t in leaves)):
+        assign = dict(zip(leaves, values))
+        stack: list = []  # (entry, iterator over its values not yet tried)
+        while True:
+            memo = dict(assign)
+            try:
+                holds = all(_holds(store, clause, memo, lookup) for clause in clauses)
+            except _Missing as missing:
+                key = missing.args[0]
+                stack.append((key, iter(values_of(key[0].ret_sort))))
+            else:
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise ResourceError("oracle evaluation budget exceeded")
+                if holds:
+                    return assign, entries
+            while stack:
+                key, untried = stack[-1]
+                value = next(untried, None)  # no value is None
+                if value is not None:
+                    entries[key] = value
+                    break
+                entries.pop(key, None)
+                stack.pop()
+            else:
+                break  # no completion of this assignment holds
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -192,55 +245,30 @@ def abstract_atoms(store: TermStore, roots) -> tuple[TermId, ...]:
     return tuple(sorted(atoms))
 
 
-def _unassigned(fn: FunSym, args: tuple) -> Value:
-    raise IncompleteModelError(fn.name)
-
-
 def _eval_skeleton(store: TermStore, t: TermId, assign: dict[TermId, bool], memo: dict) -> bool:
     """The value of t when its abstract atoms take their values in assign.
     memo starts empty and is kept for later calls with the same assign."""
-    if not memo:
-        memo.update(assign)
-    return _eval(store, t, memo, _unassigned)
+    return eval_term(store, Model(assign), t, memo)
 
 
 def is_tautology(store: TermStore, clause: Clause, max_atoms: int = 20) -> bool:
     """Truth-table check over the clause's abstract atoms; exhaustive."""
-    atoms = abstract_atoms(store, clause.atoms())
-    if len(atoms) > max_atoms:
-        raise ResourceError(f"{len(atoms)} atoms exceed the {max_atoms}-atom budget")
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        if not _holds(store, clause, dict(zip(atoms, values)), _unassigned):
-            return False
-    return True
+    return propositionally_implies(store, (), clause, max_atoms)
 
 
 def propositionally_implies(store: TermStore, premises, conclusion: Clause,
                             max_atoms: int = 20) -> bool:
     """Every atom assignment satisfying all premises satisfies the conclusion."""
-    roots = list(conclusion.atoms())
-    for p in premises:
-        roots.extend(p.atoms())
-    atoms = abstract_atoms(store, roots)
+    clauses = [*premises, *(Clause((code ^ 1,)) for code in conclusion.enc)]
+    atoms = abstract_atoms(store, [atom for clause in clauses for atom in clause.atoms()])
     if len(atoms) > max_atoms:
         raise ResourceError(f"{len(atoms)} atoms exceed the {max_atoms}-atom budget")
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        memo = dict(zip(atoms, values))
-        if all(_holds(store, p, memo, _unassigned) for p in premises) \
-                and not _holds(store, conclusion, memo, _unassigned):
-            return False
-    return True
+    return _search(store, clauses, atoms, lambda sort: (False, True), [0], math.inf) is None
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive model search
 # ---------------------------------------------------------------------------
-
-class _NeedValue(Exception):
-    def __init__(self, key, choices):
-        self.key = key
-        self.choices = choices
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -250,32 +278,31 @@ class OracleResult:
 
 
 def _collect_symbols(store: TermStore, clauses):
-    bool_vars: set[TermId] = set()
-    int_vars: set[TermId] = set()
-    bv_vars: set[TermId] = set()
-    elem_vars: dict[UninterpretedSort, set[TermId]] = {}
+    """The clauses' variables in search order (Bool, Int, bit-vector, then
+    each uninterpreted sort by name; by id within a sort), their function
+    symbols, and the number of distinct terms of each uninterpreted sort."""
+    variables: list[TermId] = []
     funs: set[FunSym] = set()
-    u_terms: dict[UninterpretedSort, set[TermId]] = {}
+    u_terms: dict[UninterpretedSort, int] = {}
     for t in store.postorder(atom for clause in clauses for atom in clause.atoms()):
         node = store.node(t)
-        sort = node.sort
-        if isinstance(sort, UninterpretedSort):
-            u_terms.setdefault(sort, set()).add(t)
+        if isinstance(node.sort, UninterpretedSort):
+            u_terms[node.sort] = u_terms.get(node.sort, 0) + 1
         if node.kind is Kind.VAR:
-            if sort == BOOL:
-                bool_vars.add(t)
-            elif sort == INT:
-                int_vars.add(t)
-            elif isinstance(sort, BitVecSort):
-                bv_vars.add(t)
-            else:
-                elem_vars.setdefault(sort, set()).add(t)
+            variables.append(t)
         elif node.kind is Kind.APPLY:
             funs.add(node.extra)
-    return bool_vars, int_vars, bv_vars, elem_vars, funs, u_terms
+
+    def rank(v: TermId):
+        sort = store.sort_of(v)
+        return ((0, "") if sort == BOOL else (1, "") if sort == INT
+                else (2, "") if isinstance(sort, BitVecSort) else (3, sort.name))
+
+    variables.sort(key=rank)  # stable: ids stay ascending within a sort
+    return variables, funs, u_terms
 
 
-def _sort_values(sort: Sort, int_box: tuple[int, int], domains: dict) -> list:
+def _sort_values(int_box: tuple[int, int], domains: dict, sort: Sort) -> list:
     if sort == BOOL:
         return [False, True]
     if sort == INT:
@@ -284,26 +311,6 @@ def _sort_values(sort: Sort, int_box: tuple[int, int], domains: dict) -> list:
     if isinstance(sort, BitVecSort):
         return [int_to_bits(v, sort.width) for v in range(1 << sort.width)]
     return list(range(domains[sort]))
-
-
-def _search_completions(evaluate, tables: dict, counter: list, budget: int):
-    """Depth-first resolution of missing function entries.
-
-    ``evaluate`` must be a pure function of ``tables``; yields one result per
-    complete extension.  ``counter`` counts evaluations against the budget.
-    """
-    try:
-        result = evaluate(tables)
-    except _NeedValue as nv:
-        for v in nv.choices:
-            tables[nv.key] = v
-            yield from _search_completions(evaluate, tables, counter, budget)
-        del tables[nv.key]
-        return
-    counter[0] += 1
-    if counter[0] > budget:
-        raise ResourceError("oracle evaluation budget exceeded")
-    yield result, dict(tables)
 
 
 def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_INT_BOX,
@@ -318,57 +325,30 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
     tractable at desk scale.
     """
     clauses = list(clauses)
-    bool_vars, int_vars, bv_vars, elem_vars, funs, u_terms = _collect_symbols(store, clauses)
-
-    u_sorts = sorted(set(elem_vars) | set(u_terms), key=lambda s: s.name)
+    variables, funs, u_terms = _collect_symbols(store, clauses)
+    u_sorts = sorted(u_terms, key=lambda s: s.name)
     # A quantifier-free set is satisfiable iff it has a model no larger than
     # its distinct term count per sort, so sweeping up to that bound is a
     # complete search for those sorts.
-    needed = {s: max(1, len(u_terms.get(s, ()))) for s in u_sorts}
-    sweeps = {s: min(needed[s], max_domain) for s in u_sorts}
-    complete = all(sweeps[s] >= needed[s] for s in u_sorts) and not int_vars
-
-    var_order = sorted(bool_vars) + sorted(int_vars) + sorted(bv_vars) \
-        + [v for s in u_sorts for v in sorted(elem_vars.get(s, ()))]
-
+    complete = all(n <= max_domain for n in u_terms.values()) \
+        and INT not in map(store.sort_of, variables)
     counter = [0]
-    domain_choices = [range(1, sweeps[s] + 1) for s in u_sorts]
-    for sizes in itertools.product(*domain_choices):
+    for sizes in itertools.product(*(range(1, min(u_terms[s], max_domain) + 1)
+                                     for s in u_sorts)):
         domains = dict(zip(u_sorts, sizes))
-        value_lists = [_sort_values(store.sort_of(v), int_box, domains) for v in var_order]
-        est = 1
-        for vl in value_lists:
-            est *= len(vl)
-            if est > budget:
-                return OracleResult(EXHAUSTED)
-        for values in itertools.product(*value_lists):
-            assign = dict(zip(var_order, values))
-
-            def evaluate(tables, _assign=assign, _domains=domains):
-                def lookup_fun(fn: FunSym, args: tuple):
-                    key = (fn, args)
-                    if key not in tables:
-                        raise _NeedValue(key, _sort_values(fn.ret_sort, int_box, _domains))
-                    return tables[key]
-
-                memo = dict(_assign)
-                return all(_holds(store, clause, memo, lookup_fun) for clause in clauses)
-
-            try:
-                for ok, tables in _search_completions(evaluate, {}, counter, budget):
-                    if ok:
-                        witness = Model(domains=dict(domains))
-                        for v, val in assign.items():
-                            witness.set_var(store, v, val)
-                        grouped: dict[FunSym, dict] = {fn: {} for fn in funs}
-                        for (fn, fargs), val in tables.items():
-                            grouped.setdefault(fn, {})[fargs] = val
-                        for fn, entries in grouped.items():
-                            default = _sort_values(fn.ret_sort, int_box, domains)[0]
-                            witness.fun_tables[fn] = (entries, default)
-                        return OracleResult(SAT, witness=witness)
-            except ResourceError:
-                return OracleResult(EXHAUSTED)
+        values_of = functools.cache(functools.partial(_sort_values, int_box, domains))
+        if math.prod(len(values_of(store.sort_of(v))) for v in variables) > budget:
+            return OracleResult(EXHAUSTED)
+        try:
+            found = _search(store, clauses, variables, values_of, counter, budget)
+        except ResourceError:
+            return OracleResult(EXHAUSTED)
+        if found is not None:
+            assign, entries = found
+            tables = {fn: ({}, values_of(fn.ret_sort)[0]) for fn in funs}
+            for (fn, args), value in entries.items():
+                tables[fn][0][args] = value
+            return OracleResult(SAT, witness=Model(assign, tables, domains))
     return OracleResult(UNSAT, complete=complete)
 
 
@@ -398,22 +378,9 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
             order.append(t)
         elif kind is not Kind.APPLY:
             raise ResourceError(f"unsupported term in equality lemma: {to_sexpr(store, t)}")
+    negated = [Clause((code ^ 1,)) for code in lemma.enc]
     counter = [0]
     for d in range(1, max_domain + 1):
-        values = list(range(d))
-        for assignment in itertools.product(values, repeat=len(order)):
-            assign = dict(zip(order, assignment))
-
-            def evaluate(tables, _assign=assign, _values=values):
-                def lookup_fun(fn: FunSym, args: tuple):
-                    key = (fn, args)
-                    if key not in tables:
-                        raise _NeedValue(key, _values)
-                    return tables[key]
-
-                return _holds(store, lemma, dict(_assign), lookup_fun)
-
-            for ok, _tables in _search_completions(evaluate, {}, counter, budget):
-                if not ok:
-                    return False
+        if _search(store, negated, order, lambda sort: range(d), counter, budget) is not None:
+            return False
     return True

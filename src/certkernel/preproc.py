@@ -46,7 +46,10 @@ Nested proofs are trees in a small s-expression syntax::
 A step premise is an input clause id (integer), a bound lemma name, or an
 inline sub-proof.  Names must be bound before use and never shadowed.
 Linearization emits each let-bound lemma once, at its binding site, so the
-output certificate is linear in the size of the tree.
+output certificate is linear in the size of the tree.  A chain of lets,
+each nested in the body of the last, is read and linearized in a loop, so
+it may be of any length; an inline sub-proof and a let in a binding still
+recurse, and nesting those too deeply is a ParseError.
 """
 
 from __future__ import annotations
@@ -119,18 +122,22 @@ def linearize(proof: NestedProof, n_inputs: int) -> Certificate:
 
 def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: int) -> int:
     """Append node's steps to steps; returns the id of its conclusion.  A
-    module-level function, not a closure: a closure that calls itself is a
-    reference cycle, which only the cyclic collector frees."""
+    chain of lets is followed in a loop: each bound name enters env, the one
+    dict of names in scope, and leaves it once the chain's body is emitted.
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, which only the cyclic collector frees."""
+    chain = []
+    while isinstance(node, NLet):
+        if node.name in env:
+            raise UnboundNameError(f"lemma name {node.name} is shadowed")
+        env[node.name] = _emit(node.bound, env, steps, n_inputs)
+        chain.append(node.name)
+        node = node.body
     if isinstance(node, NRef):
         if node.name not in env:
             raise UnboundNameError(f"unbound lemma name {node.name}")
-        return env[node.name]
-    if isinstance(node, NLet):
-        if node.name in env:
-            raise UnboundNameError(f"lemma name {node.name} is shadowed")
-        bound_id = _emit(node.bound, env, steps, n_inputs)
-        return _emit(node.body, {**env, node.name: bound_id}, steps, n_inputs)
-    if isinstance(node, NStep):
+        root = env[node.name]
+    elif isinstance(node, NStep):
         premises = []
         for p in node.premises:
             if isinstance(p, int):
@@ -143,10 +150,13 @@ def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: i
                 premises.append(env[p])
             else:
                 premises.append(_emit(p, env, steps, n_inputs))
-        step_id = n_inputs + len(steps)
-        steps.append(Step(step_id, node.rule, tuple(premises), node.payload))
-        return step_id
-    raise UnboundNameError(f"not a proof node: {node!r}")
+        root = n_inputs + len(steps)
+        steps.append(Step(root, node.rule, tuple(premises), node.payload))
+    else:
+        raise UnboundNameError(f"not a proof node: {node!r}")
+    for name in chain:
+        del env[name]
+    return root
 
 
 def compact(cert: Certificate, n_inputs: int) -> Certificate:
@@ -422,28 +432,28 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
 
 
 def _convert(problem: Problem, sx) -> NestedProof:
-    if isinstance(sx, Token):
-        raise ParseError(f"expected a proof node, got {sx.text!r}", sx.line, sx.col)
-    items = sx.items
-    if sx.bracket != "(" or not items or not isinstance(items[0], Token):
-        raise ParseError("malformed proof node", sx.line, sx.col)
-    head = items[0].text
+    """The proof node sx.  A let's body is followed in a loop, so a chain of
+    lets takes one call; a binding or an inline sub-proof recurses.  A
+    body's errors come before those of its bindings, innermost let first."""
+    lets = []
+    while True:
+        if isinstance(sx, Token):
+            raise ParseError(f"expected a proof node, got {sx.text!r}", sx.line, sx.col)
+        items = sx.items
+        if sx.bracket != "(" or not items or not isinstance(items[0], Token):
+            raise ParseError("malformed proof node", sx.line, sx.col)
+        head = items[0].text
+        if head != "let":
+            break
+        if len(items) != 3 or not isinstance(items[1], SList) or items[1].bracket != "(":
+            raise ParseError("malformed let", sx.line, sx.col)
+        lets.append(sx)
+        sx = items[2]
     if head == "ref":
         if len(items) != 2 or not isinstance(items[1], Token):
             raise ParseError("ref takes one name", sx.line, sx.col)
-        return NRef(items[1].text)
-    if head == "let":
-        if len(items) != 3 or not isinstance(items[1], SList) or items[1].bracket != "(":
-            raise ParseError("malformed let", sx.line, sx.col)
-        body = _convert(problem, items[2])
-        for binding in reversed(items[1].items):
-            if not (isinstance(binding, SList) and binding.bracket == "("
-                    and len(binding.items) == 2 and isinstance(binding.items[0], Token)):
-                raise ParseError("malformed let binding", sx.line, sx.col)
-            body = NLet(binding.items[0].text,
-                        _convert(problem, binding.items[1]), body)
-        return body
-    if head == "step":
+        body = NRef(items[1].text)
+    elif head == "step":
         rule = _step_rule(items, "expected (step <rule> (<premises>) {<payload>})",
                           sx.line, sx.col)
         premises: list = []
@@ -456,8 +466,17 @@ def _convert(problem: Problem, sx) -> NestedProof:
             else:
                 premises.append(_convert(problem, p))
         payload = parse_payload(problem, rule, items[3].items, sx.line, sx.col)
-        return NStep(rule, tuple(premises), payload)
-    raise ParseError(f"unknown proof node {head}", sx.line, sx.col)
+        body = NStep(rule, tuple(premises), payload)
+    else:
+        raise ParseError(f"unknown proof node {head}", sx.line, sx.col)
+    for let in reversed(lets):
+        for binding in reversed(let.items[1].items):
+            if not (isinstance(binding, SList) and binding.bracket == "("
+                    and len(binding.items) == 2 and isinstance(binding.items[0], Token)):
+                raise ParseError("malformed let binding", let.line, let.col)
+            body = NLet(binding.items[0].text,
+                        _convert(problem, binding.items[1]), body)
+    return body
 
 
 def parse_nested_proof(text: str, problem: Problem) -> NestedProof:

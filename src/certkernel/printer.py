@@ -182,8 +182,6 @@ def oracle_report(store: TermStore, res) -> str:
     lines = [f"status {res.status}" + ("" if res.complete else " bounded")]
     model = res.witness
     if model is not None:
-        named = sorted((store.node(tid).extra[0], value) for table in (
-            model.bool_vals, model.int_vals, model.bv_vals, model.elem_vals)
-            for tid, value in table.items())
+        named = sorted((store.node(tid).extra[0], value) for tid, value in model.values.items())
         lines += [f"model {name} {_value(value)}" for name, value in named]
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def _lia_box_valid(store, lemma, lo=-10, hi=10):
     int_vars = sorted({v for atom in lemma.atoms() for v in store.vars_of(atom)})
     for values in itertools.product(range(lo, hi + 1), repeat=len(int_vars)):
-        m = Model(int_vals=dict(zip(int_vars, values)))
+        m = Model(values=dict(zip(int_vars, values)))
         if not eval_clause(store, m, lemma):
             return False
     return True
@@ -167,11 +167,11 @@ def test_c2_step_local_soundness_1000_accepted_each():
             assign = {}
             model = Model()
             for w, v in zip(words, values):
-                model.bv_vals[w] = tuple(bool((v >> i) & 1)
-                                         for i in range(store.width_of(w)))
+                model.values[w] = tuple(bool((v >> i) & 1)
+                                        for i in range(store.width_of(w)))
                 for i, bit in enumerate(ctx.bitblast.bits[w]):
                     assign[bit] = bool((v >> i) & 1)
-                    model.bool_vals[bit] = assign[bit]
+                    model.values[bit] = assign[bit]
             for payload, link in adds:
                 l, r = store.args(payload.target)
                 memo = {}
@@ -182,7 +182,7 @@ def test_c2_step_local_soundness_1000_accepted_each():
                 carry = False
                 for i, cvar in enumerate(payload.aux):
                     assign[cvar] = carry
-                    model.bool_vals[cvar] = carry
+                    model.values[cvar] = carry
                     carry = (lv[i] and rv[i]) or ((lv[i] != rv[i]) and carry)
             memo = {}
             for _, link in adds:

@@ -30,7 +30,7 @@ def _bit_model(store, state, word_vals):
     model = Model()
     for var, value in word_vals.items():
         for i, bit in enumerate(state.bits[var]):
-            model.bool_vals[bit] = bool((value >> i) & 1)
+            model.values[bit] = bool((value >> i) & 1)
     return model
 
 
@@ -134,7 +134,7 @@ def _extend_with_carries(store, model, state, x, y, carries):
     yv = [bool(eval_term(store, model, b, memo)) for b in state.bits[y]]
     c = False
     for i, var in enumerate(carries):
-        model.bool_vals[var] = c
+        model.values[var] = c
         c = (xv[i] and yv[i]) or ((xv[i] != yv[i]) and c)
     return model
 
@@ -196,8 +196,8 @@ def test_bb_eq_random_links_valid_under_bv_semantics():
     link_term = link.enc[0] >> 1
     for xv, yv in itertools.product(range(8), repeat=2):
         model = _bit_model(store, state, {x: xv, y: yv})
-        model.bv_vals[x] = int_to_bits(xv, 3)
-        model.bv_vals[y] = int_to_bits(yv, 3)
+        model.values[x] = int_to_bits(xv, 3)
+        model.values[y] = int_to_bits(yv, 3)
         assert eval_term(store, model, link_term) is True
 
 

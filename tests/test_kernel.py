@@ -5,7 +5,7 @@ from pathlib import Path
 
 import gens
 from certkernel import (
-    BOOL, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext, Clause,
+    BOOL, INT, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext, Clause,
     CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
     TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check, dispatch, mk_clause,
     neg, parse_certificate, parse_dimacs, parse_smt2, pos, stats_report,
@@ -313,6 +313,28 @@ def test_malformed_declared_clauses_are_rejected_at_their_step():
     assert result.clauses[2:] == (lia.lemma, euf.lemma, Clause((le,)))
 
 
+def test_fields_of_types_no_reader_builds_are_malformed_steps():
+    """A step field of the wrong type is INVALID at its step, never an
+    exception out of check."""
+    store, inputs = _unit_conflict()
+    t = store.and_([inputs[0].atoms()[0], store.true_id])
+    x = store.var("x", INT)
+    lemma = mk_clause(store, [pos(store.le(x, x))])
+    steps = [Step(2, RuleKind.RES, (0, 1.0)), Step(2, RuleKind.RES, (None,)),
+             Step(2, RuleKind.RES, ("1",)), Step(2, RuleKind.RES, None),
+             Step(2, RuleKind.AND_POS, (), CnfPayload(1.0)),
+             Step(2, RuleKind.AND_POS, (), CnfPayload(None)),
+             Step(2, RuleKind.AND_POS, (), CnfPayload(t, 0.0)),
+             Step(2, RuleKind.BB_VAR, (), BvPayload(None)),
+             Step(2, RuleKind.LIA, (), LiaPayload(lemma, 5)),
+             Step(2, RuleKind.ASSUME, (), AssumePayload(None)),
+             Step(2, "res", (0, 1)), Step(2, [RuleKind.RES], (0, 1))]
+    for step in steps:
+        result = check(store, inputs, Certificate((step,), 2))
+        assert (result.verdict, result.step_id, result.reason) \
+            == (Verdict.INVALID, 2, "malformed step"), step
+
+
 # Small satisfiable problems over every sort the checkers handle.
 _SAT_PROBLEMS = [
     ("p cnf 3 2\n1 -2 0\n2 3 0\n", parse_dimacs),
@@ -334,11 +356,13 @@ def _raw_certificate(rng, store, funs, n_inputs):
     def num():
         return rng.choice([rng.randrange(-size, size), rng.randrange(size),
                            rng.randrange(-10 ** 6, 10 ** 6), -size * rng.randrange(1, 4),
-                           10 ** rng.randrange(10, 40)])
+                           10 ** rng.randrange(10, 40), 1.0, None, "1", True])
 
     def clause():
         codes = [num() for _ in range(rng.randrange(4))]
-        return Clause(tuple(sorted(set(codes))) if rng.random() < 0.5 else tuple(codes))
+        numeric = all(isinstance(c, (int, float)) for c in codes)
+        return Clause(tuple(sorted(set(codes))) if numeric and rng.random() < 0.5
+                      else tuple(codes))
 
     def payload(rule):
         # the rule's payload type, or any type (a mismatch is INVALID)
@@ -376,7 +400,7 @@ def test_raw_certificates_never_crash_or_validate_satisfiable_inputs():
     for text, parse in _SAT_PROBLEMS:
         prob = parse(text)
         assert brute_unsat(prob.store, prob.input_clauses).status == "sat", text
-        funs = [None] + [d[1] for d in prob.decls.values() if d[0] != "var"]
+        funs = [None, "f", 0] + [d[1] for d in prob.decls.values() if d[0] != "var"]
         for _ in range(1500):
             cert = _raw_certificate(rng, prob.store, funs, len(prob.input_clauses))
             result = check(prob.store, prob.input_clauses, cert)

@@ -18,7 +18,7 @@ def lia_box_valid(store, lemma, lo=-10, hi=10):
     int_vars = sorted({v for atom in lemma.atoms() for v in store.vars_of(atom)})
     assert all(store.sort_of(v) == INT for v in int_vars)
     for values in itertools.product(range(lo, hi + 1), repeat=len(int_vars)):
-        m = Model(int_vals=dict(zip(int_vars, values)))
+        m = Model(values=dict(zip(int_vars, values)))
         if not eval_clause(store, m, lemma):
             return False
     return True

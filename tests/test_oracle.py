@@ -1,14 +1,17 @@
 """Semantic evaluator and brute-force search."""
 
 import gc
+import inspect
+import sys
 
 import pytest
 
 from certkernel import (
     BOOL, INT, BitVecSort, FunSym, IncompleteModelError, Model, ResourceError,
     TermStore, UninterpretedSort, brute_unsat, euf_lemma_valid, eval_clause,
-    eval_term, is_tautology, mk_clause, neg, pos, propositionally_implies,
+    eval_term, is_tautology, mk_clause, neg, parse_smt2, pos, propositionally_implies,
 )
+from certkernel.cli import run_one
 from certkernel.oracle import (
     EXHAUSTED, SAT, UNSAT, abstract_atoms, bits_to_int, int_to_bits,
 )
@@ -18,7 +21,7 @@ def test_eval_constants_and_comparison():
     store = TermStore()
     assert eval_term(store, Model(), store.true_id) is True
     x = store.var("x", INT)
-    m = Model(int_vals={x: 3})
+    m = Model(values={x: 3})
     assert eval_term(store, m, store.le(x, store.int_const(3))) is True
     assert eval_term(store, m, store.lt(x, store.int_const(3))) is False
     assert eval_term(store, m, store.add([x, store.int_const(-5)])) == -2
@@ -29,10 +32,10 @@ def test_eval_bv_add_is_modular():
     store = TermStore()
     x = store.var("x", BitVecSort(2))
     y = store.var("y", BitVecSort(2))
-    m = Model(bv_vals={x: int_to_bits(1, 2), y: int_to_bits(1, 2)})
+    m = Model(values={x: int_to_bits(1, 2), y: int_to_bits(1, 2)})
     out = eval_term(store, m, store.bv_add(x, y))
     assert bits_to_int(out) == 2
-    m2 = Model(bv_vals={x: int_to_bits(3, 2), y: int_to_bits(2, 2)})
+    m2 = Model(values={x: int_to_bits(3, 2), y: int_to_bits(2, 2)})
     assert bits_to_int(eval_term(store, m2, store.bv_add(x, y))) == 1
     assert eval_term(store, m2, store.bv_ult(y, x)) is True
 
@@ -43,11 +46,11 @@ def test_eval_uninterpreted_function_table():
     a = store.var("a", u)
     f = FunSym("f", (u,), u)
     fa = store.apply(f, [a])
-    m = Model(elem_vals={a: 0}, fun_tables={f: ({(0,): 1}, 0)})
+    m = Model(values={a: 0}, fun_tables={f: ({(0,): 1}, 0)})
     assert eval_term(store, m, fa) == 1
     assert eval_term(store, m, store.eq(fa, a)) is False
     with pytest.raises(IncompleteModelError):
-        eval_term(store, Model(elem_vals={a: 0}), fa)
+        eval_term(store, Model(values={a: 0}), fa)
 
 
 def test_eval_clause():
@@ -57,7 +60,7 @@ def test_eval_clause():
     assert eval_clause(store, Model(), mk_clause(store, [pos(store.true_id)])) is True
     taut = mk_clause(store, [pos(p), neg(p)])
     for v in (False, True):
-        assert eval_clause(store, Model(bool_vals={p: v}), taut) is True
+        assert eval_clause(store, Model(values={p: v}), taut) is True
 
 
 def test_brute_unsat_basics():
@@ -210,3 +213,25 @@ def test_euf_oracle_rejects_an_arithmetic_side_before_the_search():
     lemma = mk_clause(store, [pos(e), neg(e), pos(store.eq(store.add([x, y]), z))])
     with pytest.raises(ResourceError, match=r"unsupported term in equality lemma: \(\+ x y\)"):
         euf_lemma_valid(store, lemma)
+
+
+def test_a_search_path_of_300_function_entries_takes_no_recursion(tmp_path):
+    """Each flat assert (<= (f k) 100) reaches one more entry of f, so one
+    search path fills 300 of them; the search holds them on a stack, not
+    in Python frames, and runs 200 frames above this test's own depth."""
+    text = "(declare-fun f (Int) Int)\n" \
+        + "".join(f"(assert (<= (f {k}) 100))\n" for k in range(300))
+    path = tmp_path / "flat.smt2"
+    path.write_text(text)
+    prob = parse_smt2(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        res = brute_unsat(prob.store, prob.input_clauses)
+        code, report = run_one(str(path), None, "oracle", None, False, False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.status == SAT
+    assert all(eval_clause(prob.store, res.witness, c) for c in prob.input_clauses)
+    assert len(res.witness.fun_tables[prob.decls["f"][1]][0]) == 300
+    assert (code, report) == (0, "status sat\n")

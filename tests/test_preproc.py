@@ -11,6 +11,7 @@ from certkernel import (
     TermStore, UnboundNameError, Verdict, check, compact, extract_trust,
     linearize, mk_clause, neg, parse_nested_proof, parse_smt2, pos,
 )
+from certkernel.cli import run_one
 
 
 def _conflict_store():
@@ -162,6 +163,23 @@ def test_deep_nested_proof_is_a_parse_error_not_a_crash():
         with pytest.raises(ParseError, match="nested too deeply") as e:
             parse_nested_proof(text, prob)
         assert e.value.line == text.count("\n") + 1
+
+
+def test_a_let_chain_of_20000_lemmas_translates_and_checks(tmp_path):
+    """Each let binds one lemma and nests the next in its body; the chain
+    is read and linearized in a loop, so its length is not a depth."""
+    n = 20_000
+    text = "(let ((L0 (step res (0 1) {}))) " \
+        + "".join(f"(let ((L{i} (step res (L{i - 1}) {{}}))) " for i in range(1, n)) \
+        + f"(ref L{n - 1})" + ")" * n + "\n"
+    problem, proof, cert = tmp_path / "p.cnf", tmp_path / "chain.proof", tmp_path / "chain.cert"
+    problem.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    proof.write_text(text)
+    code, out = run_one(str(problem), str(proof), "translate", None, False, False)
+    assert code == 0 and out.count("\n") == n + 1, out[:200]
+    assert out.endswith(f"{n + 1} res ({n}) {{}}\nqed {n + 1}\n")
+    cert.write_text(out)
+    assert run_one(str(problem), str(cert), "check", None, False, False) == (0, "VALID\n")
 
 
 def test_fault_injection_buggy_preprocessors_never_validate_sat():

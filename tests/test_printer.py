@@ -11,7 +11,8 @@ translate``.
 The trusted modules hold no renderer: a guard parses them and rejects an
 import of an untrusted module (``printer``, ``preproc``, ``oracle``, ``cli``)
 or a definition of a rendering function, and an import of a checker module
-by the problem readers in ``frontend``.
+by the problem readers in ``frontend``.  A second guard rejects a function
+of the package that calls itself by name, outside a short list.
 """
 
 import ast
@@ -154,3 +155,21 @@ def test_trusted_modules_hold_no_renderer():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name not in RENDERERS, f"{name} defines {node.name}"
+
+
+# Input sets the depth of a function that calls itself.  parse_term still
+# does (ROADMAP item 2), and so do the nested-proof reader and linearizer,
+# for inline sub-proofs; a chain of lets takes them one call.
+SELF_CALLS = {("frontend", "parse_term"), ("preproc", "_convert"), ("preproc", "_emit")}
+
+
+def test_no_function_calls_itself_by_name():
+    src = HERE.parent / "src" / "certkernel"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == fn.name for call in ast.walk(fn)):
+                found.add((path.stem, fn.name))
+    assert found <= SELF_CALLS, sorted(found - SELF_CALLS)
