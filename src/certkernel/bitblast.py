@@ -41,9 +41,9 @@ class BitBlastState:
     """Per-run map from bit-vector terms to their bit formulas, plus the
     registry enforcing freshness of auxiliary variables.
 
-    ``used_vars`` accumulates every variable seen so far in the run: input
-    clause variables, variables of stored step conclusions, and registered
-    auxiliaries.  An aux variable is fresh iff it is not in this set.
+    ``used_vars`` holds every node a stored clause reaches, inputs and step
+    conclusions alike, plus the registered auxiliaries.  An aux variable is
+    fresh iff it is not in this set.
     """
 
     bits: dict[TermId, tuple[TermId, ...]] = field(default_factory=dict)

@@ -15,7 +15,7 @@ Exit codes are a stable contract:
 Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
 satisfiability of the input clauses; budget via CERTKERNEL_BUDGET).
-Both inputs accept ``-`` for stdin.  --machine switches to a line-oriented
+``-`` names stdin, once per run.  --machine switches to a line-oriented
 record with a stable field order.  ``certkernel.printer`` writes every report.
 
 Each pair runs with Python's cyclic garbage collector paused (``run_one``).
@@ -176,6 +176,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
+        return EXIT_ERROR
+    if (args.problem + args.proof).count("-") > 1:
+        print("error: '-' (stdin) may name only one input", file=sys.stderr)
         return EXIT_ERROR
     proofs: list[str | None] = list(args.proof)
     if args.mode == "oracle":

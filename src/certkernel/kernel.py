@@ -9,6 +9,9 @@ Trusted otherwise, with the assumed clauses reported verbatim.  Structural
 violations — bad ids, forward references, payload/rule mismatches, a field
 of a type no reader builds — stop the run as Invalid at the offending step,
 as does a rejected step whose payload declared a specific conclusion.
+Every small checker rejects by returning the ``TRIVIALLY_TRUE`` object
+itself, never an equal copy, so ``conclusion is TRIVIALLY_TRUE`` with a
+lemma other than [true] means exactly that the step was rejected.
 
 Small checkers are total over any integers in a payload and test a clause
 the payload declares with ``terms.well_formed``, so any ``Certificate`` is
@@ -18,7 +21,7 @@ A run is strictly sequential; distinct runs share nothing mutable.
 
 How each rule is replayed is decided in one place, the ``RULES`` registry.
 Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
-type, small checker and the two flags.  A Tseitin-style CNF rule needs only
+type and small checker.  A Tseitin-style CNF rule needs only
 a head kind and literal template in ``resolution.TSEITIN``, from which its
 entry is made; a bit-blasting rule needs one ``bitblast.BLASTERS`` row for
 its target kind and the entry ``_bb(Kind.X)``.  ``certkernel.preproc`` parses
@@ -70,19 +73,16 @@ class CheckContext:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """How the main checker replays one rule.
-
-    ``checker(ctx, premises, payload)`` is the small checker; a step must
-    carry a ``payload`` instance.  ``declares``: the payload names the
-    intended conclusion (``payload.lemma``), so a rejection stops the run as
-    Invalid.  ``blasts``: the checker consults the aux-freshness registry,
-    so every stored clause is scanned before it runs.
+    """How the main checker replays one rule: a step must carry a
+    ``payload`` instance, and ``checker(ctx, premises, payload)`` is the
+    small checker.  The payload type says the rest.  A type with a
+    ``lemma`` names the intended conclusion, so a rejection stops the run
+    as Invalid; a ``BvPayload`` checker reads the aux-freshness registry,
+    so the clauses stored since the last scan are walked before it runs.
     """
 
     payload: type
     checker: Callable[[CheckContext, list[Clause], object], Clause]
-    declares: bool = False
-    blasts: bool = False
 
 
 def _cnf(rule: RuleKind) -> Rule:
@@ -92,8 +92,7 @@ def _cnf(rule: RuleKind) -> Rule:
 
 def _bb(kind: Kind) -> Rule:
     return Rule(BvPayload,
-                lambda ctx, premises, p: bitblast.bb_step(ctx.store, ctx.bitblast, p, kind),
-                blasts=True)
+                lambda ctx, premises, p: bitblast.bb_step(ctx.store, ctx.bitblast, p, kind))
 
 
 RULES: dict[RuleKind, Rule] = {
@@ -101,11 +100,9 @@ RULES: dict[RuleKind, Rule] = {
                        lambda ctx, premises, p: resolution.resolve_chain(premises)),
     **{rule: _cnf(rule) for rule in resolution.TSEITIN},
     RuleKind.EUF: Rule(EufPayload,
-                       lambda ctx, premises, p: euf.check_euf(ctx.store, p),
-                       declares=True),
+                       lambda ctx, premises, p: euf.check_euf(ctx.store, p)),
     RuleKind.LIA: Rule(LiaPayload,
-                       lambda ctx, premises, p: lia.check_lia(ctx.store, p),
-                       declares=True),
+                       lambda ctx, premises, p: lia.check_lia(ctx.store, p)),
     RuleKind.BB_VAR: _bb(Kind.VAR),
     RuleKind.BB_CONST: _bb(Kind.BV_CONST),
     RuleKind.BB_NOT: _bb(Kind.BV_NOT),
@@ -116,8 +113,7 @@ RULES: dict[RuleKind, Rule] = {
     RuleKind.BB_EQ: _bb(Kind.EQ),
     RuleKind.BB_ULT: _bb(Kind.BV_ULT),
     RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p:
-                          p.lemma if well_formed(ctx.store, p.lemma) else TRIVIALLY_TRUE,
-                          declares=True),
+                          p.lemma if well_formed(ctx.store, p.lemma) else TRIVIALLY_TRUE),
 }
 
 
@@ -131,13 +127,6 @@ def dispatch(ctx: CheckContext, rule: RuleKind, premises: list[Clause],
     return RULES[rule].checker(ctx, premises, payload)
 
 
-def _clause_vars(store: TermStore, clause: Clause):
-    out: set[int] = set()
-    for atom in clause.atoms():
-        out |= store.vars_of(atom)
-    return out
-
-
 def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     """Replay a certificate over the input clauses and decide the verdict.
 
@@ -149,9 +138,9 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     ctx = CheckContext(store)
     counts: dict[RuleKind, int] = {RuleKind.INPUT: n_inputs}
     assumptions: list[Clause] = []
-    # Variables become "used" for aux-freshness purposes the moment a clause
-    # mentioning them is stored; the scan is deferred until a bit-blasting
-    # step actually consults the registry.
+    # A variable is "used" for aux freshness the moment a clause reaching it
+    # is stored; the walk waits for a bit-blasting step, and each node
+    # lands in ctx.bitblast.used_vars, where no later walk enters it again.
     scanned = 0
 
     def result(verdict, reason=None, step_id=None) -> CheckResult:
@@ -181,17 +170,18 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                 return result(Verdict.INVALID,
                               f"payload does not match rule {step.rule.value}", step.id)
 
-            if entry.blasts:
-                while scanned < len(clauses):
-                    ctx.bitblast.note_used(_clause_vars(store, clauses[scanned]))
-                    scanned += 1
+            if entry.payload is BvPayload:
+                used = ctx.bitblast.used_vars
+                used.update(store.postorder(
+                    (atom for clause in clauses[scanned:] for atom in clause.atoms()), used))
+                scanned = len(clauses)
 
             premises = [clauses[p] for p in ps]
             conclusion = dispatch(ctx, step.rule, premises, step.payload)
         except (TypeError, AttributeError):
             return result(Verdict.INVALID, "malformed step", step.id)
 
-        if entry.declares and conclusion == TRIVIALLY_TRUE \
+        if conclusion is TRIVIALLY_TRUE and hasattr(entry.payload, "lemma") \
                 and step.payload.lemma != TRIVIALLY_TRUE:
             return result(Verdict.INVALID,
                           f"{step.rule.value} checker rejected the step", step.id)

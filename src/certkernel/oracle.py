@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from .errors import IncompleteModelError, ResourceError
 from .printer import to_sexpr
 from .terms import (
-    BOOL, INT, BOOL_STRUCTURE, BitVecSort, Clause, FunSym, Kind, Sort,
+    BOOL, INT, BitVecSort, Clause, FunSym, Kind, Sort,
     TermId, TermStore, UninterpretedSort,
 )
 
@@ -173,13 +173,14 @@ class _Missing(Exception):
 def _search(store: TermStore, clauses, leaves, values_of, counter: list, budget):
     """The first (assignment, entries) under which every clause holds, or None.
 
-    ``values_of(sort)`` lists the values a leaf or a function result of that
-    sort may take.  The clauses are evaluated in order, each with the usual
-    short-circuit.  An entry that evaluation reaches unfilled goes on the
-    stack with its values not yet tried and takes the first; after a failing
-    evaluation the top entry takes its next value, or leaves the stack when
-    it has none.  Every complete evaluation adds one to ``counter[0]``, which
-    searches may share, and the one past ``budget`` raises ResourceError.
+    ``values_of(sort)`` gives the values a leaf or a function result of that
+    sort may take, in a new iterable on each call, which may be lazy.  The
+    clauses are evaluated in order, each with the usual short-circuit.  An
+    entry that evaluation reaches unfilled goes on the stack with its values
+    not yet tried and takes the first; after a failing evaluation the top
+    entry takes its next value, or leaves the stack when it has none.  Every
+    complete evaluation adds one to ``counter[0]``, which searches may
+    share, and the one past ``budget`` raises ResourceError.
     """
     entries: dict[tuple[FunSym, tuple], Value] = {}
 
@@ -220,6 +221,14 @@ def _search(store: TermStore, clauses, leaves, values_of, counter: list, budget)
 # ---------------------------------------------------------------------------
 # Propositional skeleton checks (theory atoms treated as free)
 # ---------------------------------------------------------------------------
+
+# Kinds whose Bool structure the propositional rules can decompose; any other
+# Bool-sorted node acts as an opaque atom for truth-table purposes.
+BOOL_STRUCTURE = frozenset({
+    Kind.TRUE, Kind.FALSE, Kind.NOT, Kind.AND, Kind.OR,
+    Kind.IMPLIES, Kind.XOR, Kind.IFF, Kind.ITE,
+})
+
 
 def abstract_atoms(store: TermStore, roots) -> tuple[TermId, ...]:
     """Bool-sorted subterms that the propositional rules cannot decompose.
@@ -302,15 +311,15 @@ def _collect_symbols(store: TermStore, clauses):
     return variables, funs, u_terms
 
 
-def _sort_values(int_box: tuple[int, int], domains: dict, sort: Sort) -> list:
+def _sort_values(int_box: tuple[int, int], domains: dict, sort: Sort):
+    """The values of a sort in search order; a bit-vector's are made lazily."""
     if sort == BOOL:
-        return [False, True]
+        return (False, True)
     if sort == INT:
-        lo, hi = int_box
-        return list(range(lo, hi + 1))
+        return range(int_box[0], int_box[1] + 1)
     if isinstance(sort, BitVecSort):
-        return [int_to_bits(v, sort.width) for v in range(1 << sort.width)]
-    return list(range(domains[sort]))
+        return map(int_to_bits, range(1 << sort.width), itertools.repeat(sort.width))
+    return range(domains[sort])
 
 
 def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_INT_BOX,
@@ -336,8 +345,9 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
     for sizes in itertools.product(*(range(1, min(u_terms[s], max_domain) + 1)
                                      for s in u_sorts)):
         domains = dict(zip(u_sorts, sizes))
-        values_of = functools.cache(functools.partial(_sort_values, int_box, domains))
-        if math.prod(len(values_of(store.sort_of(v))) for v in variables) > budget:
+        values_of = functools.partial(_sort_values, int_box, domains)
+        if math.prod(1 << sort.width if isinstance(sort, BitVecSort) else len(values_of(sort))
+                     for sort in map(store.sort_of, variables)) > budget:
             return OracleResult(EXHAUSTED)
         try:
             found = _search(store, clauses, variables, values_of, counter, budget)
@@ -345,7 +355,7 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
             return OracleResult(EXHAUSTED)
         if found is not None:
             assign, entries = found
-            tables = {fn: ({}, values_of(fn.ret_sort)[0]) for fn in funs}
+            tables = {fn: ({}, next(iter(values_of(fn.ret_sort)))) for fn in funs}
             for (fn, args), value in entries.items():
                 tables[fn][0][args] = value
             return OracleResult(SAT, witness=Model(assign, tables, domains))

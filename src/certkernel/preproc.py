@@ -13,8 +13,8 @@ Certificate concrete syntax, one step per line::
     qed <id>
 
 with payload terms written in SMT-LIB syntax.  Clause payloads list their
-literals directly; ``(not <atom>)`` marks a negative literal.  Lines
-starting with ``;`` are comments.  The payload shapes per rule family:
+literals directly; ``(not <atom>)`` marks a negative literal.  A line of
+only spaces, tabs, CRs and a ``;`` comment is blank.  Payloads per rule:
 
     res                  {}
     and_pos etc.         {<target term> [<index>]}
@@ -67,7 +67,7 @@ from .frontend import (
 from .kernel import RULES
 from .lia import LiaPayload
 from .resolution import CnfPayload
-from .steps import AssumePayload, Certificate, RULE_BY_NAME, RuleKind, Step
+from .steps import AssumePayload, Certificate, RuleKind, Step
 from .terms import BOOL, Clause, Literal, TermId, mk_clause, neg, pos
 
 # A certificate step up to its payload, and a payload of one term (a symbol,
@@ -75,6 +75,7 @@ from .terms import BOOL, Clause, Literal, TermId, mk_clause, neg, pos
 # optional index and the closing brace, as print_certificate writes them.
 _STEP_HEAD = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{")
 _ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
+RULE_BY_NAME = {r.value: r for r in RuleKind}
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,8 +390,8 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
     lines = split_lines(text)
 
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(";"):
+        stripped = raw.lstrip(" \t\r")
+        if not stripped or stripped[0] == ";":
             continue
         if qed is not None:
             raise ParseError("content after qed", lineno, 1)

@@ -8,9 +8,14 @@ from __future__ import annotations
 from .bitblast import BvPayload
 from .euf import EqRule, EufPayload
 from .lia import LiaPayload
-from .resolution import INDEXED, CnfPayload
+from .resolution import TSEITIN, CnfPayload
 from .steps import AssumePayload, Certificate, RuleKind
 from .terms import Clause, Kind, TermId, TermStore
+
+# Rules whose payload index changes the lemma, and so is printed.
+INDEXED = frozenset(
+    rule for rule, (_, *templates) in TSEITIN.items()
+    if len(templates) > 1 or "i" in templates[0])
 
 
 def _value(v) -> str:

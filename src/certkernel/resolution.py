@@ -88,11 +88,6 @@ TSEITIN = {
     RuleKind.NOT_NOT: (Kind.NOT, "-t -0", "+t +0"),
 }
 
-# Rules whose payload index changes the lemma, and so is printed.
-INDEXED = frozenset(
-    rule for rule, (_, *templates) in TSEITIN.items()
-    if len(templates) > 1 or "i" in templates[0])
-
 
 def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
     """Emit the Tseitin lemma clause for one connective occurrence.

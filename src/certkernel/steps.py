@@ -56,9 +56,6 @@ class RuleKind(Enum):
     __hash__ = object.__hash__
 
 
-RULE_BY_NAME = {r.value: r for r in RuleKind}
-
-
 @dataclass(frozen=True, slots=True)
 class Step:
     """One certificate line: the clause slot it defines, its rule, the

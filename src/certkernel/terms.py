@@ -118,13 +118,6 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-# Kinds whose Bool structure the propositional rules can decompose; any other
-# Bool-sorted node acts as an opaque atom for truth-table purposes.
-BOOL_STRUCTURE = frozenset({
-    Kind.TRUE, Kind.FALSE, Kind.NOT, Kind.AND, Kind.OR,
-    Kind.IMPLIES, Kind.XOR, Kind.IFF, Kind.ITE,
-})
-
 # Operator signatures: kind -> (min args, max args or None for any number,
 # operand sort, result sort).  Every argument must have the operand sort; the
 # operand ``BitVecSort`` stands for "bit-vectors of one width", and a result
@@ -169,7 +162,6 @@ class TermStore:
     def __init__(self):
         self._nodes: list[Node] = []
         self._index: dict[tuple, TermId] = {}
-        self._vars_cache: dict[TermId, frozenset[TermId]] = {}
         self.true_id = self.intern(Kind.TRUE)
         self.false_id = self.intern(Kind.FALSE)
 
@@ -396,19 +388,9 @@ class TermStore:
         return sorted(seen)
 
     def vars_of(self, t: TermId) -> frozenset[TermId]:
-        """Ids of all VAR nodes reachable from t (cached per store)."""
-        cache = self._vars_cache
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
+        """Ids of all VAR nodes reachable from t, from one uncached walk."""
         nodes = self._nodes
-        for u in self.postorder((t,), cache):
-            node = nodes[u]
-            if node.kind is Kind.VAR:
-                cache[u] = frozenset((u,))
-            else:
-                cache[u] = frozenset().union(*(cache[a] for a in node.args))
-        return cache[t]
+        return frozenset(u for u in self.postorder((t,)) if nodes[u].kind is Kind.VAR)
 
 
 # ---------------------------------------------------------------------------

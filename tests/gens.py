@@ -18,7 +18,6 @@ from certkernel import (
     RuleKind, Step, TermStore, UninterpretedSort, dispatch, mk_clause,
     neg, pos, to_sexpr,
 )
-from certkernel.kernel import _clause_vars
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -375,7 +374,7 @@ class BvRefutation:
         self.clauses = list(input_clauses)
         self.ctx = CheckContext(store)
         for c in self.clauses:
-            self.ctx.bitblast.note_used(_clause_vars(store, c))
+            self.ctx.bitblast.note_used(store.postorder(c.atoms()))
         self.steps: list[Step] = []
         self.units: dict[tuple[int, bool], int] = {}
         self.values: dict[int, bool] = {}
@@ -392,7 +391,7 @@ class BvRefutation:
                               payload)
         self.steps.append(step)
         self.clauses.append(conclusion)
-        self.ctx.bitblast.note_used(_clause_vars(self.store, conclusion))
+        self.ctx.bitblast.note_used(self.store.postorder(conclusion.atoms()))
         return step_id
 
     def _fresh(self, base: str) -> int:

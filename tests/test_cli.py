@@ -229,6 +229,25 @@ def test_stdin_dash(files):
     assert proc.stdout.strip() == "VALID"
 
 
+@pytest.mark.parametrize("args", [
+    ["--problem", "-", "--proof", "-", "--format", "dimacs"],
+    ["--problem", "-", "--proof", "a.cert", "--problem", "b.cnf", "--proof", "-"],
+    ["--problem", "-", "--problem", "-", "--mode", "oracle"],
+], ids=["problem-and-proof", "two-pairs", "oracle"])
+def test_stdin_dash_names_one_input_only(args, capsys, monkeypatch):
+    """A second ``-`` would read an empty stdin: main rejects it with one
+    error line and exit 3 before it reads any input."""
+    class Unread:
+        @property
+        def buffer(self):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: '-' (stdin) may name only one input\n")
+
+
 def test_multiple_pairs_and_jobs(files, capsys):
     (files / "bad.cert").write_text("2 res (0) {}\nqed 2\n")
     args = ["--problem", str(files / "prob.cnf"), "--proof", str(files / "cnf.cert"),

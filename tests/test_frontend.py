@@ -757,7 +757,7 @@ def test_only_newline_breaks_a_line(brk):
     assert error(lambda: parse_certificate(f"2 res (0{brk}1) {{}}\nqed 2\n", pair)) \
         == f"line 1, col 9: unexpected character {brk!r}"
     assert error(lambda: parse_certificate(f"2 res (0 1) {{}}\n{brk}\nqed 5\n", pair)) \
-        == "line 3, col 1: qed names unknown id 5"
+        == f"line 2, col 1: unexpected character {brk!r}"
     assert error(lambda: parse_certificate(f"; a{brk}b\n2 res (0 1) {{}}\n", pair)) \
         == "line 2, col 1: missing qed line"
     assert error(lambda: parse_dimacs(f"p cnf 2 1\n1{brk}-2 0\n3 0\n")) \
@@ -766,6 +766,30 @@ def test_only_newline_breaks_a_line(brk):
         == "line 3, col 1: header promises 2 clauses, found 1"
     assert parse_dimacs(f"c a{brk}b\np cnf 2 1\n1{brk}-2 0\n").input_clauses \
         == parse_dimacs("p cnf 2 1\n1 -2 0\n").input_clauses
+
+
+@pytest.mark.parametrize("line", [" \t\r", "", "  ; a\x0bb", ";", *"\x0b\x0c\x85\u2028",
+                                  "\x0c ; c", " \u2028 "], ids=repr)
+def test_a_certificate_line_is_blank_only_if_read_sexprs_finds_it_blank(line):
+    """parse_certificate skips a line exactly when read_sexprs reads no item
+    from it; any other line, after qed too, is a ParseError naming it."""
+    from certkernel.frontend import read_sexprs
+    pair = parse_dimacs(_DIMACS_PAIR)
+    try:
+        blank = read_sexprs(line, first_line=2) == []
+    except ParseError as e:
+        blank, message = False, str(e)
+    expected = parse_certificate("2 res (0 1) {}\nqed 2\n", pair)
+    for text, lineno in ((f"2 res (0 1) {{}}\n{line}\nqed 2\n", 2),
+                         (f"2 res (0 1) {{}}\nqed 2\n{line}\n", 3)):
+        if blank:
+            assert parse_certificate(text, pair) == expected
+            continue
+        with pytest.raises(ParseError) as e:
+            parse_certificate(text, pair)
+        assert e.value.line == lineno
+        if lineno == 2:
+            assert str(e.value) == message
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=repr)

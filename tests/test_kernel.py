@@ -3,10 +3,12 @@
 import random
 from pathlib import Path
 
+import pytest
+
 import gens
 from certkernel import (
-    BOOL, INT, AssumePayload, BitVecSort, BvPayload, Certificate, CheckContext, Clause,
-    CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
+    BOOL, EMPTY_CLAUSE, INT, AssumePayload, BitVecSort, BvPayload, Certificate,
+    CheckContext, Clause, CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
     TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check, dispatch, mk_clause,
     neg, parse_certificate, parse_dimacs, parse_smt2, pos, stats_report,
 )
@@ -250,6 +252,53 @@ def test_bit_blast_scan_over_depth_10000_input():
     assert result.reason == "empty clause not derived"
 
 
+def _deep_aux_certificate(rule: RuleKind, aux_name: str):
+    """Inputs (= x #b1) and (= x #b0) over a 1-bit x, refuted through the
+    bb_var mapping of x to the Bool variable aux_name.  Step 2, an API-built
+    assume or and_pos step, stores a clause that reaches the variable ``a``
+    only 1 000 levels down."""
+    store = TermStore()
+    x = store.var("x", BitVecSort(1))
+    one, zero = store.bv_const((True,)), store.bv_const((False,))
+    eq1, eq0 = store.eq(x, one), store.eq(x, zero)
+    inputs = [mk_clause(store, [pos(eq1)]), mk_clause(store, [pos(eq0)])]
+    deep = store.var("a", BOOL)
+    for _ in range(1_000):
+        deep = store.not_(deep)
+    earlier = (AssumePayload(mk_clause(store, [pos(deep)])) if rule is RuleKind.ASSUME
+               else CnfPayload(store.and_([store.var("c", BOOL), deep])))
+    v = store.var(aux_name, BOOL)
+    link1, link0 = store.iff(eq1, v), store.iff(eq0, store.not_(v))
+    steps = [
+        (rule, (), earlier),
+        (RuleKind.BB_VAR, (), BvPayload(x, (v,))),
+        (RuleKind.BB_CONST, (), BvPayload(one)),
+        (RuleKind.BB_CONST, (), BvPayload(zero)),
+        (RuleKind.BB_EQ, (), BvPayload(eq1)),                 # 6: [(= eq1 v)]
+        (RuleKind.BB_EQ, (), BvPayload(eq0)),                 # 7: [(= eq0 (not v))]
+        (RuleKind.IFF_POS1, (), CnfPayload(link1)),
+        (RuleKind.RES, (6, 8, 0), None),                      # 9: [v]
+        (RuleKind.IFF_POS1, (), CnfPayload(link0)),
+        (RuleKind.RES, (7, 10, 1), None),                     # 11: [(not v)]
+        (RuleKind.NOT_NOT, (), CnfPayload(store.not_(v))),
+        (RuleKind.RES, (11, 12, 9), None),                    # 13: []
+    ]
+    cert = Certificate(tuple(Step(2 + i, *step) for i, step in enumerate(steps)), qed=13)
+    return store, inputs, cert
+
+
+@pytest.mark.parametrize("rule", [RuleKind.ASSUME, RuleKind.AND_POS])
+def test_an_aux_reached_only_deep_in_an_earlier_conclusion_is_not_fresh(rule):
+    """The freshness scan walks stored step conclusions, not only inputs, to
+    any depth: naming ``a`` as the aux of x leaves x unmapped, and a fresh
+    name derives the empty clause."""
+    result = check(*_deep_aux_certificate(rule, "a"))
+    assert (result.verdict, result.reason) == (Verdict.INVALID, "empty clause not derived")
+    result = check(*_deep_aux_certificate(rule, "b"))
+    assert result.verdict is (Verdict.TRUSTED if rule is RuleKind.ASSUME else Verdict.VALID)
+    assert result.clauses[-1] == EMPTY_CLAUSE
+
+
 _SHIFT_PROBLEM = """(declare-const x Int) (declare-fun f (Int) Int)
 (assert (or (<= x x) (< x x))) (assert (= x x))"""
 
@@ -311,6 +360,39 @@ def test_malformed_declared_clauses_are_rejected_at_their_step():
     result = check(store, prob.input_clauses, cert)
     assert result.reason == "empty clause not derived"
     assert result.clauses[2:] == (lia.lemma, euf.lemma, Clause((le,)))
+
+
+def test_rejections_return_the_trivially_true_constant_itself():
+    """check tells a rejection by identity, so the euf, lia and assume
+    checkers reject by returning the TRIVIALLY_TRUE object itself.  Only the
+    registered payload type decides whether a rejection stops the run: a
+    CnfPayload subclass that carries a lemma changes nothing."""
+    prob = parse_smt2(_SHIFT_PROBLEM)
+    store = prob.store
+    x = prob.decls["x"][1]
+    ctx = CheckContext(store)
+    le = mk_clause(store, [pos(store.le(x, x))])
+    eq = mk_clause(store, [pos(store.eq(x, x))])
+    bad = [Clause((-1,)), Clause((2 * len(store),)), Clause((2 * x,)), Clause((True,))]
+    rejected = [
+        (RuleKind.EUF, EufPayload(eq, (EqStep(EqRule.SYM, refs=(4,)),))),
+        (RuleKind.EUF, EufPayload(le, (EqStep(EqRule.REFL, term=x),))),
+        (RuleKind.LIA, LiaPayload(eq, ((0, 1),))),
+        (RuleKind.LIA, LiaPayload(le, ((5, 1),))),
+        *((RuleKind.EUF, EufPayload(c, (EqStep(EqRule.REFL, term=x),))) for c in bad),
+        *((RuleKind.LIA, LiaPayload(c, ((0, 1),))) for c in bad),
+        *((RuleKind.ASSUME, AssumePayload(c)) for c in bad),
+    ]
+    for rule, payload in rejected:
+        assert dispatch(ctx, rule, [], payload) is TRIVIALLY_TRUE, (rule, payload)
+
+    class LemmaCnf(CnfPayload):
+        lemma = le
+
+    store, inputs = _unit_conflict()
+    cert = Certificate((Step(2, RuleKind.AND_POS, (), LemmaCnf(0)),
+                        Step(3, RuleKind.RES, (0, 1))), qed=3)
+    assert check(store, inputs, cert).verdict is Verdict.VALID
 
 
 def test_fields_of_types_no_reader_builds_are_malformed_steps():

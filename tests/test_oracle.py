@@ -3,6 +3,7 @@
 import gc
 import inspect
 import sys
+import time
 
 import pytest
 
@@ -235,3 +236,25 @@ def test_a_search_path_of_300_function_entries_takes_no_recursion(tmp_path):
     assert all(eval_clause(prob.store, res.witness, c) for c in prob.input_clauses)
     assert len(res.witness.fun_tables[prob.decls["f"][1]][0]) == 300
     assert (code, report) == (0, "status sat\n")
+
+
+_WIDE = "(set-logic QF_BV) (declare-const x (_ BitVec 32)) (declare-const y (_ BitVec 32))" \
+    " (declare-fun f (Bool) (_ BitVec 32))"
+
+
+@pytest.mark.parametrize("asserts,report", [
+    ("(assert (bvult x y)) (assert (bvult y x))", "status exhausted\n"),
+    ("(assert (bvult (f true) (f false))) (assert (bvult (f false) (f true)))",
+     "status exhausted\n"),
+    ("(assert (bvult (f true) (f false)))", "status sat\n"),
+], ids=["leaves", "function", "function-sat"])
+def test_the_oracle_builds_no_value_list_past_its_budget(asserts, report, tmp_path,
+                                                          monkeypatch):
+    """Two leaves of 2^32 values each are exhausted from their sizes alone,
+    and a function result takes its 2^32 values lazily, one per evaluation."""
+    path = tmp_path / "wide.smt2"
+    path.write_text(f"{_WIDE} {asserts}")
+    monkeypatch.setenv("CERTKERNEL_BUDGET", "1000")
+    start = time.perf_counter()
+    assert run_one(str(path), None, "oracle", None, False, False) == (0, report)
+    assert time.perf_counter() - start < 1

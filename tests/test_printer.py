@@ -11,8 +11,10 @@ translate``.
 The trusted modules hold no renderer: a guard parses them and rejects an
 import of an untrusted module (``printer``, ``preproc``, ``oracle``, ``cli``)
 or a definition of a rendering function, and an import of a checker module
-by the problem readers in ``frontend``.  A second guard rejects a function
-of the package that calls itself by name, outside a short list.
+by the problem readers in ``frontend``.  A second guard rejects a
+module-level name of a trusted module that no trusted module reads and the
+package does not export, and a third a function of the package that calls
+itself by name, outside a short list.
 """
 
 import ast
@@ -155,6 +157,40 @@ def test_trusted_modules_hold_no_renderer():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name not in RENDERERS, f"{name} defines {node.name}"
+
+
+def _reads(tree):
+    """Every name a module loads, reads as an attribute or imports by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _module_names(tree):
+    """The names a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_trusted_name_serves_the_trusted_base_or_the_api():
+    """A module-level name of a trusted module is read by some trusted
+    module or exported by the package; a table that only untrusted code
+    reads belongs in that code."""
+    src = HERE.parent / "src" / "certkernel"
+    trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in TRUSTED}
+    used = {name for tree in trees.values() for name in _reads(tree)}
+    used |= set(_reads(ast.parse((src / "__init__.py").read_text())))
+    unused = sorted((module, name) for module, tree in trees.items()
+                    for name in _module_names(tree) if name not in used)
+    assert unused == [], unused
 
 
 # Input sets the depth of a function that calls itself.  parse_term still
