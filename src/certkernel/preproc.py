@@ -391,7 +391,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
 
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.lstrip(" \t\r")
-        if not stripped or stripped[0] == ";":
+        if not stripped or stripped.startswith(";"):
             continue
         if qed is not None:
             raise ParseError("content after qed", lineno, 1)
