@@ -141,8 +141,6 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
         return EXIT_ERROR, f"error: {e}\n"
     except OSError as e:
         return EXIT_ERROR, f"error: {e}\n"
-    except RecursionError:
-        return EXIT_ERROR, "error: input nested too deeply\n"
     except MemoryError:
         return EXIT_ERROR, "error: out of memory\n"
     except Exception as e:  # a bug must not cost the other pairs their reports

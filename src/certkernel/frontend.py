@@ -1,12 +1,20 @@
 """Trusted problem readers: DIMACS and an SMT-LIB 2 subset.
 
 A verdict is a claim about the problem these readers build, so they are
-trusted, and they stay deliberately small: read s-expressions in one pass,
-intern terms against the problem's store.  Both are total over byte
+trusted, and they stay deliberately small.  Both are total over byte
 streams — they return a value or raise a structured error carrying a
 1-based line and column, never crash.  UTF-8 text, LF or CRLF; only a
 line feed breaks a line.  Nothing here renders text: ``certkernel.printer``
 holds ``print_dimacs``, which ``parse_dimacs`` inverts exactly.
+
+SMT-LIB text, and each certificate line, is read as one list of lexeme
+strings (``Lexemes``): one ``findall`` splits it into symbols, brackets and
+stray characters, dropping blanks and ``;`` comments, and one pass over the
+list records each opening bracket's closer.  A stray character is reported
+before the first unbalanced bracket, and that before a missing closing
+bracket.  Readers then index the list; a lexeme's line and column are found
+only when an error names it.  ``read_term`` interns a term from walks that
+wait on a list, not on Python's stack, so a term may be of any depth.
 
 The certificate reader is in the untrusted ``certkernel.preproc``: the
 kernel checks every id, index and clause code a certificate carries, so a
@@ -16,13 +24,9 @@ Names starting with ``$`` are reserved for the predicate encoding (an
 uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
-A DIMACS clause body, every line after the header, that holds only ASCII
-digits, ``-``, spaces, tabs and line breaks is converted at once: one
-``int`` conversion of all its fields, one range check and a check that the
-last value is the final ``0``; any other body, and any body that would
-raise, goes through the line reader, which alone reports errors, so every
-message, line and column is the same on both paths.  The header's variables
-``v1`` .. ``vV`` are made by one ``TermStore.bool_vars`` call.
+A DIMACS clause body is converted at once when it allows; see
+``_dimacs_body``.  The header's variables ``v1`` .. ``vV`` are made by one
+``TermStore.bool_vars`` call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import islice
 
 from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
@@ -39,84 +44,80 @@ from .terms import (
 
 LOGICS = ("SAT", "QF_UF", "QF_LIA", "QF_BV", "QF_UFLIA")
 
-_SYMBOL_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    "~!@$%^&*_-+=<>.?/")
 _NUMERAL = re.compile(r"^[0-9]+$")
 _SIGNED = re.compile(r"^-?[0-9]+$")
 _BV_LIT = re.compile(r"^#b[01]+$")
 # A DIMACS clause body of ASCII digits, "-", spaces, tabs and line breaks.
 _DIMACS_BODY = re.compile(r"[0-9 \t\n-]*")
-_SYM = re.escape("".join(sorted(_SYMBOL_CHARS | {"#"})))
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(slots=True)
-class SList:
-    items: list
-    bracket: str
-    line: int
-    col: int
-
-
-# One lexeme per match: a symbol, a bracket, a line break or the end of the
-# text after an optional ";" comment, or any other character but a blank
-# (" ", tab, carriage return).  Each character but a line break is one column.
-_LEXEME = re.compile(rf"([{_SYM}]+)|([(){{}}])|(?:;[^\n]*)?(\n|\Z)|([^ \t\r])")
+_SYM = re.escape("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+                 "~!@$%^&*_-+=<>.?/#")
+# A lexeme is a run of symbol characters, a bracket, or any other character
+# but a blank (" ", tab, CR, LF) or ";", which is stray; the blanks and ";"
+# comments after it, or before the first, are skipped.  Each character but
+# a line feed is one column.
+_SKIP = r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*"
+_LEADING = re.compile(_SKIP)
+_LEXEME = re.compile(rf"([{_SYM}]+|[^ \t\r\n;]){_SKIP}")
+_STRAY = re.compile(rf"[^{_SYM}(){{}}]")
 _CLOSING = {"(": ")", "{": "}"}
+_OPENING = frozenset("({")
+_BRACKETS = frozenset("(){}")
 
 
-def read_sexprs(text: str, first_line: int = 1) -> list:
-    """Read text into symbol Tokens grouped in SLists, in one iterative pass,
-    so any depth is read.  An unexpected character anywhere is reported before
-    the first unbalanced bracket, and that before a missing closing bracket,
-    which is reported at the last symbol or bracket."""
-    items: list = []
-    open_lists: list[tuple[list, str]] = []  # (enclosing items, closing bracket)
-    line, line_start = first_line, 0
-    unbalanced = last = None
-    for m in _LEXEME.finditer(text):
-        group = m.lastindex
-        if group == 3:
-            line, line_start = line + 1, m.end()
-            continue
-        last, col = m, m.start() - line_start + 1
-        if group == 4:
-            raise ParseError(f"unexpected character {m[4]!r}", line, col)
-        if unbalanced is not None:
-            continue
-        if group == 1:
-            items.append(Token(m[1], line, col))
-        elif (bracket := m[2]) in _CLOSING:
-            open_lists.append((items, _CLOSING[bracket]))
-            items.append(SList([], bracket, line, col))
-            items = items[-1].items
-        elif open_lists and open_lists[-1][1] == bracket:
-            items = open_lists.pop()[0]
-        else:
-            unbalanced = ParseError(f"unbalanced {bracket!r}", line, col)
-    if unbalanced is not None:
-        raise unbalanced
-    if open_lists:
-        at = last.start()
-        raise ParseError(f"missing closing {open_lists[-1][1]!r}",
-                         first_line + text.count("\n", 0, at), at - text.rfind("\n", 0, at))
-    return items
+class Lexemes:
+    """A text as a list of lexeme strings, ``words``.  ``close[k]`` is the
+    index of the bracket that closes an opening bracket at k, and k for any
+    other lexeme, so the item at k ends before ``close[k] + 1``."""
 
+    __slots__ = ("words", "close", "text", "first_line")
 
-def _pos_of(sx) -> tuple[int, int]:
-    return (sx.line, sx.col)
+    def __init__(self, text: str, first_line: int = 1):
+        self.text, self.first_line = text, first_line
+        self.words = words = _LEXEME.findall(text, _LEADING.match(text).end())
+        if stray := _STRAY.search("".join(words)):  # a stray lexeme is one character
+            raise self.error(words.index(stray[0]), f"unexpected character {stray[0]!r}")
+        self.close = close = list(range(len(words)))
+        opened: list[int] = []
+        for k, word in enumerate(words):
+            if word in _OPENING:
+                opened.append(k)
+            elif word in _BRACKETS:
+                if not opened or _CLOSING[words[opened[-1]]] != word:
+                    raise self.error(k, f"unbalanced {word!r}")
+                close[opened.pop()] = k
+        if opened:
+            raise self.error(len(words) - 1, f"missing closing {_CLOSING[words[opened[-1]]]!r}")
+
+    def pos(self, k: int | None) -> tuple[int, int]:
+        """Line and column of lexeme k, or of the text's start for None."""
+        if k is None:
+            return self.first_line, 1
+        text = self.text
+        at = next(islice(_LEXEME.finditer(text, _LEADING.match(text).end()), k, None)).start()
+        return self.first_line + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
+
+    def error(self, k: int | None, message: str, cls=ParseError) -> ParseError:
+        return cls(message, *self.pos(k))
+
+    def items(self, k: int = -1) -> list[int]:
+        """The index of each item of the list opened at lexeme k, its head
+        included, or of the text for k = -1."""
+        out, j, end = [], k + 1, self.close[k] if k >= 0 else len(self.words)
+        while j < end:
+            out.append(j)
+            j = self.close[j] + 1
+        return out
+
+    def number(self, k: int) -> int:
+        try:
+            return int(self.words[k])
+        except ValueError:  # _to_int raises the ParseError
+            return _to_int(self.words[k], *self.pos(k))
 
 
 def split_lines(text: str) -> list[str]:
-    """The text's lines, broken at line feeds only, as ``read_sexprs``
-    counts them; a final line feed ends the last line, not an empty one."""
+    """The text's lines, broken at line feeds only, as ``Lexemes`` counts
+    them; a final line feed ends the last line, not an empty one."""
     return text.removesuffix("\n").split("\n") if text else []
 
 
@@ -164,7 +165,9 @@ _UNSUPPORTED_HEADS = frozenset({
 
 # SMT-LIB operator heads and the kind each builds; the signature table in
 # terms checks arity and sorts.  (>= a b) is (<= b a), so the _SWAPPED heads
-# read their arguments in reverse order.
+# read their arguments in reverse order.  _list_term counts the children of
+# the _COUNTED heads before it reads them, and does more than intern the
+# _FINISHED kinds (one set test spares the rest slow Kind lookups).
 _HEADS = {
     "not": Kind.NOT, "and": Kind.AND, "or": Kind.OR, "=>": Kind.IMPLIES,
     "xor": Kind.XOR, "ite": Kind.ITE, "=": Kind.EQ, "<=": Kind.LE, "<": Kind.LT,
@@ -173,118 +176,165 @@ _HEADS = {
     "bvxor": Kind.BV_XOR, "bvadd": Kind.BV_ADD, "bvult": Kind.BV_ULT,
 }
 _SWAPPED = frozenset({">=", ">"})
+_COUNTED = _SWAPPED | {"=", "-", "let"}
+_FINISHED = frozenset({Kind.EQ, Kind.MUL, Kind.IMPLIES, Kind.XOR, Kind.SUB})
 
 
-def _parse_sort(problem: Problem, sx) -> Sort:
-    if isinstance(sx, Token):
-        if sx.text == "Bool":
+def _parse_sort(problem: Problem, lex: Lexemes, k: int) -> Sort:
+    word, words = lex.words[k], lex.words
+    if word not in _OPENING:
+        if word == "Bool":
             return BOOL
-        if sx.text == "Int":
+        if word == "Int":
             return INT
-        if sx.text in problem.sorts:
-            return problem.sorts[sx.text]
-        raise ParseError(f"unknown sort {sx.text}", *_pos_of(sx))
-    items = sx.items
-    if sx.bracket == "(" and len(items) == 3 \
-            and isinstance(items[0], Token) and items[0].text == "_" \
-            and isinstance(items[1], Token) and items[1].text == "BitVec" \
-            and isinstance(items[2], Token) and _NUMERAL.match(items[2].text):
-        width = _to_int(items[2].text, *_pos_of(items[2]))
+        if word in problem.sorts:
+            return problem.sorts[word]
+        raise lex.error(k, f"unknown sort {word}")
+    items = lex.items(k)
+    if word == "(" and len(items) == 3 and [words[j] for j in items[:2]] == ["_", "BitVec"] \
+            and _NUMERAL.match(words[items[2]]):
+        width = lex.number(items[2])
         if width < 1:
-            raise ParseError("bit-vector width must be >= 1", *_pos_of(sx))
+            raise lex.error(k, "bit-vector width must be >= 1")
         return BitVecSort(width)
-    raise ParseError("unknown sort", *_pos_of(sx))
+    raise lex.error(k, "unknown sort")
 
 
-def parse_term(problem: Problem, sx, env: dict[str, TermId] | None = None) -> TermId:
-    """Intern one SMT-LIB term s-expression against the problem's store."""
-    store = problem.store
-    if isinstance(sx, Token):
-        text = sx.text
-        if _NUMERAL.match(text):
-            return store.int_const(_to_int(text, *_pos_of(sx)))
-        if text.startswith("#"):
-            if not _BV_LIT.match(text):
-                raise ParseError(f"malformed bit-vector literal {text}", *_pos_of(sx))
-            return store.bv_const([c == "1" for c in reversed(text[2:])])
-        if text == "true":
-            return store.true_id
-        if text == "false":
-            return store.false_id
-        if env and text in env:
-            return env[text]
-        decl = problem.decls.get(text)
-        if decl is not None and decl[0] == "var":
-            return decl[1]
-        if decl is not None:
-            raise ParseError(f"{text} is a function and needs arguments", *_pos_of(sx))
-        raise ParseError(f"unknown symbol {text}", *_pos_of(sx))
+def _atom(problem: Problem, lex: Lexemes, k: int, env: dict[str, TermId] | None) -> TermId:
+    store, text = problem.store, lex.words[k]
+    if text == "{":
+        raise lex.error(k, "malformed term")
+    if _NUMERAL.match(text):
+        return store.int_const(lex.number(k))
+    if text.startswith("#"):
+        if not _BV_LIT.match(text):
+            raise lex.error(k, f"malformed bit-vector literal {text}")
+        return store.bv_const([c == "1" for c in reversed(text[2:])])
+    if text == "true":
+        return store.true_id
+    if text == "false":
+        return store.false_id
+    if env and text in env:
+        return env[text]
+    decl = problem.decls.get(text)
+    if decl is not None and decl[0] == "var":
+        return decl[1]
+    if decl is not None:
+        raise lex.error(k, f"{text} is a function and needs arguments")
+    raise lex.error(k, f"unknown symbol {text}")
 
-    items = sx.items
-    if sx.bracket != "(" or not items or not isinstance(items[0], Token):
-        raise ParseError("malformed term", *_pos_of(sx))
-    head = items[0].text
-    rest = items[1:]
+
+def _list_term(at: tuple[int, dict[str, TermId] | None], problem: Problem, lex: Lexemes):
+    """Walk for _unfold: the id of the list term at lexeme i, read in env,
+    for (i, env) = at.  It reads atoms itself; for a list among its children
+    it yields (index, env) and is sent the list's id."""
+    i, env = at
+    words, close, store = lex.words, lex.close, problem.store
+    head = words[i + 1]
+    if head in _BRACKETS:
+        raise lex.error(i, "malformed term")
     kind = _HEADS.get(head)
+    rest = lex.items(i)[1:] if head in _COUNTED else None
     try:
         if head == "let":
-            if len(rest) != 2 or not isinstance(rest[0], SList) or rest[0].bracket != "(":
-                raise ParseError("malformed let", *_pos_of(sx))
+            if len(rest) != 2 or words[rest[0]] != "(":
+                raise lex.error(i, "malformed let")
             new_env = dict(env) if env else {}
-            for binding in rest[0].items:
-                if not (isinstance(binding, SList) and binding.bracket == "("
-                        and len(binding.items) == 2 and isinstance(binding.items[0], Token)):
-                    raise ParseError("malformed let binding", *_pos_of(rest[0]))
-                # Parallel let: right-hand sides see the outer environment.
-                new_env[binding.items[0].text] = parse_term(problem, binding.items[1], env)
-            return parse_term(problem, rest[1], new_env)
+            for b in lex.items(rest[0]):
+                binding = lex.items(b)
+                if words[b] != "(" or len(binding) != 2 or words[binding[0]] in _OPENING:
+                    raise lex.error(rest[0], "malformed let binding")
+                # Parallel let: bound terms see the outer environment.
+                k = binding[1]
+                new_env[words[binding[0]]] = (yield (k, env)) if words[k] == "(" \
+                    else _atom(problem, lex, k, env)
+            k = rest[1]
+            return (yield (k, new_env)) if words[k] == "(" else _atom(problem, lex, k, new_env)
         if kind is None:
             if head in _UNSUPPORTED_HEADS:
-                raise UnsupportedError(f"unsupported construct: {head}", *_pos_of(sx))
-            decl = problem.decls.get(head)
-            if decl is None:
-                raise ParseError(f"unknown function {head}", *_pos_of(sx))
-            tag, fn = decl
-            if tag == "var":
-                raise ParseError(f"{head} is not a function", *_pos_of(sx))
-            applied = store.apply(fn, tuple(parse_term(problem, a, env) for a in rest))
-            if tag == "pred":
-                return store.eq(applied, problem.decls["$tt"][1])
-            return applied
-        if kind is Kind.EQ and len(rest) != 2:
-            raise UnsupportedError("chained = is not supported", *_pos_of(sx))
-        if kind is Kind.SUB and len(rest) == 1:
+                raise lex.error(i, f"unsupported construct: {head}", UnsupportedError)
+            kind = problem.decls.get(head)  # a ("fun" | "pred", FunSym) declaration
+            if kind is None:
+                raise lex.error(i, f"unknown function {head}")
+            if kind[0] == "var":
+                raise lex.error(i, f"{head} is not a function")
+        elif head == "=" and len(rest) != 2:
+            raise lex.error(i, "chained = is not supported", UnsupportedError)
+        elif head == "-" and len(rest) == 1:
             # Fold a negated numeral into a negative constant so that
             # printing and parsing are exact inverses.
-            if isinstance(rest[0], Token) and _NUMERAL.match(rest[0].text):
-                return store.int_const(-_to_int(rest[0].text, *_pos_of(rest[0])))
+            if _NUMERAL.match(words[rest[0]]):
+                return store.int_const(-lex.number(rest[0]))
             kind = Kind.NEG
-        args = [parse_term(problem, a, env)
-                for a in (rest[::-1] if head in _SWAPPED else rest)]
+        args = []
+        if head in _SWAPPED:
+            for k in reversed(rest):
+                args.append((yield (k, env)) if words[k] == "(" else _atom(problem, lex, k, env))
+        else:
+            k = i + 2
+            while k != close[i]:
+                args.append((yield (k, env)) if words[k] == "(" else _atom(problem, lex, k, env))
+                k = close[k] + 1
+        if kind.__class__ is tuple:
+            applied = store.apply(kind[1], tuple(args))
+            if kind[0] == "pred":
+                return store.eq(applied, problem.decls["$tt"][1])
+            return applied
+        if kind not in _FINISHED:
+            return store.intern(kind, args)
         if kind is Kind.EQ and store.sort_of(args[0]) == BOOL:
             kind = Kind.IFF
         elif kind is Kind.MUL and len(args) == 2 \
                 and all(store.kind(a) is not Kind.INT_CONST for a in args):
-            raise UnsupportedError("nonlinear multiplication", *_pos_of(sx))
+            raise lex.error(i, "nonlinear multiplication", UnsupportedError)
         elif kind is Kind.IMPLIES and len(args) > 2:
             return reduce(lambda r, a: store.intern(kind, (a, r)), reversed(args[:-1]), args[-1])
         elif kind in (Kind.XOR, Kind.SUB) and len(args) > 2:
             return reduce(lambda l, a: store.intern(kind, (l, a)), args[1:], args[0])
         return store.intern(kind, args)
     except SortError as e:
-        raise ParseError(str(e), *_pos_of(sx)) from e
+        raise lex.error(i, str(e)) from e
+
+
+def read_term(problem: Problem, lex: Lexemes, i: int,
+              env: dict[str, TermId] | None = None) -> tuple[TermId, int]:
+    """Intern the SMT-LIB term at lexeme i against the problem's store and
+    return its id and the index after it.  A list's shape is checked before
+    its children are read and its node is interned after, so the store sees
+    the calls, and the reader raises the errors, of a recursive reader."""
+    if lex.words[i] != "(":
+        return _atom(problem, lex, i, env), i + 1
+    return _unfold(_list_term, (i, env), problem, lex), lex.close[i] + 1
+
+
+def _unfold(walk, first, *shared):
+    """``walk(first, *shared)`` for a generator function walk that, where it
+    would call itself on x, yields x and is sent the result: the pending
+    calls wait on a list, not on Python's stack, so a walk has no depth limit."""
+    stack, value = [walk(first, *shared)], None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(walk(sub, *shared))
+            value = None
 
 
 # ---------------------------------------------------------------------------
 # SMT-LIB problems
 # ---------------------------------------------------------------------------
 
-def _declare(problem: Problem, name_tok: Token, arg_sorts: tuple[Sort, ...], ret: Sort):
-    name = name_tok.text
+def _declare(problem: Problem, lex: Lexemes, k: int, arg_sorts: tuple[Sort, ...], ret: Sort):
+    name = lex.words[k]
     if name.startswith("$"):
-        raise ParseError("names starting with $ are reserved", *_pos_of(name_tok))
+        raise lex.error(k, "names starting with $ are reserved")
     if name in problem.decls or name in problem.sorts:
-        raise ParseError(f"{name} is already declared", *_pos_of(name_tok))
+        raise lex.error(k, f"{name} is already declared")
     store = problem.store
     if not arg_sorts:
         problem.decls[name] = ("var", store.var(name, ret))
@@ -309,54 +359,52 @@ def parse_smt2(text: str) -> Problem:
     the fragment and ParseError for malformed input.
     """
     problem = Problem(store=TermStore())
-    for cmd in read_sexprs(text):
-        if not isinstance(cmd, SList) or cmd.bracket != "(" or not cmd.items \
-                or not isinstance(cmd.items[0], Token):
-            raise ParseError("expected a command", *_pos_of(cmd))
-        head = cmd.items[0].text
-        rest = cmd.items[1:]
+    lex = Lexemes(text)
+    words = lex.words
+    for cmd in lex.items():
+        if words[cmd] != "(" or words[cmd + 1] in _BRACKETS:
+            raise lex.error(cmd, "expected a command")
+        head, *rest = lex.items(cmd)
+        head = words[head]
+        symbols = [words[r] not in _OPENING for r in rest]
         if head == "set-logic":
-            if len(rest) != 1 or not isinstance(rest[0], Token):
-                raise ParseError("malformed set-logic", *_pos_of(cmd))
-            if rest[0].text not in LOGICS:
-                raise UnsupportedError(f"unsupported logic {rest[0].text}", *_pos_of(rest[0]))
-            problem.logic = rest[0].text
+            if symbols != [True]:
+                raise lex.error(cmd, "malformed set-logic")
+            if words[rest[0]] not in LOGICS:
+                raise lex.error(rest[0], f"unsupported logic {words[rest[0]]}", UnsupportedError)
+            problem.logic = words[rest[0]]
         elif head == "declare-sort":
-            if len(rest) != 2 or not isinstance(rest[0], Token) or not isinstance(rest[1], Token):
-                raise ParseError("malformed declare-sort", *_pos_of(cmd))
-            if rest[1].text != "0":
-                raise UnsupportedError("only arity-0 sorts are supported", *_pos_of(rest[1]))
-            name = rest[0].text
+            if symbols != [True, True]:
+                raise lex.error(cmd, "malformed declare-sort")
+            if words[rest[1]] != "0":
+                raise lex.error(rest[1], "only arity-0 sorts are supported", UnsupportedError)
+            name = words[rest[0]]
             if name.startswith("$"):
-                raise ParseError("names starting with $ are reserved", *_pos_of(rest[0]))
+                raise lex.error(rest[0], "names starting with $ are reserved")
             if name in problem.sorts or name in ("Bool", "Int"):
-                raise ParseError(f"sort {name} is already declared", *_pos_of(rest[0]))
+                raise lex.error(rest[0], f"sort {name} is already declared")
             problem.sorts[name] = UninterpretedSort(name)
         elif head == "declare-fun":
-            if len(rest) != 3 or not isinstance(rest[0], Token) \
-                    or not isinstance(rest[1], SList) or rest[1].bracket != "(":
-                raise ParseError("malformed declare-fun", *_pos_of(cmd))
-            arg_sorts = tuple(_parse_sort(problem, s) for s in rest[1].items)
-            _declare(problem, rest[0], arg_sorts, _parse_sort(problem, rest[2]))
+            if len(rest) != 3 or not symbols[0] or words[rest[1]] != "(":
+                raise lex.error(cmd, "malformed declare-fun")
+            arg_sorts = tuple(_parse_sort(problem, lex, s) for s in lex.items(rest[1]))
+            _declare(problem, lex, rest[0], arg_sorts, _parse_sort(problem, lex, rest[2]))
         elif head == "declare-const":
-            if len(rest) != 2 or not isinstance(rest[0], Token):
-                raise ParseError("malformed declare-const", *_pos_of(cmd))
-            _declare(problem, rest[0], (), _parse_sort(problem, rest[1]))
+            if len(rest) != 2 or not symbols[0]:
+                raise lex.error(cmd, "malformed declare-const")
+            _declare(problem, lex, rest[0], (), _parse_sort(problem, lex, rest[1]))
         elif head == "assert":
             if len(rest) != 1:
-                raise ParseError("malformed assert", *_pos_of(cmd))
-            try:
-                t = parse_term(problem, rest[0])
-            except RecursionError:
-                raise ParseError("term nested too deeply", *_pos_of(cmd)) from None
+                raise lex.error(cmd, "malformed assert")
+            t = read_term(problem, lex, rest[0])[0]
             if problem.store.sort_of(t) != BOOL:
-                raise ParseError("asserted term is not Bool", *_pos_of(rest[0]))
+                raise lex.error(rest[0], "asserted term is not Bool")
             problem.assertions.append(t)
             problem.input_clauses.append(mk_clause(problem.store, [pos(t)]))
         elif head in ("check-sat", "exit"):
             pass
         else:
-            raise UnsupportedError(f"unsupported command {head}", *_pos_of(cmd))
+            raise lex.error(cmd, f"unsupported command {head}", UnsupportedError)
     return problem
 
 

@@ -12,9 +12,11 @@ Certificate concrete syntax, one step per line::
     <id> <rule> (<premise ids>) {<payload>}
     qed <id>
 
-with payload terms written in SMT-LIB syntax.  Clause payloads list their
-literals directly; ``(not <atom>)`` marks a negative literal.  A line of
-only spaces, tabs, CRs and a ``;`` comment is blank.  Payloads per rule:
+with payload terms written in SMT-LIB syntax.  Each line is read as one
+``frontend.Lexemes`` list, by index; its errors take precedence as there.
+Clause payloads list their literals directly; ``(not <atom>)`` marks a
+negative literal.  A line of only spaces, tabs, CRs and a ``;`` comment is
+blank.  Payloads per rule:
 
     res                  {}
     and_pos etc.         {<target term> [<index>]}
@@ -46,10 +48,9 @@ Nested proofs are trees in a small s-expression syntax::
 A step premise is an input clause id (integer), a bound lemma name, or an
 inline sub-proof.  Names must be bound before use and never shadowed.
 Linearization emits each let-bound lemma once, at its binding site, so the
-output certificate is linear in the size of the tree.  A chain of lets,
-each nested in the body of the last, is read and linearized in a loop, so
-it may be of any length; an inline sub-proof and a let in a binding still
-recurse, and nesting those too deeply is a ParseError.
+output certificate is linear in the size of the tree.  The reader and the
+linearizer are walks that wait on a list, not on Python's stack (see
+``frontend._unfold``), so lets and inline sub-proofs nest to any depth.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ from .bitblast import BvPayload
 from .errors import ForwardReferenceError, ParseError, SortError, UnboundNameError
 from .euf import EqRule, EqStep, EufPayload
 from .frontend import (
-    _SIGNED, _SYM, Problem, SList, Token, _pos_of, _to_int, parse_term,
-    read_sexprs, split_lines,
+    _BRACKETS, _OPENING, _SIGNED, _SYM, Lexemes, Problem, _unfold, read_term, split_lines,
 )
 from .kernel import RULES
 from .lia import LiaPayload
@@ -117,47 +117,41 @@ def linearize(proof: NestedProof, n_inputs: int) -> Certificate:
     nothing partial is returned on error.
     """
     steps: list[Step] = []
-    root_id = _emit(proof, {}, steps, n_inputs)
+    root_id = _unfold(_emit, proof, {}, steps, n_inputs)
     return Certificate(tuple(steps), qed=root_id)
 
 
-def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: int) -> int:
-    """Append node's steps to steps; returns the id of its conclusion.  A
-    chain of lets is followed in a loop: each bound name enters env, the one
-    dict of names in scope, and leaves it once the chain's body is emitted.
-    A module-level function, not a closure: a closure that calls itself is
-    a reference cycle, which only the cyclic collector frees."""
-    chain = []
-    while isinstance(node, NLet):
+def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: int):
+    """Walk for _unfold: append node's steps to steps, then return the id
+    of its conclusion.  env is the one dict of lemma names in scope: a let's
+    name enters it once its bound proof is emitted and leaves after its body."""
+    if isinstance(node, NLet):
         if node.name in env:
             raise UnboundNameError(f"lemma name {node.name} is shadowed")
-        env[node.name] = _emit(node.bound, env, steps, n_inputs)
-        chain.append(node.name)
-        node = node.body
+        env[node.name] = yield node.bound
+        root = yield node.body
+        del env[node.name]
+        return root
     if isinstance(node, NRef):
         if node.name not in env:
             raise UnboundNameError(f"unbound lemma name {node.name}")
-        root = env[node.name]
-    elif isinstance(node, NStep):
-        premises = []
-        for p in node.premises:
-            if isinstance(p, int):
-                if not 0 <= p < n_inputs:
-                    raise UnboundNameError(f"input clause id {p} out of range")
-                premises.append(p)
-            elif isinstance(p, str):
-                if p not in env:
-                    raise UnboundNameError(f"unbound lemma name {p}")
-                premises.append(env[p])
-            else:
-                premises.append(_emit(p, env, steps, n_inputs))
-        root = n_inputs + len(steps)
-        steps.append(Step(root, node.rule, tuple(premises), node.payload))
-    else:
+        return env[node.name]
+    if not isinstance(node, NStep):
         raise UnboundNameError(f"not a proof node: {node!r}")
-    for name in chain:
-        del env[name]
-    return root
+    premises = []
+    for p in node.premises:
+        if isinstance(p, int):
+            if not 0 <= p < n_inputs:
+                raise UnboundNameError(f"input clause id {p} out of range")
+            premises.append(p)
+        elif isinstance(p, str):
+            if p not in env:
+                raise UnboundNameError(f"unbound lemma name {p}")
+            premises.append(env[p])
+        else:
+            premises.append((yield p))
+    steps.append(Step(n_inputs + len(steps), node.rule, tuple(premises), node.payload))
+    return steps[-1].id
 
 
 def compact(cert: Certificate, n_inputs: int) -> Certificate:
@@ -208,145 +202,147 @@ def extract_trust(cert: Certificate) -> TrustReport:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-def parse_literal(problem: Problem, sx) -> Literal:
+def parse_literal(problem: Problem, lex: Lexemes, k: int) -> Literal:
     """``(not <atom>)`` is a negative literal; anything else is positive."""
-    if isinstance(sx, SList) and sx.bracket == "(" and len(sx.items) == 2 \
-            and isinstance(sx.items[0], Token) and sx.items[0].text == "not":
-        return neg(parse_term(problem, sx.items[1]))
-    return pos(parse_term(problem, sx))
+    if lex.words[k] == "(" and lex.words[k + 1] == "not" and len(lex.items(k)) == 2:
+        return neg(read_term(problem, lex, k + 2)[0])
+    return pos(read_term(problem, lex, k)[0])
 
 
-def _parse_clause(problem: Problem, items, line: int, col: int) -> Clause:
+def _parse_clause(problem: Problem, lex: Lexemes, items: list[int], at: int | None) -> Clause:
     try:
-        return mk_clause(problem.store, [parse_literal(problem, sx) for sx in items])
+        return mk_clause(problem.store, [parse_literal(problem, lex, k) for k in items])
     except SortError as e:
-        raise ParseError(str(e), line, col) from e
+        raise lex.error(at, str(e)) from e
 
 
-def parse_int(sx) -> int:
-    if not isinstance(sx, Token) or not _SIGNED.match(sx.text):
-        raise ParseError("expected an integer", *_pos_of(sx))
-    return _to_int(sx.text, *_pos_of(sx))
+def parse_int(lex: Lexemes, k: int) -> int:
+    if not _SIGNED.match(lex.words[k]):
+        raise lex.error(k, "expected an integer")
+    return lex.number(k)
 
 
-def _tagged(items) -> dict[str, SList]:
-    """Split payload items into named sublists plus bare flag tokens."""
-    out: dict[str, object] = {}
-    for sx in items:
-        if isinstance(sx, Token):
-            out[sx.text] = True
-            continue
-        if sx.bracket != "(" or not sx.items or not isinstance(sx.items[0], Token):
-            raise ParseError("malformed payload group", *_pos_of(sx))
-        out[sx.items[0].text] = sx
+def _tagged(lex: Lexemes, items: list[int]) -> dict[str, int | None]:
+    """Split payload items into named groups (name -> index) plus bare
+    flags (name -> None)."""
+    words, out = lex.words, {}
+    for k in items:
+        if words[k] not in _OPENING:
+            out[words[k]] = None
+        elif words[k] != "(" or words[k + 1] in _BRACKETS:
+            raise lex.error(k, "malformed payload group")
+        else:
+            out[words[k + 1]] = k
     return out
 
 
-def _parse_eqstep(problem: Problem, sx) -> EqStep:
-    if not isinstance(sx, SList) or sx.bracket != "(" or not sx.items \
-            or not isinstance(sx.items[0], Token):
-        raise ParseError("malformed justification step", *_pos_of(sx))
-    head = sx.items[0].text
-    rest = sx.items[1:]
+def _parse_eqstep(problem: Problem, lex: Lexemes, k: int) -> EqStep:
+    words = lex.words
+    if words[k] != "(" or words[k + 1] in _BRACKETS:
+        raise lex.error(k, "malformed justification step")
+    head, *rest = lex.items(k)
+    head = words[head]
     if head == "refl":
         if len(rest) != 1:
-            raise ParseError("refl takes one term", *_pos_of(sx))
-        return EqStep(EqRule.REFL, term=parse_term(problem, rest[0]))
+            raise lex.error(k, "refl takes one term")
+        return EqStep(EqRule.REFL, term=read_term(problem, lex, rest[0])[0])
     if head == "sym":
         if len(rest) != 1:
-            raise ParseError("sym takes one index", *_pos_of(sx))
-        return EqStep(EqRule.SYM, refs=(parse_int(rest[0]),))
+            raise lex.error(k, "sym takes one index")
+        return EqStep(EqRule.SYM, refs=(parse_int(lex, rest[0]),))
     if head == "trans":
         if len(rest) != 2:
-            raise ParseError("trans takes two indices", *_pos_of(sx))
-        return EqStep(EqRule.TRANS, refs=(parse_int(rest[0]), parse_int(rest[1])))
+            raise lex.error(k, "trans takes two indices")
+        return EqStep(EqRule.TRANS, refs=(parse_int(lex, rest[0]), parse_int(lex, rest[1])))
     if head == "cong":
-        if not rest or not isinstance(rest[0], Token):
-            raise ParseError("cong takes a function name and indices", *_pos_of(sx))
-        decl = problem.decls.get(rest[0].text)
+        if not rest or words[rest[0]] in _OPENING:
+            raise lex.error(k, "cong takes a function name and indices")
+        decl = problem.decls.get(words[rest[0]])
         if decl is None or decl[0] == "var":
-            raise ParseError(f"unknown function {rest[0].text}", *_pos_of(rest[0]))
+            raise lex.error(rest[0], f"unknown function {words[rest[0]]}")
         return EqStep(EqRule.CONG, fun=decl[1],
-                      refs=tuple(parse_int(r) for r in rest[1:]))
+                      refs=tuple(parse_int(lex, r) for r in rest[1:]))
     if head == "hyp":
         if len(rest) != 1:
-            raise ParseError("hyp takes one literal index", *_pos_of(sx))
-        return EqStep(EqRule.HYP, hyp=parse_int(rest[0]))
-    raise ParseError(f"unknown justification rule {head}", *_pos_of(sx))
+            raise lex.error(k, "hyp takes one literal index")
+        return EqStep(EqRule.HYP, hyp=parse_int(lex, rest[0]))
+    raise lex.error(k, f"unknown justification rule {head}")
 
 
-def _parse_aux(problem: Problem, sx) -> tuple[TermId, ...]:
-    if not (isinstance(sx, SList) and sx.bracket == "(" and sx.items
-            and isinstance(sx.items[0], Token) and sx.items[0].text == "aux"):
-        raise ParseError("expected (aux ...)", *_pos_of(sx))
+def _parse_aux(problem: Problem, lex: Lexemes, k: int) -> tuple[TermId, ...]:
+    words = lex.words
+    if words[k] != "(" or words[k + 1] != "aux":
+        raise lex.error(k, "expected (aux ...)")
     out = []
-    for tok in sx.items[1:]:
-        if not isinstance(tok, Token):
-            raise ParseError("aux entries must be names", *_pos_of(tok))
+    for j in lex.items(k)[1:]:
+        name = words[j]
+        if name in _OPENING:
+            raise lex.error(j, "aux entries must be names")
         # Aux names become Bool variables on sight and stay visible to later
         # payload lines; whether they are fresh is decided during replay.
-        tid = problem.store.var(tok.text, BOOL)
-        existing = problem.decls.setdefault(tok.text, ("var", tid))
+        tid = problem.store.var(name, BOOL)
+        existing = problem.decls.setdefault(name, ("var", tid))
         if existing != ("var", tid):
-            raise ParseError(f"aux name {tok.text} clashes with a declaration",
-                             *_pos_of(tok))
+            raise lex.error(j, f"aux name {name} clashes with a declaration")
         out.append(tid)
     return tuple(out)
 
 
-def parse_payload(problem: Problem, rule: RuleKind, items: list, line: int, col: int):
-    """Build the rule-specific payload object from the brace contents, in
-    the syntax of the payload type the rule registry gives the rule."""
+def parse_payload(problem: Problem, rule: RuleKind, lex: Lexemes, k: int, at: int | None):
+    """Build the rule-specific payload object from the brace group at
+    lexeme k, in the syntax of the payload type the rule registry gives the
+    rule.  Errors about the payload as a whole are reported at lexeme at
+    (for None, at the text's first column)."""
     payload_type = RULES[rule].payload
+    items = lex.items(k)
     if payload_type is type(None):
         if items:
-            raise ParseError(f"{rule.value} takes no payload", line, col)
+            raise lex.error(at, f"{rule.value} takes no payload")
         return None
     if payload_type is CnfPayload:
         if not items or len(items) > 2:
-            raise ParseError(f"{rule.value} payload is a term and an optional index",
-                             line, col)
-        index = parse_int(items[1]) if len(items) == 2 else 0
-        return CnfPayload(parse_term(problem, items[0]), index)
+            raise lex.error(at, f"{rule.value} payload is a term and an optional index")
+        index = parse_int(lex, items[1]) if len(items) == 2 else 0
+        return CnfPayload(read_term(problem, lex, items[0])[0], index)
     if payload_type is EufPayload or payload_type is LiaPayload:
-        groups = _tagged(items)
+        groups = _tagged(lex, items)
         proof = "just" if payload_type is EufPayload else "farkas"
         lemma_grp, proof_grp = groups.get("lemma"), groups.get(proof)
-        if not isinstance(lemma_grp, SList) or not isinstance(proof_grp, SList):
-            raise ParseError(f"{rule.value} payload needs (lemma ...) and ({proof} ...)",
-                             line, col)
-        lemma = _parse_clause(problem, lemma_grp.items[1:], line, col)
+        if lemma_grp is None or proof_grp is None:
+            raise lex.error(at, f"{rule.value} payload needs (lemma ...) and ({proof} ...)")
+        lemma = _parse_clause(problem, lex, lex.items(lemma_grp)[1:], at)
         if payload_type is EufPayload:
-            return EufPayload(lemma, tuple(_parse_eqstep(problem, sx)
-                                           for sx in proof_grp.items[1:]))
+            return EufPayload(lemma, tuple(_parse_eqstep(problem, lex, j)
+                                           for j in lex.items(proof_grp)[1:]))
         combo = []
-        for entry in proof_grp.items[1:]:
-            if not isinstance(entry, SList) or entry.bracket != "(" or len(entry.items) != 2:
-                raise ParseError("farkas entries are (index coeff) pairs", *_pos_of(entry))
-            combo.append((parse_int(entry.items[0]), parse_int(entry.items[1])))
+        for entry in lex.items(proof_grp)[1:]:
+            pair = lex.items(entry)
+            if lex.words[entry] != "(" or len(pair) != 2:
+                raise lex.error(entry, "farkas entries are (index coeff) pairs")
+            combo.append((parse_int(lex, pair[0]), parse_int(lex, pair[1])))
         return LiaPayload(lemma, tuple(combo), tighten="tighten" in groups)
     if payload_type is BvPayload:
         if not items:
-            raise ParseError(f"{rule.value} payload needs a target term", line, col)
-        target = parse_term(problem, items[0])
+            raise lex.error(at, f"{rule.value} payload needs a target term")
+        target = read_term(problem, lex, items[0])[0]
         aux: tuple[TermId, ...] = ()
         if len(items) == 2:
-            aux = _parse_aux(problem, items[1])
+            aux = _parse_aux(problem, lex, items[1])
         elif len(items) > 2:
-            raise ParseError("too many payload groups", line, col)
+            raise lex.error(at, "too many payload groups")
         return BvPayload(target, aux)
-    return AssumePayload(_parse_clause(problem, items, line, col))
+    return AssumePayload(_parse_clause(problem, lex, items, at))
 
 
-def _step_rule(items: list, message: str, line: int, col: int) -> RuleKind:
-    """The known rule of ``<head> <rule> (<premises>) {<payload>}`` items."""
-    if len(items) != 4 or not isinstance(items[0], Token) or not isinstance(items[1], Token) \
-            or not isinstance(items[2], SList) or items[2].bracket != "(" \
-            or not isinstance(items[3], SList) or items[3].bracket != "{":
-        raise ParseError(message, line, col)
-    rule = RULE_BY_NAME.get(items[1].text)
+def _step_rule(lex: Lexemes, items: list[int]) -> RuleKind | None:
+    """The rule of ``<head> <rule> (<premises>) {<payload>}`` items, or None
+    for items of another shape; an unknown rule name is a ParseError."""
+    words = lex.words
+    if [words[k] if words[k] in _OPENING else None for k in items] != [None, None, "(", "{"]:
+        return None
+    rule = RULE_BY_NAME.get(words[items[1]])
     if rule not in RULES:
-        raise ParseError(f"unknown rule {items[1].text}", *_pos_of(items[1]))
+        raise lex.error(items[1], f"unknown rule {words[items[1]]}")
     return rule
 
 
@@ -400,29 +396,29 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             steps.append(step)
             next_id += 1
             continue
-        items = read_sexprs(raw, first_line=lineno)
-        if items and isinstance(items[0], Token) and items[0].text == "qed":
+        lex = Lexemes(raw, lineno)
+        items = lex.items()
+        if items and lex.words[0] == "qed":
             if len(items) != 2:
                 raise ParseError("qed takes one step id", lineno, 1)
-            qed = parse_int(items[1])
+            qed = parse_int(lex, items[1])
             if qed >= next_id or qed < 0:
                 raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
             continue
-        rule = _step_rule(items, "expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
-        step_id = parse_int(items[0])
+        rule = _step_rule(lex, items)
+        if rule is None:
+            raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
+        step_id = parse_int(lex, 0)
         if step_id != next_id:
             raise ParseError(f"step id {step_id}, expected {next_id}", lineno, 1)
-        premises = tuple(parse_int(p) for p in items[2].items)
+        premises = tuple(parse_int(lex, p) for p in lex.items(items[2]))
         for p in premises:
             if p >= step_id or p < 0:
                 raise ForwardReferenceError(
                     f"premise {p} is not before step {step_id}", lineno, 1)
-        try:
-            payload = parse_payload(problem, rule, items[3].items, lineno, 1)
-        except RecursionError:
-            raise ParseError("term nested too deeply", lineno, 1) from None
+        payload = parse_payload(problem, rule, lex, items[3], None)
         # Memo the term only if it alone made up the payload's first item.
-        if term is not None and len(items[3].items) == (1 if term[2] is None else 2):
+        if term is not None and len(lex.items(items[3])) == (1 if term[2] is None else 2):
             memo[term[1]] = payload.target
         steps.append(Step(step_id, rule, premises, payload))
         next_id += 1
@@ -432,60 +428,51 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
     return Certificate(tuple(steps), qed)
 
 
-def _convert(problem: Problem, sx) -> NestedProof:
-    """The proof node sx.  A let's body is followed in a loop, so a chain of
-    lets takes one call; a binding or an inline sub-proof recurses.  A
-    body's errors come before those of its bindings, innermost let first."""
-    lets = []
-    while True:
-        if isinstance(sx, Token):
-            raise ParseError(f"expected a proof node, got {sx.text!r}", sx.line, sx.col)
-        items = sx.items
-        if sx.bracket != "(" or not items or not isinstance(items[0], Token):
-            raise ParseError("malformed proof node", sx.line, sx.col)
-        head = items[0].text
-        if head != "let":
-            break
-        if len(items) != 3 or not isinstance(items[1], SList) or items[1].bracket != "(":
-            raise ParseError("malformed let", sx.line, sx.col)
-        lets.append(sx)
-        sx = items[2]
+def _convert(k: int, problem: Problem, lex: Lexemes):
+    """Walk for _unfold: the proof node at lexeme k.  It yields the index of
+    each sub-proof and is sent its node: a let's body before its bindings,
+    the last binding first, so a body's errors come before its bindings'."""
+    words = lex.words
+    if words[k] not in _OPENING:
+        raise lex.error(k, f"expected a proof node, got {words[k]!r}")
+    items = lex.items(k)
+    if words[k] != "(" or not items or words[items[0]] in _OPENING:
+        raise lex.error(k, "malformed proof node")
+    head = words[items[0]]
+    if head == "let":
+        if len(items) != 3 or words[items[1]] != "(":
+            raise lex.error(k, "malformed let")
+        body = yield items[2]
+        for b in reversed(lex.items(items[1])):
+            binding = lex.items(b)
+            if words[b] != "(" or len(binding) != 2 or words[binding[0]] in _OPENING:
+                raise lex.error(k, "malformed let binding")
+            body = NLet(words[binding[0]], (yield binding[1]), body)
+        return body
     if head == "ref":
-        if len(items) != 2 or not isinstance(items[1], Token):
-            raise ParseError("ref takes one name", sx.line, sx.col)
-        body = NRef(items[1].text)
-    elif head == "step":
-        rule = _step_rule(items, "expected (step <rule> (<premises>) {<payload>})",
-                          sx.line, sx.col)
-        premises: list = []
-        for p in items[2].items:
-            if isinstance(p, Token):
-                if p.text.removeprefix("-").isdigit():
-                    premises.append(parse_int(p))
-                else:
-                    premises.append(p.text)
-            else:
-                premises.append(_convert(problem, p))
-        payload = parse_payload(problem, rule, items[3].items, sx.line, sx.col)
-        body = NStep(rule, tuple(premises), payload)
-    else:
-        raise ParseError(f"unknown proof node {head}", sx.line, sx.col)
-    for let in reversed(lets):
-        for binding in reversed(let.items[1].items):
-            if not (isinstance(binding, SList) and binding.bracket == "("
-                    and len(binding.items) == 2 and isinstance(binding.items[0], Token)):
-                raise ParseError("malformed let binding", let.line, let.col)
-            body = NLet(binding.items[0].text,
-                        _convert(problem, binding.items[1]), body)
-    return body
+        if len(items) != 2 or words[items[1]] in _OPENING:
+            raise lex.error(k, "ref takes one name")
+        return NRef(words[items[1]])
+    if head != "step":
+        raise lex.error(k, f"unknown proof node {head}")
+    rule = _step_rule(lex, items)
+    if rule is None:
+        raise lex.error(k, "expected (step <rule> (<premises>) {<payload>})")
+    premises: list = []
+    for p in lex.items(items[2]):
+        if words[p] in _OPENING:
+            premises.append((yield p))
+        elif words[p].removeprefix("-").isdigit():
+            premises.append(parse_int(lex, p))
+        else:
+            premises.append(words[p])
+    return NStep(rule, tuple(premises), parse_payload(problem, rule, lex, items[3], k))
 
 
 def parse_nested_proof(text: str, problem: Problem) -> NestedProof:
     """Parse one nested proof expression against a parsed problem."""
-    items = read_sexprs(text)
+    lex = Lexemes(text)
+    items = lex.items()
     if len(items) != 1:
         raise ParseError("expected exactly one proof expression", 1, 1)
-    try:
-        return _convert(problem, items[0])
-    except RecursionError:
-        raise ParseError("proof nested too deeply", items[0].line, items[0].col) from None
+    return _unfold(_convert, items[0], problem, lex)

@@ -1,17 +1,35 @@
 """Reference s-expression reader: a token list, then grouping.
 
-Independent of certkernel.frontend.read_sexprs on purpose; the differential
-test in test_frontend.py compares the two on the corpus and on seeded
-character edits.  It walks the text one character at a time into a list of
-tokens, brackets included, and then groups that list, so every error it
-reports in the first pass (an unexpected character) wins over every error
-of the second (an unbalanced or a missing closing bracket).
+Independent of certkernel.frontend.Lexemes on purpose; the differential
+tests in test_frontend.py compare the two, and the readers built on each
+(see naive_term.py), on the corpus and on seeded character edits.  It
+walks the text one character at a time into a list of tokens, brackets
+included, and then groups that list into Token and SList trees, so every
+error it reports in the first pass (an unexpected character) wins over
+every error of the second (an unbalanced or a missing closing bracket).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from certkernel.errors import ParseError
-from certkernel.frontend import SList, Token
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    text: str
+    line: int
+    col: int
+
+
+@dataclass(slots=True)
+class SList:
+    items: list
+    bracket: str
+    line: int
+    col: int
+
 
 _SYMBOL_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"

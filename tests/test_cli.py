@@ -294,16 +294,21 @@ def test_mismatched_pair_counts(files, capsys):
     assert main(["--problem", str(files / "prob.cnf")]) == 3
 
 
-def test_deeply_nested_input_exits_three(tmp_path, capsys):
-    depth = 3000
-    (tmp_path / "deep.smt2").write_text(
-        "(declare-const p Bool)\n(assert " + "(not " * depth + "p" + ")" * depth + ")\n")
-    (tmp_path / "empty.cert").write_text("qed 0\n")
-    code = main(["--problem", str(tmp_path / "deep.smt2"),
-                 "--proof", str(tmp_path / "empty.cert")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+def test_a_100000_deep_assert_parses_checks_and_prints(tmp_path):
+    """Input depth has no limit: an assert 100 000 deep and its negation
+    check with a certificate whose payload is as deep, and translate prints
+    that certificate from a nested proof."""
+    depth = 100_000
+    deep = "(not " * depth + "p" + ")" * depth
+    problem = tmp_path / "deep.smt2"
+    problem.write_text(f"(declare-const p Bool)\n(assert {deep})\n(assert (not {deep}))\n")
+    text = f"2 not_not () {{(not {deep}) 0}}\n3 res (2 1) {{}}\n4 res (3 0) {{}}\nqed 4\n"
+    cert, proof = tmp_path / "deep.cert", tmp_path / "deep.proof"
+    cert.write_text(text)
+    assert run_one(str(problem), str(cert), "check", None, False, False) == (0, "VALID\n")
+    lemma = f"(step not_not () {{(not {deep}) 0}})"
+    proof.write_text(f"(step res ((step res ({lemma} 1) {{}}) 0) {{}})")
+    assert run_one(str(problem), str(proof), "translate", None, False, False) == (0, text)
 
 
 def test_out_of_memory_exits_three(files, capsys, monkeypatch):

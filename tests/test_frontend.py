@@ -7,7 +7,7 @@ import pytest
 
 import gens
 from certkernel import (
-    ForwardReferenceError, Kind, ParseError, UnsupportedError, Verdict, check,
+    AssumePayload, ForwardReferenceError, Kind, ParseError, UnsupportedError, Verdict, check,
     mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof, parse_smt2,
     pos, print_certificate, print_dimacs, to_sexpr,
 )
@@ -288,6 +288,8 @@ CERT_LINE_ERRORS = [
     ("2 res (0 1} {)", ParseError, "unbalanced '}'", 11),
     ("2\tres (0 x) {}", ParseError, "expected an integer", 10),
     ("\t2 res (0 1) {", ParseError, "missing closing '}'", 14),
+    # An error about a payload as a whole names the line's first column.
+    ("  2 res (0 1) {x}", ParseError, "res takes no payload", 1),
 ]
 
 
@@ -537,30 +539,36 @@ def test_parser_totality_fuzz():
                 assert e.line >= 0 and e.col >= 0
 
 
-def test_deep_nesting_is_a_parse_error_not_a_crash():
-    depth = 3000
+def test_a_100000_deep_term_reads_in_every_reader():
+    """The problem, certificate and nested-proof readers read a term of any
+    depth to the same id, and report a bracket missing at the bottom of one
+    at the last lexeme."""
+    depth = 100_000
     deep = "(not " * depth + "p" + ")" * depth
+    prob = parse_smt2(f"(declare-const p Bool)\n(assert {deep})\n")
+    (t,) = prob.assertions
+    cert = parse_certificate(f"; deep payload\n1 assume () {{{deep}}}\nqed 1\n", prob)
+    nested = parse_nested_proof(f"(step assume () {{{deep}}})", prob)
+    lemma = mk_clause(prob.store, [neg(prob.store.args(t)[0])])  # (not <atom>) is a literal
+    assert cert.steps[0].payload == nested.payload == AssumePayload(lemma)
+    assert to_sexpr(prob.store, t) == deep
     with pytest.raises(ParseError) as e:
-        parse_smt2(f"(declare-const p Bool)\n(assert {deep})\n")
-    assert (e.value.line, e.value.col) == (2, 1)
-    prob = _simple_problem()
-    with pytest.raises(ParseError) as e:
-        parse_certificate(f"; deep payload\n2 assume () {{{deep}}}\nqed 2\n", prob)
-    assert (e.value.line, e.value.col) == (2, 1)
+        parse_smt2(f"(declare-const p Bool)\n(assert {deep[:-1]}\n")
+    assert (str(e.value), e.value.line, e.value.col) \
+        == ("line 2, col 600008: missing closing ')'", 2, 600_008)
 
 
 def test_reader_takes_any_depth():
-    from certkernel.frontend import SList, read_sexprs
+    from certkernel.frontend import Lexemes
     depth = 100_000
-    (sx,) = read_sexprs("(" * depth + "x" + ")" * depth)
-    for _ in range(depth - 1):
-        (sx,) = sx.items
-        assert isinstance(sx, SList)
-    assert sx.items[0].text == "x"
+    lex = Lexemes("(" * depth + "x" + ")" * depth)
+    assert lex.words == ["("] * depth + ["x"] + [")"] * depth
+    assert lex.close == [2 * depth - k for k in range(depth)] + list(range(depth, 2 * depth + 1))
+    assert lex.items() == [0] and lex.items(depth - 1) == [depth]
     with pytest.raises(ParseError, match="missing closing"):
-        read_sexprs("(" * depth + "x" + ")" * (depth - 1))
+        Lexemes("(" * depth + "x" + ")" * (depth - 1))
     with pytest.raises(ParseError, match="unbalanced"):
-        read_sexprs("{" * depth + "x" + ")" * depth)
+        Lexemes("{" * depth + "x" + ")" * depth)
 
 
 def _read_outcome(read, text, first_line):
@@ -570,42 +578,130 @@ def _read_outcome(read, text, first_line):
         return type(e), str(e), e.line, e.col
 
 
+def _lexeme_tree(text, first_line):
+    """The Lexemes of text as the reference reader's trees, from its words,
+    closer indices and lexeme positions."""
+    from certkernel.frontend import Lexemes
+    from naive_reader import SList, Token
+    lex = Lexemes(text, first_line)
+    root: list = []
+    open_lists = [(None, root)]  # (index of the opening bracket, its items)
+    for k, word in enumerate(lex.words):
+        if word in ")}":
+            opener, _ = open_lists.pop()
+            assert lex.close[opener] == k
+            continue
+        assert lex.close[k] == k or word in "({"
+        if word in "({":
+            node = SList([], word, *lex.pos(k))
+            open_lists[-1][1].append(node)
+            open_lists.append((k, node.items))
+        else:
+            open_lists[-1][1].append(Token(word, *lex.pos(k)))
+    return root
+
+
 # Edit characters: brackets, braces, comments, "#", blanks, a vertical tab,
 # line breaks, symbol characters, and non-ASCII digits and spaces.
 _READER_EDITS = "(){};#\t\r\x0b\n a1-\u0661\u0967\u00a0\u2003"
 
 
-def test_reader_matches_the_reference_reader():
-    """read_sexprs gives the trees, or the error type, message, line and
-    column, of the two-pass reader in naive_reader.py: on every corpus file
-    and on 20 000 seeded edits of corpus windows."""
-    from certkernel.frontend import read_sexprs
-    from naive_reader import naive_read_sexprs
-    texts = [p.read_text() for p in sorted(CORPUS.rglob("*")) if p.is_file()]
-    for text in texts:
-        for first_line in (1, 7):
-            assert _read_outcome(read_sexprs, text, first_line) \
-                == _read_outcome(naive_read_sexprs, text, first_line)
+def _corpus_files():
+    return [p for p in sorted(CORPUS.rglob("*")) if p.is_file()]
+
+
+def _seeded_edits():
+    """(corpus file, edited text, first line) for 20 000 seeded edits of
+    corpus windows."""
+    paths = _corpus_files()
+    texts = [p.read_text() for p in paths]
     rng = random.Random(0x5E7)
-    errors = 0
-    for case in range(20_000):
-        text = rng.choice(texts)
+    for _ in range(20_000):
+        at = rng.randrange(len(texts))
+        text = texts[at]
         start = rng.randrange(len(text))
         chars = list(text[start:start + rng.randrange(1, 300)])
         for _ in range(rng.randint(1, 3)):
-            at = rng.randrange(len(chars) + 1)
+            at_char = rng.randrange(len(chars) + 1)
             edit = rng.random()
-            if edit < 0.4 or not chars[at:]:
-                chars.insert(at, rng.choice(_READER_EDITS))
+            if edit < 0.4 or not chars[at_char:]:
+                chars.insert(at_char, rng.choice(_READER_EDITS))
             elif edit < 0.7:
-                chars[at] = rng.choice(_READER_EDITS)
+                chars[at_char] = rng.choice(_READER_EDITS)
             else:
-                del chars[at]
-        edited, first_line = "".join(chars), rng.choice((1, 7))
-        ours = _read_outcome(read_sexprs, edited, first_line)
+                del chars[at_char]
+        yield paths[at], "".join(chars), rng.choice((1, 7))
+
+
+def test_reader_matches_the_reference_reader():
+    """Lexemes give the words, closer indices and positions of the trees,
+    or the error type, message, line and column, of the two-pass reader in
+    naive_reader.py: on every corpus file and on 20 000 seeded edits of
+    corpus windows."""
+    from naive_reader import naive_read_sexprs
+    for path in _corpus_files():
+        text = path.read_text()
+        for first_line in (1, 7):
+            assert _read_outcome(_lexeme_tree, text, first_line) \
+                == _read_outcome(naive_read_sexprs, text, first_line)
+    errors = 0
+    for case, (_, edited, first_line) in enumerate(_seeded_edits()):
+        ours = _read_outcome(_lexeme_tree, edited, first_line)
         assert ours == _read_outcome(naive_read_sexprs, edited, first_line), (case, edited)
         errors += isinstance(ours, tuple)
     assert 5_000 < errors < 19_000
+
+
+def _pipeline_outcome(parse_problem, parse_cert, problem_text, cert_text):
+    """The store nodes, problem fields and certificate a problem reader and
+    a certificate reader build, or the type, message, line and column of the
+    error they raise."""
+    try:
+        prob = parse_problem(problem_text)
+        cert = None if cert_text is None else parse_cert(cert_text, prob)
+    except CertKernelError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+    return (prob.store._nodes, prob.logic, prob.decls, prob.sorts, prob.assertions,
+            prob.input_clauses, prob.dimacs_vars, cert)
+
+
+def _both_pipelines(problem_text, cert_text=None, dimacs=False):
+    from naive_term import naive_parse_certificate, naive_parse_smt2
+    ours = _pipeline_outcome(parse_dimacs if dimacs else parse_smt2, parse_certificate,
+                             problem_text, cert_text)
+    naive = _pipeline_outcome(parse_dimacs if dimacs else naive_parse_smt2,
+                              naive_parse_certificate, problem_text, cert_text)
+    return ours, naive
+
+
+def test_readers_match_the_naive_pipeline():
+    """parse_smt2 and parse_certificate build what the tree readers in
+    naive_term.py build, store nodes in the same order included, or raise
+    the same error: on every corpus pair, on the head cases, and on the
+    20 000 seeded edits of corpus windows, each read as a problem and as a
+    certificate against its pair's problem."""
+    pairs = {}
+    for cert_path in sorted(CORPUS.rglob("*.cert")):
+        prob_path = cert_path.with_suffix(".cnf")
+        if not prob_path.exists():
+            prob_path = cert_path.with_suffix(".smt2")
+        pair = (prob_path.read_text(), prob_path.suffix == ".cnf")
+        pairs[cert_path] = pairs[prob_path] = pair
+        ours, naive = _both_pipelines(pair[0], cert_path.read_text(), pair[1])
+        assert ours == naive and not isinstance(ours[0], type), cert_path
+    for text in [t for texts in HEAD_CASES.values() for t in texts] + LET_CASES:
+        ours, naive = _both_pipelines(_HEAD_DECLS, f"0 and_pos () {{{text}}}\nqed 0\n")
+        assert ours == naive and not isinstance(ours[0], type), text
+    outcomes = set()
+    for case, (path, edited, _) in enumerate(_seeded_edits()):
+        ours, naive = _both_pipelines(edited)
+        assert ours == naive, (case, edited)
+        outcomes.add(isinstance(ours[0], type))
+        problem_text, dimacs = pairs.get(path, (_BRACE_PROBLEM, False))
+        ours, naive = _both_pipelines(problem_text, edited, dimacs)
+        assert ours == naive, (case, edited)
+        outcomes.add(isinstance(ours[0], type))
+    assert outcomes == {True, False}
 
 
 def test_parse_determinism():
@@ -655,9 +751,10 @@ _HEAD_DECLS = """
 
 
 def _term(prob, text):
-    from certkernel.frontend import parse_term, read_sexprs
-    (sx,) = read_sexprs(text)
-    return parse_term(prob, sx)
+    from certkernel.frontend import Lexemes, read_term
+    lex = Lexemes(text)
+    (k,) = lex.items()
+    return read_term(prob, lex, k)[0]
 
 
 def test_head_cases_cover_every_head():
@@ -671,6 +768,25 @@ def test_operator_head_round_trip(head):
     for text in HEAD_CASES[head]:
         t = _term(prob, text)
         assert _term(prob, to_sexpr(prob.store, t)) == t, text
+
+
+# Lets whose bindings are parallel, shadow a declaration or an outer let,
+# and nest in a binding, a body and an operator's arguments.
+LET_CASES = [
+    "(let ((p q) (q p)) (and p (not q)))",
+    "(let ((x (+ x 1))) (let ((x (+ x 2)) (y x)) (<= x y)))",
+    "(let ((p (let ((q p)) (or q r)))) (=> p q))",
+    "(>= (let ((y 3)) (+ x y)) (let ((x 4)) (- x y)))",
+    "(let () (let ((a (bvadd a b)) (b a)) (bvult a b)))",
+]
+
+
+def test_let_bindings_are_parallel_and_scoped():
+    prob = parse_smt2(_HEAD_DECLS)
+    for text, same in zip(LET_CASES, ["(and q (not p))", "(<= (+ (+ x 1) 2) (+ x 1))",
+                                      "(=> (or p r) q)", "(<= (- 4 y) (+ x 3))",
+                                      "(bvult (bvadd a b) a)"]):
+        assert _term(prob, text) == _term(prob, same), text
 
 
 def test_operator_head_special_cases():
@@ -771,12 +887,12 @@ def test_only_newline_breaks_a_line(brk):
 @pytest.mark.parametrize("line", [" \t\r", "", "  ; a\x0bb", ";", *"\x0b\x0c\x85\u2028",
                                   "\x0c ; c", " \u2028 "], ids=repr)
 def test_a_certificate_line_is_blank_only_if_read_sexprs_finds_it_blank(line):
-    """parse_certificate skips a line exactly when read_sexprs reads no item
+    """parse_certificate skips a line exactly when Lexemes reads no lexeme
     from it; any other line, after qed too, is a ParseError naming it."""
-    from certkernel.frontend import read_sexprs
+    from certkernel.frontend import Lexemes
     pair = parse_dimacs(_DIMACS_PAIR)
     try:
-        blank = read_sexprs(line, first_line=2) == []
+        blank = Lexemes(line, first_line=2).words == []
     except ParseError as e:
         blank, message = False, str(e)
     expected = parse_certificate("2 res (0 1) {}\nqed 2\n", pair)

@@ -9,7 +9,8 @@ from naive_linear import naive_linearize
 from certkernel import (
     BOOL, AssumePayload, Certificate, NLet, NRef, NStep, ParseError, RuleKind, Step,
     TermStore, UnboundNameError, Verdict, check, compact, extract_trust,
-    linearize, mk_clause, neg, parse_nested_proof, parse_smt2, pos,
+    linearize, mk_clause, neg, parse_dimacs, parse_nested_proof, parse_smt2, pos,
+    print_certificate,
 )
 from certkernel.cli import run_one
 
@@ -154,15 +155,31 @@ def test_nested_proof_concrete_syntax():
     assert check(prob.store, prob.input_clauses, cert2).verdict is Verdict.VALID
 
 
-def test_deep_nested_proof_is_a_parse_error_not_a_crash():
-    prob = parse_smt2("(declare-const p Bool)\n(assert p)\n")
-    depth = 3000
-    deep_steps = "(step res (" * depth + "0" + ") {})" * depth
-    deep_term = "(step assume () {" + "(not " * depth + "p" + ")" * depth + "})"
-    for text in (deep_steps, "\n  " + deep_term):
-        with pytest.raises(ParseError, match="nested too deeply") as e:
-            parse_nested_proof(text, prob)
-        assert e.value.line == text.count("\n") + 1
+def test_a_100000_deep_chain_of_inline_sub_proofs_translates_and_checks(tmp_path):
+    """Each step's one premise is the next step, written inline; the chain
+    is read and linearized from explicit stacks, so its depth is not
+    bounded by Python's."""
+    n = 100_000
+    text = "(step res (" * (n - 1) + "(step res (0 1) {})" + ") {})" * (n - 1) + "\n"
+    problem, proof, cert = tmp_path / "p.cnf", tmp_path / "deep.proof", tmp_path / "deep.cert"
+    problem.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    proof.write_text(text)
+    code, out = run_one(str(problem), str(proof), "translate", None, False, False)
+    assert code == 0 and out.count("\n") == n + 1, out[:200]
+    assert out.startswith("2 res (0 1) {}\n3 res (2) {}\n")
+    assert out.endswith(f"{n + 1} res ({n}) {{}}\nqed {n + 1}\n")
+    cert.write_text(out)
+    assert run_one(str(problem), str(cert), "check", None, False, False) == (0, "VALID\n")
+
+
+def test_a_let_of_two_bindings_reads_the_last_first_and_emits_the_first_first():
+    prob = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
+    text = "(let ((A (step res (0 1) {})) (B (step res (A) {}))) (step res (A B) {}))"
+    cert = linearize(parse_nested_proof(text, prob), 2)
+    assert print_certificate(prob.store, cert) == \
+        "2 res (0 1) {}\n3 res (2) {}\n4 res (2 3) {}\nqed 4\n"
+    with pytest.raises(ParseError, match="unknown rule second"):
+        parse_nested_proof("(let ((A (step first () {})) (B (step second () {}))) (ref A))", prob)
 
 
 def test_a_let_chain_of_20000_lemmas_translates_and_checks(tmp_path):

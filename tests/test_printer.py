@@ -193,10 +193,10 @@ def test_every_trusted_name_serves_the_trusted_base_or_the_api():
     assert unused == [], unused
 
 
-# Input sets the depth of a function that calls itself.  parse_term still
-# does (ROADMAP item 2), and so do the nested-proof reader and linearizer,
-# for inline sub-proofs; a chain of lets takes them one call.
-SELF_CALLS = {("frontend", "parse_term"), ("preproc", "_convert"), ("preproc", "_emit")}
+# Input would set the depth of a function that calls itself, so none does:
+# the term reader keeps its open lists on a stack of frames, and the
+# nested-proof reader and linearizer are walks on a stack of generators.
+SELF_CALLS: set[tuple[str, str]] = set()
 
 
 def test_no_function_calls_itself_by_name():
