@@ -14,7 +14,9 @@ list records each opening bracket's closer.  A stray character is reported
 before the first unbalanced bracket, and that before a missing closing
 bracket.  Readers then index the list; a lexeme's line and column are found
 only when an error names it.  ``read_term`` interns a term from walks that
-wait on a list, not on Python's stack, so a term may be of any depth.
+wait on a list, not on Python's stack, so a term may be of any depth, and
+its ``let`` names live in one dict per term, so a chain of lets reads in
+linear time.
 
 The certificate reader is in the untrusted ``certkernel.preproc``: the
 kernel checks every id, index and clause code a certificate carries, so a
@@ -25,8 +27,7 @@ uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
 A DIMACS clause body is converted at once when it allows; see
-``_dimacs_body``.  The header's variables ``v1`` .. ``vV`` are made by one
-``TermStore.bool_vars`` call.
+``_dimacs_body``.
 """
 
 from __future__ import annotations
@@ -165,9 +166,8 @@ _UNSUPPORTED_HEADS = frozenset({
 
 # SMT-LIB operator heads and the kind each builds; the signature table in
 # terms checks arity and sorts.  (>= a b) is (<= b a), so the _SWAPPED heads
-# read their arguments in reverse order.  _list_term counts the children of
-# the _COUNTED heads before it reads them, and does more than intern the
-# _FINISHED kinds (one set test spares the rest slow Kind lookups).
+# read their arguments in reverse order.  _list_term does more than intern
+# the _FINISHED kinds (one set test spares the rest slow Kind lookups).
 _HEADS = {
     "not": Kind.NOT, "and": Kind.AND, "or": Kind.OR, "=>": Kind.IMPLIES,
     "xor": Kind.XOR, "ite": Kind.ITE, "=": Kind.EQ, "<=": Kind.LE, "<": Kind.LT,
@@ -176,7 +176,6 @@ _HEADS = {
     "bvxor": Kind.BV_XOR, "bvadd": Kind.BV_ADD, "bvult": Kind.BV_ULT,
 }
 _SWAPPED = frozenset({">=", ">"})
-_COUNTED = _SWAPPED | {"=", "-", "let"}
 _FINISHED = frozenset({Kind.EQ, Kind.MUL, Kind.IMPLIES, Kind.XOR, Kind.SUB})
 
 
@@ -200,7 +199,7 @@ def _parse_sort(problem: Problem, lex: Lexemes, k: int) -> Sort:
     raise lex.error(k, "unknown sort")
 
 
-def _atom(problem: Problem, lex: Lexemes, k: int, env: dict[str, TermId] | None) -> TermId:
+def _atom(problem: Problem, lex: Lexemes, k: int, env: dict[str, TermId]) -> TermId:
     store, text = problem.store, lex.words[k]
     if text == "{":
         raise lex.error(k, "malformed term")
@@ -214,7 +213,7 @@ def _atom(problem: Problem, lex: Lexemes, k: int, env: dict[str, TermId] | None)
         return store.true_id
     if text == "false":
         return store.false_id
-    if env and text in env:
+    if text in env:
         return env[text]
     decl = problem.decls.get(text)
     if decl is not None and decl[0] == "var":
@@ -224,32 +223,38 @@ def _atom(problem: Problem, lex: Lexemes, k: int, env: dict[str, TermId] | None)
     raise lex.error(k, f"unknown symbol {text}")
 
 
-def _list_term(at: tuple[int, dict[str, TermId] | None], problem: Problem, lex: Lexemes):
-    """Walk for _unfold: the id of the list term at lexeme i, read in env,
-    for (i, env) = at.  It reads atoms itself; for a list among its children
-    it yields (index, env) and is sent the list's id."""
-    i, env = at
-    words, close, store = lex.words, lex.close, problem.store
+def _list_term(i: int, problem: Problem, lex: Lexemes, env: dict[str, TermId]):
+    """Walk for _unfold: the id of the list term at lexeme i.  It reads atoms
+    itself; for a list among its children it yields the list's index and is
+    sent its id.  env is the one dict of let names in scope: a let enters its
+    names for its body and then restores the ones it shadowed."""
+    words, store = lex.words, problem.store
     head = words[i + 1]
     if head in _BRACKETS:
         raise lex.error(i, "malformed term")
     kind = _HEADS.get(head)
-    rest = lex.items(i)[1:] if head in _COUNTED else None
+    rest = lex.items(i)[1:]
     try:
         if head == "let":
             if len(rest) != 2 or words[rest[0]] != "(":
                 raise lex.error(i, "malformed let")
-            new_env = dict(env) if env else {}
+            bound = {}
             for b in lex.items(rest[0]):
                 binding = lex.items(b)
                 if words[b] != "(" or len(binding) != 2 or words[binding[0]] in _OPENING:
                     raise lex.error(rest[0], "malformed let binding")
-                # Parallel let: bound terms see the outer environment.
+                # Parallel let: bound terms are read before any name enters env.
                 k = binding[1]
-                new_env[words[binding[0]]] = (yield (k, env)) if words[k] == "(" \
+                bound[words[binding[0]]] = (yield k) if words[k] == "(" \
                     else _atom(problem, lex, k, env)
+            shadowed = {name: env[name] for name in bound if name in env}
+            env.update(bound)
             k = rest[1]
-            return (yield (k, new_env)) if words[k] == "(" else _atom(problem, lex, k, new_env)
+            body = (yield k) if words[k] == "(" else _atom(problem, lex, k, env)
+            for name in bound:
+                del env[name]
+            env.update(shadowed)
+            return body
         if kind is None:
             if head in _UNSUPPORTED_HEADS:
                 raise lex.error(i, f"unsupported construct: {head}", UnsupportedError)
@@ -267,14 +272,8 @@ def _list_term(at: tuple[int, dict[str, TermId] | None], problem: Problem, lex: 
                 return store.int_const(-lex.number(rest[0]))
             kind = Kind.NEG
         args = []
-        if head in _SWAPPED:
-            for k in reversed(rest):
-                args.append((yield (k, env)) if words[k] == "(" else _atom(problem, lex, k, env))
-        else:
-            k = i + 2
-            while k != close[i]:
-                args.append((yield (k, env)) if words[k] == "(" else _atom(problem, lex, k, env))
-                k = close[k] + 1
+        for k in reversed(rest) if head in _SWAPPED else rest:
+            args.append((yield k) if words[k] == "(" else _atom(problem, lex, k, env))
         if kind.__class__ is tuple:
             applied = store.apply(kind[1], tuple(args))
             if kind[0] == "pred":
@@ -296,15 +295,14 @@ def _list_term(at: tuple[int, dict[str, TermId] | None], problem: Problem, lex: 
         raise lex.error(i, str(e)) from e
 
 
-def read_term(problem: Problem, lex: Lexemes, i: int,
-              env: dict[str, TermId] | None = None) -> tuple[TermId, int]:
+def read_term(problem: Problem, lex: Lexemes, i: int) -> TermId:
     """Intern the SMT-LIB term at lexeme i against the problem's store and
-    return its id and the index after it.  A list's shape is checked before
-    its children are read and its node is interned after, so the store sees
-    the calls, and the reader raises the errors, of a recursive reader."""
+    return its id.  A list's shape is checked before its children are read
+    and its node is interned after, so the store sees the calls, and the
+    reader raises the errors, of a recursive reader."""
     if lex.words[i] != "(":
-        return _atom(problem, lex, i, env), i + 1
-    return _unfold(_list_term, (i, env), problem, lex), lex.close[i] + 1
+        return _atom(problem, lex, i, {})
+    return _unfold(_list_term, i, problem, lex, {})
 
 
 def _unfold(walk, first, *shared):
@@ -396,7 +394,7 @@ def parse_smt2(text: str) -> Problem:
         elif head == "assert":
             if len(rest) != 1:
                 raise lex.error(cmd, "malformed assert")
-            t = read_term(problem, lex, rest[0])[0]
+            t = read_term(problem, lex, rest[0])
             if problem.store.sort_of(t) != BOOL:
                 raise lex.error(rest[0], "asserted term is not Bool")
             problem.assertions.append(t)
@@ -429,7 +427,8 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
-    var_ids = problem.store.bool_vars(f"v{i}" for i in range(1, n_vars + 1))
+    var = problem.store.var
+    var_ids = [var(f"v{i}", BOOL) for i in range(1, n_vars + 1)]
 
     # Every atom is a Bool variable made above, so the clauses need no
     # sort check: a literal v encodes as 2 * atom + (v < 0).

@@ -205,8 +205,8 @@ def extract_trust(cert: Certificate) -> TrustReport:
 def parse_literal(problem: Problem, lex: Lexemes, k: int) -> Literal:
     """``(not <atom>)`` is a negative literal; anything else is positive."""
     if lex.words[k] == "(" and lex.words[k + 1] == "not" and len(lex.items(k)) == 2:
-        return neg(read_term(problem, lex, k + 2)[0])
-    return pos(read_term(problem, lex, k)[0])
+        return neg(read_term(problem, lex, k + 2))
+    return pos(read_term(problem, lex, k))
 
 
 def _parse_clause(problem: Problem, lex: Lexemes, items: list[int], at: int | None) -> Clause:
@@ -245,7 +245,7 @@ def _parse_eqstep(problem: Problem, lex: Lexemes, k: int) -> EqStep:
     if head == "refl":
         if len(rest) != 1:
             raise lex.error(k, "refl takes one term")
-        return EqStep(EqRule.REFL, term=read_term(problem, lex, rest[0])[0])
+        return EqStep(EqRule.REFL, term=read_term(problem, lex, rest[0]))
     if head == "sym":
         if len(rest) != 1:
             raise lex.error(k, "sym takes one index")
@@ -303,7 +303,7 @@ def parse_payload(problem: Problem, rule: RuleKind, lex: Lexemes, k: int, at: in
         if not items or len(items) > 2:
             raise lex.error(at, f"{rule.value} payload is a term and an optional index")
         index = parse_int(lex, items[1]) if len(items) == 2 else 0
-        return CnfPayload(read_term(problem, lex, items[0])[0], index)
+        return CnfPayload(read_term(problem, lex, items[0]), index)
     if payload_type is EufPayload or payload_type is LiaPayload:
         groups = _tagged(lex, items)
         proof = "just" if payload_type is EufPayload else "farkas"
@@ -324,7 +324,7 @@ def parse_payload(problem: Problem, rule: RuleKind, lex: Lexemes, k: int, at: in
     if payload_type is BvPayload:
         if not items:
             raise lex.error(at, f"{rule.value} payload needs a target term")
-        target = read_term(problem, lex, items[0])[0]
+        target = read_term(problem, lex, items[0])
         aux: tuple[TermId, ...] = ()
         if len(items) == 2:
             aux = _parse_aux(problem, lex, items[1])

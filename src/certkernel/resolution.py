@@ -2,14 +2,14 @@
 
 Both checkers are total.  When no valid inference exists they return the
 trivially true clause instead of failing, so a corrupted step can never
-contribute anything stronger than a tautology.
+contribute anything stronger than a tautology.  A resolution step reads
+its premises in one pass over one running set of literals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 from .steps import RuleKind
 from .terms import (
@@ -18,37 +18,41 @@ from .terms import (
 
 
 def resolve_pair(c1: Clause, c2: Clause) -> Clause:
-    """Resolve two clauses on their smallest shared opposite-polarity atom.
-
-    Removes one positive pivot occurrence from the side that has it and one
-    negative occurrence from the other, then merges; a premise carrying both
-    polarities of the pivot keeps its second occurrence, so tautological
-    inputs stay tautological rather than collapsing unsoundly.  Returns the
-    trivially true clause when no pivot exists.  With several candidate
-    pivots the smallest atom wins, which keeps replay deterministic.
-    """
-    s1 = set(c1.enc)
-    pivot = None
-    # Encoded literals are sorted, so the first complement hit has the
-    # smallest atom.
-    for code in c2.enc:
-        if (code ^ 1) in s1:
-            pivot = code >> 1
-            break
-    if pivot is None:
-        return TRIVIALLY_TRUE
-    p_pos, p_neg = 2 * pivot, 2 * pivot + 1
-    s2 = set(c2.enc)
-    if p_pos in s1 and p_neg in s2:
-        merged = (s1 - {p_pos}) | (s2 - {p_neg})
-    else:
-        merged = (s1 - {p_neg}) | (s2 - {p_pos})
-    return Clause(tuple(sorted(merged)))
+    return resolve_chain((c1, c2))
 
 
 def resolve_chain(premises: Sequence[Clause]) -> Clause:
-    """Left-fold of resolve_pair; a single premise returns itself."""
-    return reduce(resolve_pair, premises) if premises else TRIVIALLY_TRUE
+    """Resolve the premises left to right into one running set, each on its
+    smallest atom of opposite polarity in the resolvent so far.
+
+    One positive pivot occurrence goes from the side that has it and one
+    negative occurrence from the other; a side carrying both polarities of
+    the pivot keeps its second occurrence, so tautological inputs stay
+    tautological rather than collapsing unsoundly.  A premise without a
+    pivot makes the resolvent the trivially true clause, ``TRIVIALLY_TRUE``
+    itself if it is the last.  A single premise returns itself.
+    """
+    if len(premises) < 2:
+        return premises[0] if premises else TRIVIALLY_TRUE
+    running, trivial = set(premises[0].enc), False
+    for clause in premises[1:]:
+        # Encoded literals are sorted, so the first complement hit has the
+        # smallest atom.
+        for code in clause.enc:
+            if code ^ 1 in running:
+                break
+        else:
+            running, trivial = {0}, True
+            continue
+        # Drop the positive pivot from the resolvent and the negative one
+        # from the premise if both are there, else the other way round.
+        mine, theirs, other, trivial = code & ~1, code | 1, set(clause.enc), False
+        if mine not in running or theirs not in other:
+            mine, theirs = theirs, mine
+        running.discard(mine)
+        other.discard(theirs)
+        running |= other
+    return TRIVIALLY_TRUE if trivial else Clause(tuple(sorted(running)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -273,23 +273,16 @@ class TermStore:
     # -- constructors -------------------------------------------------------
 
     def var(self, name: str, sort: Sort) -> TermId:
-        return self.intern(Kind.VAR, (), (name, sort))
-
-    def bool_vars(self, names: Iterable[str]) -> list[TermId]:
-        """``[var(name, BOOL) for name in names]``, in order: the same ids,
-        nodes and index keys, an existing variable's id on a hit, without
-        the per-call sort computation (a Bool variable's sort is BOOL)."""
-        nodes, index = self._nodes, self._index
-        ids = []
-        for name in names:
-            if not isinstance(name, str):
-                raise SortError("variable name must be a string")
-            extra = (name, BOOL)
-            tid = index.setdefault((Kind.VAR, (), extra), len(nodes))
-            if tid == len(nodes):
-                nodes.append(Node(Kind.VAR, BOOL, (), extra))
-            ids.append(tid)
-        return ids
+        """``intern(Kind.VAR, (), (name, sort))``: the same id, node and index
+        key, an existing variable's id on a hit, without the sort computation
+        (a variable's sort is its own)."""
+        if not isinstance(name, str):
+            raise SortError("variable name must be a string")
+        nodes, extra = self._nodes, (name, sort)
+        tid = self._index.setdefault((Kind.VAR, (), extra), len(nodes))
+        if tid == len(nodes):
+            nodes.append(Node(Kind.VAR, sort, (), extra))
+        return tid
 
     def int_const(self, value: int) -> TermId:
         return self.intern(Kind.INT_CONST, (), value)

@@ -754,7 +754,7 @@ def _term(prob, text):
     from certkernel.frontend import Lexemes, read_term
     lex = Lexemes(text)
     (k,) = lex.items()
-    return read_term(prob, lex, k)[0]
+    return read_term(prob, lex, k)
 
 
 def test_head_cases_cover_every_head():
@@ -770,22 +770,30 @@ def test_operator_head_round_trip(head):
         assert _term(prob, to_sexpr(prob.store, t)) == t, text
 
 
-# Lets whose bindings are parallel, shadow a declaration or an outer let,
-# and nest in a binding, a body and an operator's arguments.
+# Lets whose bindings are parallel, shadow a declaration or an outer let
+# (and give it back after their body), bind a name twice (the last binding
+# wins), and nest in a binding, a body and an operator's arguments.
 LET_CASES = [
     "(let ((p q) (q p)) (and p (not q)))",
     "(let ((x (+ x 1))) (let ((x (+ x 2)) (y x)) (<= x y)))",
     "(let ((p (let ((q p)) (or q r)))) (=> p q))",
     "(>= (let ((y 3)) (+ x y)) (let ((x 4)) (- x y)))",
     "(let () (let ((a (bvadd a b)) (b a)) (bvult a b)))",
+    "(let ((x 1) (y x) (x 2)) (+ x y))",
+    "(let ((y 5)) (and (let ((x 1) (y 2)) (<= x y)) (<= x y)))",
+    "(let ((q (let ((p q) (q p)) (xor p q)))) (and p q (let ((p r)) p) p))",
+    "(+ (let ((x y)) x) x)",
+]
+LET_SAME = [
+    "(and q (not p))", "(<= (+ (+ x 1) 2) (+ x 1))", "(=> (or p r) q)",
+    "(<= (- 4 y) (+ x 3))", "(bvult (bvadd a b) a)", "(+ 2 x)",
+    "(and (<= 1 2) (<= x 5))", "(and p (xor q p) r p)", "(+ y x)",
 ]
 
 
 def test_let_bindings_are_parallel_and_scoped():
     prob = parse_smt2(_HEAD_DECLS)
-    for text, same in zip(LET_CASES, ["(and q (not p))", "(<= (+ (+ x 1) 2) (+ x 1))",
-                                      "(=> (or p r) q)", "(<= (- 4 y) (+ x 3))",
-                                      "(bvult (bvadd a b) a)"]):
+    for text, same in zip(LET_CASES, LET_SAME, strict=True):
         assert _term(prob, text) == _term(prob, same), text
 
 

@@ -57,25 +57,24 @@ def test_argument_ids_must_be_ints():
             store.intern(Kind.NOT, (bad,))
 
 
-def test_bool_vars_is_var_in_bulk():
-    """The same ids, nodes and index keys as var(name, BOOL) one by one; a
-    hit returns the existing id, and another sort's variable stays apart."""
-    names = ["v1", "v2", "v3", "v2"]
-    bulk, single = TermStore(), TermStore()
-    ids = bulk.bool_vars(names)
-    assert ids == [single.var(name, BOOL) for name in names] == [2, 3, 4, 3]
-    assert [bulk.node(t) for t in range(len(bulk))] == \
-        [single.node(t) for t in range(len(single))]
-    assert [bulk.var(name, BOOL) for name in names] == ids and len(bulk) == 5
-
-    store = TermStore()
-    v2_int = store.var("v2", INT)
-    v2 = store.var("v2", BOOL)
-    assert store.bool_vars(["v1", "v2", "v3"]) == [4, v2, 5]
-    assert (store.sort_of(v2_int), store.sort_of(v2)) == (INT, BOOL)
-    assert len(store) == 6
-    with pytest.raises(SortError, match="variable name must be a string"):
-        store.bool_vars([1])
+def test_var_is_intern_of_a_var_node():
+    """var gives the ids, nodes and index keys that intern(Kind.VAR, ...)
+    gives: for Bool and Int variables, a same-named variable of another
+    sort kept apart, a hit returning the existing id, and a name that is
+    not a string raising SortError."""
+    calls = [("v1", BOOL), ("v2", INT), ("v2", BOOL), ("v1", BOOL), ("v2", INT), ("x", INT)]
+    store, interned = TermStore(), TermStore()
+    ids = [store.var(name, sort) for name, sort in calls]
+    assert ids == [interned.intern(Kind.VAR, (), (name, sort)) for name, sort in calls] \
+        == [2, 3, 4, 2, 3, 5]
+    assert store._nodes == interned._nodes and store._index == interned._index
+    assert (store.sort_of(3), store.sort_of(4)) == (INT, BOOL)
+    for bad in (1, None, b"v1"):
+        with pytest.raises(SortError, match="variable name must be a string"):
+            store.var(bad, BOOL)
+        with pytest.raises(SortError, match="variable name must be a string"):
+            interned.intern(Kind.VAR, (), (bad, BOOL))
+    assert len(store) == len(interned) == 6
 
 
 def test_true_false_have_fixed_ids():
