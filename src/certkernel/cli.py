@@ -28,7 +28,6 @@ and parsers make no reference cycles.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import gc
 import os
 import sys
@@ -117,13 +116,13 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
 
         if proof_path is None:
             return EXIT_ERROR, "error: this mode needs --proof\n"
-        proof_text = _read(proof_path)
         if mode == "translate":
-            nested = parse_nested_proof(proof_text, problem)
+            nested = parse_nested_proof(_read(proof_path), problem)
             cert = linearize(nested, len(problem.input_clauses))
             return EXIT_VALID, print_certificate(problem.store, cert)
 
-        cert = parse_certificate(proof_text, problem)
+        # No name holds the certificate text, so it is freed before replay.
+        cert = parse_certificate(_read(proof_path), problem)
         result = check(problem.store, problem.input_clauses, cert)
         if mode == "stats":
             report = stats_report(problem.store, result)
@@ -216,10 +215,13 @@ def _run_pool(tasks: list, jobs: int) -> list[tuple[int, str]]:
     """Run the tasks in worker processes.  A worker that dies outright (for
     example under the OOM killer) breaks the pool: every pair not finished
     by then gets the exit-3 line, and the finished pairs keep their reports.
-    It catches BrokenExecutor, the base class of BrokenProcessPool, because
-    naming the latter imports the process-pool module on every start-up.
-    The pool forks all of its workers at the first submit, so it gets no
-    more workers than tasks."""
+    It catches BrokenExecutor, the base class of BrokenProcessPool.  The
+    pool forks all of its workers at the first submit, so it gets no more
+    workers than tasks.  ``concurrent.futures`` is imported here, not at
+    start-up: with the ``logging`` it imports, it costs about 11 ms, and
+    only a pool needs it."""
+    import concurrent.futures
+
     futures = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         for task in tasks:

@@ -27,7 +27,8 @@ uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
 A DIMACS clause body is converted at once when it allows; see
-``_dimacs_body``.
+``_dimacs_body``.  Only the variables that a clause uses are made, after
+the body is read, in ascending numeral order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 
 from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
@@ -149,7 +150,11 @@ class Problem:
     sorts: dict[str, UninterpretedSort] = field(default_factory=dict)
     assertions: list[TermId] = field(default_factory=list)
     input_clauses: list[Clause] = field(default_factory=list)
+    # DIMACS only: the variables of the numerals that clauses use, in
+    # ascending order (numeral n names its variable v<n>), and the variable
+    # count the header declares.
     dimacs_vars: tuple[TermId, ...] = ()
+    dimacs_header_vars: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +432,24 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
-    var = problem.store.var
-    var_ids = [var(f"v{i}", BOOL) for i in range(1, n_vars + 1)]
+    values = _dimacs_body(lines, lineno, n_vars)
+    # Only the variables that occur are made, in ascending numeral order, so
+    # a header's count costs one byte per variable, not a variable each, and
+    # the atoms keep their relative order.
+    used = bytearray(n_vars + 1)  # used[n] = 1 if numeral n occurs
+    for value in values:
+        used[abs(value)] = 1
+    used[0] = 0
+    var, var_ids = problem.store.var, [0] * (used.rfind(1) + 1)
+    for i in compress(range(len(var_ids)), used):
+        var_ids[i] = var(f"v{i}", BOOL)
 
     # Every atom is a Bool variable made above, so the clauses need no
     # sort check: a literal v encodes as 2 * atom + (v < 0).
     codes: list[int] = []  # encoded literals of the clause being read
-    for value in _dimacs_body(lines, lineno, n_vars):
+    for value in values:
         if value:
-            codes.append(2 * var_ids[abs(value) - 1] + (value < 0))
+            codes.append(2 * var_ids[abs(value)] + (value < 0))
         else:
             problem.input_clauses.append(Clause(tuple(sorted(set(codes)))))
             codes = []
@@ -443,7 +457,8 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(
             f"header promises {n_clauses} clauses, found {len(problem.input_clauses)}",
             len(lines) or 1, 1)
-    problem.dimacs_vars = tuple(var_ids)
+    problem.dimacs_vars = tuple(compress(var_ids, used))
+    problem.dimacs_header_vars = n_vars
     return problem
 
 

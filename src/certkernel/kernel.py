@@ -31,9 +31,11 @@ type needs new certificate syntax.  Nothing here renders text.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from . import bitblast, euf, lia, resolution
 from .bitblast import BitBlastState, BvPayload
@@ -135,15 +137,19 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     """
     clauses: list[Clause] = list(input_clauses)
     n_inputs = len(clauses)
+    slot = clauses.__getitem__
     ctx = CheckContext(store)
-    counts: dict[RuleKind, int] = {RuleKind.INPUT: n_inputs}
     assumptions: list[Clause] = []
+    assume = RuleKind.ASSUME
     # A variable is "used" for aux freshness the moment a clause reaching it
     # is stored; the walk waits for a bit-blasting step, and each node
     # lands in ctx.bitblast.used_vars, where no later walk enters it again.
     scanned = 0
 
     def result(verdict, reason=None, step_id=None) -> CheckResult:
+        # The stored steps are the first len(clauses) - n_inputs of cert.steps.
+        counts = Counter(step.rule for step in islice(cert.steps, len(clauses) - n_inputs))
+        counts[RuleKind.INPUT] = n_inputs
         stats = tuple((r.value, counts[r]) for r in RuleKind if counts.get(r))
         return CheckResult(
             verdict, reason=reason, step_id=step_id,
@@ -157,18 +163,17 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     if any(not c.enc for c in clauses):
         return finish()
 
-    for step in cert.steps:
-        if step.id != len(clauses):
+    for step_id, rule, ps, payload in cert.steps:
+        if step_id != len(clauses):
             return result(Verdict.INVALID,
-                          f"step id {step.id}, expected {len(clauses)}", step.id)
-        ps = step.premises
+                          f"step id {step_id}, expected {len(clauses)}", step_id)
         try:  # a field of a type no reader builds (1.0, None, "res") fails here
-            if ps and (min(ps) < 0 or max(ps) >= step.id):
-                return result(Verdict.INVALID, "bad premise reference", step.id)
-            entry = RULES.get(step.rule)
-            if entry is None or not isinstance(step.payload, entry.payload):
+            if ps and (min(ps) < 0 or max(ps) >= step_id):
+                return result(Verdict.INVALID, "bad premise reference", step_id)
+            entry = RULES.get(rule)
+            if entry is None or not isinstance(payload, entry.payload):
                 return result(Verdict.INVALID,
-                              f"payload does not match rule {step.rule.value}", step.id)
+                              f"payload does not match rule {rule.value}", step_id)
 
             if entry.payload is BvPayload:
                 used = ctx.bitblast.used_vars
@@ -176,20 +181,18 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                     (atom for clause in clauses[scanned:] for atom in clause.atoms()), used))
                 scanned = len(clauses)
 
-            premises = [clauses[p] for p in ps]
-            conclusion = dispatch(ctx, step.rule, premises, step.payload)
+            conclusion = dispatch(ctx, rule, list(map(slot, ps)), payload)
         except (TypeError, AttributeError):
-            return result(Verdict.INVALID, "malformed step", step.id)
+            return result(Verdict.INVALID, "malformed step", step_id)
 
         if conclusion is TRIVIALLY_TRUE and hasattr(entry.payload, "lemma") \
-                and step.payload.lemma != TRIVIALLY_TRUE:
+                and payload.lemma != TRIVIALLY_TRUE:
             return result(Verdict.INVALID,
-                          f"{step.rule.value} checker rejected the step", step.id)
+                          f"{rule.value} checker rejected the step", step_id)
 
-        if step.rule is RuleKind.ASSUME:
+        if rule is assume:
             assumptions.append(conclusion)
         clauses.append(conclusion)
-        counts[step.rule] = counts.get(step.rule, 0) + 1
         if not conclusion.enc:
             return finish()
 

@@ -30,14 +30,23 @@ Braces delimit only a step's payload.  Names introduced under ``(aux ...)``
 become Bool variables on sight; their freshness is the kernel's business.
 Any other second group, ``(foo v)`` or ``()`` say, is a ParseError there.
 
-``_fast_step`` reads lines as ``printer.print_certificate`` writes them with
-a regex: ``<id> <rule> (<ints>) {}`` for a rule without payload, and ``<id>
-<rule> (<ints>) {<term>[ <index>]}`` for a ``CnfPayload`` rule if the term's
-text is in a memo local to one ``parse_certificate`` call, which holds the
-id the full reader gave that text as a whole payload term on an earlier
-line.  A hit equals a full parse: the same bytes read against the same store
-and declarations intern the same id.  Any other line, and any line that
-would raise, goes through the full reader, which alone reports errors.
+Two shapes that ``printer.print_certificate`` writes are read without the
+full reader.  A ``<id> res (<ids>) {}`` line is converted from its step
+head, together with the run of such lines after it, each ending in a line
+feed, if the next line starts as the next step would.  A run is read in
+blocks of at most ``_RUN_LINES`` lines: one regex ``findall``, one
+comprehension into ``Step``s, and one check that the ids count on, that
+each step names a premise and that each premise comes before its step.
+Only a line whose step head names ``res`` looks at the next line, so other
+lines cost nothing more.
+
+A ``<id> <rule> (<ints>) {<term>[ <index>]}`` line for a ``CnfPayload``
+rule is read without the full reader if the term's text is in a memo local
+to one ``parse_certificate`` call, which holds the id the full reader gave
+that text as a whole payload term on an earlier line.  A hit equals a full
+parse: the same bytes read against the same store and declarations intern
+the same id.  Any other line, and any line of a block that fails a check,
+goes through the full reader, which alone reports errors.
 
 Nested proofs are trees in a small s-expression syntax::
 
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .bitblast import BvPayload
 from .errors import ForwardReferenceError, ParseError, SortError, UnboundNameError
@@ -75,7 +85,13 @@ from .terms import BOOL, Clause, Literal, TermId, mk_clause, neg, pos
 # optional index and the closing brace, as print_certificate writes them.
 _STEP_HEAD = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{")
 _ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
+# A res line without payload, ending in a line feed, and a run of at most
+# _RUN_LINES of them.
+_RUN_LINES = 2048
+_RES_LINE = re.compile(r"([0-9]+) res \(([0-9 ]*)\) \{\}\n")
+_RES_RUN = re.compile(f"(?:{_RES_LINE.pattern}){{1,{_RUN_LINES}}}")
 RULE_BY_NAME = {r.value: r for r in RuleKind}
+_RES = RuleKind.RES  # an Enum member lookup costs about 150 ns
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,35 +362,43 @@ def _step_rule(lex: Lexemes, items: list[int]) -> RuleKind | None:
     return rule
 
 
-def _fast_step(raw: str, next_id: int,
+def _res_steps(found: list[tuple[str, str]], next_id: int) -> list[Step] | None:
+    """The steps of ``_RES_LINE`` matches (id and premise text of each), or
+    None unless the ids count on from next_id, each step names a premise,
+    each premise comes before its step and every numeral is within
+    CPython's digit limit for int-string conversion."""
+    try:
+        steps = [Step(int(i), _RES, tuple(map(int, p.split()))) for i, p in found]
+    except ValueError:
+        return None
+    for expected, (step_id, _, premises, _) in enumerate(steps, next_id):
+        if step_id != expected or not premises or max(premises) >= step_id:
+            return None
+    return steps
+
+
+def _memo_step(raw: str, head: re.Match | None, rule: RuleKind | None, next_id: int,
                memo: dict[str, TermId]) -> tuple[Step | None, re.Match | None]:
-    """(step, None) for a well-formed line of a fast-path shape (see the
-    module docstring); otherwise (None, term), where term is the line's
-    one-term match, if any, for the caller to memo once the full reader has
-    accepted the line."""
-    head = _STEP_HEAD.match(raw)
-    if head is None:
+    """(step, None) for a well-formed ``CnfPayload`` line whose term is in
+    the memo (see the module docstring), where head is the line's
+    ``_STEP_HEAD`` match and rule the rule it names; otherwise (None, term),
+    where term is the line's one-term match, if any, for the caller to memo
+    once the full reader has accepted the line."""
+    entry = RULES.get(rule)  # None for no match or an unknown rule name
+    if entry is None or entry.payload is not CnfPayload:
         return None, None
-    rule = RULE_BY_NAME.get(head[2])
-    entry = RULES.get(rule)  # None for an unknown rule name
-    payload_type = entry.payload if entry is not None else None
-    term = None
-    if payload_type is CnfPayload:
-        term = _ONE_TERM.fullmatch(raw, head.end())
-        if term is None or term[1] not in memo:
-            return None, term
-    elif payload_type is not type(None) or raw[head.end():] != "}":
-        return None, None
+    term = _ONE_TERM.fullmatch(raw, head.end())
+    if term is None or term[1] not in memo:
+        return None, term
     try:
         step_id = int(head[1])
         premises = tuple(map(int, head[3].split()))
-        index = int(term[2]) if term is not None and term[2] is not None else 0
+        index = int(term[2]) if term[2] is not None else 0
     except ValueError:  # past CPython's digit limit for int-string conversion
         return None, term
     if step_id != next_id or (premises and max(premises) >= step_id):
         return None, term
-    payload = CnfPayload(memo[term[1]], index) if term is not None else None
-    return Step(step_id, rule, premises, payload), None
+    return Step(step_id, rule, premises, CnfPayload(memo[term[1]], index)), None
 
 
 def parse_certificate(text: str, problem: Problem) -> Certificate:
@@ -382,16 +406,38 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
     steps: list[Step] = []
     qed: int | None = None
     next_id = len(problem.input_clauses)
-    memo: dict[str, TermId] = {}  # payload term text -> id, for _fast_step
+    memo: dict[str, TermId] = {}  # payload term text -> id, for _memo_step
     lines = split_lines(text)
+    numbered = enumerate(lines, start=1)
+    offset = full = 0  # no res line before line full + 1 is read in a block
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in numbered:
+        offset += len(raw) + 1  # the text offset of the next line
         stripped = raw.lstrip(" \t\r")
         if not stripped or stripped.startswith(";"):
             continue
         if qed is not None:
             raise ParseError("content after qed", lineno, 1)
-        step, term = _fast_step(raw, next_id, memo)
+        head = _STEP_HEAD.match(raw)
+        rule = RULE_BY_NAME.get(head[2]) if head is not None else None
+        if rule is _RES and raw[head.end():] == "}" and lineno > full:
+            # This line, and the run after it if the next line starts as
+            # the next step would.
+            found, run = [(head[1], head[3])], None
+            if text.startswith(f"{next_id + 1} res (", offset):
+                run = _RES_RUN.match(text, offset)
+                if run is not None:
+                    found += _RES_LINE.findall(text, offset, run.end())
+            block = _res_steps(found, next_id)
+            if block is not None:
+                steps += block
+                next_id += len(block)
+                if run is not None:  # skip the run's lines
+                    offset = run.end()
+                    next(islice(numbered, len(block) - 1, len(block) - 1), None)
+                continue
+            full = lineno + len(found) - 1
+        step, term = _memo_step(raw, head, rule, next_id, memo)
         if step is not None:
             steps.append(step)
             next_id += 1

@@ -82,8 +82,8 @@ def clause_to_sexpr(store: TermStore, clause: Clause) -> str:
 
 def print_dimacs(problem) -> str:
     """Canonical DIMACS text; an exact inverse of parse_dimacs on its output."""
-    numbers = {tid: i + 1 for i, tid in enumerate(problem.dimacs_vars)}
-    lines = [f"p cnf {len(problem.dimacs_vars)} {len(problem.input_clauses)}"]
+    numbers = {tid: int(problem.store.node(tid).extra[0][1:]) for tid in problem.dimacs_vars}
+    lines = [f"p cnf {problem.dimacs_header_vars} {len(problem.input_clauses)}"]
     for clause in problem.input_clauses:
         row = [numbers[lit.atom] * (1 if lit.positive else -1) for lit in clause.lits]
         lines.append(" ".join(map(str, row + [0])))

@@ -2,8 +2,9 @@
 
 Both checkers are total.  When no valid inference exists they return the
 trivially true clause instead of failing, so a corrupted step can never
-contribute anything stronger than a tautology.  A resolution step reads
-its premises in one pass over one running set of literals.
+contribute anything stronger than a tautology.  A resolution step of two
+premises works on their sorted code tuples; a longer one reads its
+premises in one pass over one running set of literals.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ from .terms import (
 )
 
 
+# The longest first premise of a two-premise step that is searched as a
+# tuple: a scan of a short tuple is cheaper than hashing it into a set.
+_SHORT = 8
+
+
 def resolve_pair(c1: Clause, c2: Clause) -> Clause:
     return resolve_chain((c1, c2))
 
 
 def resolve_chain(premises: Sequence[Clause]) -> Clause:
-    """Resolve the premises left to right into one running set, each on its
-    smallest atom of opposite polarity in the resolvent so far.
+    """Resolve the premises left to right, each on its smallest atom of
+    opposite polarity in the resolvent so far.
 
     One positive pivot occurrence goes from the side that has it and one
     negative occurrence from the other; a side carrying both polarities of
@@ -31,9 +37,29 @@ def resolve_chain(premises: Sequence[Clause]) -> Clause:
     tautological rather than collapsing unsoundly.  A premise without a
     pivot makes the resolvent the trivially true clause, ``TRIVIALLY_TRUE``
     itself if it is the last.  A single premise returns itself.
+
+    Two premises whose first is short are resolved on their code tuples,
+    which are strictly increasing (as every clause the readers and checkers
+    build); longer steps keep one running set, so that no step costs more
+    than linear time in its literals.
     """
     if len(premises) < 2:
         return premises[0] if premises else TRIVIALLY_TRUE
+    if len(premises) == 2 and len(premises[0].enc) <= _SHORT:
+        a, b = premises[0].enc, premises[1].enc
+        # Codes are sorted, so the first complement hit has the smallest atom.
+        for code in b:
+            if code ^ 1 in a:
+                break
+        else:
+            return TRIVIALLY_TRUE
+        mine, theirs = code & ~1, code | 1
+        if mine not in a or theirs not in b:
+            mine, theirs = theirs, mine
+        i, j = a.index(mine), b.index(theirs)
+        a, b = a[:i] + a[i + 1:], b[:j] + b[j + 1:]
+        # A side left empty (a unit premise) leaves the other side's sorted rest.
+        return Clause(a if not b else b if not a else tuple(sorted({*a, *b})))
     running, trivial = set(premises[0].enc), False
     for clause in premises[1:]:
         # Encoded literals are sorted, so the first complement hit has the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .terms import Clause
 
@@ -56,10 +57,11 @@ class RuleKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """One certificate line: the clause slot it defines, its rule, the
-    premise clause ids (all strictly smaller), and a rule-specific payload."""
+    premise clause ids (all strictly smaller), and a rule-specific payload.
+    A named tuple: it builds in half the time of a slots dataclass, and
+    the main checker unpacks it in one operation."""
 
     id: int
     rule: RuleKind

@@ -118,6 +118,11 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
+# Reading an Enum member off its class costs about 150 ns on Python 3.11;
+# TermStore.var, which DIMACS calls once per variable, reads this alias.
+_VAR = Kind.VAR
+
+
 # Operator signatures: kind -> (min args, max args or None for any number,
 # operand sort, result sort).  Every argument must have the operand sort; the
 # operand ``BitVecSort`` stands for "bit-vectors of one width", and a result
@@ -279,9 +284,9 @@ class TermStore:
         if not isinstance(name, str):
             raise SortError("variable name must be a string")
         nodes, extra = self._nodes, (name, sort)
-        tid = self._index.setdefault((Kind.VAR, (), extra), len(nodes))
+        tid = self._index.setdefault((_VAR, (), extra), len(nodes))
         if tid == len(nodes):
-            nodes.append(Node(Kind.VAR, sort, (), extra))
+            nodes.append(Node(_VAR, sort, (), extra))
         return tid
 
     def int_const(self, value: int) -> TermId:

@@ -300,6 +300,16 @@ def test_jobs_start_no_more_workers_than_pairs(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_start_up_imports_no_process_pool():
+    """Only a --jobs pool needs concurrent.futures, which costs about 11 ms
+    with the logging it imports, so importing the CLI leaves it out."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, certkernel.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_mismatched_pair_counts(files, capsys):
     assert main(["--problem", str(files / "prob.cnf")]) == 3
 
@@ -374,7 +384,7 @@ def test_internal_error_costs_only_its_own_pair(files, capsys, monkeypatch):
     --jobs (whose forked workers inherit the patched name)."""
     import certkernel.cli as cli
 
-    (files / "second.cnf").write_text("p cnf 2 2\n2 0\n-2 0\n")
+    (files / "second.cnf").write_text("p cnf 2 2\n1 0\n-2 0\n")
     check = cli.check
 
     def flaky(store, inputs, cert):
@@ -435,6 +445,80 @@ def test_let_shared_lia_lemma_checks_in_one_pass(tmp_path):
         30, str(tmp_path / "p.smt2"), str(tmp_path / "p.cert"), "check", None, False, False)
     assert (code, report) == (0, "VALID\n")
     assert elapsed < 2
+
+
+def test_a_huge_dimacs_header_alone_costs_nothing(tmp_path):
+    """Only the variables a clause uses are made: the 18-byte p cnf 1000000 1
+    problem made a million variables (2.6 s, 388 MB) and now ends at once,
+    in oracle mode and checked."""
+    (tmp_path / "p.cnf").write_text("p cnf 1000000 1\n1 0\n")
+    (tmp_path / "p.cert").write_text("qed 0\n")
+    for proof, mode, expected in ((None, "oracle", (0, "status sat\nmodel v1 true\n")),
+                                  ("p.cert", "check", (1, "INVALID: empty clause not derived\n"))):
+        outcome, elapsed = _run_within(
+            30, str(tmp_path / "p.cnf"), proof and str(tmp_path / proof), mode, None, False, False)
+        assert outcome == expected and elapsed < 0.5, (mode, outcome, elapsed)
+
+
+def test_declared_variables_that_never_occur_keep_the_reports(tmp_path):
+    """A header may declare variables no clause uses.  They are not made,
+    and the oracle report, the DIMACS print (header V kept) and the check
+    and stats reports keep the bytes they had when every declared variable
+    was made."""
+    from certkernel import parse_dimacs, print_dimacs
+
+    text = "c gaps\np cnf 9 3\n3 -7 0\n-3 9 0\n7 0\n"
+    (tmp_path / "p.cnf").write_text(text)
+    (tmp_path / "u.cnf").write_text(text.replace("9 3", "9 4") + "-9 0\n")
+    (tmp_path / "u.cert").write_text("4 res (2 0) {}\n5 res (4 1) {}\n6 res (5 3) {}\nqed 6\n")
+    assert run_one(str(tmp_path / "p.cnf"), None, "oracle", None, False, False) \
+        == (0, "status sat\nmodel v3 true\nmodel v7 true\nmodel v9 true\n")
+    assert print_dimacs(parse_dimacs(text)) == "p cnf 9 3\n3 -7 0\n-3 9 0\n7 0\n"
+    stats = "verdict: VALID\nclauses stored: 7\nmax clause width: 2\nrule counts:\n" \
+            "  input 4\n  res 3\n"
+    for mode, machine, report in (("check", False, "VALID\n"),
+                                  ("check", True, "verdict VALID\nsteps 3\nrule input 4\n"
+                                                  "rule res 3\n"),
+                                  ("stats", False, stats)):
+        assert run_one(str(tmp_path / "u.cnf"), str(tmp_path / "u.cert"), mode, None,
+                       machine, False) == (0, report), (mode, machine)
+
+
+def test_res_lines_among_other_lines_read_in_linear_time(tmp_path):
+    """A run of res lines is read in blocks, and only a res line looks
+    ahead, at the start of the next line: 40 000 lines that alternate res
+    and not_not lines read and check in seconds, and so does a 100 000-step
+    res chain with one malformed line in its middle, whose error is
+    reported there, whether or not the block reader's regex takes that
+    line."""
+    (tmp_path / "p.smt2").write_text("(declare-const p Bool) (assert p) (assert (not p))\n")
+    lines = []
+    for k in range(2, 40_002, 2):
+        lines += [f"{k} not_not () {{(not p) 0}}", f"{k + 1} res ({k} 0) {{}}"]
+    lines += ["40002 res (2 1) {}", "40003 res (40002 0) {}", "qed 40003"]
+    (tmp_path / "p.cert").write_text("\n".join(lines) + "\n")
+    (code, report), elapsed = _run_within(
+        30, str(tmp_path / "p.smt2"), str(tmp_path / "p.cert"), "check", None, True, False)
+    assert (code, report.split("\n")[:2]) == (0, ["verdict VALID", "steps 40002"])
+    assert elapsed < 3, elapsed
+
+    n = 100_000
+    cnf = [f"p cnf {n} {n + 1}", "1 0"] + [f"-{i} {i + 1} 0" for i in range(1, n)] + [f"-{n} 0"]
+    (tmp_path / "c.cnf").write_text("\n".join(cnf) + "\n")
+    steps = [f"{n + 1} res (0 1) {{}}"] + [f"{n + 1 + i} res ({n + i} {i + 1}) {{}}"
+                                           for i in range(1, n)]
+    middle = n // 2
+    for bad, error in ((f"{n + 1 + middle} res ({n + middle} {middle + 1}) {{x}}",
+                        "res takes no payload"),
+                       (f"{n + 2 + middle} res ({n + middle} {middle + 1}) {{}}",
+                        f"step id {n + 2 + middle}, expected {n + 1 + middle}")):
+        text = steps[:middle] + [bad] + steps[middle + 1:] + [f"qed {2 * n}"]
+        (tmp_path / "c.cert").write_text("\n".join(text) + "\n")
+        (code, report), elapsed = _run_within(
+            30, str(tmp_path / "c.cnf"), str(tmp_path / "c.cert"), "check", None, False, False)
+        assert code == 3 and report.startswith(f"error: line {middle + 1}, col ") \
+            and report.endswith(f"{error}\n"), report
+        assert elapsed < 3, elapsed
 
 
 def test_rejected_lia_step_does_not_print_its_term(tmp_path):

@@ -479,6 +479,60 @@ def test_long_chain_reads_the_same_with_every_other_line_commented(tmp_path):
     assert (code, report.split("\n")[:2]) == (0, ["verdict VALID", "steps 2000"])
 
 
+def _run_cases(block):
+    """(name, certificate text) pairs over the res chain of
+    _implication_chain(block + 10): a block of res lines is read at once,
+    and each case puts something the block reader must not take at the
+    first line, inside the first block, at its last line and at the first
+    line of the next block."""
+    n = block + 10
+    _, steps, qed = _implication_chain(n)
+    body = [s + "\n" for s in steps]
+    cases = [("whole chain", "".join(body) + qed),
+             ("last line without a line feed", "".join(body) + qed.rstrip("\n")),
+             ("res line last, without a line feed", "".join(body).rstrip("\n"))]
+    for length in (1, block, block + 1):
+        cases.append((f"run of {length}", "".join(body[:length]) + f"qed {n + length}\n"))
+    big = "9" * 5000
+    for at in (0, 700, block - 1, block):
+        sid = n + 1 + at
+        first, second = (0, 1) if at == 0 else (sid - 1, at + 1)
+        edits = {
+            "id gap": f"{sid + 1} res ({first} {second}) {{}}\n",
+            "premise equal to its id": f"{sid} res ({first} {sid}) {{}}\n",
+            "later premise": f"{sid} res ({sid + 3} {second}) {{}}\n",
+            "no premises": f"{sid} res () {{}}\n",
+            "5000-digit premise": f"{sid} res ({first} {big}) {{}}\n",
+            "5000-digit id": f"{big} res ({first} {second}) {{}}\n",
+            "double space": f"{sid} res ({first}  {second}) {{}}\n",
+            "double space after the id": f"{sid}  res ({first} {second}) {{}}\n",
+            "tab": f"{sid} res ({first}\t{second}) {{}}\n",
+            "payload": f"{sid} res ({first} {second}) {{x}}\n",
+            "blank line before": "\n" + body[at],
+            "comment line before": "; c\n" + body[at],
+            "qed before": f"qed {sid - 1}\n" + body[at],
+        }
+        for name, line in edits.items():
+            cases.append((f"{name} at step {at}", "".join(body[:at] + [line] + body[at + 1:]) + qed))
+    return cases
+
+
+def test_res_runs_read_as_the_full_reader_reads_them():
+    """Every case of _run_cases gives the Certificate, or the error type and
+    text (message, line and column), that the same text gives with every
+    line sent through the full reader."""
+    from certkernel.preproc import _RUN_LINES
+
+    cnf = _implication_chain(_RUN_LINES + 10)[0]
+    prob = parse_dimacs(cnf)
+    outcomes = set()
+    for name, text in _run_cases(_RUN_LINES):
+        ours = _outcome(lambda: parse_certificate(text, prob))
+        assert ours == _outcome(lambda: parse_certificate(_commented(text), prob)), name
+        outcomes.add(ours[0] if isinstance(ours, tuple) else "certificate")
+    assert outcomes == {"certificate", "ParseError", "ForwardReferenceError"}
+
+
 def test_certificate_round_trip_over_generators():
     rng = random.Random(17)
     # build certificates in memory from the generator, print, parse, reprint

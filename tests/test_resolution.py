@@ -9,6 +9,7 @@ from certkernel import (
     is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain,
     resolve_pair, to_sexpr,
 )
+from certkernel.resolution import _SHORT
 
 
 def _vars(store, n):
@@ -124,12 +125,18 @@ def test_resolve_chain_matches_the_pairwise_fold():
     """resolve_chain and resolve_pair give what the left fold of the
     reference pair step gives, TRIVIALLY_TRUE and single-premise identity
     included, on 20 000 seeded chains over atoms 0..5 (0 is TrueT) with
-    tautological premises, no-pivot premises mid-chain and at the end."""
+    tautological premises, no-pivot premises mid-chain and at the end.  At
+    least 5 000 chains have two premises, as most res steps do; among them
+    are steps whose premises carry both polarities of the pivot, and steps
+    whose first premise is longer than the tuple scan takes."""
     rng = random.Random(1515)
-    seen = {"tautology": 0, "fails mid-chain": 0, "fails last": 0, "resolves after a fail": 0}
+    seen = {"tautology": 0, "fails mid-chain": 0, "fails last": 0, "resolves after a fail": 0,
+            "both pivot polarities in a premise of two": 0, "long first premise of two": 0}
+    pairs = 0
     for _ in range(20_000):
-        premises = [Clause(tuple(sorted({rng.randrange(12) for _ in range(rng.randint(0, 4))})))
-                    for _ in range(rng.randint(0, 7))]
+        premises = [Clause(tuple(sorted({rng.randrange(12) for _ in range(
+                        rng.randint(0, 4) if rng.random() < 0.8 else rng.randint(5, 24))})))
+                    for _ in range(rng.choice((2, rng.randint(0, 7))))]
         expected, fails = premises[0] if premises else TRIVIALLY_TRUE, []
         for c in premises[1:]:
             seen["tautology"] += any(code ^ 1 in c.enc for code in c.enc)
@@ -141,10 +148,16 @@ def test_resolve_chain_matches_the_pairwise_fold():
         if len(premises) == 2:
             pair = resolve_pair(*premises)
             assert pair == out and (pair is TRIVIALLY_TRUE) == (out is TRIVIALLY_TRUE)
+            pairs += 1
+            first, second = premises[0].enc, premises[1].enc
+            pivot = next((code >> 1 for code in second if code ^ 1 in first), None)
+            seen["both pivot polarities in a premise of two"] += pivot is not None and any(
+                {2 * pivot, 2 * pivot + 1} <= set(side) for side in (first, second))
+            seen["long first premise of two"] += len(first) > _SHORT
         seen["fails mid-chain"] += any(fails[:-1])
         seen["fails last"] += bool(fails) and fails[-1]
         seen["resolves after a fail"] += any(a and not b for a, b in zip(fails, fails[1:]))
-    assert min(seen.values()) >= 1000, seen
+    assert pairs >= 5000 and min(seen.values()) >= 1000, (pairs, seen)
 
 
 def test_a_long_resolution_step_is_linear():
