@@ -18,6 +18,14 @@ wait on a list, not on Python's stack, so a term may be of any depth, and
 its ``let`` names live in one dict per term, so a chain of lets reads in
 linear time.
 
+``read_term`` reads a repeated small subterm once per problem.  The memo
+``Problem.term_memo`` maps the lexemes, joined by blanks (no lexeme holds
+one), of each root or argument term of at most ``_MEMO_LEXEMES`` lexemes
+read while no ``let`` name is in scope to its id; the size bound keeps keys
+linear in the input, and an error stores nothing.  A hit equals a full read:
+``decls`` only grows (``_declare`` and ``preproc._parse_aux`` never rebind
+a name) and the store only appends, so the same text interns the same id.
+
 The certificate reader is in the untrusted ``certkernel.preproc``: the
 kernel checks every id, index and clause code a certificate carries, so a
 wrong certificate parse cannot make a satisfiable problem VALID.
@@ -155,6 +163,7 @@ class Problem:
     # count the header declares.
     dimacs_vars: tuple[TermId, ...] = ()
     dimacs_header_vars: int = 0
+    term_memo: dict[str, TermId] = field(default_factory=dict, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +191,7 @@ _HEADS = {
 }
 _SWAPPED = frozenset({">=", ">"})
 _FINISHED = frozenset({Kind.EQ, Kind.MUL, Kind.IMPLIES, Kind.XOR, Kind.SUB})
+_MEMO_LEXEMES = 64  # the most lexemes of a term that read_term memoizes
 
 
 def _parse_sort(problem: Problem, lex: Lexemes, k: int) -> Sort:
@@ -276,9 +286,14 @@ def _list_term(i: int, problem: Problem, lex: Lexemes, env: dict[str, TermId]):
             if _NUMERAL.match(words[rest[0]]):
                 return store.int_const(-lex.number(rest[0]))
             kind = Kind.NEG
-        args = []
+        args, memo, close = [], problem.term_memo, lex.close
         for k in reversed(rest) if head in _SWAPPED else rest:
-            args.append((yield k) if words[k] == "(" else _atom(problem, lex, k, env))
+            key = None if env or close[k] - k >= _MEMO_LEXEMES else " ".join(words[k:close[k] + 1])
+            if (t := memo.get(key)) is None:
+                t = (yield k) if words[k] == "(" else _atom(problem, lex, k, env)
+                if key is not None:
+                    memo[key] = t
+            args.append(t)
         if kind.__class__ is tuple:
             applied = store.apply(kind[1], tuple(args))
             if kind[0] == "pred":
@@ -303,11 +318,16 @@ def _list_term(i: int, problem: Problem, lex: Lexemes, env: dict[str, TermId]):
 def read_term(problem: Problem, lex: Lexemes, i: int) -> TermId:
     """Intern the SMT-LIB term at lexeme i against the problem's store and
     return its id.  A list's shape is checked before its children are read
-    and its node is interned after, so the store sees the calls, and the
-    reader raises the errors, of a recursive reader."""
-    if lex.words[i] != "(":
-        return _atom(problem, lex, i, {})
-    return _unfold(_list_term, i, problem, lex, {})
+    and its node is interned after, so the store gains the nodes, and the
+    reader raises the errors, of a recursive reader without the memo."""
+    words, end, memo = lex.words, lex.close[i] + 1, problem.term_memo
+    key = None if end - i > _MEMO_LEXEMES else " ".join(words[i:end])
+    if (t := memo.get(key)) is None:
+        t = _unfold(_list_term, i, problem, lex, {}) if words[i] == "(" \
+            else _atom(problem, lex, i, {})
+        if key is not None:
+            memo[key] = t
+    return t
 
 
 def _unfold(walk, first, *shared):
@@ -432,15 +452,15 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
-    values = _dimacs_body(lines, lineno, n_vars)
+    values, top = _dimacs_body(lines, lineno, n_vars)
     # Only the variables that occur are made, in ascending numeral order, so
-    # a header's count costs one byte per variable, not a variable each, and
-    # the atoms keep their relative order.
-    used = bytearray(n_vars + 1)  # used[n] = 1 if numeral n occurs
+    # the header's count costs nothing and the atoms keep their relative
+    # order; the largest numeral in the body sizes the tables.
+    used = bytearray(top + 1)  # used[n] = 1 if numeral n occurs
     for value in values:
         used[abs(value)] = 1
     used[0] = 0
-    var, var_ids = problem.store.var, [0] * (used.rfind(1) + 1)
+    var, var_ids = problem.store.var, [0] * (top + 1)
     for i in compress(range(len(var_ids)), used):
         var_ids[i] = var(f"v{i}", BOOL)
 
@@ -462,9 +482,9 @@ def parse_dimacs(text: str) -> Problem:
     return problem
 
 
-def _dimacs_body(lines: list[str], header: int, n_vars: int) -> list[int]:
-    """The literals of the lines after line ``header``, 0 for a clause end;
-    the last value is 0.
+def _dimacs_body(lines: list[str], header: int, n_vars: int) -> tuple[list[int], int]:
+    """The literals of the lines after line ``header``, 0 for a clause end
+    (the last value is 0), and the largest numeral among them.
 
     A body of ASCII digits, ``-``, spaces, tabs and line breaks takes one
     bulk conversion, one range check and a check for the final 0.  Any
@@ -478,9 +498,9 @@ def _dimacs_body(lines: list[str], header: int, n_vars: int) -> list[int]:
         except ValueError:  # "-", "1-2", or past CPython's digit limit
             pass
         else:
-            if not values or (values[-1] == 0
-                              and -n_vars <= min(values) and max(values) <= n_vars):
-                return values
+            low, high = min(values, default=0), max(values, default=0)
+            if not values or (values[-1] == 0 and -n_vars <= low and high <= n_vars):
+                return values, max(high, -low)
     values = []
     for lineno, raw in enumerate(lines[header:], start=header + 1):
         if raw.strip().startswith("c"):
@@ -496,4 +516,4 @@ def _dimacs_body(lines: list[str], header: int, n_vars: int) -> list[int]:
             values.append(value)
     if values and values[-1]:
         raise ParseError("last clause is missing its terminating 0", len(lines) or 1, 1)
-    return values
+    return values, max(map(abs, values), default=0)

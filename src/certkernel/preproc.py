@@ -46,7 +46,10 @@ to one ``parse_certificate`` call, which holds the id the full reader gave
 that text as a whole payload term on an earlier line.  A hit equals a full
 parse: the same bytes read against the same store and declarations intern
 the same id.  Any other line, and any line of a block that fails a check,
-goes through the full reader, which alone reports errors.
+goes through the full reader, which alone reports errors.  This line memo
+saves the lexer as well and keys whole payload terms of any size; the
+subterm memo of ``frontend.read_term``, kept per problem, only saves
+rereading terms of at most 64 lexemes on lines that are lexed.
 
 Nested proofs are trees in a small s-expression syntax::
 

@@ -355,6 +355,63 @@ def test_a_20000_deep_let_chain_parses_checks_and_prints(tmp_path):
         assert time.perf_counter() - start < 3.0, mode
 
 
+def test_a_100000_deep_payload_of_one_repeated_subterm_reads_in_linear_time():
+    """The term reader memoizes only terms of at most 64 lexemes, so keys
+    cost time linear in the input: a certificate line whose payload nests
+    (or p q) at each of 100 000 levels reads and checks within 3 s, with
+    the collector paused as run_one pauses it."""
+    from certkernel import Verdict, check, parse_certificate, parse_smt2
+
+    depth = 100_000
+    deep = "(and (or p q) " * depth + "p" + ")" * depth
+    problem = parse_smt2(f"(declare-const p Bool)\n(declare-const q Bool)\n"
+                         f"(assert {deep})\n(assert (not (or p q)))\n")
+    text = (f"2 and_pos () {{{deep} 0}}\n3 res (2 0) {{}}\n"
+            "4 not_not () {(not (or p q)) 0}\n5 res (4 1) {}\n6 res (5 3) {}\nqed 6\n")
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        cert = parse_certificate(text, problem)
+        verdict = check(problem.store, problem.input_clauses, cert).verdict
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    assert verdict is Verdict.VALID and elapsed < 3.0, (verdict, elapsed)
+
+
+def test_pairs_in_one_process_report_as_each_alone(tmp_path):
+    """Nothing a pair reads outlives it: two pairs that read the same term
+    text under different declarations (x and y Ints in one, Bools in the
+    other, where the last assert is a sort error) report, one after the
+    other in one process and in either order, what each reports alone in a
+    fresh process, in check and stats mode, plain and --machine."""
+    text = "(declare-const x {0})\n(declare-const y {0})\n(assert (= x (ite (= x y) y x)))\n" \
+           "(assert (not (= x (ite (= x y) y x))))\n(assert (or x (= x (ite (= x y) y x))))\n"
+    cert = tmp_path / "p.cert"
+    cert.write_text("3 not_not () {(not (= x (ite (= x y) y x))) 0}\n"
+                    "4 res (3 1) {}\n5 res (4 0) {}\nqed 5\n")
+    runs = {}
+    for sort in ("Int", "Bool"):
+        (tmp_path / f"{sort}.smt2").write_text(text.format(sort))
+        runs[sort] = [(str(tmp_path / f"{sort}.smt2"), str(cert), mode, None, machine, False)
+                      for mode in ("check", "stats") for machine in (False, True)]
+    alone = {}
+    for sort, args in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", "from certkernel.cli import run_one; "
+             f"print(repr([run_one(*a) for a in {args!r}]))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        alone[sort] = proc.stdout
+    assert alone["Int"] != alone["Bool"]
+    for order in (("Int", "Bool"), ("Bool", "Int")):
+        together = {sort: [] for sort in order}
+        for i in range(4):
+            for sort in order:
+                together[sort].append(run_one(*runs[sort][i]))
+        assert {sort: f"{out!r}\n" for sort, out in together.items()} == alone, order
+
+
 def test_out_of_memory_exits_three(files, capsys, monkeypatch):
     import certkernel.cli as cli
 

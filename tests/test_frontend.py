@@ -7,9 +7,9 @@ import pytest
 
 import gens
 from certkernel import (
-    AssumePayload, ForwardReferenceError, Kind, ParseError, UnsupportedError, Verdict, check,
-    mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof, parse_smt2,
-    pos, print_certificate, print_dimacs, to_sexpr,
+    AssumePayload, Certificate, ForwardReferenceError, Kind, ParseError, UnsupportedError,
+    Verdict, check, mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof,
+    parse_smt2, pos, print_certificate, print_dimacs, to_sexpr,
 )
 from certkernel.errors import CertKernelError
 
@@ -114,6 +114,23 @@ def test_dimacs_round_trip_corpus():
         once = print_dimacs(parse_dimacs(text))
         twice = print_dimacs(parse_dimacs(once))
         assert once == twice
+
+
+@pytest.mark.parametrize("body", ["1 0\n", "c slow path\n1 0\n"])
+def test_a_huge_dimacs_header_costs_no_memory(body):
+    """The largest numeral in the body, not the header's V, sizes the
+    reader's tables: p cnf 100000000 1 allocated 100 MB for one clause,
+    and it still prints with its header's V."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        prob = parse_dimacs(f"p cnf 100000000 1\n{body}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert print_dimacs(prob) == "p cnf 100000000 1\n1 0\n"
 
 
 # -- SMT-LIB ------------------------------------------------------------------
@@ -728,12 +745,72 @@ def _both_pipelines(problem_text, cert_text=None, dimacs=False):
     return ours, naive
 
 
+def _certificates_in_turn(parse_problem, parse_cert, texts):
+    """The certificate, or the error type and message, of each certificate
+    text read in turn against one problem read from _HEAD_DECLS, then the
+    store nodes and declarations that problem ends with."""
+    prob = parse_problem(_HEAD_DECLS)
+    outcomes = []
+    for text in texts:
+        try:
+            outcomes.append(parse_cert(text, prob))
+        except CertKernelError as e:
+            outcomes.append((type(e), str(e)))
+    return outcomes, prob.store._nodes, prob.decls
+
+
+# Certificates whose terms repeat subterms, each term on a line of its own:
+# a subterm repeated inside a term and across lines; a let name that
+# shadows a declared symbol, with the same subterm text outside and inside
+# its body (read inside first, then outside, then both); a repeated let
+# term; >= and > with repeated operands; and terms of 64 and 65 lexemes,
+# the longest that the term reader's memo holds and the shortest it skips.
+_T64, _T65 = "(and " + "p " * 61 + ")", "(and " + "p " * 62 + ")"
+MEMO_CASES = [
+    ["(and (or p q) (not (or p q)) (or r (or p q)))", "(=> (or p q) (xor (or p q) r))",
+     "(or r (or p q))"],
+    ["(and (let ((p r)) (or p q)) (or p q))", "(let ((q (or p q))) (or p q))",
+     "(and (or p q) (let ((p r)) (or p q)) (or p q))", "(or p q)"],
+    ["(or (let ((x y)) (<= x z)) (let ((x y)) (<= x z)))", "(and (let ((x y)) (<= x z)) p)",
+     "(let ((x y)) (<= x z))"],
+    ["(and (>= (+ x 1) (+ x 1)) (> (+ x 1) (+ y 2)) (< (+ y 2) (+ x 1)))",
+     "(or (> (+ y 2) (+ x 1)) (>= (+ x 1) (+ y 2)))"],
+    [f"(or {_T64} {_T64})", f"(or {_T65} {_T65})", f"(and {_T65} q)", _T64, _T65],
+]
+# A read that fails on a name no declaration gives, after its first
+# subterm is read, and the same text once an aux group declares the name.
+MEMO_AFTER_AUX = [
+    "0 and_pos () {(and (or p q) (xor n (or p q)))}\nqed 0\n",
+    "0 bb_var () {a (aux n)}\n1 and_pos () {(and (or p q) (xor n (or p q)))}\nqed 1\n",
+    "0 and_pos () {(or (xor n (or p q)) (and (or p q) (xor n (or p q))))}\nqed 0\n",
+]
+
+
+def test_term_memo_holds_closed_terms_of_at_most_64_lexemes():
+    """The memo keys a term by its lexemes joined by blanks; it holds no
+    term of 65 lexemes and none read while a let name is in scope, holds a
+    let term once its names are restored, and keeps nothing of a read that
+    fails but the subterms read before the failure."""
+    prob = parse_smt2(_HEAD_DECLS)
+    memo = prob.term_memo
+    t64 = _term(prob, f"(or {_T64} {_T65} (let ((p r)) (and (or p q) q)))")
+    key64, key65 = "( and " + "p " * 61 + ")", "( and " + "p " * 62 + ")"
+    assert memo[key64] == _term(prob, _T64) and key65 not in memo
+    _term(prob, _T65)
+    assert key65 not in memo
+    assert "( or p q )" not in memo and "( and ( or p q ) q )" not in memo
+    assert memo["( let ( ( p r ) ) ( and ( or p q ) q ) )"] == prob.store.args(t64)[2]
+    with pytest.raises(ParseError, match="unknown symbol n"):
+        _term(prob, "(and (or p q) (xor n (or p q)))")
+    assert "( or p q )" in memo and not any("xor" in key for key in memo)
+
+
 def test_readers_match_the_naive_pipeline():
     """parse_smt2 and parse_certificate build what the tree readers in
     naive_term.py build, store nodes in the same order included, or raise
-    the same error: on every corpus pair, on the head cases, and on the
-    20 000 seeded edits of corpus windows, each read as a problem and as a
-    certificate against its pair's problem."""
+    the same error: on every corpus pair, on the head cases, on the memo
+    cases, and on the 20 000 seeded edits of corpus windows, each read as a
+    problem and as a certificate against its pair's problem."""
     pairs = {}
     for cert_path in sorted(CORPUS.rglob("*.cert")):
         prob_path = cert_path.with_suffix(".cnf")
@@ -746,6 +823,15 @@ def test_readers_match_the_naive_pipeline():
     for text in [t for texts in HEAD_CASES.values() for t in texts] + LET_CASES:
         ours, naive = _both_pipelines(_HEAD_DECLS, f"0 and_pos () {{{text}}}\nqed 0\n")
         assert ours == naive and not isinstance(ours[0], type), text
+    from naive_term import naive_parse_certificate, naive_parse_smt2
+    for terms in MEMO_CASES:
+        cert_text = "".join(f"{i} and_pos () {{{t}}}\n" for i, t in enumerate(terms))
+        ours, naive = _both_pipelines(_HEAD_DECLS, cert_text + f"qed {len(terms) - 1}\n")
+        assert ours == naive and not isinstance(ours[0], type), terms
+    ours, naive = (_certificates_in_turn(parse_smt2, parse_certificate, MEMO_AFTER_AUX),
+                   _certificates_in_turn(naive_parse_smt2, naive_parse_certificate,
+                                         MEMO_AFTER_AUX))
+    assert ours == naive and [type(c) for c in ours[0]] == [tuple, Certificate, Certificate]
     outcomes = set()
     for case, (path, edited, _) in enumerate(_seeded_edits()):
         ours, naive = _both_pipelines(edited)
