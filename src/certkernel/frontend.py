@@ -8,9 +8,11 @@ line feed breaks a line.  Nothing here renders text: ``certkernel.printer``
 holds ``print_dimacs``, which ``parse_dimacs`` inverts exactly.
 
 SMT-LIB text, and each certificate line, is read as one list of lexeme
-strings (``Lexemes``): one ``findall`` splits it into symbols, brackets and
-stray characters, dropping blanks and ``;`` comments, and one pass over the
-list records each opening bracket's closer.  A stray character is reported
+strings (``Lexemes``), with no loop in Python over its characters: one
+``re.sub`` drops ``;`` comments, one ``search`` rejects a stray character
+(neither a symbol character, a bracket nor a blank), and ``str.split`` cuts
+the text with its brackets padded by spaces.  One pass over the list then
+records each opening bracket's closer.  A stray character is reported
 before the first unbalanced bracket, and that before a missing closing
 bracket.  Readers then index the list; a lexeme's line and column are found
 only when an error names it.  ``read_term`` interns a term from walks that
@@ -64,11 +66,15 @@ _SYM = re.escape("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789
 # A lexeme is a run of symbol characters, a bracket, or any other character
 # but a blank (" ", tab, CR, LF) or ";", which is stray; the blanks and ";"
 # comments after it, or before the first, are skipped.  Each character but
-# a line feed is one column.
+# a line feed is one column.  Lexemes splits the text without _LEXEME, which
+# only locates a lexeme for an error.
 _SKIP = r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*"
 _LEADING = re.compile(_SKIP)
 _LEXEME = re.compile(rf"([{_SYM}]+|[^ \t\r\n;]){_SKIP}")
-_STRAY = re.compile(rf"[^{_SYM}(){{}}]")
+_COMMENT = re.compile(r";[^\n]*")
+# Searched once comments are gone.  It also finds every character other
+# than the four blanks at which str.split would cut.
+_STRAY_CHAR = re.compile(rf"[^{_SYM}(){{}} \t\r\n]")
 _CLOSING = {"(": ")", "{": "}"}
 _OPENING = frozenset("({")
 _BRACKETS = frozenset("(){}")
@@ -77,15 +83,22 @@ _BRACKETS = frozenset("(){}")
 class Lexemes:
     """A text as a list of lexeme strings, ``words``.  ``close[k]`` is the
     index of the bracket that closes an opening bracket at k, and k for any
-    other lexeme, so the item at k ends before ``close[k] + 1``."""
+    other lexeme, so the item at k ends before ``close[k] + 1``.
+
+    The words are the text, ``;`` comments removed, with each bracket
+    padded by spaces and then ``split``; that split is exact only because a
+    text with a stray character is rejected first."""
 
     __slots__ = ("words", "close", "text", "first_line")
 
     def __init__(self, text: str, first_line: int = 1):
         self.text, self.first_line = text, first_line
-        self.words = words = _LEXEME.findall(text, _LEADING.match(text).end())
-        if stray := _STRAY.search("".join(words)):  # a stray lexeme is one character
+        bare = _COMMENT.sub("", text) if ";" in text else text
+        if stray := _STRAY_CHAR.search(bare):  # a stray lexeme is one character
+            words = _LEXEME.findall(text, _LEADING.match(text).end())
             raise self.error(words.index(stray[0]), f"unexpected character {stray[0]!r}")
+        self.words = words = bare.replace("(", " ( ").replace(")", " ) ") \
+            .replace("{", " { ").replace("}", " } ").split()
         self.close = close = list(range(len(words)))
         opened: list[int] = []
         for k, word in enumerate(words):

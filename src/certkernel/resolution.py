@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .errors import SortError
 from .steps import RuleKind
-from .terms import (
-    BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore, mk_clause, neg, pos,
-)
+from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore
 
 
 # The longest first premise of a two-premise step that is searched as a
@@ -93,7 +92,9 @@ class CnfPayload:
 # rule -> (head kind, literal templates).  A template lists signed
 # references: t is the target, 0/1/2 its arguments by position, i the
 # argument the payload index selects, * every argument in order.  A rule
-# with several templates (not_not) takes the one its index selects.
+# with several templates (not_not) takes the one its index selects.  An i
+# stands last in its template, so an index out of range rejects the step
+# before any argument's sort is tested.
 TSEITIN = {
     RuleKind.AND_POS: (Kind.AND, "-t +i"),
     RuleKind.AND_NEG: (Kind.AND, "+t -*"),
@@ -119,17 +120,31 @@ TSEITIN = {
 }
 
 
+def _compiled(template: str) -> tuple[tuple[int, str | int], ...]:
+    """A template as (negated, ref) pairs: negated is 1 for a "-" reference,
+    and ref is "t", "i", "*" or an argument position as an int."""
+    return tuple((int(sign == "-"), ref if ref in ("t", "i", "*") else int(ref))
+                 for sign, ref in ((r[0], r[1:]) for r in template.split()))
+
+
+# TSEITIN compiled once, at import: rule -> (head kind, compiled templates).
+_COMPILED = {rule: (head, tuple(map(_compiled, templates)))
+             for rule, (head, *templates) in TSEITIN.items()}
+
+
 def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
     """Emit the Tseitin lemma clause for one connective occurrence.
 
     Every clause this returns is a propositional tautology linking the
     target term t to its immediate arguments.  Head/kind mismatches and
-    out-of-range indices yield the trivially true clause.
+    out-of-range indices yield the trivially true clause; an argument
+    that is not Bool-sorted raises ``SortError``, as ``mk_clause`` does.
+    The clause is built from its literal codes, 2 * atom + negated.
     """
-    entry = TSEITIN.get(rule)
+    entry = _COMPILED.get(rule)
     if entry is None:
         return TRIVIALLY_TRUE
-    head, *templates = entry
+    head, templates = entry
     t = payload.target
     if not (0 <= t < len(store)) or store.kind(t) is not head:
         return TRIVIALLY_TRUE
@@ -143,18 +158,22 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
         template = templates[i]
     else:
         return TRIVIALLY_TRUE
-    lits = []
-    for ref in template.split():
-        positive, ref = ref[0] == "+", ref[1:]
-        if ref == "t":
-            atoms = (t,)
-        elif ref == "*":
+    codes = []
+    for negated, ref in template:
+        if ref == "t":  # Bool, tested above
+            codes.append(2 * t + negated)
+            continue
+        if ref == "*":
             atoms = args
         elif ref != "i":
-            atoms = (args[int(ref)],)
+            atoms = (args[ref],)
         elif 0 <= i < len(args):
             atoms = (args[i],)
         else:
             return TRIVIALLY_TRUE
-        lits.extend(pos(a) if positive else neg(a) for a in atoms)
-    return mk_clause(store, lits)
+        for a in atoms:
+            if store.sort_of(a) != BOOL:
+                raise SortError(
+                    f"clause literal atom {a} has sort {store.sort_of(a)}, expected Bool")
+            codes.append(2 * a + negated)
+    return Clause(tuple(sorted(set(codes))))

@@ -30,14 +30,40 @@ TermId = int
 # Sorts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class BoolSort:
+    """The sort of formulas.  Its one instance is ``BOOL``: ``BoolSort()``,
+    ``copy`` and ``pickle`` all return it, so equality and hashing are the
+    identity's, which run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return BOOL
+
+    def __reduce__(self) -> str:
+        return "BOOL"  # pickled and copied as the module global
+
+    def __repr__(self) -> str:
+        return "BoolSort()"
+
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True, slots=True)
 class IntSort:
+    """The sort of integers, with one instance ``INT`` (see ``BoolSort``)."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return INT
+
+    def __reduce__(self) -> str:
+        return "INT"
+
+    def __repr__(self) -> str:
+        return "IntSort()"
+
     def __str__(self) -> str:
         return "Int"
 
@@ -64,8 +90,8 @@ class UninterpretedSort:
 
 Sort = Union[BoolSort, IntSort, BitVecSort, UninterpretedSort]
 
-BOOL = BoolSort()
-INT = IntSort()
+BOOL = object.__new__(BoolSort)
+INT = object.__new__(IntSort)
 
 
 @dataclass(frozen=True, slots=True)
@@ -464,8 +490,7 @@ def well_formed(store: TermStore, clause: Clause) -> bool:
     for code in clause.enc:
         if code.__class__ is not int or not last < code < end:
             return False
-        sort = nodes[code >> 1].sort
-        if sort is not BOOL and sort != BOOL:  # identity first: == runs in Python
+        if nodes[code >> 1].sort is not BOOL:
             return False
         last = code
     return True

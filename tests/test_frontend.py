@@ -723,6 +723,85 @@ def test_reader_matches_the_reference_reader():
     assert 5_000 < errors < 19_000
 
 
+def _lex_outcome(lexer, text, first_line):
+    try:
+        lex = lexer(text, first_line)
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+    return lex.words, lex.close
+
+
+# Lexer texts: symbols, the four blanks and CRLF; comments holding stray
+# characters, brackets or nothing, some with no line feed after them; the
+# other characters str.split cuts at; non-ASCII letters; stray ASCII.
+_LEX_ATOMS = ["abc", "x1", "#b01", "-12", "=>", "bvadd", "a.b"]
+_LEX_BLANKS = [" ", "\t", "\r", "\n", "\r\n", "  \t"]
+_LEX_COMMENTS = [";", "; c\n", ";x", "; é|\x85 \n", "; ( } \r\n", ";;\t"]
+_LEX_STRAY = ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000",
+              "é", "λ", "ß", "中", "|", '"', ":", ",", "[", "\\"]
+# Fixed cases: a comment right after a symbol, with and without a line
+# after it, comments holding stray characters, CR and CRLF line ends.
+LEX_CASES = ["abc;x", "abc;x\ndef", "(a;)\n)", "( ; é\x0b\n x)", "a\r\nb\rc",
+             "(a\tb)\r\n", "; only\n", "", " \t\r\n", "(a\xa0b)", "xé", "((a)", "(a))",
+             "(a}", "{a)", ")", "{(})", "(a ;)", " (", "(\x85)"]
+
+
+def _lexer_text(rng):
+    """A seeded text: a balanced run of atoms, lists, blanks and comments,
+    then up to two edits that insert a stray character, a comment or a
+    bracket, or delete a character."""
+    out, opened = [], []
+    for _ in range(rng.randrange(1, 30)):
+        r = rng.random()
+        if r < 0.2:
+            opened.append(rng.choice("({"))
+            out.append(opened[-1])
+        elif r < 0.35 and opened:
+            out.append({"(": ")", "{": "}"}[opened.pop()])
+        elif r < 0.7:
+            out.append(rng.choice(_LEX_ATOMS))
+        elif r < 0.9:
+            out.append(rng.choice(_LEX_BLANKS))
+        else:
+            out.append(rng.choice(_LEX_COMMENTS[1::3]))  # comments that end a line
+        out.append(rng.choice(["", " ", "\n"]))
+    out += [{"(": ")", "{": "}"}[b] for b in reversed(opened)]
+    text = "".join(out)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at, r = rng.randrange(len(text) + 1), rng.random()
+        if r < 0.4:
+            piece = rng.choice(_LEX_STRAY)
+        elif r < 0.7:
+            piece = rng.choice(_LEX_COMMENTS)
+        elif r < 0.85:
+            piece = rng.choice("(){}")
+        else:
+            text, piece = text[:at] + text[at + 1:], ""
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+def test_lexer_matches_the_findall_lexer():
+    """Lexemes give the words and closer indices, or the error type,
+    message, line and column, of the findall lexer they replaced
+    (findall_lexemes.py): on fixed cases and 20 000 seeded texts, each
+    kind of outcome well represented."""
+    from certkernel.frontend import Lexemes
+    from findall_lexemes import FindallLexemes
+    for text in LEX_CASES:
+        for first_line in (1, 7):
+            assert _lex_outcome(Lexemes, text, first_line) \
+                == _lex_outcome(FindallLexemes, text, first_line), text
+    rng = random.Random(0x1E8)
+    kinds = {"ok": 0, "unexpected": 0, "unbalanced": 0, "missing": 0}
+    for case in range(20_000):
+        text, first_line = _lexer_text(rng), rng.choice((1, 7))
+        ours = _lex_outcome(Lexemes, text, first_line)
+        assert ours == _lex_outcome(FindallLexemes, text, first_line), (case, text)
+        kinds["ok" if len(ours) == 2 else ours[1].split(": ")[1].split()[0]] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
 def _pipeline_outcome(parse_problem, parse_cert, problem_text, cert_text):
     """The store nodes, problem fields and certificate a problem reader and
     a certificate reader build, or the type, message, line and column of the

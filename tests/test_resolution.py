@@ -5,7 +5,7 @@ import time
 
 import gens
 from certkernel import (
-    BOOL, INT, Clause, CnfPayload, RuleKind, TRIVIALLY_TRUE, TermStore, cnf_lemma,
+    BOOL, INT, Clause, CnfPayload, RuleKind, SortError, TRIVIALLY_TRUE, TermStore, cnf_lemma,
     is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain,
     resolve_pair, to_sexpr,
 )
@@ -258,3 +258,52 @@ def test_cnf_lemma_every_emission_is_a_tautology():
         assert is_tautology(store, clause), (rule, to_sexpr(store, target))
         checked += 1
     assert checked > 300
+
+
+def _cnf_outcome(lemma, store, rule, payload):
+    try:
+        return lemma(store, rule, payload)
+    except SortError as e:
+        return SortError, str(e)
+
+
+def test_cnf_lemma_matches_the_string_template_checker():
+    """cnf_lemma's compiled templates give the clause, the TRIVIALLY_TRUE
+    object itself on a rejection, or the SortError of the string-template
+    checker it replaced (naive_cnf.py): for every TSEITIN rule, index -1
+    to 4, a target of each head kind and arity, a wrong kind, a non-Bool
+    ite, out-of-range ids, and nodes with a non-Bool argument that only a
+    store built by hand holds."""
+    from naive_cnf import naive_cnf_lemma
+
+    from certkernel.resolution import TSEITIN
+    from certkernel.terms import Kind, Node
+    store = TermStore()
+    a, b, c = _vars(store, 3)
+    x = store.var("x", INT)
+    targets = [store.and_([a]), store.and_([a, b]), store.and_([a, b, c]),
+               store.or_([a]), store.or_([b, a]), store.or_([a, b, c, a]),
+               store.implies(a, b), store.xor(b, c), store.iff(a, c),
+               store.ite(a, b, c), store.not_(a), store.not_(store.not_(b)),
+               a, store.eq(x, x), store.ite(a, x, x)]
+    # Hand-built nodes whose argument x is Int: at the i reference, at a
+    # position and under *.
+    for kind, args in ((Kind.AND, (a, x)), (Kind.OR, (x, b)), (Kind.IMPLIES, (a, x)),
+                       (Kind.NOT, (x,))):
+        store._nodes.append(Node(kind, BOOL, args, None))
+        targets.append(len(store) - 1)
+    targets += [-1, len(store)]
+    seen = {"clause": 0, "rejected": 0, "sort": 0}
+    for rule in TSEITIN:
+        for target in targets:
+            for index in range(-1, 5):
+                payload = CnfPayload(target, index)
+                ours = _cnf_outcome(cnf_lemma, store, rule, payload)
+                theirs = _cnf_outcome(naive_cnf_lemma, store, rule, payload)
+                assert ours == theirs, (rule, target, index)
+                if theirs is TRIVIALLY_TRUE:
+                    assert ours is TRIVIALLY_TRUE, (rule, target, index)
+                    seen["rejected"] += 1
+                else:
+                    seen["sort" if isinstance(theirs, tuple) else "clause"] += 1
+    assert min(seen.values()) > 10, seen

@@ -292,3 +292,31 @@ def test_operator_signature(kind):
 def test_signature_table_matches_pinned_operators():
     from certkernel.terms import SIGNATURES
     assert SIGNATURES == OPERATORS
+
+
+def test_bool_and_int_sorts_are_singletons():
+    """BoolSort() and IntSort() are BOOL and INT themselves, which compare
+    and hash by identity, and copies and pickles of them, alone or inside
+    a store, are the same objects."""
+    import copy
+    import pickle
+
+    from certkernel import BoolSort, IntSort
+    assert BoolSort() is BOOL and IntSort() is INT
+    assert BOOL == BoolSort() and INT == IntSort() and BOOL != INT
+    assert hash(BoolSort()) == object.__hash__(BOOL) and hash(INT) == object.__hash__(INT)
+    assert {BOOL: 1, INT: 2}[BoolSort()] == 1 and len({BOOL, BoolSort(), INT, IntSort()}) == 2
+    assert (repr(BOOL), str(BOOL), repr(INT), str(INT)) == ("BoolSort()", "Bool", "IntSort()", "Int")
+    store = TermStore()
+    store.var("p", BOOL)
+    store.var("x", INT)
+    for sort in (BOOL, INT):
+        assert copy.copy(sort) is sort and copy.deepcopy(sort) is sort
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(sort, protocol)) is sort
+    for clone in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+        assert [n.sort for n in clone._nodes[2:]] == [BOOL, INT]
+        assert clone._nodes[2].sort is BOOL and clone._nodes[3].sort is INT
+        assert clone.var("p", BOOL) == 2 and len(clone) == len(store)
+    with pytest.raises(AttributeError):
+        BOOL.width = 1
