@@ -19,16 +19,16 @@ positively could never be discharged by the propositional rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .terms import (
     BOOL, BitVecSort, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore,
-    mk_clause, pos,
+    class_eq, mk_clause, pos,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BvPayload:
+@class_eq
+class BvPayload(NamedTuple):
     """Step-local data: the term being blasted and, for bb_var/bb_add, the
     fresh Boolean variables naming its bits or carries."""
 
@@ -36,7 +36,6 @@ class BvPayload:
     aux: tuple[TermId, ...] = ()
 
 
-@dataclass
 class BitBlastState:
     """Per-run map from bit-vector terms to their bit formulas, plus the
     registry enforcing freshness of auxiliary variables.
@@ -46,8 +45,9 @@ class BitBlastState:
     fresh iff it is not in this set.
     """
 
-    bits: dict[TermId, tuple[TermId, ...]] = field(default_factory=dict)
-    used_vars: set[TermId] = field(default_factory=set)
+    def __init__(self):
+        self.bits: dict[TermId, tuple[TermId, ...]] = {}
+        self.used_vars: set[TermId] = set()
 
     def note_used(self, var_ids) -> None:
         self.used_vars.update(var_ids)

@@ -23,11 +23,14 @@ A pair keeps its variables, clauses and steps alive to the end, so the
 collector's passes over that growing heap found nothing to free and cost
 about a sixth of the time of a 100 000-step resolution chain; the checker
 and parsers make no reference cycles.
+
+A process pays its start-up on every run, so importing this module loads
+only what a check runs: ``argparse`` is imported in ``build_parser``, the
+oracle under ``--mode oracle`` and ``concurrent.futures`` in ``_run_pool``.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -35,7 +38,6 @@ import sys
 from .errors import CertKernelError, ParseError
 from .frontend import Problem, parse_dimacs, parse_smt2
 from .kernel import Verdict, check
-from .oracle import brute_unsat
 from .preproc import linearize, parse_certificate, parse_nested_proof
 from .printer import machine_record as _machine_record  # perfbench/child.py wraps this global
 from .printer import oracle_report, plain_record, print_certificate, stats_report
@@ -111,6 +113,7 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
                 budget = int(setting)
             except ValueError:
                 return EXIT_ERROR, f"error: CERTKERNEL_BUDGET is not an integer: {setting!r}\n"
+            from .oracle import brute_unsat
             res = brute_unsat(problem.store, problem.input_clauses, budget=budget)
             return EXIT_VALID, oracle_report(problem.store, res)
 
@@ -147,6 +150,7 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="certkernel",
         description="Check SAT/SMT refutation certificates.")

@@ -9,11 +9,11 @@ around.  No search, no rewriting: conclusion matching is by term id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import SortError
-from .terms import Clause, FunSym, Kind, TRIVIALLY_TRUE, TermId, TermStore, well_formed
+from .terms import Clause, FunSym, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq, well_formed
 
 
 class EqRule(Enum):
@@ -24,8 +24,8 @@ class EqRule(Enum):
     HYP = "hyp"
 
 
-@dataclass(frozen=True, slots=True)
-class EqStep:
+@class_eq
+class EqStep(NamedTuple):
     """One justification step.
 
     refl carries the term it reflects; sym/trans/cong reference earlier
@@ -40,8 +40,8 @@ class EqStep:
     hyp: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EufPayload:
+@class_eq
+class EufPayload(NamedTuple):
     lemma: Clause
     justification: tuple[EqStep, ...]
 

@@ -44,7 +44,6 @@ the body is read, in ascending numeral order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, islice
 
@@ -157,7 +156,6 @@ def _to_int(text: str, line: int, col: int) -> int:
 # Problems
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Problem:
     """A parsed input problem sharing one term store with its certificate.
 
@@ -165,18 +163,18 @@ class Problem:
     DIMACS inputs are already clausal and skip the assertion layer.
     """
 
-    store: TermStore
-    logic: str | None = None
-    decls: dict[str, object] = field(default_factory=dict)  # name -> ("var", id) | ("fun"|"pred", FunSym)
-    sorts: dict[str, UninterpretedSort] = field(default_factory=dict)
-    assertions: list[TermId] = field(default_factory=list)
-    input_clauses: list[Clause] = field(default_factory=list)
-    # DIMACS only: the variables of the numerals that clauses use, in
-    # ascending order (numeral n names its variable v<n>), and the variable
-    # count the header declares.
-    dimacs_vars: tuple[TermId, ...] = ()
-    dimacs_header_vars: int = 0
-    term_memo: dict[str, TermId] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, store: TermStore, logic: str | None = None):
+        self.store = store
+        self.logic = logic
+        self.decls: dict[str, object] = {}  # name -> ("var", id) | ("fun"|"pred", FunSym)
+        self.sorts: dict[str, UninterpretedSort] = {}
+        self.assertions: list[TermId] = []
+        self.input_clauses: list[Clause] = []
+        # DIMACS only: the variables of the numerals that clauses use, in
+        # ascending order (numeral n names v<n>), and the header's count.
+        self.dimacs_vars: tuple[TermId, ...] = ()
+        self.dimacs_header_vars = 0
+        self.term_memo: dict[str, TermId] = {}
 
 
 # ---------------------------------------------------------------------------

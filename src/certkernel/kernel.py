@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from typing import NamedTuple
 
 from . import bitblast, euf, lia, resolution
 from .bitblast import BitBlastState, BvPayload
@@ -43,7 +43,7 @@ from .euf import EufPayload
 from .lia import LiaPayload
 from .resolution import CnfPayload
 from .steps import AssumePayload, Certificate, RuleKind
-from .terms import Clause, Kind, TRIVIALLY_TRUE, TermStore, well_formed
+from .terms import Clause, Kind, TRIVIALLY_TRUE, TermStore, class_eq, well_formed
 
 
 class Verdict(Enum):
@@ -52,8 +52,8 @@ class Verdict(Enum):
     TRUSTED = "TRUSTED"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+@class_eq
+class CheckResult(NamedTuple):
     verdict: Verdict
     reason: str | None = None
     step_id: int | None = None
@@ -65,16 +65,16 @@ class CheckResult:
         return dict(self.stats).get(rule.value, 0)
 
 
-@dataclass
 class CheckContext:
     """Mutable state of one replay: the term store plus bit-blast maps."""
 
-    store: TermStore
-    bitblast: BitBlastState = field(default_factory=BitBlastState)
+    def __init__(self, store: TermStore, bitblast: BitBlastState | None = None):
+        self.store = store
+        self.bitblast = BitBlastState() if bitblast is None else bitblast
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+@class_eq
+class Rule(NamedTuple):
     """How the main checker replays one rule: a step must carry a
     ``payload`` instance, and ``checker(ctx, premises, payload)`` is the
     small checker.  The payload type says the rest.  A type with a

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import RejectError
-from .terms import Clause, INT, Kind, Literal, TRIVIALLY_TRUE, TermId, TermStore, well_formed
+from .terms import (
+    Clause, INT, Kind, Literal, TRIVIALLY_TRUE, TermId, TermStore, class_eq, well_formed,
+)
 
 
 class LinRel(Enum):
@@ -27,8 +29,8 @@ class LinRel(Enum):
     EQ = "="
 
 
-@dataclass(frozen=True, slots=True)
-class LinAtom:
+@class_eq
+class LinAtom(NamedTuple):
     """Canonical row: sum(coeffs[x] * x) REL constant, zero coeffs omitted."""
 
     coeffs: tuple[tuple[TermId, int], ...]
@@ -39,8 +41,8 @@ class LinAtom:
         return dict(self.coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class LiaPayload:
+@class_eq
+class LiaPayload(NamedTuple):
     """Farkas certificate: for each combination entry, the lemma literal
     index whose negation supplies the row and an integer multiplier.
     Multipliers must be non-negative except on equality rows, where the sign

@@ -40,13 +40,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IncompleteModelError, ResourceError
 from .printer import to_sexpr
 from .terms import (
     BOOL, INT, BitVecSort, Clause, FunSym, Kind, Sort,
-    TermId, TermStore, UninterpretedSort,
+    TermId, TermStore, UninterpretedSort, class_eq,
 )
 
 # A value is bool (Bool), int (Int or an uninterpreted domain element),
@@ -62,15 +62,16 @@ DEFAULT_MAX_DOMAIN = 4
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass
 class Model:
     """A finite interpretation of the free symbols of some terms."""
 
-    # term id -> value: every variable, and any other term taken as given
-    values: dict[TermId, Value] = field(default_factory=dict)
-    # FunSym -> (explicit entries keyed by argument-value tuple, default)
-    fun_tables: dict[FunSym, tuple[dict[tuple, Value], Value | None]] = field(default_factory=dict)
-    domains: dict[UninterpretedSort, int] = field(default_factory=dict)
+    def __init__(self, values=None, fun_tables=None, domains=None):
+        # term id -> value: every variable, and any other term taken as given
+        self.values: dict[TermId, Value] = {} if values is None else values
+        # FunSym -> (explicit entries keyed by argument-value tuple, default)
+        self.fun_tables: dict[FunSym, tuple[dict[tuple, Value], Value | None]] = (
+            {} if fun_tables is None else fun_tables)
+        self.domains: dict[UninterpretedSort, int] = {} if domains is None else domains
 
     def fun_value(self, fn: FunSym, args: tuple) -> Value:
         if fn not in self.fun_tables:
@@ -279,8 +280,8 @@ def propositionally_implies(store: TermStore, premises, conclusion: Clause,
 # Exhaustive model search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
+@class_eq
+class OracleResult(NamedTuple):
     status: str                  # "unsat" | "sat" | "exhausted"
     witness: Model | None = None
     complete: bool = True

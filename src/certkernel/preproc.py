@@ -68,8 +68,8 @@ linearizer are walks that wait on a list, not on Python's stack (see
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .bitblast import BvPayload
 from .errors import ForwardReferenceError, ParseError, SortError, UnboundNameError
@@ -81,7 +81,7 @@ from .kernel import RULES
 from .lia import LiaPayload
 from .resolution import CnfPayload
 from .steps import AssumePayload, Certificate, RuleKind, Step
-from .terms import BOOL, Clause, Literal, TermId, mk_clause, neg, pos
+from .terms import BOOL, Clause, Literal, TermId, class_eq, mk_clause, neg, pos
 
 # A certificate step up to its payload, and a payload of one term (a symbol,
 # or "(" to the last ")" over symbol characters, brackets and spaces), an
@@ -97,30 +97,30 @@ RULE_BY_NAME = {r.value: r for r in RuleKind}
 _RES = RuleKind.RES  # an Enum member lookup costs about 150 ns
 
 
-@dataclass(frozen=True, slots=True)
-class NStep:
+@class_eq
+class NStep(NamedTuple):
     rule: RuleKind
     premises: tuple[object, ...]  # int | str | nested node
     payload: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class NLet:
+@class_eq
+class NLet(NamedTuple):
     name: str
     bound: object
     body: object
 
 
-@dataclass(frozen=True, slots=True)
-class NRef:
+@class_eq
+class NRef(NamedTuple):
     name: str
 
 
 NestedProof = object  # NStep | NLet | NRef
 
 
-@dataclass(frozen=True, slots=True)
-class TrustReport:
+@class_eq
+class TrustReport(NamedTuple):
     """The clauses a certificate takes on trust, with their step origins."""
 
     assumed: tuple[Clause, ...]

@@ -10,11 +10,11 @@ premises in one pass over one running set of literals.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SortError
 from .steps import RuleKind
-from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore
+from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq
 
 
 # The longest first premise of a two-premise step that is searched as a
@@ -80,8 +80,8 @@ def resolve_chain(premises: Sequence[Clause]) -> Clause:
     return TRIVIALLY_TRUE if trivial else Clause(tuple(sorted(running)))
 
 
-@dataclass(frozen=True, slots=True)
-class CnfPayload:
+@class_eq
+class CnfPayload(NamedTuple):
     """Target term of a Tseitin lemma plus the projection index used by
     and_pos/or_neg (and the direction selector of not_not)."""
 

@@ -9,11 +9,10 @@ accepts any derived empty clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .terms import Clause
+from .terms import Clause, class_eq
 
 
 class RuleKind(Enum):
@@ -69,15 +68,15 @@ class Step(NamedTuple):
     payload: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class AssumePayload:
+@class_eq
+class AssumePayload(NamedTuple):
     """The clause ``lemma`` taken on trust; checking downgrades the verdict to Trusted."""
 
     lemma: Clause
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+@class_eq
+class Certificate(NamedTuple):
     """Linear refutation: steps in id order, goal = derive the empty clause."""
 
     steps: tuple[Step, ...]

@@ -17,7 +17,6 @@ renders text: terms and clauses print through ``certkernel.printer``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -68,20 +67,27 @@ class IntSort:
         return "Int"
 
 
-@dataclass(frozen=True, slots=True)
-class BitVecSort:
-    width: int
+def class_eq(cls):
+    """A named tuple with a dataclass's equality: never equal to a plain tuple or another class."""
+    cls.__eq__ = lambda a, b: a.__class__ is b.__class__ and tuple.__eq__(a, b)
+    cls.__ne__ = lambda a, b: a.__class__ is not b.__class__ or tuple.__ne__(a, b)
+    return cls
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise SortError(f"bit-vector width must be >= 1, got {self.width}")
+
+class BitVecSort(class_eq(NamedTuple("BitVecSort", [("width", int)]))):
+    __slots__ = ()
+
+    def __new__(cls, width: int):
+        if width < 1:
+            raise SortError(f"bit-vector width must be >= 1, got {width}")
+        return tuple.__new__(cls, (width,))
 
     def __str__(self) -> str:
         return f"(_ BitVec {self.width})"
 
 
-@dataclass(frozen=True, slots=True)
-class UninterpretedSort:
+@class_eq
+class UninterpretedSort(NamedTuple):
     name: str
 
     def __str__(self) -> str:
@@ -94,8 +100,8 @@ BOOL = object.__new__(BoolSort)
 INT = object.__new__(IntSort)
 
 
-@dataclass(frozen=True, slots=True)
-class FunSym:
+@class_eq
+class FunSym(NamedTuple):
     """An uninterpreted function symbol with a fixed signature."""
 
     name: str
@@ -145,8 +151,9 @@ class Kind(Enum):
 
 
 # Reading an Enum member off its class costs about 150 ns on Python 3.11;
-# TermStore.var, which DIMACS calls once per variable, reads this alias.
-_VAR = Kind.VAR
+# TermStore.var and the per-kind checks of _compute_sort read these aliases.
+_VAR, _INT_CONST, _BV_CONST, _APPLY, _EQ, _ITE = (
+    Kind.VAR, Kind.INT_CONST, Kind.BV_CONST, Kind.APPLY, Kind.EQ, Kind.ITE)
 
 
 # Operator signatures: kind -> (min args, max args or None for any number,
@@ -258,23 +265,23 @@ class TermStore:
                 raise SortError(f"{kind.value} needs {operand} operands, "
                                 f"got {[str(s) for s in sorts]}")
             return operand if result is None else result
-        if kind in (Kind.VAR, Kind.INT_CONST, Kind.BV_CONST) and args:
+        if kind in (_VAR, _INT_CONST, _BV_CONST) and args:
             raise SortError(f"{kind.value} takes 0 arguments, got {len(args)}")
-        if kind is Kind.VAR:
+        if kind is _VAR:
             name, sort = extra
             if not isinstance(name, str):
                 raise SortError("variable name must be a string")
             return sort
-        if kind is Kind.INT_CONST:
+        if kind is _INT_CONST:
             if not isinstance(extra, int):
                 raise SortError("integer constant payload must be int")
             return INT
-        if kind is Kind.BV_CONST:
+        if kind is _BV_CONST:
             bits = extra
             if not isinstance(bits, tuple) or not bits or not all(isinstance(b, bool) for b in bits):
                 raise SortError("bit-vector constant payload must be a non-empty bool tuple")
             return BitVecSort(len(bits))
-        if kind is Kind.APPLY:
+        if kind is _APPLY:
             fn = extra
             if not isinstance(fn, FunSym):
                 raise SortError("apply payload must be a FunSym")
@@ -283,7 +290,7 @@ class TermStore:
                     f"{fn.name} expects {[str(s) for s in fn.arg_sorts]}, "
                     f"got {[str(s) for s in sorts]}")
             return fn.ret_sort
-        if kind is Kind.EQ:
+        if kind is _EQ:
             if len(args) != 2:
                 raise SortError(f"= takes 2 arguments, got {len(args)}")
             if sorts[0] != sorts[1]:
@@ -291,7 +298,7 @@ class TermStore:
             if sorts[0] == BOOL:
                 raise SortError("= over Bool is represented as iff")
             return BOOL
-        if kind is Kind.ITE:
+        if kind is _ITE:
             if len(args) != 3:
                 raise SortError(f"ite takes 3 arguments, got {len(args)}")
             if sorts[0] != BOOL:
@@ -421,8 +428,8 @@ class TermStore:
 # Literals and clauses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+@class_eq
+class Literal(NamedTuple):
     """A polarity-signed Bool-sorted atom.
 
     The wire encoding is 2*atom for a positive literal and 2*atom + 1 for a
@@ -451,16 +458,36 @@ def neg(atom: TermId) -> Literal:
     return Literal(atom, False)
 
 
-@dataclass(frozen=True, slots=True)
 class Clause:
     """Canonical disjunction: encoded literals, strictly increasing.
 
     The empty clause denotes falsity.  The canonical trivially true clause
     is the singleton positive TrueT literal, i.e. ``Clause((0,))`` given that
-    TrueT always interns at id 0.
+    TrueT always interns at id 0.  Frozen slots, not a named tuple: replay
+    builds one per step, and this builds, reads and compares fastest.
     """
 
-    enc: tuple[int, ...]
+    __slots__ = ("enc",)
+
+    def __init__(self, enc: tuple[int, ...]):
+        _set_enc(self, enc)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.enc == self.enc if other.__class__ is Clause else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.enc,))
+
+    def __reduce__(self):
+        return Clause, (self.enc,)
+
+    def __repr__(self) -> str:
+        return f"Clause(enc={self.enc!r})"
 
     @property
     def lits(self) -> tuple[Literal, ...]:
@@ -476,6 +503,7 @@ class Clause:
         return tuple(c >> 1 for c in self.enc)
 
 
+_set_enc = Clause.enc.__set__
 EMPTY_CLAUSE = Clause(())
 
 # pos(TrueT) encodes to 0 because TrueT interns at id 0 in every store.
