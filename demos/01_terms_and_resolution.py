@@ -20,7 +20,7 @@ conj = store.and_([p, q])
 print("and(p q) id:", conj, "== rebuilt:", store.and_([p, q]))
 print("printed:", to_sexpr(store, conj))
 
-# Literals encode as 2*atom + polarity; clauses keep them sorted and unique.
+# A literal is its code, 2*atom + negated; clauses keep codes sorted and unique.
 c1 = mk_clause(store, [pos(p), pos(q), pos(p)])
 print("\nclause [p, q, p] canonicalizes to encodings:", c1.enc)
 

@@ -8,7 +8,7 @@ Both return the lemma on success and the trivially true clause otherwise.
 """
 
 from certkernel import (
-    INT, EqRule, EqStep, EufPayload, FunSym, LiaPayload, TRIVIALLY_TRUE,
+    INT, EqRule, EqStep, EufPayload, FunSym, Kind, LiaPayload, TRIVIALLY_TRUE,
     TermStore, UninterpretedSort, check_euf, check_lia, clause_to_sexpr,
     euf_lemma_valid, mk_clause, neg, pos,
 )
@@ -56,7 +56,7 @@ payload = LiaPayload(lemma, combination=((0, 1), (1, 1)))
 print("\nlia lemma accepted:", check_lia(store, payload) == lemma)
 
 # Divisibility needs gcd tightening: 2x = 1 has no integer solution.
-atom = store.eq(store.mul(store.int_const(2), x), store.int_const(1))
+atom = store.eq(store.intern(Kind.MUL, (store.int_const(2), x)), store.int_const(1))
 parity = mk_clause(store, [neg(atom)])
 tight = LiaPayload(parity, ((0, 1), (0, -1)), tighten=True)
 plain = LiaPayload(parity, ((0, 1), (0, -1)), tighten=False)

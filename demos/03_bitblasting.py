@@ -29,7 +29,7 @@ for var, tag in ((x, "x"), (y, "y")):
 
 # Addition threads a ripple carry through fresh variables and returns a
 # unit clause defining them.
-t = store.bv_add(x, y)
+t = store.intern(Kind.BV_ADD, (x, y))
 carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
 link = bb_step(store, state, BvPayload(t, carries), Kind.BV_ADD)
 print("\nbits(x + y) =", [to_sexpr(store, b) for b in state.bits[t]])

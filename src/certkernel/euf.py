@@ -73,7 +73,7 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
     if conclusion is None:
         return TRIVIALLY_TRUE
 
-    lits = lemma.lits
+    codes = lemma.enc
     derived: list[tuple[TermId, TermId]] = []
     for step in payload.justification:
         if step.rule is EqRule.REFL:
@@ -111,9 +111,9 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
                 return TRIVIALLY_TRUE
         elif step.rule is EqRule.HYP:
             k = step.hyp
-            if k is None or not (0 <= k < len(lits)) or lits[k].positive:
+            if k is None or not (0 <= k < len(codes)) or not codes[k] & 1:
                 return TRIVIALLY_TRUE
-            pair = store.args(lits[k].atom)
+            pair = store.args(codes[k] >> 1)
         else:  # pragma: no cover - exhaustive over EqRule
             return TRIVIALLY_TRUE
         derived.append(pair)

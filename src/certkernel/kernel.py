@@ -61,9 +61,6 @@ class CheckResult(NamedTuple):
     stats: tuple[tuple[str, int], ...] = ()
     clauses: tuple[Clause, ...] = ()  # every stored clause, inputs first
 
-    def rule_count(self, rule: RuleKind) -> int:
-        return dict(self.stats).get(rule.value, 0)
-
 
 class CheckContext:
     """Mutable state of one replay: the term store plus bit-blast maps."""

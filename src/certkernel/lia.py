@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import RejectError
 from .terms import (
-    Clause, INT, Kind, Literal, TRIVIALLY_TRUE, TermId, TermStore, class_eq, well_formed,
+    Clause, INT, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq, well_formed,
 )
 
 
@@ -112,15 +112,16 @@ _ROWS = {
 }
 
 
-def normalize_lia_literal(store: TermStore, lit: Literal) -> LinAtom:
-    """Normal form of one signed linear comparison, read from ``_ROWS``.
+def normalize_lia_literal(store: TermStore, code: int) -> LinAtom:
+    """Normal form of the signed linear comparison that the literal code
+    ``code`` (2 * atom + negated) states, read from ``_ROWS``.
 
     Raises RejectError for non-comparisons, nonlinear atoms and integer
     disequalities, which require a case split upstream.
     """
-    atom = lit.atom
+    atom = code >> 1
     kind = store.kind(atom)
-    shape = _ROWS.get((kind, lit.positive))
+    shape = _ROWS.get((kind, not code & 1))
     if shape is None:
         raise RejectError("integer disequality requires a case split" if kind is Kind.EQ
                           else "not a linear comparison")
@@ -159,7 +160,7 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     if not payload.combination or not well_formed(store, lemma):
         return TRIVIALLY_TRUE
     try:
-        rows = [normalize_lia_literal(store, lit.negate()) for lit in lemma.lits]
+        rows = [normalize_lia_literal(store, code ^ 1) for code in lemma.enc]
     except RejectError:
         return TRIVIALLY_TRUE
 

@@ -81,7 +81,7 @@ from .kernel import RULES
 from .lia import LiaPayload
 from .resolution import CnfPayload
 from .steps import AssumePayload, Certificate, RuleKind, Step
-from .terms import BOOL, Clause, Literal, TermId, class_eq, mk_clause, neg, pos
+from .terms import BOOL, Clause, TermId, class_eq, mk_clause, neg, pos
 
 # A certificate step up to its payload, and a payload of one term (a symbol,
 # or "(" to the last ")" over symbol characters, brackets and spaces), an
@@ -221,8 +221,9 @@ def extract_trust(cert: Certificate) -> TrustReport:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-def parse_literal(problem: Problem, lex: Lexemes, k: int) -> Literal:
-    """``(not <atom>)`` is a negative literal; anything else is positive."""
+def parse_literal(problem: Problem, lex: Lexemes, k: int) -> int:
+    """The literal code of the term at ``k``: ``(not <atom>)`` is a negative
+    literal; anything else is positive."""
     if lex.words[k] == "(" and lex.words[k + 1] == "not" and len(lex.items(k)) == 2:
         return neg(read_term(problem, lex, k + 2))
     return pos(read_term(problem, lex, k))

@@ -85,7 +85,7 @@ def print_dimacs(problem) -> str:
     numbers = {tid: int(problem.store.node(tid).extra[0][1:]) for tid in problem.dimacs_vars}
     lines = [f"p cnf {problem.dimacs_header_vars} {len(problem.input_clauses)}"]
     for clause in problem.input_clauses:
-        row = [numbers[lit.atom] * (1 if lit.positive else -1) for lit in clause.lits]
+        row = [numbers[code >> 1] * (-1 if code & 1 else 1) for code in clause.enc]
         lines.append(" ".join(map(str, row + [0])))
     return "\n".join(lines) + "\n"
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import SortError
 from .steps import RuleKind
-from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq
+from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq, mk_clause
 
 
 # The longest first premise of a two-premise step that is searched as a
@@ -137,9 +136,9 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
 
     Every clause this returns is a propositional tautology linking the
     target term t to its immediate arguments.  Head/kind mismatches and
-    out-of-range indices yield the trivially true clause; an argument
-    that is not Bool-sorted raises ``SortError``, as ``mk_clause`` does.
-    The clause is built from its literal codes, 2 * atom + negated.
+    out-of-range indices yield the trivially true clause.  The template's
+    literal codes, 2 * atom + negated, go to ``mk_clause``, which raises
+    ``SortError`` at an argument that is not Bool-sorted.
     """
     entry = _COMPILED.get(rule)
     if entry is None:
@@ -160,7 +159,7 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
         return TRIVIALLY_TRUE
     codes = []
     for negated, ref in template:
-        if ref == "t":  # Bool, tested above
+        if ref == "t":
             codes.append(2 * t + negated)
             continue
         if ref == "*":
@@ -172,8 +171,5 @@ def cnf_lemma(store: TermStore, rule: RuleKind, payload: CnfPayload) -> Clause:
         else:
             return TRIVIALLY_TRUE
         for a in atoms:
-            if store.sort_of(a) != BOOL:
-                raise SortError(
-                    f"clause literal atom {a} has sort {store.sort_of(a)}, expected Bool")
             codes.append(2 * a + negated)
-    return Clause(tuple(sorted(set(codes))))
+    return mk_clause(store, codes)

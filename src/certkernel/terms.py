@@ -2,8 +2,10 @@
 
 This module is the shared vocabulary of every checker: a deep embedding of
 quantifier-free formulas over Bool, Int, bit-vectors and uninterpreted
-sorts, plus the SAT-style literal/clause layer on top of it.  Everything
-here is purely syntactic; no operation evaluates semantics.
+sorts, plus the SAT-style literal/clause layer on top of it.  A literal is
+its code, ``2 * atom + negated``, and a clause holds its codes strictly
+increasing.  Everything here is purely syntactic; no operation evaluates
+semantics.
 
 Terms live in a per-problem append-only ``TermStore``.  Structurally equal
 nodes always receive the same ``TermId``, so id equality *is* structural
@@ -329,9 +331,6 @@ class TermStore:
         """Bit-vector constant from bits given LSB first."""
         return self.intern(Kind.BV_CONST, (), tuple(bool(b) for b in bits))
 
-    def bv_const_of_int(self, value: int, width: int) -> TermId:
-        return self.bv_const([bool((value >> i) & 1) for i in range(width)])
-
     def apply(self, fn: FunSym, args: Sequence[TermId]) -> TermId:
         return self.intern(Kind.APPLY, args, fn)
 
@@ -353,47 +352,14 @@ class TermStore:
     def or_(self, args: Sequence[TermId]) -> TermId:
         return self.intern(Kind.OR, args)
 
-    def implies(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.IMPLIES, (a, b))
-
     def xor(self, a: TermId, b: TermId) -> TermId:
         return self.intern(Kind.XOR, (a, b))
 
     def iff(self, a: TermId, b: TermId) -> TermId:
         return self.intern(Kind.IFF, (a, b))
 
-    def ite(self, c: TermId, t: TermId, e: TermId) -> TermId:
-        return self.intern(Kind.ITE, (c, t, e))
-
     def add(self, args: Sequence[TermId]) -> TermId:
         return self.intern(Kind.ADD, args)
-
-    def sub(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.SUB, (a, b))
-
-    def neg(self, a: TermId) -> TermId:
-        return self.intern(Kind.NEG, (a,))
-
-    def mul(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.MUL, (a, b))
-
-    def bv_not(self, a: TermId) -> TermId:
-        return self.intern(Kind.BV_NOT, (a,))
-
-    def bv_and(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.BV_AND, (a, b))
-
-    def bv_or(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.BV_OR, (a, b))
-
-    def bv_xor(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.BV_XOR, (a, b))
-
-    def bv_add(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.BV_ADD, (a, b))
-
-    def bv_ult(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.BV_ULT, (a, b))
 
     # -- queries ------------------------------------------------------------
 
@@ -428,34 +394,22 @@ class TermStore:
 # Literals and clauses
 # ---------------------------------------------------------------------------
 
+def pos(atom: TermId) -> int:
+    """The code of the positive literal of ``atom``: ``2 * atom``."""
+    return 2 * atom
+
+
+def neg(atom: TermId) -> int:
+    """The code of the negative literal of ``atom``: ``2 * atom + 1``."""
+    return 2 * atom + 1
+
+
 @class_eq
 class Literal(NamedTuple):
-    """A polarity-signed Bool-sorted atom.
-
-    The wire encoding is 2*atom for a positive literal and 2*atom + 1 for a
-    negative one; decode inverts it bit-exactly.
-    """
+    """Read-only view of one literal code, as ``Clause.lits`` lists them."""
 
     atom: TermId
     positive: bool
-
-    def encode(self) -> int:
-        return 2 * self.atom + (0 if self.positive else 1)
-
-    @staticmethod
-    def decode(code: int) -> "Literal":
-        return Literal(code >> 1, (code & 1) == 0)
-
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-
-def pos(atom: TermId) -> Literal:
-    return Literal(atom, True)
-
-
-def neg(atom: TermId) -> Literal:
-    return Literal(atom, False)
 
 
 class Clause:
@@ -491,7 +445,7 @@ class Clause:
 
     @property
     def lits(self) -> tuple[Literal, ...]:
-        return tuple(Literal.decode(c) for c in self.enc)
+        return tuple(Literal(c >> 1, not c & 1) for c in self.enc)
 
     def __len__(self) -> int:
         return len(self.enc)
@@ -506,34 +460,39 @@ class Clause:
 _set_enc = Clause.enc.__set__
 EMPTY_CLAUSE = Clause(())
 
-# pos(TrueT) encodes to 0 because TrueT interns at id 0 in every store.
+# pos(TrueT) is 0 because TrueT interns at id 0 in every store.
 TRIVIALLY_TRUE = Clause((0,))
 
 
+def _literal_error(store: TermStore, code: object) -> str | None:
+    """Why ``code`` is not a literal code over this store, or None when it
+    is one: an int in ``[0, 2 * len(store))`` with a Bool-sorted atom.  A
+    code < 0 would read the store's end."""
+    if code.__class__ is not int or not 0 <= code < 2 * len(store._nodes):
+        return f"clause literal {code!r} is not a literal code of this problem"
+    sort = store._nodes[code >> 1].sort
+    if sort is not BOOL:
+        return f"clause literal atom {code >> 1} has sort {sort}, expected Bool"
+    return None
+
+
 def well_formed(store: TermStore, clause: Clause) -> bool:
-    """Whether ``mk_clause`` could build the clause over this store: int codes,
-    strictly increasing, in ``[0, 2 * len(store))``, with Bool-sorted atoms.
-    Checkers test payload clauses first: a code < 0 reads the store's end."""
-    nodes, last, end = store._nodes, -1, 2 * len(store)
-    for code in clause.enc:
-        if code.__class__ is not int or not last < code < end:
-            return False
-        if nodes[code >> 1].sort is not BOOL:
-            return False
-        last = code
-    return True
+    """Whether ``mk_clause`` could build the clause over this store: literal
+    codes, strictly increasing.  Checkers test payload clauses first."""
+    enc = clause.enc
+    return all(_literal_error(store, c) is None for c in enc) and enc == tuple(sorted(set(enc)))
 
 
-def mk_clause(store: TermStore, lits: Iterable[Literal]) -> Clause:
-    """Canonicalize literals into a clause: sort by encoding, deduplicate.
+def mk_clause(store: TermStore, codes: Iterable[int]) -> Clause:
+    """The clause of the literal codes (``pos``/``neg``), sorted by code and
+    deduplicated.
 
-    Raises SortError when some atom is not Bool-sorted.
+    Raises SortError at the first code, in input order, that is not an int
+    in ``[0, 2 * len(store))`` with a Bool-sorted atom.
     """
-    codes = []
-    for lit in lits:
-        if store.sort_of(lit.atom) != BOOL:
-            raise SortError(
-                f"clause literal atom {lit.atom} has sort "
-                f"{store.sort_of(lit.atom)}, expected Bool")
-        codes.append(lit.encode())
+    codes = tuple(codes)
+    for code in codes:
+        error = _literal_error(store, code)
+        if error is not None:
+            raise SortError(error)
     return Clause(tuple(sorted(set(codes))))

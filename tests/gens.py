@@ -18,6 +18,7 @@ from certkernel import (
     RuleKind, Step, TermStore, UninterpretedSort, dispatch, mk_clause,
     neg, pos, to_sexpr,
 )
+from certkernel.oracle import int_to_bits
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -42,12 +43,12 @@ def rand_bool_term(store: TermStore, rng: random.Random, atoms, depth: int):
     if head == "or":
         return store.or_([sub() for _ in range(rng.randint(1, 3))])
     if head == "implies":
-        return store.implies(sub(), sub())
+        return store.intern(Kind.IMPLIES, (sub(), sub()))
     if head == "xor":
         return store.xor(sub(), sub())
     if head == "iff":
         return store.iff(sub(), sub())
-    return store.ite(sub(), sub(), sub())
+    return store.intern(Kind.ITE, (sub(), sub(), sub()))
 
 
 def rand_clause(store: TermStore, rng: random.Random, atoms, max_width: int) -> Clause:
@@ -226,7 +227,7 @@ def mutate_euf_payload(payload: EufPayload, rng: random.Random) -> EufPayload:
 
 def lemma_refutation_problem(store: TermStore, lemma: Clause):
     """Inputs asserting the negation of each lemma literal, as units."""
-    return [mk_clause(store, [lit.negate()]) for lit in lemma.lits]
+    return [mk_clause(store, [code ^ 1]) for code in lemma.enc]
 
 
 def theory_pair_from_lemma(store: TermStore, rule: RuleKind, payload):
@@ -275,7 +276,7 @@ def _row_term(store: TermStore, coeffs: dict, const: int):
         if c == 1:
             parts.append(v)
         else:
-            parts.append(store.mul(store.int_const(c), v))
+            parts.append(store.intern(Kind.MUL, (store.int_const(c), v)))
     if const or not parts:
         parts.append(store.int_const(const))
     if len(parts) == 1:
@@ -298,7 +299,7 @@ def gen_lia_payload(store: TermStore, rng: random.Random, n_vars: int = 2) -> Li
         g = rng.choice((2, 3, 4))
         x = rng.choice(xs)
         c = rng.randrange(1, g) + g * rng.randint(-2, 2)
-        atom = store.eq(store.mul(store.int_const(g), x), store.int_const(c))
+        atom = store.eq(store.intern(Kind.MUL, (store.int_const(g), x)), store.int_const(c))
         lemma = mk_clause(store, [neg(atom)])
         return LiaPayload(lemma, ((0, 1), (0, -1)), tighten=True)
 
@@ -336,7 +337,7 @@ def gen_lia_payload(store: TermStore, rng: random.Random, n_vars: int = 2) -> Li
         # Lemma literals are the hypothesis negations.  All multipliers are
         # 1 and every row is used, so canonical reordering is harmless; but
         # a repeated atom would break unit resolution downstream, so retry.
-        lemma = mk_clause(store, [lit.negate() for lit in hyp_lits])
+        lemma = mk_clause(store, [code ^ 1 for code in hyp_lits])
         atoms = lemma.atoms()
         if len(lemma.lits) != len(rows) or len(set(atoms)) != len(atoms):
             continue
@@ -684,29 +685,30 @@ def gen_bv_pair(rng: random.Random):
     def expr():
         choice = rng.random()
         if choice < 0.25:
-            return store.bv_add(x, y), (xv + yv) % (1 << width)
+            return store.intern(Kind.BV_ADD, (x, y)), (xv + yv) % (1 << width)
         if choice < 0.45:
-            return store.bv_and(x, y), xv & yv
+            return store.intern(Kind.BV_AND, (x, y)), xv & yv
         if choice < 0.6:
-            return store.bv_or(x, y), xv | yv
+            return store.intern(Kind.BV_OR, (x, y)), xv | yv
         if choice < 0.75:
-            return store.bv_xor(x, y), xv ^ yv
+            return store.intern(Kind.BV_XOR, (x, y)), xv ^ yv
         if choice < 0.9:
-            return store.bv_not(x), (~xv) & ((1 << width) - 1)
+            return store.intern(Kind.BV_NOT, (x,)), (~xv) & ((1 << width) - 1)
         return x, xv
 
     e, ev = expr()
     if rng.random() < 0.75 or width == 1:
         wrong_val = rng.randrange(1 << width)
-        atom = store.eq(e, store.bv_const_of_int(wrong_val, width))
+        atom = store.eq(e, store.bv_const(int_to_bits(wrong_val, width)))
         actual = ev == wrong_val
     else:
-        atom = store.bv_ult(e, store.bv_const_of_int(rng.randrange(1 << width), width))
+        bound = store.bv_const(int_to_bits(rng.randrange(1 << width), width))
+        atom = store.intern(Kind.BV_ULT, (e, bound))
         c = store.args(atom)[1]
         actual = ev < sum(1 << i for i, b in enumerate(store.node(c).extra) if b)
     assertions = [
-        (store.eq(x, store.bv_const_of_int(xv, width)), True),
-        (store.eq(y, store.bv_const_of_int(yv, width)), True),
+        (store.eq(x, store.bv_const(int_to_bits(xv, width))), True),
+        (store.eq(y, store.bv_const(int_to_bits(yv, width))), True),
         (atom, not actual),
     ]
     inputs, cert = build_bv_refutation(store, assertions, {x: xv, y: yv})

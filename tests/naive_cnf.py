@@ -1,11 +1,11 @@
 """Reference CNF lemma: the string-template ``cnf_lemma`` that
 ``certkernel.resolution.cnf_lemma`` replaced.
 
-``cnf_lemma`` now replays templates compiled once from ``TSEITIN`` and
-builds the clause from literal codes.  This is the checker it replaced,
-kept verbatim but for its name: it splits the rule's template string on
-every call, builds ``Literal`` objects with ``pos``/``neg`` and hands
-them to ``mk_clause``.  ``test_resolution.py`` compares the two.
+``cnf_lemma`` now replays templates compiled once from ``TSEITIN``.  This
+is the checker it replaced, kept but for its name: it splits the rule's
+template string on every call, makes each literal's code with
+``pos``/``neg`` and hands the codes to ``mk_clause``.
+``test_resolution.py`` compares the two.
 """
 
 from __future__ import annotations

@@ -236,18 +236,18 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
             aux = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
             bb_step(store, state, BvPayload(v, aux), Kind.VAR)
         ops = {
-            "not": store.bv_not(x),
-            "and": store.bv_and(x, y),
-            "or": store.bv_or(x, y),
-            "xor": store.bv_xor(x, y),
+            "not": store.intern(Kind.BV_NOT, (x,)),
+            "and": store.intern(Kind.BV_AND, (x, y)),
+            "or": store.intern(Kind.BV_OR, (x, y)),
+            "xor": store.intern(Kind.BV_XOR, (x, y)),
         }
         for t in ops.values():
             bb_step(store, state, BvPayload(t), store.kind(t))
-        t_add = store.bv_add(x, y)
+        t_add = store.intern(Kind.BV_ADD, (x, y))
         carries = tuple(store.var(f"c{i}", BOOL) for i in range(width))
         add_link = bb_step(store, state, BvPayload(t_add, carries), Kind.BV_ADD)
         eq_link = bb_step(store, state, BvPayload(store.eq(x, y)), Kind.EQ)
-        ult_link = bb_step(store, state, BvPayload(store.bv_ult(x, y)), Kind.BV_ULT)
+        ult_link = bb_step(store, state, BvPayload(store.intern(Kind.BV_ULT, (x, y))), Kind.BV_ULT)
         mask = (1 << width) - 1
 
         def word(bits, assign, memo):

@@ -59,10 +59,10 @@ def test_bb_var_rejections():
 def test_bb_const_lsb_first():
     store = TermStore()
     state = BitBlastState()
-    c = store.bv_const_of_int(5, 3)  # #b101
+    c = store.bv_const(int_to_bits(5, 3))  # #b101
     bb_step(store, state, BvPayload(c), Kind.BV_CONST)
     assert state.bits[c] == (store.true_id, store.false_id, store.true_id)
-    c0 = store.bv_const_of_int(0, 2)
+    c0 = store.bv_const(int_to_bits(0, 2))
     bb_step(store, state, BvPayload(c0), Kind.BV_CONST)
     assert state.bits[c0] == (store.false_id, store.false_id)
     # remap rejected: entries are immutable once set
@@ -73,17 +73,17 @@ def test_bb_const_lsb_first():
 
 def test_bb_bitwise_shapes():
     store, state, x, y = _setup(2)
-    t = store.bv_and(x, y)
+    t = store.intern(Kind.BV_AND, (x, y))
     bb_step(store, state, BvPayload(t), Kind.BV_AND)
     x0, x1 = state.bits[x]
     y0, y1 = state.bits[y]
     assert state.bits[t] == (store.and_([x0, y0]), store.and_([x1, y1]))
-    tn = store.bv_not(x)
+    tn = store.intern(Kind.BV_NOT, (x,))
     bb_step(store, state, BvPayload(tn), Kind.BV_NOT)
     assert state.bits[tn] == (store.not_(x0), store.not_(x1))
     # unmapped operand
     z = store.var("z", BitVecSort(2))
-    tz = store.bv_or(z, x)
+    tz = store.intern(Kind.BV_OR, (z, x))
     bb_step(store, state, BvPayload(tz), Kind.BV_OR)
     assert tz not in state.bits
 
@@ -113,7 +113,7 @@ def test_bitwise_agrees_with_word_semantics_exhaustively():
             model = _bit_model(store, state, {x: xv, y: yv})
             assert _eval_bits(store, model, state.bits[t]) == word_op(xv, yv)
     store, state, x, y = _setup(2)
-    t = store.bv_not(x)
+    t = store.intern(Kind.BV_NOT, (x,))
     bb_step(store, state, BvPayload(t), Kind.BV_NOT)
     for xv in range(4):
         model = _bit_model(store, state, {x: xv})
@@ -121,7 +121,7 @@ def test_bitwise_agrees_with_word_semantics_exhaustively():
 
 
 def _install_add(store, state, x, y, width, tag="c"):
-    t = store.bv_add(x, y)
+    t = store.intern(Kind.BV_ADD, (x, y))
     carries = tuple(store.var(f"{tag}{i}", BOOL) for i in range(width))
     link = bb_step(store, state, BvPayload(t, carries), Kind.BV_ADD)
     assert link != TRIVIALLY_TRUE and len(link) == 1
@@ -158,7 +158,7 @@ def test_bb_add_additive_identity():
     x = store.var("x", BitVecSort(2))
     aux = tuple(store.var(f"x{i}", BOOL) for i in range(2))
     bb_step(store, state, BvPayload(x, aux), Kind.VAR)
-    zero = store.bv_const_of_int(0, 2)
+    zero = store.bv_const(int_to_bits(0, 2))
     bb_step(store, state, BvPayload(zero), Kind.BV_CONST)
     t, carries, link = _install_add(store, state, x, zero, 2)
     for xv in range(4):
@@ -169,7 +169,7 @@ def test_bb_add_additive_identity():
 
 def test_bb_add_rejects_stale_aux():
     store, state, x, y = _setup(2)
-    t = store.bv_add(x, y)
+    t = store.intern(Kind.BV_ADD, (x, y))
     # reusing x's bit names is not fresh
     assert bb_step(store, state, BvPayload(t, state.bits[x]), Kind.BV_ADD) == TRIVIALLY_TRUE
     assert t not in state.bits
@@ -203,7 +203,7 @@ def test_bb_eq_random_links_valid_under_bv_semantics():
 
 def test_bb_ult_width1_shape():
     store, state, x, y = _setup(1)
-    atom = store.bv_ult(x, y)
+    atom = store.intern(Kind.BV_ULT, (x, y))
     link = bb_step(store, state, BvPayload(atom), Kind.BV_ULT)
     x0 = state.bits[x][0]
     y0 = state.bits[y][0]
@@ -213,7 +213,7 @@ def test_bb_ult_width1_shape():
 
 def test_bb_ult_agrees_with_unsigned_order():
     store, state, x, y = _setup(2)
-    atom = store.bv_ult(x, y)
+    atom = store.intern(Kind.BV_ULT, (x, y))
     link = bb_step(store, state, BvPayload(atom), Kind.BV_ULT)
     # extract the comparison formula and evaluate it over all operand pairs
     link_term = link.enc[0] >> 1
@@ -222,7 +222,7 @@ def test_bb_ult_agrees_with_unsigned_order():
         model = _bit_model(store, state, {x: xv, y: yv})
         assert eval_term(store, model, formula) == (xv < yv)
     # irreflexivity: x < x evaluates false for every x
-    refl = store.bv_ult(x, x)
+    refl = store.intern(Kind.BV_ULT, (x, x))
     link2 = bb_step(store, state, BvPayload(refl), Kind.BV_ULT)
     formula2 = store.args(link2.enc[0] >> 1)[1]
     for xv in range(4):
@@ -265,7 +265,7 @@ def _target_of_kind(store, kind, a, b):
     if kind is Kind.VAR:
         return store.var("w", BitVecSort(2))
     if kind is Kind.BV_CONST:
-        return store.bv_const_of_int(1, 2)
+        return store.bv_const(int_to_bits(1, 2))
     return store.intern(kind, (a,) if kind is Kind.BV_NOT else (a, b))
 
 

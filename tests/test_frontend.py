@@ -1025,11 +1025,12 @@ def test_operator_head_special_cases():
     assert _term(prob, "(>= x y)") == store.le(y, x)
     assert _term(prob, "(> x y)") == store.lt(y, x)
     assert _term(prob, "(= p q)") == store.iff(p, q)
-    assert _term(prob, "(=> p q r)") == store.implies(p, store.implies(q, r))
+    q_implies_r = store.intern(Kind.IMPLIES, (q, r))
+    assert _term(prob, "(=> p q r)") == store.intern(Kind.IMPLIES, (p, q_implies_r))
     assert _term(prob, "(xor p q r)") == store.xor(store.xor(p, q), r)
-    assert _term(prob, "(- x y z)") == store.sub(store.sub(x, y), z)
+    assert _term(prob, "(- x y z)") == store.intern(Kind.SUB, (store.intern(Kind.SUB, (x, y)), z))
     assert _term(prob, "(- 5)") == store.int_const(-5)
-    assert _term(prob, "(- x)") == store.neg(x)
+    assert _term(prob, "(- x)") == store.intern(Kind.NEG, (x,))
     for text in ("(iff p q)", "(neg x)", "(true)", "(false)", "(not p q)",
                  "(=> p)", "(- )", "(bvadd a x)", "(<= x p)"):
         with pytest.raises(ParseError):

@@ -7,7 +7,7 @@ import pytest
 
 import gens
 from certkernel import (
-    BOOL, INT, FunSym, LiaPayload, Model, RejectError, TRIVIALLY_TRUE, TermStore,
+    BOOL, INT, FunSym, Kind, LiaPayload, Model, RejectError, TRIVIALLY_TRUE, TermStore,
     check_lia, eval_clause, mk_clause, neg, normalize_lia_literal, pos,
 )
 from certkernel.lia import LinRel
@@ -44,7 +44,7 @@ def test_normalize_equality_and_disequality():
     store = TermStore()
     x = store.var("x", INT)
     row = normalize_lia_literal(
-        store, pos(store.eq(store.mul(store.int_const(2), x), store.int_const(1))))
+        store, pos(store.eq(store.intern(Kind.MUL, (store.int_const(2), x)), store.int_const(1))))
     assert row.relation is LinRel.EQ
     assert dict(row.coeffs) == {x: 2} and row.constant == 1
     with pytest.raises(RejectError):
@@ -57,7 +57,8 @@ def test_normalize_rejects_nonlinear():
     x = store.var("x", INT)
     y = store.var("y", INT)
     with pytest.raises(RejectError):
-        normalize_lia_literal(store, pos(store.le(store.mul(x, y), store.int_const(0))))
+        product = store.intern(Kind.MUL, (x, y))
+        normalize_lia_literal(store, pos(store.le(product, store.int_const(0))))
 
 
 def test_excluded_middle_on_integers():
@@ -75,7 +76,7 @@ def test_excluded_middle_on_integers():
 def test_divisibility_conflict_needs_tightening():
     store = TermStore()
     x = store.var("x", INT)
-    atom = store.eq(store.mul(store.int_const(2), x), store.int_const(1))
+    atom = store.eq(store.intern(Kind.MUL, (store.int_const(2), x)), store.int_const(1))
     lemma = mk_clause(store, [neg(atom)])
     with_t = LiaPayload(lemma, ((0, 1), (0, -1)), tighten=True)
     assert check_lia(store, with_t) == lemma
@@ -116,7 +117,7 @@ def test_rejection_totality():
     assert check_lia(store, LiaPayload(ge_lemma, ((7, 1),))) == TRIVIALLY_TRUE
     # nonlinear lemma atom
     y = store.var("y", INT)
-    nl = mk_clause(store, [pos(store.le(store.mul(x, y), store.int_const(0)))])
+    nl = mk_clause(store, [pos(store.le(store.intern(Kind.MUL, (x, y)), store.int_const(0)))])
     assert check_lia(store, LiaPayload(nl, ((0, 1),))) == TRIVIALLY_TRUE
     # non-arithmetic atom
     p = store.var("p", BOOL)
@@ -166,8 +167,9 @@ def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
     x = store.var("x", INT)
     y = store.var("y", INT)
     # ((3 * x) - (-y)) + (y * 2) + 7 <= 0  ==>  -3x - 3y >= 7
-    lhs = store.add([store.sub(store.mul(store.int_const(3), x), store.neg(y)),
-                     store.mul(y, store.int_const(2)), store.int_const(7)])
+    three_x = store.intern(Kind.MUL, (store.int_const(3), x))
+    lhs = store.add([store.intern(Kind.SUB, (three_x, store.intern(Kind.NEG, (y,)))),
+                     store.intern(Kind.MUL, (y, store.int_const(2))), store.int_const(7)])
     row = normalize_lia_literal(store, pos(store.le(lhs, store.int_const(0))))
     assert row.coeff_dict() == {x: -3, y: -3} and row.constant == 7
     # a shared summand counts once per use: 0 <= a + a with a = x + 1
@@ -175,7 +177,7 @@ def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
     row = normalize_lia_literal(store, pos(store.le(store.int_const(0), store.add([a, a]))))
     assert row.coeff_dict() == {x: 2} and row.constant == -2
     # an application is an opaque variable, even over a nonlinear product
-    t = store.apply(FunSym("f", (INT,), INT), [store.mul(x, y)])
+    t = store.apply(FunSym("f", (INT,), INT), [store.intern(Kind.MUL, (x, y))])
     lemma = mk_clause(store, [pos(store.le(t, store.int_const(0))),
                               pos(store.le(store.int_const(1), t))])
     assert check_lia(store, LiaPayload(lemma, ((0, 1), (1, 1)))) == lemma
@@ -199,7 +201,7 @@ def test_product_needs_a_literal_factor():
     for factor, accepted in ((store.int_const(2), True),
                              (store.add([store.int_const(1), store.int_const(1)]), False)):
         # not(0 <= x) or not(factor * x <= -1): 2 * (x >= 0) + (-2x >= 1)
-        product = store.mul(factor, x)
+        product = store.intern(Kind.MUL, (factor, x))
         lemma = mk_clause(store, [neg(nonneg), neg(store.le(product, store.int_const(-1)))])
         out = check_lia(store, LiaPayload(lemma, ((0, 2), (1, 1))))
         assert out == (lemma if accepted else TRIVIALLY_TRUE)

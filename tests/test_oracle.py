@@ -8,7 +8,7 @@ import time
 import pytest
 
 from certkernel import (
-    BOOL, INT, BitVecSort, FunSym, IncompleteModelError, Model, ResourceError,
+    BOOL, INT, BitVecSort, FunSym, IncompleteModelError, Kind, Model, ResourceError,
     TermStore, UninterpretedSort, brute_unsat, euf_lemma_valid, eval_clause,
     eval_term, is_tautology, mk_clause, neg, parse_smt2, pos, propositionally_implies,
 )
@@ -26,7 +26,7 @@ def test_eval_constants_and_comparison():
     assert eval_term(store, m, store.le(x, store.int_const(3))) is True
     assert eval_term(store, m, store.lt(x, store.int_const(3))) is False
     assert eval_term(store, m, store.add([x, store.int_const(-5)])) == -2
-    assert eval_term(store, m, store.mul(store.int_const(2), x)) == 6
+    assert eval_term(store, m, store.intern(Kind.MUL, (store.int_const(2), x))) == 6
 
 
 def test_eval_bv_add_is_modular():
@@ -34,11 +34,11 @@ def test_eval_bv_add_is_modular():
     x = store.var("x", BitVecSort(2))
     y = store.var("y", BitVecSort(2))
     m = Model(values={x: int_to_bits(1, 2), y: int_to_bits(1, 2)})
-    out = eval_term(store, m, store.bv_add(x, y))
+    out = eval_term(store, m, store.intern(Kind.BV_ADD, (x, y)))
     assert bits_to_int(out) == 2
     m2 = Model(values={x: int_to_bits(3, 2), y: int_to_bits(2, 2)})
-    assert bits_to_int(eval_term(store, m2, store.bv_add(x, y))) == 1
-    assert eval_term(store, m2, store.bv_ult(y, x)) is True
+    assert bits_to_int(eval_term(store, m2, store.intern(Kind.BV_ADD, (x, y)))) == 1
+    assert eval_term(store, m2, store.intern(Kind.BV_ULT, (y, x))) is True
 
 
 def test_eval_uninterpreted_function_table():
@@ -78,8 +78,9 @@ def test_brute_unsat_basics():
 def test_brute_unsat_bv_fact():
     # 01 + 01 = 10 at width 2, so asserting inequality is unsat
     store = TermStore()
-    s = store.bv_add(store.bv_const_of_int(1, 2), store.bv_const_of_int(1, 2))
-    atom = store.eq(s, store.bv_const_of_int(2, 2))
+    one = store.bv_const(int_to_bits(1, 2))
+    s = store.intern(Kind.BV_ADD, (one, one))
+    atom = store.eq(s, store.bv_const(int_to_bits(2, 2)))
     r = brute_unsat(store, [mk_clause(store, [neg(atom)])])
     assert r.status == UNSAT
 

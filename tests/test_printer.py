@@ -6,19 +6,21 @@ Each corpus pair's reports from ``run_one`` (plain, ``--machine`` and
 the ``--mode oracle`` report of the DIMACS problems are compared by sha256
 against ``printer_pins.json``.  A few small problems pin the oracle's
 model lines and its bounded status, and one nested proof pins ``--mode
-translate``.
+translate``.  The benchmark's generated inputs are pinned by their sha256.
 
 The trusted modules hold no renderer: a guard parses them and rejects an
 import of an untrusted module (``printer``, ``preproc``, ``oracle``, ``cli``)
 or a definition of a rendering function, and an import of a checker module
 by the problem readers in ``frontend``.  A second guard rejects a
 module-level name of a trusted module that no trusted module reads and the
-package does not export, and a third a function of the package that calls
-itself by name, outside a short list.
+package does not export, a third a class member that neither a trusted
+module nor the benchmark reads, and a fourth a function of the package that
+calls itself by name, outside a short list.
 """
 
 import ast
 import hashlib
+import importlib.util
 import json
 import pathlib
 import sys
@@ -115,6 +117,25 @@ def test_output_bytes_are_pinned(tmp_path):
         assert got[key] == pins[key], f"output of {key[0]} in mode {key[1]} changed"
 
 
+# inputs_sha256 of each benchmark workload at seed 1.  ``perfbench`` builds
+# each tree's inputs with that tree's package, so an API change that moved
+# a byte would have the benchmark compare different work.
+BENCH_INPUTS = {
+    "res_chain": "6fc72fb8c9325e7020cf73d95f87f631b4c141761e5ba3cdbe23961ad64234af",
+    "smt_lemmas": "bf50f87abfd6cd422bb95a54b2232f3c12d41a2ea5069859d15d277309d389c9",
+    "bv_blast": "ab7e7939f112ed2c4fb1851aeb14f681519bf1d5bb932cc53550a0c991e0bfe6",
+}
+
+
+def test_benchmark_inputs_are_pinned(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", HERE.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    got = {w: gen.generate(w, 1, tmp_path / w)["inputs_sha256"] for w in BENCH_INPUTS}
+    assert got == BENCH_INPUTS
+
+
 TRUSTED = ("terms", "steps", "kernel", "resolution", "euf", "lia", "bitblast", "frontend")
 UNTRUSTED = {"printer", "preproc", "oracle", "cli"}
 RENDERERS = {"to_sexpr", "clause_to_sexpr", "stats_report", "print_certificate",
@@ -192,6 +213,35 @@ def test_every_trusted_name_serves_the_trusted_base_or_the_api():
     unused = sorted((module, name) for module, tree in trees.items()
                     for name in _module_names(tree) if name not in used)
     assert unused == [], unused
+
+
+def test_every_trusted_member_serves_the_trusted_base_or_the_benchmark():
+    """A method or property of a class in a trusted module is read as an
+    attribute by some trusted module or by the benchmark's ``perfbench``
+    scripts, and a literal is its code everywhere in the trusted base but
+    ``terms``: no other trusted module names ``Literal`` or reads ``.lits``.
+
+    Reads are matched by attribute name alone, so a member that shares its
+    name with an unrelated attribute slips through: a ``TermStore.sub``
+    would pass by the ``re.sub`` that ``frontend`` reads."""
+    src = HERE.parent / "src" / "certkernel"
+    trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in TRUSTED}
+    readers = [*trees.values(), *(ast.parse(path.read_text())
+                                  for path in sorted((HERE.parent / "perfbench").glob("*.py")))]
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = sorted((module, cls.name, fn.name) for module, tree in trees.items()
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("__") and fn.name not in read)
+    assert unread == [], unread
+    views = sorted({module for module, tree in trees.items() if module != "terms"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "Literal"
+                    or isinstance(node, ast.Attribute) and node.attr in ("Literal", "lits")
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "Literal" for alias in node.names)})
+    assert views == [], views
 
 
 # Input would set the depth of a function that calls itself, so none does:

@@ -5,7 +5,7 @@ import time
 
 import gens
 from certkernel import (
-    BOOL, INT, Clause, CnfPayload, RuleKind, SortError, TRIVIALLY_TRUE, TermStore, cnf_lemma,
+    BOOL, INT, Clause, CnfPayload, Kind, RuleKind, SortError, TRIVIALLY_TRUE, TermStore, cnf_lemma,
     is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain,
     resolve_pair, to_sexpr,
 )
@@ -67,13 +67,13 @@ def test_resolve_pair_removes_one_pivot_pair_only():
         # When neither premise is internally tautological in the pivot, the
         # result never carries both pivot polarities.
         pivots = [a for a in atoms
-                  if (pos(a) in c1.lits and neg(a) in c2.lits)
-                  or (neg(a) in c1.lits and pos(a) in c2.lits)]
+                  if (pos(a) in c1.enc and neg(a) in c2.enc)
+                  or (neg(a) in c1.enc and pos(a) in c2.enc)]
         pivot = min(pivots)
-        one_sided = not ({pos(pivot), neg(pivot)} <= set(c1.lits)
-                         or {pos(pivot), neg(pivot)} <= set(c2.lits))
+        one_sided = not ({pos(pivot), neg(pivot)} <= set(c1.enc)
+                         or {pos(pivot), neg(pivot)} <= set(c2.enc))
         if one_sided:
-            assert not {pos(pivot), neg(pivot)} <= set(out.lits)
+            assert not {pos(pivot), neg(pivot)} <= set(out.enc)
 
 
 def test_resolve_chain_folds_left():
@@ -185,7 +185,7 @@ def test_cnf_lemma_projections():
         == mk_clause(store, [pos(t_or), neg(b)])
     assert cnf_lemma(store, RuleKind.AND_NEG, CnfPayload(t_and)) \
         == mk_clause(store, [pos(t_and), neg(a), neg(b)])
-    t_imp = store.implies(a, b)
+    t_imp = store.intern(Kind.IMPLIES, (a, b))
     assert cnf_lemma(store, RuleKind.IMP_POS, CnfPayload(t_imp)) \
         == mk_clause(store, [neg(t_imp), neg(a), pos(b)])
     assert cnf_lemma(store, RuleKind.IMP_NEG1, CnfPayload(t_imp)) \
@@ -196,7 +196,7 @@ def test_cnf_lemma_projections():
         == mk_clause(store, [neg(t_or), pos(a), pos(b)])
     t_xor, t_iff = store.xor(a, b), store.iff(a, b)
     c = store.var("c", BOOL)
-    t_ite = store.ite(c, a, b)
+    t_ite = store.intern(Kind.ITE, (c, a, b))
     expected = {
         (RuleKind.XOR_POS1, t_xor): [neg(t_xor), pos(a), pos(b)],
         (RuleKind.XOR_POS2, t_xor): [neg(t_xor), neg(a), neg(b)],
@@ -238,7 +238,7 @@ def test_cnf_lemma_rejects_mismatches():
     assert cnf_lemma(store, RuleKind.AND_POS, CnfPayload(a, 0)) == TRIVIALLY_TRUE
     # non-Bool ite is not decomposable
     x = store.var("x", INT)
-    t_ite = store.ite(a, x, x)
+    t_ite = store.intern(Kind.ITE, (a, x, x))
     assert cnf_lemma(store, RuleKind.ITE_POS1, CnfPayload(t_ite)) == TRIVIALLY_TRUE
 
 
@@ -283,9 +283,9 @@ def test_cnf_lemma_matches_the_string_template_checker():
     x = store.var("x", INT)
     targets = [store.and_([a]), store.and_([a, b]), store.and_([a, b, c]),
                store.or_([a]), store.or_([b, a]), store.or_([a, b, c, a]),
-               store.implies(a, b), store.xor(b, c), store.iff(a, c),
-               store.ite(a, b, c), store.not_(a), store.not_(store.not_(b)),
-               a, store.eq(x, x), store.ite(a, x, x)]
+               store.intern(Kind.IMPLIES, (a, b)), store.xor(b, c), store.iff(a, c),
+               store.intern(Kind.ITE, (a, b, c)), store.not_(a), store.not_(store.not_(b)),
+               a, store.eq(x, x), store.intern(Kind.ITE, (a, x, x))]
     # Hand-built nodes whose argument x is Int: at the i reference, at a
     # position and under *.
     for kind, args in ((Kind.AND, (a, x)), (Kind.OR, (x, b)), (Kind.IMPLIES, (a, x)),

@@ -6,9 +6,11 @@ import pytest
 
 import gens
 from certkernel import (
-    BOOL, INT, BitVecSort, FunSym, Kind, Literal, SortError, TermStore,
+    BOOL, INT, BitVecSort, Clause, FunSym, Kind, Literal, SortError, TermStore,
     UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos, to_sexpr,
 )
+from certkernel.oracle import int_to_bits
+from certkernel.terms import well_formed
 
 
 def test_intern_idempotent():
@@ -94,7 +96,7 @@ def test_sort_clash_raises():
     with pytest.raises(SortError):
         store.and_([one])
     with pytest.raises(SortError):
-        store.bv_add(bv, store.bv_const([True, False, True]))
+        store.intern(Kind.BV_ADD, (bv, store.bv_const([True, False, True])))
 
 
 def test_bool_equality_must_be_iff():
@@ -112,16 +114,16 @@ def test_sort_of():
     assert store.sort_of(store.le(x, y)) == BOOL
     a = store.var("a", BitVecSort(4))
     b = store.var("b", BitVecSort(4))
-    assert store.sort_of(store.bv_add(a, b)) == BitVecSort(4)
+    assert store.sort_of(store.intern(Kind.BV_ADD, (a, b))) == BitVecSort(4)
     u = UninterpretedSort("U")
     f = FunSym("f", (INT,), u)
     assert store.sort_of(store.apply(f, [x])) == u
-    assert store.sort_of(store.bv_ult(a, b)) == BOOL
+    assert store.sort_of(store.intern(Kind.BV_ULT, (a, b))) == BOOL
 
 
 def test_bv_const_width_and_bits():
     store = TermStore()
-    t = store.bv_const_of_int(5, 3)
+    t = store.bv_const(int_to_bits(5, 3))
     assert store.node(t).extra == (True, False, True)  # LSB first
     assert to_sexpr(store, t) == "#b101"
     with pytest.raises(SortError):
@@ -133,21 +135,21 @@ def test_ite_sorts():
     p = store.var("p", BOOL)
     x = store.var("x", INT)
     y = store.var("y", INT)
-    assert store.sort_of(store.ite(p, x, y)) == INT
+    assert store.sort_of(store.intern(Kind.ITE, (p, x, y))) == INT
     with pytest.raises(SortError):
-        store.ite(x, x, y)
+        store.intern(Kind.ITE, (x, x, y))
     with pytest.raises(SortError):
-        store.ite(p, p, x)
+        store.intern(Kind.ITE, (p, p, x))
 
 
 def test_literal_encoding_is_bit_exact():
+    """A literal is its code, 2 * atom + negated; ``Clause.lits`` views it."""
     for atom in (0, 1, 5, 1000):
-        for positive in (True, False):
-            lit = Literal(atom, positive)
-            assert Literal.decode(lit.encode()) == lit
-    assert pos(7).encode() == 14
-    assert neg(7).encode() == 15
-    assert pos(7).negate() == neg(7)
+        assert Clause((pos(atom),)).lits == (Literal(atom, True),)
+        assert Clause((neg(atom),)).lits == (Literal(atom, False),)
+    assert pos(7) == 14
+    assert neg(7) == 15
+    assert pos(7) ^ 1 == neg(7)
 
 
 def test_mk_clause_canonicalizes():
@@ -155,7 +157,9 @@ def test_mk_clause_canonicalizes():
     p = store.var("p", BOOL)
     q = store.var("q", BOOL)
     c = mk_clause(store, [neg(p), pos(q), neg(p)])
-    assert c.lits == (neg(p), pos(q)) if p < q else True
+    assert p < q
+    assert c.enc == (neg(p), pos(q))
+    assert c.lits == (Literal(p, False), Literal(q, True))
     assert len(c) == 2
     assert mk_clause(store, [pos(q), neg(p)]) == mk_clause(store, [neg(p), pos(q)])
     assert mk_clause(store, []).is_empty()
@@ -168,13 +172,52 @@ def test_mk_clause_rejects_non_bool_atoms():
         mk_clause(store, [pos(x)])
 
 
+@pytest.mark.parametrize("bad", [
+    "negative", "end", "float", "old_literal", "non_bool", "bool_flag",
+])
+def test_mk_clause_rejects_what_is_not_a_literal_code(bad):
+    """Each code is an int in [0, 2 * len(store)) with a Bool atom; anything
+    else is a SortError, never a clause read from the store's end and never
+    a TypeError.  A Bool atom at the store's end tempts a negative code."""
+    store = TermStore()
+    x = store.var("x", INT)
+    p = store.var("p", BOOL)
+    code = {"negative": pos(-1), "end": 2 * len(store), "float": 2.0,
+            "old_literal": Literal(p, True), "non_bool": neg(x), "bool_flag": True}[bad]
+    with pytest.raises(SortError):
+        mk_clause(store, [pos(p), code])
+    assert store.sort_of(len(store) - 1) == BOOL
+
+
+def test_mk_clause_names_the_first_bad_literal():
+    """The Bool-sort message names the first bad literal in input order, as
+    ``preproc`` reports it in its parse errors."""
+    store = TermStore()
+    x, y = store.var("x", INT), store.var("y", INT)
+    p = store.var("p", BOOL)
+    with pytest.raises(SortError, match=f"^clause literal atom {y} has sort Int, expected Bool$"):
+        mk_clause(store, [pos(p), neg(y), pos(x)])
+
+
+def test_well_formed_clauses_are_what_mk_clause_builds():
+    """A payload's clause passes ``well_formed`` only if it is a tuple of
+    literal codes, strictly increasing, as ``mk_clause`` builds them."""
+    store = TermStore()
+    x = store.var("x", INT)
+    p, q = store.var("p", BOOL), store.var("q", BOOL)
+    assert well_formed(store, mk_clause(store, [pos(q), neg(p)]))
+    for enc in [(pos(q), neg(p)), (pos(p), pos(p)), (-2,), (pos(p), 2 * len(store)),
+                (neg(x),), (2.0,), [pos(p)]]:
+        assert not well_formed(store, Clause(enc)), enc
+
+
 def test_mk_clause_idempotent():
     rng = random.Random(7)
     store = TermStore()
     atoms = [store.var(f"p{i}", BOOL) for i in range(6)]
     for _ in range(200):
         c = gens.rand_clause(store, rng, atoms, 5)
-        assert mk_clause(store, c.lits) == c
+        assert mk_clause(store, c.enc) == c
 
 
 def test_rebuild_from_store_is_identity():
@@ -185,9 +228,9 @@ def test_rebuild_from_store_is_identity():
     for _ in range(50):
         gens.rand_bool_term(store, rng, atoms, 4)
     x = store.var("x", INT)
-    store.add([store.mul(store.int_const(3), x), store.int_const(-2)])
+    store.add([store.intern(Kind.MUL, (store.int_const(3), x)), store.int_const(-2)])
     a = store.var("a", BitVecSort(3))
-    store.bv_ult(store.bv_add(a, a), store.bv_not(a))
+    store.intern(Kind.BV_ULT, (store.intern(Kind.BV_ADD, (a, a)), store.intern(Kind.BV_NOT, (a,))))
     for tid in range(len(store)):
         node = store.node(tid)
         assert store.intern(node.kind, node.args, node.extra) == tid
