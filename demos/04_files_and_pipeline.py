@@ -3,7 +3,7 @@
 
 Parses an SMT-LIB problem and its certificate, replays it, translates a
 nested natural-deduction-style proof into the same linear format, compacts
-away dead steps, and extracts trust obligations.  The command line wraps
+away dead steps, and reports the clauses it takes on trust.  The command line wraps
 exactly these calls:
 
     certkernel --problem f.smt2 --proof f.cert            # check, exit 0/1/2/3
@@ -12,7 +12,7 @@ exactly these calls:
 """
 
 from certkernel import (
-    brute_unsat, check, clause_to_sexpr, compact, extract_trust, linearize,
+    brute_unsat, check, clause_to_sexpr, compact, linearize,
     parse_certificate, parse_nested_proof, parse_smt2, print_certificate,
     stats_report,
 )
@@ -62,11 +62,13 @@ tree = parse_nested_proof(nested_text, problem)
 linear = linearize(tree, len(problem.input_clauses))
 print("\nlinearized nested proof:")
 print(print_certificate(problem.store, linear))
-print("verdict:", check(problem.store, problem.input_clauses, linear).verdict.value)
+linear_result = check(problem.store, problem.input_clauses, linear)
+print("verdict:", linear_result.verdict.value)
 
-# Compaction drops steps unreachable from qed and renumbers densely.
+# Compaction drops the steps that neither qed nor a bit-blasting step needs,
+# and renumbers densely.
 small = compact(linear, len(problem.input_clauses))
 print(f"compacted: {len(linear.steps)} steps -> {len(small.steps)} steps")
 
-# Trust obligations: this proof assumes nothing.
-print("assumed clauses:", extract_trust(linear).assumed or "none")
+# Trust obligations: a check reports every assumed clause; this proof has none.
+print("assumed clauses:", linear_result.assumptions or "none")

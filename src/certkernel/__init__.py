@@ -27,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
     "kernel": "CheckContext CheckResult Verdict check dispatch",
     "frontend": "Problem parse_dimacs parse_smt2",
     "printer": "clause_to_sexpr print_certificate print_dimacs stats_report to_sexpr",
-    "preproc": "NLet NRef NStep TrustReport compact extract_trust linearize"
-               " parse_certificate parse_nested_proof",
+    "preproc": "NLet NRef NStep compact linearize parse_certificate parse_nested_proof"
+               " stream_certificate",
     "oracle": "Model OracleResult brute_unsat euf_lemma_valid eval_clause eval_term"
               " is_tautology propositionally_implies",
 }.items() for name in names.split()}

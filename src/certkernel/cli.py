@@ -19,10 +19,12 @@ satisfiability of the input clauses; budget via CERTKERNEL_BUDGET).
 record with a stable field order.  ``certkernel.printer`` writes every report.
 
 Each pair runs with Python's cyclic garbage collector paused (``run_one``).
-A pair keeps its variables, clauses and steps alive to the end, so the
+A pair keeps its variables and clauses alive to the end, so the
 collector's passes over that growing heap found nothing to free and cost
 about a sixth of the time of a 100 000-step resolution chain; the checker
-and parsers make no reference cycles.
+and parsers make no reference cycles.  Of the certificate, a pair holds
+the text and one block of at most 2 048 steps at a time: replay reads
+the next block when it has consumed the last (``preproc.stream_certificate``).
 
 A process pays its start-up on every run, so importing this module loads
 only what a check runs: ``argparse`` is imported in ``build_parser``, the
@@ -38,8 +40,10 @@ import sys
 from .errors import CertKernelError, ParseError
 from .frontend import Problem, parse_dimacs, parse_smt2
 from .kernel import Verdict, check
-from .preproc import linearize, parse_certificate, parse_nested_proof
-from .printer import machine_record as _machine_record  # perfbench/child.py wraps this global
+from .preproc import linearize, parse_nested_proof
+# perfbench/child.py wraps these two globals by these names.
+from .preproc import stream_certificate as parse_certificate
+from .printer import machine_record as _machine_record
 from .printer import oracle_report, plain_record, print_certificate, stats_report
 
 EXIT_VALID = 0
@@ -124,9 +128,13 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
             cert = linearize(nested, len(problem.input_clauses))
             return EXIT_VALID, print_certificate(problem.store, cert)
 
-        # No name holds the certificate text, so it is freed before replay.
+        # Each block of steps is read as replay reaches it, and freed once
+        # replayed.  The rest is read after replay stops, so that a
+        # malformed line after the empty clause is still an error.
         cert = parse_certificate(_read(proof_path), problem)
         result = check(problem.store, problem.input_clauses, cert)
+        for _ in cert.steps:
+            pass
         if mode == "stats":
             report = stats_report(problem.store, result)
         elif machine:

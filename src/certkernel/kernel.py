@@ -31,10 +31,8 @@ type needs new certificate syntax.  Nothing here renders text.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from enum import Enum
-from itertools import islice
 from typing import NamedTuple
 
 from . import bitblast, euf, lia, resolution
@@ -129,8 +127,10 @@ def dispatch(ctx: CheckContext, rule: RuleKind, premises: list[Clause],
 def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     """Replay a certificate over the input clauses and decide the verdict.
 
-    Deterministic: identical inputs produce identical results.  Replay stops
-    at the first stored empty clause.
+    ``cert.steps`` is read once, in order, and only as far as replay goes:
+    a tuple, or an iterator that reads the certificate as it is consumed
+    (``preproc.stream_certificate``).  Replay stops at the first stored
+    empty clause.  Deterministic: identical inputs produce identical results.
     """
     clauses: list[Clause] = list(input_clauses)
     n_inputs = len(clauses)
@@ -143,9 +143,9 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     # lands in ctx.bitblast.used_vars, where no later walk enters it again.
     scanned = 0
 
+    counts: dict[RuleKind, int] = {}  # rules of the stored steps
+
     def result(verdict, reason=None, step_id=None) -> CheckResult:
-        # The stored steps are the first len(clauses) - n_inputs of cert.steps.
-        counts = Counter(step.rule for step in islice(cert.steps, len(clauses) - n_inputs))
         counts[RuleKind.INPUT] = n_inputs
         stats = tuple((r.value, counts[r]) for r in RuleKind if counts.get(r))
         return CheckResult(
@@ -190,6 +190,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
         if rule is assume:
             assumptions.append(conclusion)
         clauses.append(conclusion)
+        counts[rule] = counts.get(rule, 0) + 1  # Counter's += costs 3 times as much
         if not conclusion.enc:
             return finish()
 

@@ -1,6 +1,5 @@
 """Untrusted certificate reader and preprocessor: the line-based certificate
-format, nested proofs to linear certificates, certificate compaction and
-trust-obligation extraction.
+format, nested proofs to linear certificates and certificate compaction.
 
 Nothing the kernel decides depends on code in this module.  The kernel
 checks every id, index and clause code of a ``Certificate``, however it was
@@ -30,19 +29,30 @@ Braces delimit only a step's payload.  Names introduced under ``(aux ...)``
 become Bool variables on sight; their freshness is the kernel's business.
 Any other second group, ``(foo v)`` or ``()`` say, is a ParseError there.
 
+The reader takes one line of the text at a time, broken as ``split_lines``
+breaks it, and gathers the steps into blocks of at most ``_RUN_LINES``.
+``parse_certificate`` returns them all; ``stream_certificate`` reads the
+first block at once and each later one when replay has consumed the one
+before, so that replay holds one block of steps, not the certificate's.
+Either way a block is read in full, errors included, before a step of it
+is handed out.  The kernel checks whatever a ``Step`` carries, so reading
+by blocks changes no verdict's soundness.  In a certificate of more than
+one block, a term that replay makes first (a ``cong`` conclusion, say)
+gets its id before the later blocks' terms, not after them.
+
 Two shapes that ``printer.print_certificate`` writes are read without the
 full reader.  A ``<id> res (<ids>) {}`` line is converted from its step
 head, together with the run of such lines after it, each ending in a line
-feed, if the next line starts as the next step would.  A run is read in
-blocks of at most ``_RUN_LINES`` lines: one regex ``findall``, one
-comprehension into ``Step``s, and one check that the ids count on, that
-each step names a premise and that each premise comes before its step.
-Only a line whose step head names ``res`` looks at the next line, so other
-lines cost nothing more.
+feed, if the next line starts as the next step would.  The line and its
+run fill at most one block: one regex ``findall``, one comprehension into
+``Step``s, and one check that the ids count on, that each step names a
+premise and that each premise comes before its step.  Only a line whose
+step head names ``res`` looks at the next line, so other lines cost
+nothing more.
 
 A ``<id> <rule> (<ints>) {<term>[ <index>]}`` line for a ``CnfPayload``
 rule is read without the full reader if the term's text is in a memo local
-to one ``parse_certificate`` call, which holds the id the full reader gave
+to one reading of a certificate, which holds the id the full reader gave
 that text as a whole payload term on an earlier line.  A hit equals a full
 parse: the same bytes read against the same store and declarations intern
 the same id.  Any other line, and any line of a block that fails a check,
@@ -68,14 +78,14 @@ linearizer are walks that wait on a list, not on Python's stack (see
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain
 from typing import NamedTuple
 
 from .bitblast import BvPayload
 from .errors import ForwardReferenceError, ParseError, SortError, UnboundNameError
 from .euf import EqRule, EqStep, EufPayload
 from .frontend import (
-    _BRACKETS, _OPENING, _SIGNED, _SYM, Lexemes, Problem, _unfold, read_term, split_lines,
+    _BRACKETS, _OPENING, _SIGNED, _SYM, Lexemes, Problem, _unfold, read_term,
 )
 from .kernel import RULES
 from .lia import LiaPayload
@@ -88,12 +98,13 @@ from .terms import BOOL, Clause, TermId, class_eq, mk_clause, neg, pos
 # optional index and the closing brace, as print_certificate writes them.
 _STEP_HEAD = re.compile(r"([0-9]+) ([a-z_0-9]+) \(([0-9 ]*)\) \{")
 _ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
-# A res line without payload, ending in a line feed, and a run of at most
-# _RUN_LINES of them.
+# The most steps in one block, a res line without payload, ending in a line
+# feed, and a run of such lines that fills a block with the line before it.
 _RUN_LINES = 2048
 _RES_LINE = re.compile(r"([0-9]+) res \(([0-9 ]*)\) \{\}\n")
-_RES_RUN = re.compile(f"(?:{_RES_LINE.pattern}){{1,{_RUN_LINES}}}")
+_RES_RUN = re.compile(f"(?:{_RES_LINE.pattern}){{1,{_RUN_LINES - 1}}}")
 RULE_BY_NAME = {r.value: r for r in RuleKind}
+_BB_RULES = frozenset(r for r, entry in RULES.items() if entry.payload is BvPayload)
 _RES = RuleKind.RES  # an Enum member lookup costs about 150 ns
 
 
@@ -117,14 +128,6 @@ class NRef(NamedTuple):
 
 
 NestedProof = object  # NStep | NLet | NRef
-
-
-@class_eq
-class TrustReport(NamedTuple):
-    """The clauses a certificate takes on trust, with their step origins."""
-
-    assumed: tuple[Clause, ...]
-    origins: tuple[str, ...]
 
 
 def linearize(proof: NestedProof, n_inputs: int) -> Certificate:
@@ -174,18 +177,26 @@ def _emit(node: NestedProof, env: dict[str, int], steps: list[Step], n_inputs: i
 
 
 def compact(cert: Certificate, n_inputs: int) -> Certificate:
-    """Drop steps not backwards-reachable from the qed step and renumber.
+    """Drop the steps that neither the qed step nor a bit-blasting step
+    needs, and renumber.
 
-    Input ids stay fixed; surviving steps are renumbered densely in their
-    original order.  For certificates whose goal derivation is rooted at
-    qed (every certificate this package emits), the kernel verdict is
-    unchanged.
+    Every ``bb_*`` step stays, with the steps its premises reach: it reads
+    the maps that earlier ``bb_*`` steps left in ``BitBlastState`` and
+    names no premise for them.  Any other step stays only if the qed step
+    or a ``bb_*`` step reaches it through premises.  Input ids stay fixed;
+    surviving steps are renumbered densely in their original order.
+
+    For a certificate whose empty clause is derived in the qed step's cone
+    (every certificate this package emits), a VALID or TRUSTED verdict is
+    unchanged.  An INVALID one can become VALID: a dropped step that the
+    kernel rejects, or whose clause names an aux variable that a later
+    ``bb_*`` step declares fresh, no longer spoils the run.
     """
     if cert.qed is None:
         return cert
     by_id = {s.id: s for s in cert.steps}
     live: set[int] = set()
-    stack = [cert.qed]
+    stack = [cert.qed, *(s.id for s in cert.steps if s.rule in _BB_RULES)]
     while stack:
         sid = stack.pop()
         if sid < n_inputs or sid in live:
@@ -204,17 +215,6 @@ def compact(cert: Certificate, n_inputs: int) -> Certificate:
         Step(remap[s.id], s.rule, tuple(remap[p] for p in s.premises), s.payload)
         for s in kept)
     return Certificate(steps, qed=remap.get(cert.qed, cert.qed))
-
-
-def extract_trust(cert: Certificate) -> TrustReport:
-    """Collect the clauses of all assume steps, with their provenance."""
-    assumed = []
-    origins = []
-    for step in cert.steps:
-        if step.rule is RuleKind.ASSUME:
-            assumed.append(step.payload.lemma)
-            origins.append(f"step {step.id}")
-    return TrustReport(tuple(assumed), tuple(origins))
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +405,25 @@ def _memo_step(raw: str, head: re.Match | None, rule: RuleKind | None, next_id: 
     return Step(step_id, rule, premises, CnfPayload(memo[term[1]], index)), None
 
 
-def parse_certificate(text: str, problem: Problem) -> Certificate:
-    """Parse the line-based certificate format against a parsed problem."""
-    steps: list[Step] = []
+def _blocks(text: str, problem: Problem):
+    """Generator: the certificate's steps in lists of at most ``_RUN_LINES``,
+    each read in full before it is yielded, and the last one once the qed
+    line and the rest of the text are read as well; it returns the qed id.
+    A block is yielded only when the next step or run would overflow it."""
+    block: list[Step] = []
     qed: int | None = None
     next_id = len(problem.input_clauses)
     memo: dict[str, TermId] = {}  # payload term text -> id, for _memo_step
-    lines = split_lines(text)
-    numbered = enumerate(lines, start=1)
-    offset = full = 0  # no res line before line full + 1 is read in a block
+    size = len(text)
+    offset = lineno = full = 0  # no res line before line full + 1 is read in a block
 
-    for lineno, raw in numbered:
-        offset += len(raw) + 1  # the text offset of the next line
+    while offset < size:  # lines as split_lines gives them, one at a time
+        end = text.find("\n", offset)
+        if end < 0:
+            end = size
+        raw = text[offset:end]
+        offset = end + 1  # the text offset of the next line
+        lineno += 1
         stripped = raw.lstrip(" \t\r")
         if not stripped or stripped.startswith(";"):
             continue
@@ -424,6 +431,7 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
             raise ParseError("content after qed", lineno, 1)
         head = _STEP_HEAD.match(raw)
         rule = RULE_BY_NAME.get(head[2]) if head is not None else None
+        new = None
         if rule is _RES and raw[head.end():] == "}" and lineno > full:
             # This line, and the run after it if the next line starts as
             # the next step would.
@@ -432,50 +440,82 @@ def parse_certificate(text: str, problem: Problem) -> Certificate:
                 run = _RES_RUN.match(text, offset)
                 if run is not None:
                     found += _RES_LINE.findall(text, offset, run.end())
-            block = _res_steps(found, next_id)
-            if block is not None:
-                steps += block
-                next_id += len(block)
-                if run is not None:  # skip the run's lines
-                    offset = run.end()
-                    next(islice(numbered, len(block) - 1, len(block) - 1), None)
-                continue
-            full = lineno + len(found) - 1
-        step, term = _memo_step(raw, head, rule, next_id, memo)
-        if step is not None:
-            steps.append(step)
-            next_id += 1
-            continue
-        lex = Lexemes(raw, lineno)
-        items = lex.items()
-        if items and lex.words[0] == "qed":
-            if len(items) != 2:
-                raise ParseError("qed takes one step id", lineno, 1)
-            qed = parse_int(lex, items[1])
-            if qed >= next_id or qed < 0:
-                raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
-            continue
-        rule = _step_rule(lex, items)
-        if rule is None:
-            raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
-        step_id = parse_int(lex, 0)
-        if step_id != next_id:
-            raise ParseError(f"step id {step_id}, expected {next_id}", lineno, 1)
-        premises = tuple(parse_int(lex, p) for p in lex.items(items[2]))
-        for p in premises:
-            if p >= step_id or p < 0:
-                raise ForwardReferenceError(
-                    f"premise {p} is not before step {step_id}", lineno, 1)
-        payload = parse_payload(problem, rule, lex, items[3], None)
-        # Memo the term only if it alone made up the payload's first item.
-        if term is not None and len(lex.items(items[3])) == (1 if term[2] is None else 2):
-            memo[term[1]] = payload.target
-        steps.append(Step(step_id, rule, premises, payload))
-        next_id += 1
+            new = _res_steps(found, next_id)
+            if new is None:
+                full = lineno + len(found) - 1
+            elif run is not None:  # skip the run's lines
+                offset = run.end()
+                lineno += len(new) - 1
+        if new is None:
+            step, term = _memo_step(raw, head, rule, next_id, memo)
+            if step is None:
+                lex = Lexemes(raw, lineno)
+                items = lex.items()
+                if items and lex.words[0] == "qed":
+                    if len(items) != 2:
+                        raise ParseError("qed takes one step id", lineno, 1)
+                    qed = parse_int(lex, items[1])
+                    if qed >= next_id or qed < 0:
+                        raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
+                    continue
+                step = _read_step(problem, lex, items, lineno, next_id, term, memo)
+            new = [step]
+        if len(block) + len(new) > _RUN_LINES:
+            yield block
+            block = new
+        else:
+            block += new
+        next_id += len(new)
 
     if qed is None:
-        raise ParseError("missing qed line", len(lines) or 1, 1)
-    return Certificate(tuple(steps), qed)
+        raise ParseError("missing qed line", lineno or 1, 1)
+    yield block
+    return qed
+
+
+def _read_step(problem: Problem, lex: Lexemes, items: list[int], lineno: int, next_id: int,
+               term: re.Match | None, memo: dict[str, TermId]) -> Step:
+    """The step of a lexed line other than qed, read in full; term is the
+    line's one-term match, memoed once the payload is read."""
+    rule = _step_rule(lex, items)
+    if rule is None:
+        raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
+    step_id = parse_int(lex, 0)
+    if step_id != next_id:
+        raise ParseError(f"step id {step_id}, expected {next_id}", lineno, 1)
+    premises = tuple(parse_int(lex, p) for p in lex.items(items[2]))
+    for p in premises:
+        if p >= step_id or p < 0:
+            raise ForwardReferenceError(
+                f"premise {p} is not before step {step_id}", lineno, 1)
+    payload = parse_payload(problem, rule, lex, items[3], None)
+    # Memo the term only if it alone made up the payload's first item.
+    if term is not None and len(lex.items(items[3])) == (1 if term[2] is None else 2):
+        memo[term[1]] = payload.target
+    return Step(step_id, rule, premises, payload)
+
+
+def parse_certificate(text: str, problem: Problem) -> Certificate:
+    """Parse the line-based certificate format against a parsed problem."""
+    reader = _blocks(text, problem)
+    steps: list[Step] = []
+    try:
+        while True:
+            steps += next(reader)
+    except StopIteration as end:
+        return Certificate(tuple(steps), end.value)
+
+
+def stream_certificate(text: str, problem: Problem) -> Certificate:
+    """The certificate read block by block as its steps are consumed.
+
+    Its ``steps`` are a one-shot iterator and its ``qed`` is None: the
+    reader checks the qed line itself.  The first block is read before
+    this returns, so a certificate of at most ``_RUN_LINES`` steps is read
+    in full, errors included, before any step is replayed.  A later block
+    is read, and its errors raised, when the previous one is consumed."""
+    reader = _blocks(text, problem)
+    return Certificate(chain(next(reader), chain.from_iterable(reader)))
 
 
 def _convert(k: int, problem: Problem, lex: Lexemes):

@@ -9,6 +9,7 @@ accepts any derived empty clause.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,7 +78,8 @@ class AssumePayload(NamedTuple):
 
 @class_eq
 class Certificate(NamedTuple):
-    """Linear refutation: steps in id order, goal = derive the empty clause."""
+    """Linear refutation: steps in id order, goal = derive the empty clause.
+    The steps are a tuple, or an iterator that ``kernel.check`` consumes."""
 
-    steps: tuple[Step, ...]
+    steps: Iterable[Step]
     qed: int | None = None

@@ -10,6 +10,8 @@ and duplicating linearizers diverge through bit-blast state.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 
 from certkernel import (
@@ -19,6 +21,16 @@ from certkernel import (
     neg, pos, to_sexpr,
 )
 from certkernel.oracle import int_to_bits
+
+
+def benchmark_generator():
+    """``perfbench/gen.py``, loaded as a module (``perfbench`` is no package)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -892,17 +904,21 @@ def gen_random_certificate(rng: random.Random):
     qed-rooted region, so compaction must preserve the verdict.
     """
     store, inputs, cert, _ = gen_res_pair(rng)
-    # Splice dead steps between live ones: tautology lemmas never resolve
-    # to the empty clause on their own.
     vs = [t for t in range(len(store)) if store.kind(t) is Kind.VAR]
-    steps = list(cert.steps)
-    k = len(inputs)
+    return store, inputs, splice_dead_steps(store, len(inputs), cert, rng, vs)
+
+
+def splice_dead_steps(store: TermStore, k: int, cert: Certificate,
+                      rng: random.Random, atoms) -> Certificate:
+    """cert with a CNF lemma over random terms on atoms before about 40 %
+    of its steps, renumbered.  No step names a spliced one as a premise,
+    and tautology lemmas never resolve to the empty clause on their own."""
     extra = []
     remap = {i: i for i in range(k)}
     next_id = k
-    for step in steps:
+    for step in cert.steps:
         if rng.random() < 0.4:
-            target = rand_bool_term(store, rng, vs, 2)
+            target = rand_bool_term(store, rng, atoms, 2)
             if store.kind(target) is Kind.VAR:
                 target = store.not_(target)
             rule, payload = _cnf_rule_for(store, target, rng)
@@ -913,4 +929,18 @@ def gen_random_certificate(rng: random.Random):
         remap[step.id] = next_id
         next_id += 1
     qed = remap[cert.qed] if cert.qed in remap else cert.qed
-    return store, inputs, Certificate(tuple(extra), qed=qed)
+    return Certificate(tuple(extra), qed=qed)
+
+
+def gen_theory_certificate(rng: random.Random, family: str):
+    """(store, inputs, certificate, the certificate before splicing): a
+    valid ``euf``, ``lia`` or ``bb`` refutation with dead CNF steps spliced
+    in (``splice_dead_steps``).  They range over Bool variables of their
+    own, so they neither feed a live step nor spend an aux name that a
+    ``bb_*`` step declares fresh."""
+    if family == "bb":
+        store, inputs, cert = gen_bv_pair(rng)
+    else:
+        store, inputs, cert, _ = (gen_euf_pair if family == "euf" else gen_lia_pair)(rng)
+    atoms = [store.var(f"dead{i}", BOOL) for i in range(3)]
+    return store, inputs, splice_dead_steps(store, len(inputs), cert, rng, atoms), cert

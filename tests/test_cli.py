@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from certkernel import check, parse_smt2
 from certkernel.cli import main, run_one
 
 SMT = """(set-logic QF_UF)
@@ -102,13 +103,143 @@ def test_parse_error_exits_three(files, capsys):
 
 
 def test_a_malformed_line_after_the_empty_clause_exits_three(files, capsys):
-    """The whole certificate is read before replay, so a malformed line
-    after the step that derives the empty clause, before qed, is exit 3
-    with the error naming that line."""
+    """The rest of the certificate is read after replay stops, so a
+    malformed line after the step that derives the empty clause, before
+    qed, is exit 3 with the error naming that line."""
     (files / "late.cert").write_text(DIMACS_CERT.replace("qed", "3 res (0 1 {}\nqed"))
     code = main(["--problem", str(files / "prob.cnf"), "--proof", str(files / "late.cert")])
     assert code == 3
     assert capsys.readouterr() == ("", "error: line 2, col 13: missing closing ')'\n")
+
+
+def _long_cert(filler, proof="euf", after=0, end=None):
+    """A certificate for SMT: ``filler`` one-premise res steps, then a
+    refutation, then ``after`` more one-premise res steps, then ``end``
+    (the qed line if None).  proof is "euf" (CERT's refutation), "wrong"
+    (its euf step's justification proves a = b, not its lemma), "assume"
+    (ASSUME_CERT's) or "short" (CERT's without its last step)."""
+    k = 2 + filler
+    lines = [f"{2 + i} res (0) {{}}" for i in range(filler)]
+    if proof == "assume":
+        lines += [f"{k} assume () {{(not (= a b))}}", f"{k + 1} res (0 {k}) {{}}"]
+    else:
+        just = "(hyp 0)" if proof == "wrong" else "(hyp 0) (cong f 0)"
+        lines += [f"{k} euf () {{(lemma (not (= a b)) (= (f a) (f b))) (just {just})}}",
+                  f"{k + 1} not_not () {{(not (= (f a) (f b))) 0}}",
+                  f"{k + 2} res ({k} 0) {{}}", f"{k + 3} res ({k + 1} 1) {{}}"]
+        if proof != "short":
+            lines.append(f"{k + 4} res ({k + 2} {k + 3}) {{}}")
+    n = 2 + len(lines)
+    lines += [f"{n + i} res (0) {{}}" for i in range(after)]
+    lines.append(f"qed {n + after - 1}" if end is None else end)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("where", ["after the empty clause", "in the second block"])
+def test_a_malformed_line_blocks_later_exits_three(files, monkeypatch, where):
+    """The multi-block twin of the test above: the empty clause is derived
+    in the first block, and the malformed line is two blocks later; or the
+    refutation comes after 3 000 steps and the malformed line is in the
+    second block, which then is not replayed.  Either way the error is
+    the one reading the whole certificate gives."""
+    from certkernel import kernel
+    from certkernel.errors import ParseError
+    from certkernel.preproc import _RUN_LINES, parse_certificate
+
+    if where == "in the second block":
+        text = _long_cert(3000).replace("\n2500 res (0) {}\n", "\n2500 res (0 {}\n")
+        line = 2499
+    else:
+        text = _long_cert(100, after=2 * _RUN_LINES, end="9999 res (0 1 {}\nqed 2")
+        line = text.count("\n") - 1
+    (files / "late.cert").write_text(text)
+    with pytest.raises(ParseError) as batch:
+        parse_certificate(text, parse_smt2(SMT))
+    assert str(batch.value).startswith(f"line {line}, col ")
+    dispatch, replayed = kernel.dispatch, []
+
+    def counting_dispatch(*args):
+        replayed.append(args[1])
+        return dispatch(*args)
+
+    monkeypatch.setattr(kernel, "dispatch", counting_dispatch)
+    assert run_one(str(files / "prob.smt2"), str(files / "late.cert"), "check", None,
+                   False, False) == (3, f"error: {batch.value}\n")
+    assert len(replayed) == (_RUN_LINES if where == "in the second block" else 105)
+
+
+def _batch(text, mode, machine):
+    """(exit code, report) from the whole certificate, read before replay."""
+    from certkernel.cli import _machine_record
+    from certkernel.preproc import parse_certificate
+    from certkernel.printer import plain_record, stats_report
+
+    problem = parse_smt2(SMT)
+    result = check(problem.store, problem.input_clauses, parse_certificate(text, problem))
+    render = stats_report if mode == "stats" else _machine_record if machine else plain_record
+    code = {"VALID": 0, "INVALID": 1, "TRUSTED": 2}[result.verdict.value]
+    return code, render(problem.store, result)
+
+
+@pytest.mark.parametrize("proof", ["euf", "wrong", "assume", "short"])
+def test_streamed_reports_equal_the_batch_reports(files, proof):
+    """A certificate of three blocks, its refutation in the second, reads
+    as it replays; its plain, --machine and stats reports are those of
+    checking the whole parsed certificate.  A rejected payload in the
+    second block is INVALID at that step's id."""
+    text = _long_cert(3000, proof, after=2000)
+    (files / "long.cert").write_text(text)
+    reports = {}
+    for mode, machine in (("check", False), ("check", True), ("stats", False)):
+        reports[mode, machine] = run_one(str(files / "prob.smt2"), str(files / "long.cert"),
+                                         mode, None, machine, False)
+        assert reports[mode, machine] == _batch(text, mode, machine), (mode, machine)
+    if proof == "wrong":
+        assert reports["check", False] == (
+            1, "INVALID: euf checker rejected the step (step 3002)\n")
+
+
+def test_replay_runs_at_most_one_block_behind_the_reader(files, monkeypatch):
+    """When the kernel replays the step at index k of the certificate, the
+    reader has handed out at most k + _RUN_LINES steps, and the first block
+    is read before check is called."""
+    import certkernel.cli as cli
+    from certkernel import kernel, preproc
+
+    blocks, dispatch, parse = preproc._blocks, kernel.dispatch, cli.parse_certificate
+    produced, seen = [0], []
+
+    def counting_blocks(text, problem):
+        reader = blocks(text, problem)
+        while True:
+            try:
+                block = next(reader)
+            except StopIteration as end:
+                return end.value
+            produced[0] += len(block)
+            yield block
+
+    def counting_dispatch(*args):
+        seen.append(produced[0])
+        return dispatch(*args)
+
+    def counting_parse(*args):
+        cert = parse(*args)
+        seen.append(("first block", produced[0]))
+        return cert
+
+    monkeypatch.setattr(preproc, "_blocks", counting_blocks)
+    monkeypatch.setattr(kernel, "dispatch", counting_dispatch)
+    monkeypatch.setattr(cli, "parse_certificate", counting_parse)
+    text = _long_cert(3 * preproc._RUN_LINES)
+    (files / "long.cert").write_text(text)
+    assert run_one(str(files / "prob.smt2"), str(files / "long.cert"), "check", None,
+                   False, False) == (0, "VALID\n")
+    assert seen[0] == ("first block", preproc._RUN_LINES)
+    replayed = seen[1:]
+    assert len(replayed) == 3 * preproc._RUN_LINES + 5 == produced[0]
+    assert all(n <= k + preproc._RUN_LINES for k, n in enumerate(replayed))
+    assert replayed[0] == preproc._RUN_LINES and replayed[-1] == produced[0]
 
 
 def test_missing_file_exits_three(files, capsys):
@@ -718,20 +849,58 @@ def test_run_one_pauses_and_restores_the_collector(files, monkeypatch, case, col
     assert after is collecting
 
 
-def test_benchmark_trace_hooks_exist():
-    """The benchmark's traced mode wraps the names in ``CLI_SPANS`` of
-    ``perfbench/child.py`` (read with ``ast``: importing the file runs it),
-    ``kernel.dispatch`` and ``TermStore.intern``; a refactor that drops or
-    bypasses one fails here rather than in a benchmark run."""
-    from certkernel import TermStore, cli, kernel
-
+def _cli_spans():
+    """``CLI_SPANS`` of ``perfbench/child.py``, read with ``ast``: importing
+    the file runs it."""
     tree = ast.parse((CORPUS.parent / "perfbench" / "child.py").read_text())
     spans = [ast.literal_eval(node.value) for node in tree.body
              if isinstance(node, ast.Assign)
              and [getattr(t, "id", None) for t in node.targets] == ["CLI_SPANS"]]
     assert len(spans) == 1 and spans[0]
-    for span, attr in spans[0]:
+    return spans[0]
+
+
+def test_benchmark_trace_hooks_exist():
+    """The benchmark's traced mode wraps the names in ``CLI_SPANS`` of
+    ``perfbench/child.py``, ``kernel.dispatch`` and ``TermStore.intern``; a
+    refactor that drops or bypasses one fails here rather than in a
+    benchmark run."""
+    from certkernel import TermStore, cli, kernel
+
+    spans = _cli_spans()
+    for span, attr in spans:
         assert callable(getattr(cli, attr, None)), (span, attr)
-    assert ("frontend.parse_certificate", "parse_certificate") in spans[0]
+    assert ("frontend.parse_certificate", "parse_certificate") in spans
     assert callable(kernel.dispatch) and "dispatch" in kernel.check.__code__.co_names
     assert callable(TermStore.intern)
+
+
+def test_benchmark_trace_sees_each_layer_once_per_pair(files, monkeypatch):
+    """Wrapped as the benchmark's traced mode wraps them, the cli globals in
+    ``CLI_SPANS`` and ``kernel.dispatch`` see one pair of a three-block
+    certificate as the benchmark expects: one call each of
+    ``parse_certificate``, ``check`` and ``_machine_record``, two of
+    ``_read``, and one ``dispatch`` per replayed step."""
+    import certkernel.cli as cli
+    from certkernel import kernel
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for _, attr in _cli_spans():
+        monkeypatch.setattr(cli, attr, counted(attr, getattr(cli, attr)))
+    monkeypatch.setattr(kernel, "dispatch", counted("dispatch", kernel.dispatch))
+    (files / "long.cert").write_text(_long_cert(5000))
+    code, report = run_one(str(files / "prob.smt2"), str(files / "long.cert"), "check",
+                           None, True, False)
+    assert code == 0
+    rules = {line.split()[1]: int(line.split()[2])
+             for line in report.splitlines() if line.startswith("rule ")}
+    assert calls == {"_read": 2, "parse_smt2": 1, "parse_certificate": 1, "check": 1,
+                     "_machine_record": 1, "dispatch": sum(rules.values()) - rules["input"]}
+    assert calls["dispatch"] == 5005

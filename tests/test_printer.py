@@ -20,11 +20,11 @@ calls itself by name, outside a short list.
 
 import ast
 import hashlib
-import importlib.util
 import json
 import pathlib
 import sys
 
+import gens
 import certkernel
 from certkernel import (
     parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs,
@@ -128,10 +128,7 @@ BENCH_INPUTS = {
 
 
 def test_benchmark_inputs_are_pinned(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", HERE.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = gens.benchmark_generator()
     got = {w: gen.generate(w, 1, tmp_path / w)["inputs_sha256"] for w in BENCH_INPUTS}
     assert got == BENCH_INPUTS
 
