@@ -7,8 +7,8 @@ replayed by the main checker.
 """
 
 from certkernel import (
-    BOOL, Certificate, RuleKind, Step, TermStore, check, mk_clause, neg, pos,
-    resolve_pair, stats_report, to_sexpr,
+    BOOL, Certificate, Kind, RuleKind, Step, TermStore, check, mk_clause, neg, pos,
+    resolve_chain, stats_report, to_sexpr,
 )
 
 store = TermStore()
@@ -16,8 +16,8 @@ store = TermStore()
 # Terms are interned: building the same structure twice gives the same id.
 p = store.var("p", BOOL)
 q = store.var("q", BOOL)
-conj = store.and_([p, q])
-print("and(p q) id:", conj, "== rebuilt:", store.and_([p, q]))
+conj = store.intern(Kind.AND, [p, q])
+print("and(p q) id:", conj, "== rebuilt:", store.intern(Kind.AND, [p, q]))
 print("printed:", to_sexpr(store, conj))
 
 # A literal is its code, 2*atom + negated; clauses keep codes sorted and unique.
@@ -26,11 +26,11 @@ print("\nclause [p, q, p] canonicalizes to encodings:", c1.enc)
 
 # Resolution removes one opposite-polarity pair.
 c2 = mk_clause(store, [neg(p)])
-print("resolving with [not p] gives:", resolve_pair(c1, c2).enc, "(just q)")
+print("resolving with [not p] gives:", resolve_chain((c1, c2)).enc, "(just q)")
 
 # No pivot?  The checker answers with the trivially true clause instead of
 # failing -- rejected material can never strengthen a derivation.
-print("no pivot:", resolve_pair(c1, c1).enc, "(the clause [true])")
+print("no pivot:", resolve_chain((c1, c1)).enc, "(the clause [true])")
 
 # A full run: the inputs say p and not p; one step derives the empty clause.
 inputs = [mk_clause(store, [pos(p)]), mk_clause(store, [neg(p)])]

@@ -16,13 +16,13 @@ module on first use (PEP 562).
 # Export name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
     "errors": "CertKernelError ForwardReferenceError IncompleteModelError ParseError"
-              " RejectError ResourceError SortError UnboundNameError UnsupportedError",
+              " ResourceError SortError UnboundNameError UnsupportedError",
     "terms": "BOOL INT BitVecSort BoolSort Clause EMPTY_CLAUSE FunSym IntSort Kind Literal Sort"
              " TRIVIALLY_TRUE TermId TermStore UninterpretedSort mk_clause neg pos",
     "steps": "AssumePayload Certificate RuleKind Step",
-    "resolution": "CnfPayload cnf_lemma resolve_chain resolve_pair",
+    "resolution": "CnfPayload cnf_lemma resolve_chain",
     "euf": "EqRule EqStep EufPayload check_euf",
-    "lia": "LiaPayload LinAtom LinRel check_lia normalize_lia_literal",
+    "lia": "LiaPayload check_lia normalize_lia_literal",
     "bitblast": "BitBlastState BvPayload",
     "kernel": "CheckContext CheckResult Verdict check dispatch",
     "frontend": "Problem parse_dimacs parse_smt2",

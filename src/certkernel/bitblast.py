@@ -55,64 +55,47 @@ class BitBlastState:
 
 # -- constant-folding term builders -----------------------------------------
 
+# Reading an Enum member off its class costs about 150 ns; builders read these.
+_NOT, _AND, _OR, _XOR, _IFF = Kind.NOT, Kind.AND, Kind.OR, Kind.XOR, Kind.IFF
+
+
 def _fnot(store: TermStore, a: TermId) -> TermId:
     if a == store.true_id:
         return store.false_id
     if a == store.false_id:
         return store.true_id
-    return store.not_(a)
+    return store.intern(_NOT, (a,))
 
 
-def _fand(store: TermStore, args) -> TermId:
+def _fjunction(store: TermStore, kind: Kind, args) -> TermId:
+    """``kind`` (AND or OR) of args: the unit drops out, the absorbing constant wins."""
+    unit, absorbing = ((store.true_id, store.false_id) if kind is _AND
+                       else (store.false_id, store.true_id))
     kept = []
     for a in args:
-        if a == store.false_id:
-            return store.false_id
-        if a != store.true_id:
+        if a == absorbing:
+            return absorbing
+        if a != unit:
             kept.append(a)
-    if not kept:
-        return store.true_id
-    if len(kept) == 1:
-        return kept[0]
-    return store.and_(kept)
+    if len(kept) < 2:
+        return kept[0] if kept else unit
+    return store.intern(kind, kept)
 
 
-def _for(store: TermStore, args) -> TermId:
-    kept = []
-    for a in args:
-        if a == store.true_id:
-            return store.true_id
-        if a != store.false_id:
-            kept.append(a)
-    if not kept:
-        return store.false_id
-    if len(kept) == 1:
-        return kept[0]
-    return store.or_(kept)
-
-
-def _fxor(store: TermStore, a: TermId, b: TermId) -> TermId:
-    if a == store.false_id:
+def _fparity(store: TermStore, kind: Kind, a: TermId, b: TermId) -> TermId:
+    """``kind`` (XOR or IFF) of a and b: the unit (false for xor, true for
+    iff) gives the other side, and the other constant its negation."""
+    unit, other = ((store.false_id, store.true_id) if kind is _XOR
+                   else (store.true_id, store.false_id))
+    if a == unit:
         return b
-    if b == store.false_id:
+    if b == unit:
         return a
-    if a == store.true_id:
+    if a == other:
         return _fnot(store, b)
-    if b == store.true_id:
+    if b == other:
         return _fnot(store, a)
-    return store.xor(a, b)
-
-
-def _fiff(store: TermStore, a: TermId, b: TermId) -> TermId:
-    if a == store.true_id:
-        return b
-    if b == store.true_id:
-        return a
-    if a == store.false_id:
-        return _fnot(store, b)
-    if b == store.false_id:
-        return _fnot(store, a)
-    return store.iff(a, b)
+    return store.intern(kind, (a, b))
 
 
 def _fresh_bool_vars(store: TermStore, state: BitBlastState, aux, t: TermId) -> bool:
@@ -148,33 +131,33 @@ def _blast_add(store: TermStore, t: TermId, xs, carries):
     defs = [_fnot(store, carries[0])]
     for i in range(1, len(carries)):
         a, b, c = a_bits[i - 1], b_bits[i - 1], carries[i - 1]
-        carry_def = _for(store, [
-            _fand(store, [a, b]),
-            _fand(store, [_fxor(store, a, b), c]),
+        carry_def = _fjunction(store, _OR, [
+            _fjunction(store, _AND, [a, b]),
+            _fjunction(store, _AND, [_fparity(store, _XOR, a, b), c]),
         ])
-        defs.append(_fiff(store, carries[i], carry_def))
-    bits = tuple(_fxor(store, _fxor(store, a, b), c)
+        defs.append(_fparity(store, _IFF, carries[i], carry_def))
+    bits = tuple(_fparity(store, _XOR, _fparity(store, _XOR, a, b), c)
                  for a, b, c in zip(a_bits, b_bits, carries))
-    return bits, _fand(store, defs)
+    return bits, _fjunction(store, _AND, defs)
 
 
 def _blast_eq(store: TermStore, t: TermId, xs, aux):
     """Link a bit-vector equality atom to bitwise agreement."""
-    agree = _fand(store, [_fiff(store, a, b) for a, b in zip(*xs)])
-    return None, _fiff(store, t, agree)
+    agree = _fjunction(store, _AND, [_fparity(store, _IFF, a, b) for a, b in zip(*xs)])
+    return None, _fparity(store, _IFF, t, agree)
 
 
 def _blast_ult(store: TermStore, t: TermId, xs, aux):
     """Link an unsigned-less-than atom to the lexicographic comparison of the
     operand bits, most significant bit first."""
     lb, rb = xs
-    formula = _fand(store, [_fnot(store, lb[0]), rb[0]])
+    formula = _fjunction(store, _AND, [_fnot(store, lb[0]), rb[0]])
     for i in range(1, len(lb)):
-        formula = _for(store, [
-            _fand(store, [_fnot(store, lb[i]), rb[i]]),
-            _fand(store, [_fiff(store, lb[i], rb[i]), formula]),
+        formula = _fjunction(store, _OR, [
+            _fjunction(store, _AND, [_fnot(store, lb[i]), rb[i]]),
+            _fjunction(store, _AND, [_fparity(store, _IFF, lb[i], rb[i]), formula]),
         ])
-    return None, _fiff(store, t, formula)
+    return None, _fparity(store, _IFF, t, formula)
 
 
 # Target kind -> (takes one fresh aux variable per bit, builder).  A builder
@@ -187,9 +170,9 @@ BLASTERS = {
     Kind.BV_CONST: (False, lambda store, t, xs, aux: (tuple(
         store.true_id if b else store.false_id for b in store.node(t).extra), None)),
     Kind.BV_NOT: (False, _pointwise(lambda store, col: _fnot(store, col[0]))),
-    Kind.BV_AND: (False, _pointwise(_fand)),
-    Kind.BV_OR: (False, _pointwise(_for)),
-    Kind.BV_XOR: (False, _pointwise(lambda store, col: _fxor(store, *col))),
+    Kind.BV_AND: (False, _pointwise(lambda store, col: _fjunction(store, _AND, col))),
+    Kind.BV_OR: (False, _pointwise(lambda store, col: _fjunction(store, _OR, col))),
+    Kind.BV_XOR: (False, _pointwise(lambda store, col: _fparity(store, _XOR, *col))),
     Kind.BV_ADD: (True, _blast_add),
     Kind.EQ: (False, _blast_eq),
     Kind.BV_ULT: (False, _blast_ult),

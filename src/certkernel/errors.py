@@ -38,14 +38,6 @@ class UnboundNameError(CertKernelError):
     """A nested proof references a lemma name that is not bound."""
 
 
-class RejectError(CertKernelError):
-    """Internal signal: a small checker cannot use the given material.
-
-    Always caught inside the checker and turned into the trivially true
-    clause; never escapes to callers.
-    """
-
-
 class ResourceError(CertKernelError):
     """An oracle enumeration would exceed its configured budget."""
 

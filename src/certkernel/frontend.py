@@ -450,9 +450,12 @@ def parse_dimacs(text: str) -> Problem:
     """Parse DIMACS CNF: ``p cnf V C`` header, 0-terminated clauses,
     ``c`` comment lines.  Literal range and clause count are enforced."""
     problem = Problem(store=TermStore(), logic="SAT")
-    lines = split_lines(text)
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
+    offset = lineno = 0
+    while offset < len(text):  # lines as split_lines gives them, up to the header
+        end = text.find("\n", offset)
+        end = len(text) if end < 0 else end
+        stripped = text[offset:end].strip()
+        offset, lineno = end + 1, lineno + 1
         if stripped and not stripped.startswith("c"):
             break
     else:
@@ -463,7 +466,7 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(f"malformed header: {stripped!r}", lineno, 1)
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
-    values, top = _dimacs_body(lines, lineno, n_vars)
+    values, top = _dimacs_body(text[offset:], lineno, n_vars)
     # Only the variables that occur are made, in ascending numeral order, so
     # the header's count costs nothing and the atoms keep their relative
     # order; the largest numeral in the body sizes the tables.
@@ -487,22 +490,22 @@ def parse_dimacs(text: str) -> Problem:
     if len(problem.input_clauses) != n_clauses:
         raise ParseError(
             f"header promises {n_clauses} clauses, found {len(problem.input_clauses)}",
-            len(lines) or 1, 1)
+            len(split_lines(text)), 1)
     problem.dimacs_vars = tuple(compress(var_ids, used))
     problem.dimacs_header_vars = n_vars
     return problem
 
 
-def _dimacs_body(lines: list[str], header: int, n_vars: int) -> tuple[list[int], int]:
-    """The literals of the lines after line ``header``, 0 for a clause end
-    (the last value is 0), and the largest numeral among them.
+def _dimacs_body(body: str, header: int, n_vars: int) -> tuple[list[int], int]:
+    """The literals of ``body``, the text after the header on line
+    ``header``, 0 for a clause end (the last value is 0), and the largest
+    numeral among them.
 
     A body of ASCII digits, ``-``, spaces, tabs and line breaks takes one
     bulk conversion, one range check and a check for the final 0.  Any
     other body, and any body that would raise, is read line by line and
     field by field, and only that reader reports errors.
     """
-    body = "\n".join(lines[header:])
     if _DIMACS_BODY.fullmatch(body):
         try:
             values = list(map(int, body.split()))
@@ -512,8 +515,8 @@ def _dimacs_body(lines: list[str], header: int, n_vars: int) -> tuple[list[int],
             low, high = min(values, default=0), max(values, default=0)
             if not values or (values[-1] == 0 and -n_vars <= low and high <= n_vars):
                 return values, max(high, -low)
-    values = []
-    for lineno, raw in enumerate(lines[header:], start=header + 1):
+    values, lines = [], split_lines(body)
+    for lineno, raw in enumerate(lines, start=header + 1):
         if raw.strip().startswith("c"):
             continue
         col = 1
@@ -526,5 +529,5 @@ def _dimacs_body(lines: list[str], header: int, n_vars: int) -> tuple[list[int],
                 raise ParseError(f"literal {value} out of range 1..{n_vars}", lineno, col)
             values.append(value)
     if values and values[-1]:
-        raise ParseError("last clause is missing its terminating 0", len(lines) or 1, 1)
+        raise ParseError("last clause is missing its terminating 0", header + len(lines), 1)
     return values, max(map(abs, values), default=0)

@@ -63,9 +63,8 @@ class CheckResult(NamedTuple):
 class CheckContext:
     """Mutable state of one replay: the term store plus bit-blast maps."""
 
-    def __init__(self, store: TermStore, bitblast: BitBlastState | None = None):
-        self.store = store
-        self.bitblast = BitBlastState() if bitblast is None else bitblast
+    def __init__(self, store: TermStore):
+        self.store, self.bitblast = store, BitBlastState()
 
 
 @class_eq

@@ -4,6 +4,8 @@ A lemma is certified by refutation: negate each of its literals, normalize
 the negations into integer rows (using a > b  <=>  a >= b + 1), then form a
 non-negative combination of the rows.  The lemma is accepted exactly when
 the combination collapses to an unsatisfiable ground fact such as 0 >= 1.
+A row is (coeffs, constant, is_eq), stating sum(coeffs[x] * x) >= constant
+(= when is_eq), with coeffs the dict its terms are summed in (zeros skipped).
 An optional tightening pass divides rows by the gcd of their coefficients
 and rounds the constant up, which is what certifies divisibility conflicts
 like not(2x = 1).
@@ -15,30 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from enum import Enum
 from typing import NamedTuple
 
-from .errors import RejectError
 from .terms import (
     Clause, INT, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_eq, well_formed,
 )
-
-
-class LinRel(Enum):
-    GE = ">="
-    EQ = "="
-
-
-@class_eq
-class LinAtom(NamedTuple):
-    """Canonical row: sum(coeffs[x] * x) REL constant, zero coeffs omitted."""
-
-    coeffs: tuple[tuple[TermId, int], ...]
-    constant: int
-    relation: LinRel
-
-    def coeff_dict(self) -> dict[TermId, int]:
-        return dict(self.coeffs)
 
 
 @class_eq
@@ -53,8 +36,9 @@ class LiaPayload(NamedTuple):
     tighten: bool = False
 
 
-def _linearize(store: TermStore, sides) -> tuple[dict[TermId, int], int]:
-    """Coefficients and constant of the sum of mult * term over (term, mult).
+def _linearize(store: TermStore, sides) -> tuple[dict[TermId, int], int] | None:
+    """Coefficients and constant of the sum of mult * term over (term, mult),
+    or None for a nonlinear product.
 
     Multipliers flow from each node to its arguments in descending id order,
     so every parent has passed its share before a node is visited, and a
@@ -87,60 +71,51 @@ def _linearize(store: TermStore, sides) -> tuple[dict[TermId, int], int]:
         elif k is Kind.MUL:
             a, b = args if store.kind(args[0]) is Kind.INT_CONST else args[::-1]
             if store.kind(a) is not Kind.INT_CONST:
-                raise RejectError("nonlinear product")
+                return None
             mults[b] += m * node(a).extra
         else:
             coeffs[t] = m
     return coeffs, constant
 
 
-def _mk_row(coeffs: dict[TermId, int], constant: int, relation: LinRel) -> LinAtom:
-    kept = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    return LinAtom(kept, constant, relation)
-
-
-# (atom kind, literal polarity) -> (side a, side b, bound, relation): the
-# literal holds iff  arg[a] - arg[b]  REL  bound  over the integers, with
-# strict and negated comparisons tightened by integrality (a > b is
-# a >= b + 1).  A negated equality has no row: it needs a case split.
+# (atom kind, literal polarity) -> (side a, side b, bound, is_eq): the
+# literal holds iff  arg[a] - arg[b] >= bound  (= bound when is_eq) over the
+# integers, with strict and negated comparisons tightened by integrality
+# (a > b is a >= b + 1).  A negated equality has no row: it needs a case
+# split.
 _ROWS = {
-    (Kind.LE, True): (1, 0, 0, LinRel.GE),    # l <= r      ==>  r - l >= 0
-    (Kind.LE, False): (0, 1, 1, LinRel.GE),   # not(l <= r) ==>  l - r >= 1
-    (Kind.LT, True): (1, 0, 1, LinRel.GE),    # l < r       ==>  r - l >= 1
-    (Kind.LT, False): (0, 1, 0, LinRel.GE),   # not(l < r)  ==>  l - r >= 0
-    (Kind.EQ, True): (0, 1, 0, LinRel.EQ),    # l = r       ==>  l - r = 0
+    (Kind.LE, True): (1, 0, 0, False),   # l <= r      ==>  r - l >= 0
+    (Kind.LE, False): (0, 1, 1, False),  # not(l <= r) ==>  l - r >= 1
+    (Kind.LT, True): (1, 0, 1, False),   # l < r       ==>  r - l >= 1
+    (Kind.LT, False): (0, 1, 0, False),  # not(l < r)  ==>  l - r >= 0
+    (Kind.EQ, True): (0, 1, 0, True),    # l = r       ==>  l - r = 0
 }
 
 
-def normalize_lia_literal(store: TermStore, code: int) -> LinAtom:
-    """Normal form of the signed linear comparison that the literal code
+def normalize_lia_literal(store: TermStore, code: int) -> tuple[dict, int, bool] | None:
+    """The row of the signed linear comparison that the literal code
     ``code`` (2 * atom + negated) states, read from ``_ROWS``.
 
-    Raises RejectError for non-comparisons, nonlinear atoms and integer
-    disequalities, which require a case split upstream.
+    None for non-comparisons, nonlinear atoms and integer disequalities,
+    which require a case split upstream.
     """
     atom = code >> 1
-    kind = store.kind(atom)
-    shape = _ROWS.get((kind, not code & 1))
+    shape = _ROWS.get((store.kind(atom), not code & 1))
     if shape is None:
-        raise RejectError("integer disequality requires a case split" if kind is Kind.EQ
-                          else "not a linear comparison")
+        return None
     args = store.args(atom)
     if store.sort_of(args[0]) != INT:
-        raise RejectError("not an integer comparison")
-    a, b, bound, relation = shape
-    coeffs, constant = _linearize(store, [(args[a], 1), (args[b], -1)])
-    return _mk_row(coeffs, bound - constant, relation)
+        return None
+    a, b, bound, is_eq = shape
+    linear = _linearize(store, [(args[a], 1), (args[b], -1)])
+    if linear is None:
+        return None
+    return linear[0], bound - linear[1], is_eq
 
 
 def _tighten(coeffs: dict[TermId, int], constant: int) -> tuple[dict[TermId, int], int]:
     """Divide a >= row by the gcd of its coefficients, ceiling the constant."""
-    values = [c for c in coeffs.values() if c != 0]
-    if not values:
-        return coeffs, constant
-    g = 0
-    for c in values:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*coeffs.values())  # 0 for no or only zero coefficients
     if g <= 1:
         return coeffs, constant
     return {v: c // g for v, c in coeffs.items()}, -((-constant) // g)
@@ -159,9 +134,8 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     lemma = payload.lemma
     if not payload.combination or not well_formed(store, lemma):
         return TRIVIALLY_TRUE
-    try:
-        rows = [normalize_lia_literal(store, code ^ 1) for code in lemma.enc]
-    except RejectError:
+    rows = [normalize_lia_literal(store, code ^ 1) for code in lemma.enc]
+    if None in rows:
         return TRIVIALLY_TRUE
 
     total: dict[TermId, int] = {}
@@ -171,15 +145,11 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
             return TRIVIALLY_TRUE
         if mult == 0:
             continue
-        row = rows[idx]
-        coeffs = row.coeff_dict()
-        constant = row.constant
-        if mult < 0:
-            if row.relation is not LinRel.EQ:
+        coeffs, constant, is_eq = rows[idx]
+        if mult < 0:  # an equality row, read in the <= direction
+            if not is_eq:
                 return TRIVIALLY_TRUE
-            coeffs = {v: -c for v, c in coeffs.items()}
-            constant = -constant
-            mult = -mult
+            coeffs, constant, mult = {v: -c for v, c in coeffs.items()}, -constant, -mult
         # Every contribution is used as a >= row (an equality supplies the
         # direction chosen by the multiplier's sign).
         if payload.tighten:

@@ -255,12 +255,6 @@ def abstract_atoms(store: TermStore, roots) -> tuple[TermId, ...]:
     return tuple(sorted(atoms))
 
 
-def _eval_skeleton(store: TermStore, t: TermId, assign: dict[TermId, bool], memo: dict) -> bool:
-    """The value of t when its abstract atoms take their values in assign.
-    memo starts empty and is kept for later calls with the same assign."""
-    return eval_term(store, Model(assign), t, memo)
-
-
 def is_tautology(store: TermStore, clause: Clause, max_atoms: int = 20) -> bool:
     """Truth-table check over the clause's abstract atoms; exhaustive."""
     return propositionally_implies(store, (), clause, max_atoms)

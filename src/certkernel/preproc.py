@@ -28,6 +28,8 @@ blank.  Payloads per rule:
 Braces delimit only a step's payload.  Names introduced under ``(aux ...)``
 become Bool variables on sight; their freshness is the kernel's business.
 Any other second group, ``(foo v)`` or ``()`` say, is a ParseError there.
+An ``euf`` or ``lia`` payload holds each of its groups once and nothing
+else but ``lia``'s one optional ``tighten``.
 
 The reader takes one line of the text at a time, broken as ``split_lines``
 breaks it, and gathers the steps into blocks of at most ``_RUN_LINES``.
@@ -242,17 +244,24 @@ def parse_int(lex: Lexemes, k: int) -> int:
     return lex.number(k)
 
 
-def _tagged(lex: Lexemes, items: list[int]) -> dict[str, int | None]:
+def _tagged(lex: Lexemes, items: list[int], groups: tuple[str, ...],
+            flags: tuple[str, ...]) -> dict[str, int | None]:
     """Split payload items into named groups (name -> index) plus bare
-    flags (name -> None)."""
+    flags (name -> None).  A group not named in ``groups``, a flag not in
+    ``flags`` and a repeated name are each a ParseError at their item."""
     words, out = lex.words, {}
     for k in items:
         if words[k] not in _OPENING:
-            out[words[k]] = None
+            name, value, known = words[k], None, flags
         elif words[k] != "(" or words[k + 1] in _BRACKETS:
             raise lex.error(k, "malformed payload group")
         else:
-            out[words[k + 1]] = k
+            name, value, known = words[k + 1], k, groups
+        if name not in known:
+            raise lex.error(k, f"unexpected payload item {name}")
+        if name in out:
+            raise lex.error(k, f"repeated payload item {name}")
+        out[name] = value
     return out
 
 
@@ -325,13 +334,14 @@ def parse_payload(problem: Problem, rule: RuleKind, lex: Lexemes, k: int, at: in
         index = parse_int(lex, items[1]) if len(items) == 2 else 0
         return CnfPayload(read_term(problem, lex, items[0]), index)
     if payload_type is EufPayload or payload_type is LiaPayload:
-        groups = _tagged(lex, items)
-        proof = "just" if payload_type is EufPayload else "farkas"
+        euf = payload_type is EufPayload
+        proof = "just" if euf else "farkas"
+        groups = _tagged(lex, items, ("lemma", proof), () if euf else ("tighten",))
         lemma_grp, proof_grp = groups.get("lemma"), groups.get(proof)
         if lemma_grp is None or proof_grp is None:
             raise lex.error(at, f"{rule.value} payload needs (lemma ...) and ({proof} ...)")
         lemma = _parse_clause(problem, lex, lex.items(lemma_grp)[1:], at)
-        if payload_type is EufPayload:
+        if euf:
             return EufPayload(lemma, tuple(_parse_eqstep(problem, lex, j)
                                            for j in lex.items(proof_grp)[1:]))
         combo = []

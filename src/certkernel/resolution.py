@@ -21,10 +21,6 @@ from .terms import BOOL, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore, class_
 _SHORT = 8
 
 
-def resolve_pair(c1: Clause, c2: Clause) -> Clause:
-    return resolve_chain((c1, c2))
-
-
 def resolve_chain(premises: Sequence[Clause]) -> Clause:
     """Resolve the premises left to right, each on its smallest atom of
     opposite polarity in the resolvent so far.

@@ -343,21 +343,6 @@ class TermStore:
     def lt(self, l: TermId, r: TermId) -> TermId:
         return self.intern(Kind.LT, (l, r))
 
-    def not_(self, a: TermId) -> TermId:
-        return self.intern(Kind.NOT, (a,))
-
-    def and_(self, args: Sequence[TermId]) -> TermId:
-        return self.intern(Kind.AND, args)
-
-    def or_(self, args: Sequence[TermId]) -> TermId:
-        return self.intern(Kind.OR, args)
-
-    def xor(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.XOR, (a, b))
-
-    def iff(self, a: TermId, b: TermId) -> TermId:
-        return self.intern(Kind.IFF, (a, b))
-
     def add(self, args: Sequence[TermId]) -> TermId:
         return self.intern(Kind.ADD, args)
 

@@ -49,17 +49,17 @@ def rand_bool_term(store: TermStore, rng: random.Random, atoms, depth: int):
 
     head = rng.choice(_BOOL_CONNECTIVES)
     if head == "not":
-        return store.not_(sub())
+        return store.intern(Kind.NOT, (sub(),))
     if head == "and":
-        return store.and_([sub() for _ in range(rng.randint(1, 3))])
+        return store.intern(Kind.AND, [sub() for _ in range(rng.randint(1, 3))])
     if head == "or":
-        return store.or_([sub() for _ in range(rng.randint(1, 3))])
+        return store.intern(Kind.OR, [sub() for _ in range(rng.randint(1, 3))])
     if head == "implies":
         return store.intern(Kind.IMPLIES, (sub(), sub()))
     if head == "xor":
-        return store.xor(sub(), sub())
+        return store.intern(Kind.XOR, (sub(), sub()))
     if head == "iff":
-        return store.iff(sub(), sub())
+        return store.intern(Kind.IFF, (sub(), sub()))
     return store.intern(Kind.ITE, (sub(), sub(), sub()))
 
 
@@ -633,7 +633,7 @@ def build_bv_refutation(store: TermStore, assertions, var_values) -> tuple[list,
     """
     inputs = []
     for atom, claimed in assertions:
-        term = atom if claimed else store.not_(atom)
+        term = atom if claimed else store.intern(Kind.NOT, (atom,))
         inputs.append(mk_clause(store, [pos(term)]))
 
     plan = BvRefutation(store, inputs, var_values)
@@ -834,7 +834,7 @@ def gen_nested_tree(rng: random.Random):
         if rng.random() < 0.3:
             target = rand_bool_term(store, rng, vs, 2)
             while store.kind(target) is Kind.VAR:
-                target = store.not_(target)
+                target = store.intern(Kind.NOT, (target,))
             rule, payload = _cnf_rule_for(store, target, rng)
             return NStep(rule, (), payload)
         return NStep(RuleKind.RES, (rng.randrange(len(inputs)),))
@@ -920,7 +920,7 @@ def splice_dead_steps(store: TermStore, k: int, cert: Certificate,
         if rng.random() < 0.4:
             target = rand_bool_term(store, rng, atoms, 2)
             if store.kind(target) is Kind.VAR:
-                target = store.not_(target)
+                target = store.intern(Kind.NOT, (target,))
             rule, payload = _cnf_rule_for(store, target, rng)
             extra.append(Step(next_id, rule, (), payload))
             next_id += 1

@@ -226,15 +226,20 @@ def parse_int(sx) -> int:
     return _to_int(sx.text, *_pos_of(sx))
 
 
-def _tagged(items):
+def _tagged(items, groups, flags):
     out = {}
     for sx in items:
         if isinstance(sx, Token):
-            out[sx.text] = True
-            continue
-        if sx.bracket != "(" or not sx.items or not isinstance(sx.items[0], Token):
+            name, value, known = sx.text, True, flags
+        elif sx.bracket != "(" or not sx.items or not isinstance(sx.items[0], Token):
             raise ParseError("malformed payload group", *_pos_of(sx))
-        out[sx.items[0].text] = sx
+        else:
+            name, value, known = sx.items[0].text, sx, groups
+        if name not in known:
+            raise ParseError(f"unexpected payload item {name}", *_pos_of(sx))
+        if name in out:
+            raise ParseError(f"repeated payload item {name}", *_pos_of(sx))
+        out[name] = value
     return out
 
 
@@ -298,8 +303,9 @@ def parse_payload(problem, rule, items, line, col):
         index = parse_int(items[1]) if len(items) == 2 else 0
         return CnfPayload(parse_term(problem, items[0]), index)
     if payload_type is EufPayload or payload_type is LiaPayload:
-        groups = _tagged(items)
         proof = "just" if payload_type is EufPayload else "farkas"
+        groups = _tagged(items, ("lemma", proof),
+                         () if payload_type is EufPayload else ("tighten",))
         lemma_grp, proof_grp = groups.get("lemma"), groups.get(proof)
         if not isinstance(lemma_grp, SList) or not isinstance(proof_grp, SList):
             raise ParseError(f"{rule.value} payload needs (lemma ...) and ({proof} ...)",

@@ -25,7 +25,7 @@ from certkernel import (
 from certkernel.bitblast import bb_step
 from certkernel.cli import run_one
 from certkernel.errors import CertKernelError
-from certkernel.oracle import SAT, UNSAT, _eval_skeleton
+from certkernel.oracle import SAT, UNSAT
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -123,7 +123,7 @@ def test_c2_step_local_soundness_1000_accepted_each():
     while accepted < 1000:
         target = gens.rand_bool_term(store, rng, atoms, 3)
         if store.kind(target) is Kind.VAR:
-            target = store.not_(target)
+            target = store.intern(Kind.NOT, (target,))
         rule, payload = gens._cnf_rule_for(store, target, rng)
         clause = cnf_lemma(store, rule, payload)
         if clause == TRIVIALLY_TRUE:
@@ -175,9 +175,9 @@ def test_c2_step_local_soundness_1000_accepted_each():
             for payload, link in adds:
                 l, r = store.args(payload.target)
                 memo = {}
-                lv = [_eval_skeleton(store, b, assign, memo)
+                lv = [eval_term(store, Model(assign), b, memo)
                       for b in ctx.bitblast.bits[l]]
-                rv = [_eval_skeleton(store, b, assign, memo)
+                rv = [eval_term(store, Model(assign), b, memo)
                       for b in ctx.bitblast.bits[r]]
                 carry = False
                 for i, cvar in enumerate(payload.aux):
@@ -186,7 +186,7 @@ def test_c2_step_local_soundness_1000_accepted_each():
                     carry = (lv[i] and rv[i]) or ((lv[i] != rv[i]) and carry)
             memo = {}
             for _, link in adds:
-                assert _eval_skeleton(store, link.enc[0] >> 1, assign, memo)
+                assert eval_term(store, Model(assign), link.enc[0] >> 1, memo)
             for link in links:
                 assert eval_term(store, model, link.enc[0] >> 1, {}) is True
         # each link conclusion has now been verified under every
@@ -208,7 +208,7 @@ def test_c3_cnf_lemma_tautology_exhaustive():
     while emitted < 2000:
         target = gens.rand_bool_term(store, rng, atoms, 4)
         if store.kind(target) is Kind.VAR:
-            target = store.not_(target)
+            target = store.intern(Kind.NOT, (target,))
         rule, payload = gens._cnf_rule_for(store, target, rng)
         clause = cnf_lemma(store, rule, payload)
         if clause == TRIVIALLY_TRUE:
@@ -252,7 +252,7 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
 
         def word(bits, assign, memo):
             return sum(1 << i for i, b in enumerate(bits)
-                       if _eval_skeleton(store, b, assign, memo))
+                       if eval_term(store, Model(assign), b, memo))
 
         for xv in range(1 << width):
             for yv in range(1 << width):
@@ -271,13 +271,13 @@ def test_c4_bitblast_word_bit_agreement_widths_1_to_4():
                 assert word(state.bits[ops["and"]], assign, memo) == xv & yv
                 assert word(state.bits[ops["or"]], assign, memo) == xv | yv
                 assert word(state.bits[ops["xor"]], assign, memo) == xv ^ yv
-                assert _eval_skeleton(store, add_link.enc[0] >> 1, assign, memo)
+                assert eval_term(store, Model(assign), add_link.enc[0] >> 1, memo)
                 assert word(state.bits[t_add], assign, memo) == (xv + yv) & mask
                 # eq/ult link formulas decide the atoms exactly
                 eq_f = store.args(eq_link.enc[0] >> 1)[1]
                 ult_f = store.args(ult_link.enc[0] >> 1)[1]
-                assert _eval_skeleton(store, eq_f, assign, memo) == (xv == yv)
-                assert _eval_skeleton(store, ult_f, assign, memo) == (xv < yv)
+                assert eval_term(store, Model(assign), eq_f, memo) == (xv == yv)
+                assert eval_term(store, Model(assign), ult_f, memo) == (xv < yv)
                 cases += 7
     elapsed = time.time() - t0
     assert elapsed < 120

@@ -11,9 +11,12 @@ from certkernel.bitblast import bb_step
 from certkernel.oracle import int_to_bits
 
 
-def _setup(width, names="xy"):
-    store = TermStore()
-    state = BitBlastState()
+def _setup(width, names="xy", ctx=None):
+    """[store, state, *variables]: the variables ``names`` of the width,
+    each mapped by bb_var in ``ctx``'s bit-blast state (a new context's by
+    default)."""
+    ctx = CheckContext(TermStore()) if ctx is None else ctx
+    store, state = ctx.store, ctx.bitblast
     out = [store, state]
     for name in names:
         v = store.var(name, BitVecSort(width))
@@ -77,10 +80,10 @@ def test_bb_bitwise_shapes():
     bb_step(store, state, BvPayload(t), Kind.BV_AND)
     x0, x1 = state.bits[x]
     y0, y1 = state.bits[y]
-    assert state.bits[t] == (store.and_([x0, y0]), store.and_([x1, y1]))
+    assert state.bits[t] == (store.intern(Kind.AND, [x0, y0]), store.intern(Kind.AND, [x1, y1]))
     tn = store.intern(Kind.BV_NOT, (x,))
     bb_step(store, state, BvPayload(tn), Kind.BV_NOT)
-    assert state.bits[tn] == (store.not_(x0), store.not_(x1))
+    assert state.bits[tn] == (store.intern(Kind.NOT, (x0,)), store.intern(Kind.NOT, (x1,)))
     # unmapped operand
     z = store.var("z", BitVecSort(2))
     tz = store.intern(Kind.BV_OR, (z, x))
@@ -93,9 +96,10 @@ def test_bitwise_rules_map_only_their_own_operation():
              RuleKind.BB_OR: Kind.BV_OR, RuleKind.BB_XOR: Kind.BV_XOR}
     for rule, kind in rules.items():
         for target_kind in rules.values():
-            store, state, x, y = _setup(2)
+            ctx = CheckContext(TermStore())
+            store, state, x, y = _setup(2, ctx=ctx)
             t = store.intern(target_kind, (x,) if target_kind is Kind.BV_NOT else (x, y))
-            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t))
+            out = dispatch(ctx, rule, [], BvPayload(t))
             assert out == TRIVIALLY_TRUE
             assert (t in state.bits) == (target_kind is kind), (rule, target_kind)
 
@@ -181,7 +185,8 @@ def test_bb_eq_link_shape_and_validity():
     link = bb_step(store, state, BvPayload(atom), Kind.EQ)
     x0 = state.bits[x][0]
     y0 = state.bits[y][0]
-    assert link == mk_clause(store, [pos(store.iff(atom, store.iff(x0, y0)))])
+    agree = store.intern(Kind.IFF, (x0, y0))
+    assert link == mk_clause(store, [pos(store.intern(Kind.IFF, (atom, agree)))])
     # same term on both sides folds to iff(atom, x0 <-> x0)
     refl = store.eq(x, x)
     link2 = bb_step(store, state, BvPayload(refl), Kind.EQ)
@@ -207,7 +212,8 @@ def test_bb_ult_width1_shape():
     link = bb_step(store, state, BvPayload(atom), Kind.BV_ULT)
     x0 = state.bits[x][0]
     y0 = state.bits[y][0]
-    expected = store.iff(atom, store.and_([store.not_(x0), y0]))
+    lower = store.intern(Kind.AND, [store.intern(Kind.NOT, (x0,)), y0])
+    expected = store.intern(Kind.IFF, (atom, lower))
     assert link == mk_clause(store, [pos(expected)])
 
 
@@ -275,11 +281,12 @@ def test_every_bb_rule_checks_target_kind_and_operands():
     [true] and leaves the bit-blast state as it was."""
     for rule, kind in BB_TARGET_KINDS.items():
         for target_kind in BB_TARGET_KINDS.values():
-            store, state, x, y = _setup(2)
+            ctx = CheckContext(TermStore())
+            store, state, x, y = _setup(2, ctx=ctx)
             t = _target_of_kind(store, target_kind, x, y)
             aux = (store.var("a0", BOOL), store.var("a1", BOOL))
             before = (dict(state.bits), set(state.used_vars))
-            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t, aux))
+            out = dispatch(ctx, rule, [], BvPayload(t, aux))
             if target_kind is kind:
                 assert t in state.bits or out != TRIVIALLY_TRUE, rule
             else:
@@ -287,11 +294,12 @@ def test_every_bb_rule_checks_target_kind_and_operands():
                 assert (state.bits, state.used_vars) == before, (rule, target_kind)
         if kind in (Kind.VAR, Kind.BV_CONST):
             continue  # no operands
-        store, state, x, y = _setup(2)
+        ctx = CheckContext(TermStore())
+        store, state, x, y = _setup(2, ctx=ctx)
         unmapped = store.var("z", BitVecSort(2))
         operands = ((unmapped, y),) if kind is Kind.BV_NOT else ((unmapped, y), (x, unmapped))
         for a, b in operands:
             t = _target_of_kind(store, kind, a, b)
             aux = (store.var("a0", BOOL), store.var("a1", BOOL))
-            out = dispatch(CheckContext(store, state), rule, [], BvPayload(t, aux))
+            out = dispatch(ctx, rule, [], BvPayload(t, aux))
             assert out == TRIVIALLY_TRUE and t not in state.bits, (rule, a, b)

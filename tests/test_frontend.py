@@ -1024,10 +1024,10 @@ def test_operator_head_special_cases():
     p, q, r, x, y, z = (_term(prob, n) for n in "pqrxyz")
     assert _term(prob, "(>= x y)") == store.le(y, x)
     assert _term(prob, "(> x y)") == store.lt(y, x)
-    assert _term(prob, "(= p q)") == store.iff(p, q)
+    assert _term(prob, "(= p q)") == store.intern(Kind.IFF, (p, q))
     q_implies_r = store.intern(Kind.IMPLIES, (q, r))
     assert _term(prob, "(=> p q r)") == store.intern(Kind.IMPLIES, (p, q_implies_r))
-    assert _term(prob, "(xor p q r)") == store.xor(store.xor(p, q), r)
+    assert _term(prob, "(xor p q r)") == store.intern(Kind.XOR, (store.intern(Kind.XOR, (p, q)), r))
     assert _term(prob, "(- x y z)") == store.intern(Kind.SUB, (store.intern(Kind.SUB, (x, y)), z))
     assert _term(prob, "(- 5)") == store.int_const(-5)
     assert _term(prob, "(- x)") == store.intern(Kind.NEG, (x,))

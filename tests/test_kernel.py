@@ -8,7 +8,7 @@ import pytest
 import gens
 from certkernel import (
     BOOL, EMPTY_CLAUSE, INT, AssumePayload, BitVecSort, BvPayload, Certificate,
-    CheckContext, Clause, CnfPayload, EqRule, EqStep, EufPayload, LiaPayload, RuleKind, Step,
+    CheckContext, Clause, CnfPayload, EqRule, EqStep, EufPayload, Kind, LiaPayload, RuleKind, Step,
     TRIVIALLY_TRUE, TermStore, Verdict, brute_unsat, check, dispatch, mk_clause,
     neg, parse_certificate, parse_dimacs, parse_smt2, pos, stats_report,
 )
@@ -242,7 +242,7 @@ def test_bit_blast_scan_over_depth_10000_input():
     store = TermStore()
     t = store.var("p", BOOL)
     for _ in range(10_000):
-        t = store.not_(t)
+        t = store.intern(Kind.NOT, (t,))
     x = store.var("x", BitVecSort(1))
     aux = (store.var("x0", BOOL),)
     cert = Certificate((Step(1, RuleKind.BB_VAR, (), BvPayload(x, aux)),), qed=1)
@@ -263,11 +263,12 @@ def _deep_aux_certificate(rule: RuleKind, aux_name: str):
     inputs = [mk_clause(store, [pos(eq1)]), mk_clause(store, [pos(eq0)])]
     deep = store.var("a", BOOL)
     for _ in range(1_000):
-        deep = store.not_(deep)
+        deep = store.intern(Kind.NOT, (deep,))
     earlier = (AssumePayload(mk_clause(store, [pos(deep)])) if rule is RuleKind.ASSUME
-               else CnfPayload(store.and_([store.var("c", BOOL), deep])))
+               else CnfPayload(store.intern(Kind.AND, [store.var("c", BOOL), deep])))
     v = store.var(aux_name, BOOL)
-    link1, link0 = store.iff(eq1, v), store.iff(eq0, store.not_(v))
+    link1 = store.intern(Kind.IFF, (eq1, v))
+    link0 = store.intern(Kind.IFF, (eq0, store.intern(Kind.NOT, (v,))))
     steps = [
         (rule, (), earlier),
         (RuleKind.BB_VAR, (), BvPayload(x, (v,))),
@@ -279,7 +280,7 @@ def _deep_aux_certificate(rule: RuleKind, aux_name: str):
         (RuleKind.RES, (6, 8, 0), None),                      # 9: [v]
         (RuleKind.IFF_POS1, (), CnfPayload(link0)),
         (RuleKind.RES, (7, 10, 1), None),                     # 11: [(not v)]
-        (RuleKind.NOT_NOT, (), CnfPayload(store.not_(v))),
+        (RuleKind.NOT_NOT, (), CnfPayload(store.intern(Kind.NOT, (v,)))),
         (RuleKind.RES, (11, 12, 9), None),                    # 13: []
     ]
     cert = Certificate(tuple(Step(2 + i, *step) for i, step in enumerate(steps)), qed=13)
@@ -398,7 +399,7 @@ def test_fields_of_types_no_reader_builds_are_malformed_steps():
     """A step field of the wrong type is INVALID at its step, never an
     exception out of check."""
     store, inputs = _unit_conflict()
-    t = store.and_([inputs[0].atoms()[0], store.true_id])
+    t = store.intern(Kind.AND, [inputs[0].atoms()[0], store.true_id])
     x = store.var("x", INT)
     lemma = mk_clause(store, [pos(store.le(x, x))])
     steps = [Step(2, RuleKind.RES, (0, 1.0)), Step(2, RuleKind.RES, (None,)),

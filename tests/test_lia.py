@@ -7,10 +7,9 @@ import pytest
 
 import gens
 from certkernel import (
-    BOOL, INT, FunSym, Kind, LiaPayload, Model, RejectError, TRIVIALLY_TRUE, TermStore,
+    BOOL, INT, FunSym, Kind, LiaPayload, Model, TRIVIALLY_TRUE, TermStore,
     check_lia, eval_clause, mk_clause, neg, normalize_lia_literal, pos,
 )
-from certkernel.lia import LinRel
 
 
 def lia_box_valid(store, lemma, lo=-10, hi=10):
@@ -28,8 +27,7 @@ def test_normalize_negated_le_uses_integrality():
     store = TermStore()
     x = store.var("x", INT)
     row = normalize_lia_literal(store, neg(store.le(x, store.int_const(0))))
-    assert row.relation is LinRel.GE
-    assert row.coeffs == ((x, 1),) and row.constant == 1  # x >= 1
+    assert row == ({x: 1}, 1, False)  # x >= 1
 
 
 def test_normalize_strict_less():
@@ -37,7 +35,7 @@ def test_normalize_strict_less():
     x = store.var("x", INT)
     y = store.var("y", INT)
     row = normalize_lia_literal(store, pos(store.lt(x, y)))
-    assert dict(row.coeffs) == {x: -1, y: 1} and row.constant == 1  # y - x >= 1
+    assert row == ({x: -1, y: 1}, 1, False)  # y - x >= 1
 
 
 def test_normalize_equality_and_disequality():
@@ -45,20 +43,16 @@ def test_normalize_equality_and_disequality():
     x = store.var("x", INT)
     row = normalize_lia_literal(
         store, pos(store.eq(store.intern(Kind.MUL, (store.int_const(2), x)), store.int_const(1))))
-    assert row.relation is LinRel.EQ
-    assert dict(row.coeffs) == {x: 2} and row.constant == 1
-    with pytest.raises(RejectError):
-        normalize_lia_literal(
-            store, neg(store.eq(x, store.int_const(0))))
+    assert row == ({x: 2}, 1, True)  # 2x = 1
+    assert normalize_lia_literal(store, neg(store.eq(x, store.int_const(0)))) is None
 
 
 def test_normalize_rejects_nonlinear():
     store = TermStore()
     x = store.var("x", INT)
     y = store.var("y", INT)
-    with pytest.raises(RejectError):
-        product = store.intern(Kind.MUL, (x, y))
-        normalize_lia_literal(store, pos(store.le(product, store.int_const(0))))
+    product = store.intern(Kind.MUL, (x, y))
+    assert normalize_lia_literal(store, pos(store.le(product, store.int_const(0)))) is None
 
 
 def test_excluded_middle_on_integers():
@@ -143,14 +137,14 @@ def test_corrupted_certificates_all_rejected():
         assert check_lia(store, bad) == TRIVIALLY_TRUE
 
 
-@pytest.mark.parametrize("kind, positive, coeffs, constant, relation", [
-    ("le", True, {"x": -1, "y": 1}, -2, LinRel.GE),   # y - x >= -2
-    ("le", False, {"x": 1, "y": -1}, 3, LinRel.GE),   # x - y >= 3
-    ("lt", True, {"x": -1, "y": 1}, -1, LinRel.GE),   # y - x >= -1
-    ("lt", False, {"x": 1, "y": -1}, 2, LinRel.GE),   # x - y >= 2
-    ("eq", True, {"x": 1, "y": -1}, 2, LinRel.EQ),    # x - y = 2
+@pytest.mark.parametrize("kind, positive, coeffs, constant, is_eq", [
+    ("le", True, {"x": -1, "y": 1}, -2, False),   # y - x >= -2
+    ("le", False, {"x": 1, "y": -1}, 3, False),   # x - y >= 3
+    ("lt", True, {"x": -1, "y": 1}, -1, False),   # y - x >= -1
+    ("lt", False, {"x": 1, "y": -1}, 2, False),   # x - y >= 2
+    ("eq", True, {"x": 1, "y": -1}, 2, True),     # x - y = 2
 ])
-def test_normalize_every_comparison_row(kind, positive, coeffs, constant, relation):
+def test_normalize_every_comparison_row(kind, positive, coeffs, constant, is_eq):
     """(x + 3) REL (y + 5) for each row of the (kind, polarity) table."""
     store = TermStore()
     x = store.var("x", INT)
@@ -158,8 +152,7 @@ def test_normalize_every_comparison_row(kind, positive, coeffs, constant, relati
     atom = getattr(store, kind)(store.add([x, store.int_const(3)]),
                                 store.add([y, store.int_const(5)]))
     row = normalize_lia_literal(store, pos(atom) if positive else neg(atom))
-    assert row.coeff_dict() == {x: coeffs["x"], y: coeffs["y"]}
-    assert row.constant == constant and row.relation is relation
+    assert row == ({x: coeffs["x"], y: coeffs["y"]}, constant, is_eq)
 
 
 def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
@@ -171,11 +164,11 @@ def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
     lhs = store.add([store.intern(Kind.SUB, (three_x, store.intern(Kind.NEG, (y,)))),
                      store.intern(Kind.MUL, (y, store.int_const(2))), store.int_const(7)])
     row = normalize_lia_literal(store, pos(store.le(lhs, store.int_const(0))))
-    assert row.coeff_dict() == {x: -3, y: -3} and row.constant == 7
+    assert row == ({x: -3, y: -3}, 7, False)
     # a shared summand counts once per use: 0 <= a + a with a = x + 1
     a = store.add([x, store.int_const(1)])
     row = normalize_lia_literal(store, pos(store.le(store.int_const(0), store.add([a, a]))))
-    assert row.coeff_dict() == {x: 2} and row.constant == -2
+    assert row == ({x: 2}, -2, False)
     # an application is an opaque variable, even over a nonlinear product
     t = store.apply(FunSym("f", (INT,), INT), [store.intern(Kind.MUL, (x, y))])
     lemma = mk_clause(store, [pos(store.le(t, store.int_const(0))),
@@ -186,10 +179,8 @@ def test_linearize_each_arithmetic_kind_and_keep_applications_opaque():
 def test_normalize_rejects_integer_disequality_and_non_comparisons():
     store = TermStore()
     x = store.var("x", INT)
-    with pytest.raises(RejectError, match="case split"):
-        normalize_lia_literal(store, neg(store.eq(x, store.int_const(0))))
-    with pytest.raises(RejectError):
-        normalize_lia_literal(store, pos(store.var("p", BOOL)))
+    assert normalize_lia_literal(store, neg(store.eq(x, store.int_const(0)))) is None
+    assert normalize_lia_literal(store, pos(store.var("p", BOOL))) is None
 
 
 def test_product_needs_a_literal_factor():

@@ -104,7 +104,7 @@ def test_tautology_and_implication():
     store = TermStore()
     p = store.var("p", BOOL)
     q = store.var("q", BOOL)
-    t = store.and_([p, q])
+    t = store.intern(Kind.AND, [p, q])
     assert is_tautology(store, mk_clause(store, [neg(t), pos(p)]))
     assert not is_tautology(store, mk_clause(store, [pos(t), pos(p)]))
     premises = [mk_clause(store, [pos(p), pos(q)]), mk_clause(store, [neg(p)])]
@@ -116,9 +116,9 @@ def test_depth_10000_terms_walk_without_recursion():
     store = TermStore()
     p = store.var("p", BOOL)
     atom = store.le(store.var("x", INT), store.int_const(0))
-    t = store.and_([p, atom])
+    t = store.intern(Kind.AND, [p, atom])
     for _ in range(10_000):
-        t = store.not_(t)
+        t = store.intern(Kind.NOT, (t,))
     assert abstract_atoms(store, [t]) == (p, atom)
     # 2 * 21 assignments exceed the budget only after the symbols are known
     assert brute_unsat(store, [mk_clause(store, [pos(t)])], budget=41).status == EXHAUSTED
@@ -189,7 +189,7 @@ def test_oracle_evaluates_10000_deep_chains():
     p = store.var("p", BOOL)
     t = p
     for _ in range(10_000):
-        t = store.not_(t)
+        t = store.intern(Kind.NOT, (t,))
     assert brute_unsat(store, [mk_clause(store, [pos(t)])]).status == SAT
     assert brute_unsat(store, [mk_clause(store, [pos(t)]),
                                mk_clause(store, [neg(p)])]).status == UNSAT

@@ -11,9 +11,12 @@ from certkernel import (
     BOOL, AssumePayload, Certificate, NLet, NRef, NStep, ParseError, RuleKind, Step,
     TermStore, UnboundNameError, Verdict, check, compact, linearize, mk_clause, neg,
     parse_certificate, parse_dimacs, parse_nested_proof, parse_smt2, pos,
-    print_certificate,
+    print_certificate, stream_certificate,
 )
-from certkernel.cli import run_one
+from certkernel.cli import EXIT_ERROR, run_one
+from certkernel.preproc import _RUN_LINES
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _conflict_store():
@@ -249,3 +252,104 @@ def test_fault_injection_buggy_preprocessors_never_validate_sat():
         for bug in (swap_premises, drop_middle, lambda c: c):
             r = check(store, sat_inputs, bug(cert))
             assert r.verdict is not Verdict.VALID
+
+
+_PAYLOAD_PROBLEM = """(declare-const p Bool) (declare-const q Bool) (declare-const x Int)
+(assert p) (assert (not p))"""
+
+# (step line, message, col): a euf payload is exactly (lemma ...) (just ...)
+# and a lia payload (lemma ...) (farkas ...) with an optional bare tighten;
+# any other group or flag, and a repeated one, is a ParseError at that item.
+PAYLOAD_GRAMMAR_ERRORS = [
+    ("2 euf () {(lemma (= x x)) (just (refl x)) (junk 1 2)}", "unexpected payload item junk", 43),
+    ("2 euf () {(lemma (= x x)) (just (refl x)) tighten}", "unexpected payload item tighten", 43),
+    ("2 euf () {(lemma (= x x)) (lemma (= x x)) (just (refl x))}",
+     "repeated payload item lemma", 27),
+    ("2 euf () {(just (refl x)) (lemma (= x x)) (just (refl x))}",
+     "repeated payload item just", 43),
+    ("2 lia () {(lemma (<= x x)) (farkas (0 1)) (just)}", "unexpected payload item just", 43),
+    ("2 lia () {(lemma (<= x x)) (farkas (0 1)) extra}", "unexpected payload item extra", 43),
+    ("2 lia () {(lemma (<= x x)) (farkas (0 1)) tighten tighten}",
+     "repeated payload item tighten", 51),
+    ("2 lia () {(lemma (<= x x)) (farkas (0 1)) (tighten)}",
+     "unexpected payload item tighten", 43),
+    ("2 lia () {lemma (farkas (0 1))}", "unexpected payload item lemma", 11),
+]
+
+
+@pytest.mark.parametrize("line, message, col", PAYLOAD_GRAMMAR_ERRORS,
+                         ids=[case[0] for case in PAYLOAD_GRAMMAR_ERRORS])
+def test_euf_and_lia_payloads_take_only_their_groups(line, message, col):
+    """The certificate reader and its mirror in naive_term.py raise the same
+    error at the offending item."""
+    from naive_term import naive_parse_certificate, naive_parse_smt2
+    for parse_problem, parse_cert in ((parse_smt2, parse_certificate),
+                                      (naive_parse_smt2, naive_parse_certificate)):
+        with pytest.raises(ParseError) as e:
+            parse_cert(f"{line}\nqed 2\n", parse_problem(_PAYLOAD_PROBLEM))
+        assert (str(e.value), e.value.line, e.value.col) \
+            == (f"line 1, col {col}: {message}", 1, col)
+
+
+@pytest.mark.parametrize("pair, old, new", [
+    ("quf/cong1", "(cong f 0))}", "(cong f 0)) (junk 1 2) tighten}"),
+    ("qlia/bounds", "(1 1))}", "(1 1)) (just) extra}"),
+    ("quf/cong1", "(just", "(lemma (= a a)) (just"),
+])
+def test_corpus_pairs_with_groups_outside_the_grammar_are_read_errors(tmp_path, pair, old, new):
+    """Extra groups no longer check VALID, and a second lemma group no
+    longer replaces the first."""
+    text = (CORPUS / f"{pair}.cert").read_text()
+    assert text.count(old) == 1
+    cert = tmp_path / "extra.cert"
+    cert.write_text(text.replace(old, new))
+    problem = str(CORPUS / f"{pair}.smt2")
+    assert run_one(problem, str(CORPUS / f"{pair}.cert"), "check", None, False, False) \
+        == (0, "VALID\n")
+    code, report = run_one(problem, str(cert), "check", None, False, False)
+    assert code == EXIT_ERROR and "payload item" in report, report
+
+
+def _steps_text(n_steps, bad_line=None):
+    """n_steps steps over _PAYLOAD_PROBLEM, every seventh an and_pos step,
+    the others one-premise res steps, then the qed line; line bad_line, if
+    given, lacks its payload's closing brace."""
+    lines = [f"{i} and_pos () {{(and p q) 0}}" if i % 7 == 0 else f"{i} res (0) {{}}"
+             for i in range(2, n_steps + 2)] + [f"qed {n_steps + 1}"]
+    if bad_line is not None:
+        lines[bad_line - 1] = lines[bad_line - 1][:-1]
+    return "\n".join(lines) + "\n"
+
+
+def _read_error(read, text):
+    with pytest.raises(ParseError) as e:
+        read(text, parse_smt2(_PAYLOAD_PROBLEM))
+    return str(e.value)
+
+
+@pytest.mark.parametrize("n_steps", [10, 3 * _RUN_LINES], ids=["one block", "three blocks"])
+def test_stream_certificate_gives_parse_certificates_steps(n_steps):
+    text = _steps_text(n_steps)
+    batch = parse_certificate(text, parse_smt2(_PAYLOAD_PROBLEM))
+    streamed = stream_certificate(text, parse_smt2(_PAYLOAD_PROBLEM))
+    assert streamed.qed is None and batch.qed == n_steps + 1
+    assert list(streamed.steps) == list(batch.steps) and len(batch.steps) == n_steps
+
+
+def test_stream_certificate_raises_an_error_of_the_first_block_when_called():
+    for n_steps in (10, 3 * _RUN_LINES):
+        text = _steps_text(n_steps, bad_line=5)
+        assert _read_error(stream_certificate, text) \
+            == _read_error(parse_certificate, text) == "line 5, col 11: missing closing '}'"
+
+
+def test_stream_certificate_raises_an_error_of_a_later_block_while_iterated():
+    bad_line = 2 * _RUN_LINES + 10
+    text = _steps_text(3 * _RUN_LINES, bad_line)
+    cert = stream_certificate(text, parse_smt2(_PAYLOAD_PROBLEM))  # no error yet
+    read = []
+    with pytest.raises(ParseError) as e:
+        for step in cert.steps:
+            read.append(step)
+    assert str(e.value) == _read_error(parse_certificate, text)
+    assert e.value.line == bad_line and _RUN_LINES <= len(read) < bad_line

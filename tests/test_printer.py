@@ -6,7 +6,8 @@ Each corpus pair's reports from ``run_one`` (plain, ``--machine`` and
 the ``--mode oracle`` report of the DIMACS problems are compared by sha256
 against ``printer_pins.json``.  A few small problems pin the oracle's
 model lines and its bounded status, and one nested proof pins ``--mode
-translate``.  The benchmark's generated inputs are pinned by their sha256.
+translate``.  The benchmark's generated inputs are pinned by their sha256,
+and so are their ``--machine`` and stats reports, one sha256 per workload.
 
 The trusted modules hold no renderer: a guard parses them and rejects an
 import of an untrusted module (``printer``, ``preproc``, ``oracle``, ``cli``)
@@ -23,6 +24,8 @@ import hashlib
 import json
 import pathlib
 import sys
+
+import pytest
 
 import gens
 import certkernel
@@ -127,10 +130,41 @@ BENCH_INPUTS = {
 }
 
 
-def test_benchmark_inputs_are_pinned(tmp_path):
-    gen = gens.benchmark_generator()
-    got = {w: gen.generate(w, 1, tmp_path / w)["inputs_sha256"] for w in BENCH_INPUTS}
+# One sha256 per benchmark workload at seed 1 over each pair's exit code and
+# reports from ``run_one``, ``--machine`` and stats, in manifest order: a
+# change that keeps the benchmark's inputs must keep its verdicts and
+# reports byte for byte.
+BENCH_REPORTS = {
+    "res_chain": "a46695af59daeffcdad4fcb129f591c7f8e5185ae07cf67ac29d24dcce3adcba",
+    "smt_lemmas": "f3e348c7fcc12f4e5c8b86c2b321fb8a9250f2d643892268104895dd3b485c99",
+    "bv_blast": "a9ab91dae8d7fbd70b0c26628acc9d62d22ec6be9f7b0c608a3ca8f688d303db",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_manifests(tmp_path_factory):
+    """Each benchmark workload's seed-1 manifest, its pairs written once."""
+    gen, root = gens.benchmark_generator(), tmp_path_factory.mktemp("bench")
+    return {w: gen.generate(w, 1, root / w) for w in BENCH_INPUTS}
+
+
+def _reports_digest(manifest) -> str:
+    digest = hashlib.sha256()
+    for pair in manifest["pairs"]:
+        for mode, machine in (("check", True), ("stats", False)):
+            code, report = run_one(pair["problem"], pair["proof"], mode, None, machine, False)
+            digest.update(f"{code}\0{report}\0".encode())
+    return digest.hexdigest()
+
+
+def test_benchmark_inputs_are_pinned(bench_manifests):
+    got = {w: manifest["inputs_sha256"] for w, manifest in bench_manifests.items()}
     assert got == BENCH_INPUTS
+
+
+def test_benchmark_reports_are_pinned(bench_manifests):
+    got = {w: _reports_digest(manifest) for w, manifest in bench_manifests.items()}
+    assert got == BENCH_REPORTS
 
 
 TRUSTED = ("terms", "steps", "kernel", "resolution", "euf", "lia", "bitblast", "frontend")

@@ -120,7 +120,7 @@ def test_hash_cons_keys_keep_a_sort_and_its_lookalike_tuple_apart():
 def _one_target():
     store = TermStore()
     p, q = store.var("p", BOOL), store.var("q", BOOL)
-    t = store.and_([p, q])
+    t = store.intern(Kind.AND, [p, q])
     return store, t, [mk_clause(store, [pos(t)]), mk_clause(store, [neg(p)])]
 
 

@@ -6,8 +6,7 @@ import time
 import gens
 from certkernel import (
     BOOL, INT, Clause, CnfPayload, Kind, RuleKind, SortError, TRIVIALLY_TRUE, TermStore, cnf_lemma,
-    is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain,
-    resolve_pair, to_sexpr,
+    is_tautology, mk_clause, neg, pos, propositionally_implies, resolve_chain, to_sexpr,
 )
 from certkernel.resolution import _SHORT
 
@@ -19,16 +18,16 @@ def _vars(store, n):
 def test_resolve_pair_basic():
     store = TermStore()
     p, q = _vars(store, 2)
-    c = resolve_pair(mk_clause(store, [pos(p), pos(q)]), mk_clause(store, [neg(p)]))
+    c = resolve_chain((mk_clause(store, [pos(p), pos(q)]), mk_clause(store, [neg(p)])))
     assert c == mk_clause(store, [pos(q)])
 
 
 def test_resolve_pair_no_pivot_is_trivially_true():
     store = TermStore()
     p, q = _vars(store, 2)
-    assert resolve_pair(mk_clause(store, [pos(p)]), mk_clause(store, [pos(q)])) \
+    assert resolve_chain((mk_clause(store, [pos(p)]), mk_clause(store, [pos(q)]))) \
         == TRIVIALLY_TRUE
-    assert resolve_pair(mk_clause(store, [pos(p)]), mk_clause(store, [pos(p)])) \
+    assert resolve_chain((mk_clause(store, [pos(p)]), mk_clause(store, [pos(p)]))) \
         == TRIVIALLY_TRUE
 
 
@@ -37,7 +36,7 @@ def test_resolve_pair_smallest_atom_tie_break():
     p, q = _vars(store, 2)
     c1 = mk_clause(store, [pos(p), neg(q)])
     c2 = mk_clause(store, [neg(p), pos(q)])
-    out = resolve_pair(c1, c2)
+    out = resolve_chain((c1, c2))
     # pivot is p (smaller id); the q pair remains as a tautological remainder
     assert out == mk_clause(store, [neg(q), pos(q)])
     assert propositionally_implies(store, [c1, c2], out)
@@ -48,9 +47,9 @@ def test_resolve_pair_tautological_premise_stays_sound():
     store = TermStore()
     (p,) = _vars(store, 1)
     taut = mk_clause(store, [pos(p), neg(p)])
-    assert resolve_pair(taut, taut) == taut
+    assert resolve_chain((taut, taut)) == taut
     unit = mk_clause(store, [pos(p)])
-    assert resolve_pair(taut, unit) == unit
+    assert resolve_chain((taut, unit)) == unit
 
 
 def test_resolve_pair_removes_one_pivot_pair_only():
@@ -60,7 +59,7 @@ def test_resolve_pair_removes_one_pivot_pair_only():
     for _ in range(500):
         c1 = gens.rand_clause(store, rng, atoms, 4)
         c2 = gens.rand_clause(store, rng, atoms, 4)
-        out = resolve_pair(c1, c2)
+        out = resolve_chain((c1, c2))
         if out == TRIVIALLY_TRUE:
             continue
         assert propositionally_implies(store, [c1, c2], out)
@@ -102,7 +101,7 @@ def test_resolve_chain_result_implied_by_premises():
 
 
 def _fold_pair(c1, c2):
-    """resolve_pair as a two-clause step, kept as the reference for the
+    """One two-clause resolution step, kept as the reference for the
     one-pass chain: fresh sets per pair, so a chain folds in quadratic time."""
     s1 = set(c1.enc)
     pivot = None
@@ -122,10 +121,10 @@ def _fold_pair(c1, c2):
 
 
 def test_resolve_chain_matches_the_pairwise_fold():
-    """resolve_chain and resolve_pair give what the left fold of the
-    reference pair step gives, TRIVIALLY_TRUE and single-premise identity
-    included, on 20 000 seeded chains over atoms 0..5 (0 is TrueT) with
-    tautological premises, no-pivot premises mid-chain and at the end.  At
+    """resolve_chain gives what the left fold of the reference pair step
+    gives, TRIVIALLY_TRUE and single-premise identity included, on 20 000
+    seeded chains over atoms 0..5 (0 is TrueT) with tautological premises,
+    no-pivot premises mid-chain and at the end.  At
     least 5 000 chains have two premises, as most res steps do; among them
     are steps whose premises carry both polarities of the pivot, and steps
     whose first premise is longer than the tuple scan takes."""
@@ -146,8 +145,6 @@ def test_resolve_chain_matches_the_pairwise_fold():
         assert out == expected and (out is TRIVIALLY_TRUE) == (expected is TRIVIALLY_TRUE) \
             and (len(premises) != 1 or out is premises[0]), premises
         if len(premises) == 2:
-            pair = resolve_pair(*premises)
-            assert pair == out and (pair is TRIVIALLY_TRUE) == (out is TRIVIALLY_TRUE)
             pairs += 1
             first, second = premises[0].enc, premises[1].enc
             pivot = next((code >> 1 for code in second if code ^ 1 in first), None)
@@ -177,10 +174,10 @@ def test_a_long_resolution_step_is_linear():
 def test_cnf_lemma_projections():
     store = TermStore()
     a, b = _vars(store, 2)
-    t_and = store.and_([a, b])
+    t_and = store.intern(Kind.AND, [a, b])
     assert cnf_lemma(store, RuleKind.AND_POS, CnfPayload(t_and, 0)) \
         == mk_clause(store, [neg(t_and), pos(a)])
-    t_or = store.or_([a, b])
+    t_or = store.intern(Kind.OR, [a, b])
     assert cnf_lemma(store, RuleKind.OR_NEG, CnfPayload(t_or, 1)) \
         == mk_clause(store, [pos(t_or), neg(b)])
     assert cnf_lemma(store, RuleKind.AND_NEG, CnfPayload(t_and)) \
@@ -194,7 +191,7 @@ def test_cnf_lemma_projections():
         == mk_clause(store, [pos(t_imp), neg(b)])
     assert cnf_lemma(store, RuleKind.OR_POS, CnfPayload(t_or)) \
         == mk_clause(store, [neg(t_or), pos(a), pos(b)])
-    t_xor, t_iff = store.xor(a, b), store.iff(a, b)
+    t_xor, t_iff = store.intern(Kind.XOR, (a, b)), store.intern(Kind.IFF, (a, b))
     c = store.var("c", BOOL)
     t_ite = store.intern(Kind.ITE, (c, a, b))
     expected = {
@@ -218,7 +215,7 @@ def test_cnf_lemma_projections():
 def test_cnf_lemma_not_not_directions():
     store = TermStore()
     (a,) = _vars(store, 1)
-    t = store.not_(a)
+    t = store.intern(Kind.NOT, (a,))
     assert cnf_lemma(store, RuleKind.NOT_NOT, CnfPayload(t, 0)) \
         == mk_clause(store, [neg(t), neg(a)])
     assert cnf_lemma(store, RuleKind.NOT_NOT, CnfPayload(t, 1)) \
@@ -229,7 +226,7 @@ def test_cnf_lemma_not_not_directions():
 def test_cnf_lemma_rejects_mismatches():
     store = TermStore()
     a, b = _vars(store, 2)
-    t_and = store.and_([a, b])
+    t_and = store.intern(Kind.AND, [a, b])
     # head/kind mismatch
     assert cnf_lemma(store, RuleKind.OR_POS, CnfPayload(t_and)) == TRIVIALLY_TRUE
     # index out of range
@@ -250,7 +247,7 @@ def test_cnf_lemma_every_emission_is_a_tautology():
     for _ in range(400):
         target = gens.rand_bool_term(store, rng, atoms, 3)
         if store.kind(target).value in ("var",):
-            target = store.not_(target)
+            target = store.intern(Kind.NOT, (target,))
         rule, payload = gens._cnf_rule_for(store, target, rng)
         clause = cnf_lemma(store, rule, payload)
         if clause == TRIVIALLY_TRUE:
@@ -281,10 +278,12 @@ def test_cnf_lemma_matches_the_string_template_checker():
     store = TermStore()
     a, b, c = _vars(store, 3)
     x = store.var("x", INT)
-    targets = [store.and_([a]), store.and_([a, b]), store.and_([a, b, c]),
-               store.or_([a]), store.or_([b, a]), store.or_([a, b, c, a]),
-               store.intern(Kind.IMPLIES, (a, b)), store.xor(b, c), store.iff(a, c),
-               store.intern(Kind.ITE, (a, b, c)), store.not_(a), store.not_(store.not_(b)),
+    targets = [*(store.intern(Kind.AND, args) for args in ((a,), (a, b), (a, b, c))),
+               *(store.intern(Kind.OR, args) for args in ((a,), (b, a), (a, b, c, a))),
+               store.intern(Kind.IMPLIES, (a, b)), store.intern(Kind.XOR, (b, c)),
+               store.intern(Kind.IFF, (a, c)), store.intern(Kind.ITE, (a, b, c)),
+               store.intern(Kind.NOT, (a,)),
+               store.intern(Kind.NOT, (store.intern(Kind.NOT, (b,)),)),
                a, store.eq(x, x), store.intern(Kind.ITE, (a, x, x))]
     # Hand-built nodes whose argument x is Int: at the i reference, at a
     # position and under *.

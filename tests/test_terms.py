@@ -18,9 +18,9 @@ def test_intern_idempotent():
     assert store.intern(Kind.TRUE) == store.intern(Kind.TRUE)
     x = store.var("x", BOOL)
     y = store.var("y", BOOL)
-    assert store.and_([x, y]) == store.and_([x, y])
+    assert store.intern(Kind.AND, [x, y]) == store.intern(Kind.AND, [x, y])
     # argument order is significant: no re-association or sorting
-    assert store.and_([x, y]) != store.and_([y, x])
+    assert store.intern(Kind.AND, [x, y]) != store.intern(Kind.AND, [y, x])
 
 
 def test_intern_hit_does_not_accept_malformed_nodes():
@@ -31,7 +31,7 @@ def test_intern_hit_does_not_accept_malformed_nodes():
     one = store.int_const(1)
     bit = store.bv_const([True])
     p = store.var("p", BOOL)
-    not_p = store.not_(p)
+    not_p = store.intern(Kind.NOT, (p,))
     with pytest.raises(SortError):
         store.intern(Kind.INT_CONST, (), 1.0)
     with pytest.raises(SortError):
@@ -52,8 +52,8 @@ def test_argument_ids_must_be_ints():
     otherwise take them for interned argument ids."""
     store = TermStore()
     p = store.var("p", BOOL)
-    store.not_(p)
-    store.not_(1)
+    store.intern(Kind.NOT, (p,))
+    store.intern(Kind.NOT, (1,))
     for bad in (float(p), True):
         with pytest.raises(SortError, match="invalid child id"):
             store.intern(Kind.NOT, (bad,))
@@ -94,7 +94,7 @@ def test_sort_clash_raises():
     with pytest.raises(SortError):
         store.le(bv, bv)
     with pytest.raises(SortError):
-        store.and_([one])
+        store.intern(Kind.AND, [one])
     with pytest.raises(SortError):
         store.intern(Kind.BV_ADD, (bv, store.bv_const([True, False, True])))
 
@@ -104,7 +104,7 @@ def test_bool_equality_must_be_iff():
     p = store.var("p", BOOL)
     with pytest.raises(SortError):
         store.eq(p, p)
-    assert store.kind(store.iff(p, p)) is Kind.IFF
+    assert store.kind(store.intern(Kind.IFF, (p, p))) is Kind.IFF
 
 
 def test_sort_of():
@@ -253,11 +253,11 @@ def test_hash_consing_soundness_printed_forms():
 def test_postorder_lists_reachable_ids_bottom_up():
     store = TermStore()
     p, q = store.var("p", BOOL), store.var("q", BOOL)
-    a = store.and_([p, q])
-    t = store.or_([store.not_(a), a, p])
-    assert store.postorder([t]) == sorted({p, q, a, store.not_(a), t})
+    a = store.intern(Kind.AND, [p, q])
+    t = store.intern(Kind.OR, [store.intern(Kind.NOT, (a,)), a, p])
+    assert store.postorder([t]) == sorted({p, q, a, store.intern(Kind.NOT, (a,)), t})
     # ids in done are neither listed nor walked into
-    assert store.postorder([t], done={a}) == sorted({p, store.not_(a), t})
+    assert store.postorder([t], done={a}) == sorted({p, store.intern(Kind.NOT, (a,)), t})
 
 
 def test_depth_10000_terms_walk_without_recursion():
@@ -265,7 +265,7 @@ def test_depth_10000_terms_walk_without_recursion():
     p = store.var("p", BOOL)
     t = p
     for _ in range(10_000):
-        t = store.not_(t)
+        t = store.intern(Kind.NOT, (t,))
     assert store.vars_of(t) == {p}
     text = clause_to_sexpr(store, mk_clause(store, [neg(t)]))
     assert text == "(not " * 10_001 + "p" + ")" * 10_001
