@@ -7,10 +7,10 @@ Exit codes are a stable contract:
     2   certificate checked modulo assumptions: TRUSTED
         (becomes 1 under --strict-assumes)
     3   parse or usage error (input that is not UTF-8 names the file and
-        byte offset; a CERTKERNEL_BUDGET that is not an integer is a usage
-        error), an internal error of the checker (one line
-        naming the exception type), or a --jobs worker that died; the
-        other pairs still run
+        byte offset; a CERTKERNEL_BUDGET that is not an integer and an
+        option the parser rejects are usage errors, and --help exits 0),
+        an internal error of the checker (one line naming the exception
+        type), or a --jobs worker that died; the other pairs still run
 
 Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
@@ -182,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_ERROR if e.code else EXIT_VALID
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return EXIT_ERROR

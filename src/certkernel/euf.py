@@ -50,7 +50,7 @@ def _lemma_shape(store: TermStore, lemma: Clause):
     """The lemma's conclusion: the atom of its one positive literal, when
     every literal is an equality; otherwise None."""
     conclusion = None
-    for code in lemma.enc:
+    for code in lemma:
         atom = code >> 1
         if store.kind(atom) is not Kind.EQ:
             return None
@@ -73,7 +73,6 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
     if conclusion is None:
         return TRIVIALLY_TRUE
 
-    codes = lemma.enc
     derived: list[tuple[TermId, TermId]] = []
     for step in payload.justification:
         if step.rule is EqRule.REFL:
@@ -111,9 +110,9 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
                 return TRIVIALLY_TRUE
         elif step.rule is EqRule.HYP:
             k = step.hyp
-            if k is None or not (0 <= k < len(codes)) or not codes[k] & 1:
+            if k is None or not (0 <= k < len(lemma)) or not lemma[k] & 1:
                 return TRIVIALLY_TRUE
-            pair = store.args(codes[k] >> 1)
+            pair = store.args(lemma[k] >> 1)
         else:  # pragma: no cover - exhaustive over EqRule
             return TRIVIALLY_TRUE
         derived.append(pair)

@@ -485,7 +485,7 @@ def parse_dimacs(text: str) -> Problem:
         if value:
             codes.append(2 * var_ids[abs(value)] + (value < 0))
         else:
-            problem.input_clauses.append(Clause(tuple(sorted(set(codes)))))
+            problem.input_clauses.append(Clause(sorted(set(codes))))
             codes = []
     if len(problem.input_clauses) != n_clauses:
         raise ParseError(

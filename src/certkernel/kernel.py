@@ -156,7 +156,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             return result(Verdict.TRUSTED)
         return result(Verdict.VALID)
 
-    if any(not c.enc for c in clauses):
+    if not all(clauses):
         return finish()
 
     for step_id, rule, ps, payload in cert.steps:
@@ -174,7 +174,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             if entry.payload is BvPayload:
                 used = ctx.bitblast.used_vars
                 used.update(store.postorder(
-                    (atom for clause in clauses[scanned:] for atom in clause.atoms()), used))
+                    (code >> 1 for clause in clauses[scanned:] for code in clause), used))
                 scanned = len(clauses)
 
             conclusion = dispatch(ctx, rule, list(map(slot, ps)), payload)
@@ -190,7 +190,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
             assumptions.append(conclusion)
         clauses.append(conclusion)
         counts[rule] = counts.get(rule, 0) + 1  # Counter's += costs 3 times as much
-        if not conclusion.enc:
+        if not conclusion:
             return finish()
 
     return result(Verdict.INVALID, "empty clause not derived")

@@ -134,7 +134,7 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     lemma = payload.lemma
     if not payload.combination or not well_formed(store, lemma):
         return TRIVIALLY_TRUE
-    rows = [normalize_lia_literal(store, code ^ 1) for code in lemma.enc]
+    rows = [normalize_lia_literal(store, code ^ 1) for code in lemma]
     if None in rows:
         return TRIVIALLY_TRUE
 

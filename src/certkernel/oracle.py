@@ -137,7 +137,7 @@ def _eval(store: TermStore, t: TermId, memo: dict, lookup_fun) -> Value:
 def _holds(store: TermStore, clause: Clause, memo: dict, lookup_fun) -> bool:
     """True iff some literal evaluates to its polarity; empty clause is false."""
     return any(bool(_eval(store, code >> 1, memo, lookup_fun)) == ((code & 1) == 0)
-               for code in clause.enc)
+               for code in clause)
 
 
 def _model_memo(model: Model, memo: dict | None) -> dict:
@@ -263,8 +263,8 @@ def is_tautology(store: TermStore, clause: Clause, max_atoms: int = 20) -> bool:
 def propositionally_implies(store: TermStore, premises, conclusion: Clause,
                             max_atoms: int = 20) -> bool:
     """Every atom assignment satisfying all premises satisfies the conclusion."""
-    clauses = [*premises, *(Clause((code ^ 1,)) for code in conclusion.enc)]
-    atoms = abstract_atoms(store, [atom for clause in clauses for atom in clause.atoms()])
+    clauses = [*premises, *(Clause((code ^ 1,)) for code in conclusion)]
+    atoms = abstract_atoms(store, [code >> 1 for clause in clauses for code in clause])
     if len(atoms) > max_atoms:
         raise ResourceError(f"{len(atoms)} atoms exceed the {max_atoms}-atom budget")
     return _search(store, clauses, atoms, lambda sort: (False, True), [0], math.inf) is None
@@ -288,7 +288,7 @@ def _collect_symbols(store: TermStore, clauses):
     variables: list[TermId] = []
     funs: set[FunSym] = set()
     u_terms: dict[UninterpretedSort, int] = {}
-    for t in store.postorder(atom for clause in clauses for atom in clause.atoms()):
+    for t in store.postorder(code >> 1 for clause in clauses for code in clause):
         node = store.node(t)
         if isinstance(node.sort, UninterpretedSort):
             u_terms[node.sort] = u_terms.get(node.sort, 0) + 1
@@ -371,19 +371,20 @@ def euf_lemma_valid(store: TermStore, lemma: Clause, max_domain: int = 3,
     exists, which is sound for refuting bad lemmas but cannot certify
     validity.  Raises ResourceError past the evaluation budget.
     """
-    for atom in lemma.atoms():
+    atoms = [code >> 1 for code in lemma]
+    for atom in atoms:
         if store.kind(atom) is not Kind.EQ:
             raise ResourceError(f"lemma atom {to_sexpr(store, atom)} is not an equality")
     # Variables and integer constants are both abstract domain elements
     # here; only applications compute.
     order = []
-    for t in store.postorder(side for atom in lemma.atoms() for side in store.args(atom)):
+    for t in store.postorder(side for atom in atoms for side in store.args(atom)):
         kind = store.kind(t)
         if kind is Kind.VAR or kind is Kind.INT_CONST:
             order.append(t)
         elif kind is not Kind.APPLY:
             raise ResourceError(f"unsupported term in equality lemma: {to_sexpr(store, t)}")
-    negated = [Clause((code ^ 1,)) for code in lemma.enc]
+    negated = [Clause((code ^ 1,)) for code in lemma]
     counter = [0]
     for d in range(1, max_domain + 1):
         if _search(store, negated, order, lambda sort: range(d), counter, budget) is not None:

@@ -74,7 +74,7 @@ def to_sexpr(store: TermStore, t: TermId) -> str:
 def clause_to_sexpr(store: TermStore, clause: Clause) -> str:
     """Literal-per-element notation: ``(not <atom>)`` marks negative literals."""
     parts = []
-    for code in clause.enc:
+    for code in clause:
         atom = to_sexpr(store, code >> 1)
         parts.append(atom if (code & 1) == 0 else f"(not {atom})")
     return " ".join(parts)
@@ -85,7 +85,7 @@ def print_dimacs(problem) -> str:
     numbers = {tid: int(problem.store.node(tid).extra[0][1:]) for tid in problem.dimacs_vars}
     lines = [f"p cnf {problem.dimacs_header_vars} {len(problem.input_clauses)}"]
     for clause in problem.input_clauses:
-        row = [numbers[code >> 1] * (-1 if code & 1 else 1) for code in clause.enc]
+        row = [numbers[code >> 1] * (-1 if code & 1 else 1) for code in clause]
         lines.append(" ".join(map(str, row + [0])))
     return "\n".join(lines) + "\n"
 

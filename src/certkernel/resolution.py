@@ -39,8 +39,8 @@ def resolve_chain(premises: Sequence[Clause]) -> Clause:
     """
     if len(premises) < 2:
         return premises[0] if premises else TRIVIALLY_TRUE
-    if len(premises) == 2 and len(premises[0].enc) <= _SHORT:
-        a, b = premises[0].enc, premises[1].enc
+    if len(premises) == 2 and len(premises[0]) <= _SHORT:
+        a, b = premises
         # Codes are sorted, so the first complement hit has the smallest atom.
         for code in b:
             if code ^ 1 in a:
@@ -53,12 +53,12 @@ def resolve_chain(premises: Sequence[Clause]) -> Clause:
         i, j = a.index(mine), b.index(theirs)
         a, b = a[:i] + a[i + 1:], b[:j] + b[j + 1:]
         # A side left empty (a unit premise) leaves the other side's sorted rest.
-        return Clause(a if not b else b if not a else tuple(sorted({*a, *b})))
-    running, trivial = set(premises[0].enc), False
+        return Clause(a if not b else b if not a else sorted({*a, *b}))
+    running, trivial = set(premises[0]), False
     for clause in premises[1:]:
         # Encoded literals are sorted, so the first complement hit has the
         # smallest atom.
-        for code in clause.enc:
+        for code in clause:
             if code ^ 1 in running:
                 break
         else:
@@ -66,13 +66,13 @@ def resolve_chain(premises: Sequence[Clause]) -> Clause:
             continue
         # Drop the positive pivot from the resolvent and the negative one
         # from the premise if both are there, else the other way round.
-        mine, theirs, other, trivial = code & ~1, code | 1, set(clause.enc), False
+        mine, theirs, other, trivial = code & ~1, code | 1, set(clause), False
         if mine not in running or theirs not in other:
             mine, theirs = theirs, mine
         running.discard(mine)
         other.discard(theirs)
         running |= other
-    return TRIVIALLY_TRUE if trivial else Clause(tuple(sorted(running)))
+    return TRIVIALLY_TRUE if trivial else Clause(sorted(running))
 
 
 @class_eq

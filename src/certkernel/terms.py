@@ -3,9 +3,9 @@
 This module is the shared vocabulary of every checker: a deep embedding of
 quantifier-free formulas over Bool, Int, bit-vectors and uninterpreted
 sorts, plus the SAT-style literal/clause layer on top of it.  A literal is
-its code, ``2 * atom + negated``, and a clause holds its codes strictly
-increasing.  Everything here is purely syntactic; no operation evaluates
-semantics.
+its code, ``2 * atom + negated``, and a clause is the tuple of its codes,
+strictly increasing.  Everything here is purely syntactic; no operation
+evaluates semantics.
 
 Terms live in a per-problem append-only ``TermStore``.  Structurally equal
 nodes always receive the same ``TermId``, so id equality *is* structural
@@ -397,52 +397,38 @@ class Literal(NamedTuple):
     positive: bool
 
 
-class Clause:
-    """Canonical disjunction: encoded literals, strictly increasing.
+@class_eq
+class Clause(tuple):
+    """Canonical disjunction: the tuple of its literal codes, strictly
+    increasing.
 
     The empty clause denotes falsity.  The canonical trivially true clause
     is the singleton positive TrueT literal, i.e. ``Clause((0,))`` given that
-    TrueT always interns at id 0.  Frozen slots, not a named tuple: replay
-    builds one per step, and this builds, reads and compares fastest.
+    TrueT always interns at id 0.  One object, with no slot of its own.  It
+    is a subclass, not a bare tuple, so that it equals no plain tuple or
+    record with the same items, and so that code outside the trusted base
+    keeps its views ``enc``, ``lits``, ``atoms`` and ``is_empty``: the
+    benchmark's generator reads them.  The trusted base reads a clause only
+    as a tuple.
     """
 
-    __slots__ = ("enc",)
+    __slots__ = ()
 
-    def __init__(self, enc: tuple[int, ...]):
-        _set_enc(self, enc)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return other.enc == self.enc if other.__class__ is Clause else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.enc,))
-
-    def __reduce__(self):
-        return Clause, (self.enc,)
-
-    def __repr__(self) -> str:
-        return f"Clause(enc={self.enc!r})"
+    @property
+    def enc(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def lits(self) -> tuple[Literal, ...]:
-        return tuple(Literal(c >> 1, not c & 1) for c in self.enc)
-
-    def __len__(self) -> int:
-        return len(self.enc)
+        return tuple(Literal(c >> 1, not c & 1) for c in self)
 
     def is_empty(self) -> bool:
-        return not self.enc
+        return not self
 
     def atoms(self) -> tuple[TermId, ...]:
-        return tuple(c >> 1 for c in self.enc)
+        return tuple(c >> 1 for c in self)
 
 
-_set_enc = Clause.enc.__set__
 EMPTY_CLAUSE = Clause(())
 
 # pos(TrueT) is 0 because TrueT interns at id 0 in every store.
@@ -463,9 +449,14 @@ def _literal_error(store: TermStore, code: object) -> str | None:
 
 def well_formed(store: TermStore, clause: Clause) -> bool:
     """Whether ``mk_clause`` could build the clause over this store: literal
-    codes, strictly increasing.  Checkers test payload clauses first."""
-    enc = clause.enc
-    return all(_literal_error(store, c) is None for c in enc) and enc == tuple(sorted(set(enc)))
+    codes, strictly increasing.  Checkers test payload clauses first.
+
+    Raises TypeError when ``clause`` is not a ``Clause``, which the kernel
+    reports as a malformed step."""
+    if clause.__class__ is not Clause:
+        raise TypeError(f"a clause must be a Clause, not {clause.__class__.__name__}")
+    return all(_literal_error(store, c) is None for c in clause) \
+        and list(clause) == sorted(set(clause))
 
 
 def mk_clause(store: TermStore, codes: Iterable[int]) -> Clause:
@@ -480,4 +471,4 @@ def mk_clause(store: TermStore, codes: Iterable[int]) -> Clause:
         error = _literal_error(store, code)
         if error is not None:
             raise SortError(error)
-    return Clause(tuple(sorted(set(codes))))
+    return Clause(sorted(set(codes)))

@@ -248,6 +248,20 @@ def test_missing_file_exits_three(files, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+    (["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+], ids=["mode", "jobs", "flag"])
+def test_a_usage_error_exits_three_with_the_parser_message(files, capsys, args, message):
+    """Exit 2 means TRUSTED, so argparse's own usage exit is mapped to 3."""
+    code = main(["--problem", str(files / "prob.cnf"), "--proof", str(files / "prob.cert"),
+                 *args])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("usage: certkernel") and message in captured.err
+
+
 def test_machine_output_stable_fields(files, capsys):
     args = ["--problem", str(files / "prob.smt2"),
             "--proof", str(files / "prob.cert"), "--machine"]

@@ -411,6 +411,10 @@ def test_fields_of_types_no_reader_builds_are_malformed_steps():
              Step(2, RuleKind.LIA, (), LiaPayload(lemma, 5)),
              Step(2, RuleKind.ASSUME, (), AssumePayload(None)),
              Step(2, "res", (0, 1)), Step(2, [RuleKind.RES], (0, 1))]
+    for codes in (tuple(lemma), list(lemma)):  # a lemma's codes, not a Clause
+        steps += [Step(2, RuleKind.ASSUME, (), AssumePayload(codes)),
+                  Step(2, RuleKind.EUF, (), EufPayload(codes, (EqStep(EqRule.REFL, term=x),))),
+                  Step(2, RuleKind.LIA, (), LiaPayload(codes, ((0, 1),)))]
     for step in steps:
         result = check(store, inputs, Certificate((step,), 2))
         assert (result.verdict, result.step_id, result.reason) \

@@ -30,7 +30,7 @@ import pytest
 import gens
 import certkernel
 from certkernel import (
-    parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs,
+    Clause, parse_certificate, parse_dimacs, parse_smt2, print_certificate, print_dimacs,
 )
 from certkernel.cli import run_one
 
@@ -169,6 +169,8 @@ def test_benchmark_reports_are_pinned(bench_manifests):
 
 TRUSTED = ("terms", "steps", "kernel", "resolution", "euf", "lia", "bitblast", "frontend")
 UNTRUSTED = {"printer", "preproc", "oracle", "cli"}
+# What a Clause offers beyond its tuple, for code outside the trusted base.
+CLAUSE_VIEWS = ("lits", "enc", "atoms", "is_empty")
 RENDERERS = {"to_sexpr", "clause_to_sexpr", "stats_report", "print_certificate",
              "print_dimacs", "_render_payload"}
 
@@ -249,8 +251,10 @@ def test_every_trusted_name_serves_the_trusted_base_or_the_api():
 def test_every_trusted_member_serves_the_trusted_base_or_the_benchmark():
     """A method or property of a class in a trusted module is read as an
     attribute by some trusted module or by the benchmark's ``perfbench``
-    scripts, and a literal is its code everywhere in the trusted base but
-    ``terms``: no other trusted module names ``Literal`` or reads ``.lits``.
+    scripts.  A literal is its code and a clause the tuple of its codes
+    everywhere in the trusted base but ``terms``: no other trusted module
+    names ``Literal`` or reads a clause's views ``.lits``, ``.enc``,
+    ``.atoms`` or ``.is_empty``.
 
     Reads are matched by attribute name alone, so a member that shares its
     name with an unrelated attribute slips through: a ``TermStore.sub``
@@ -269,10 +273,11 @@ def test_every_trusted_member_serves_the_trusted_base_or_the_benchmark():
     views = sorted({module for module, tree in trees.items() if module != "terms"
                     for node in ast.walk(tree)
                     if isinstance(node, ast.Name) and node.id == "Literal"
-                    or isinstance(node, ast.Attribute) and node.attr in ("Literal", "lits")
+                    or isinstance(node, ast.Attribute) and node.attr in ("Literal", *CLAUSE_VIEWS)
                     or isinstance(node, ast.ImportFrom)
                     and any(alias.name == "Literal" for alias in node.names)})
     assert views == [], views
+    assert set(CLAUSE_VIEWS) == {name for name in vars(Clause) if not name.startswith("_")}
 
 
 # Input would set the depth of a function that calls itself, so none does:

@@ -1,17 +1,19 @@
 """Records: the value semantics the named tuples and hand-written classes keep.
 
-The frozen records are named tuples, except ``Clause``, a frozen slots
-class written out, and ``BitVecSort`` adds its width check to a named
-tuple; the mutable ones are plain classes.  Every record must pickle and
-copy.  A named tuple is a tuple, so it would compare equal to a plain
-tuple; ``terms.class_eq`` makes the records compare by class as well, as
-dataclasses did, so clauses, sorts and function symbols, which feed
-hash-cons keys and the checkers' comparisons, never equal a lookalike.  The
-kernel takes a payload only of its rule's class.
+The frozen records are named tuples, except ``Clause``, a tuple subclass
+with no slot whose items are the clause's codes, and ``BitVecSort`` adds
+its width check to a named tuple; the mutable ones are plain classes.
+Every record must pickle and copy.  A named tuple is a tuple, and so is a
+clause, so each would compare equal to a plain tuple; ``terms.class_eq``
+makes the records compare by class as well, as dataclasses did, so
+clauses, sorts and function symbols, which feed hash-cons keys and the
+checkers' comparisons, never equal a lookalike.  The kernel takes a
+payload only of its rule's class.
 """
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -82,6 +84,17 @@ def test_clause_len_counts_literals_and_the_clause_is_frozen():
     with pytest.raises(AttributeError):
         del clause.enc
     assert clause.enc == (1, 4, 7)
+
+
+def test_a_clause_is_one_object_laid_out_as_its_code_tuple():
+    store = TermStore()
+    p, q = store.var("p", BOOL), store.var("q", BOOL)
+    assert Clause.__slots__ == ()
+    for codes in ([], [pos(p)], [neg(q), pos(p), neg(q)], [pos(q), neg(q), neg(p), pos(p)]):
+        clause = mk_clause(store, codes)
+        assert type(clause) is Clause
+        assert sys.getsizeof(clause) == sys.getsizeof(tuple(sorted(set(codes))))
+        assert not hasattr(clause, "__dict__")
 
 
 def test_bit_vector_width_is_checked():

@@ -200,15 +200,19 @@ def test_mk_clause_names_the_first_bad_literal():
 
 
 def test_well_formed_clauses_are_what_mk_clause_builds():
-    """A payload's clause passes ``well_formed`` only if it is a tuple of
-    literal codes, strictly increasing, as ``mk_clause`` builds them."""
+    """A payload's clause passes ``well_formed`` only if it is a ``Clause``
+    of literal codes, strictly increasing, as ``mk_clause`` builds them; a
+    plain tuple or list of the same codes is a TypeError."""
     store = TermStore()
     x = store.var("x", INT)
     p, q = store.var("p", BOOL), store.var("q", BOOL)
     assert well_formed(store, mk_clause(store, [pos(q), neg(p)]))
     for enc in [(pos(q), neg(p)), (pos(p), pos(p)), (-2,), (pos(p), 2 * len(store)),
-                (neg(x),), (2.0,), [pos(p)]]:
+                (neg(x),), (2.0,)]:
         assert not well_formed(store, Clause(enc)), enc
+    for lookalike in [(pos(p),), [pos(p)]]:
+        with pytest.raises(TypeError, match="must be a Clause"):
+            well_formed(store, lookalike)
 
 
 def test_mk_clause_idempotent():
