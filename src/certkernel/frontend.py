@@ -20,13 +20,14 @@ wait on a list, not on Python's stack, so a term may be of any depth, and
 its ``let`` names live in one dict per term, so a chain of lets reads in
 linear time.
 
-``read_term`` reads a repeated small subterm once per problem.  The memo
-``Problem.term_memo`` maps the lexemes, joined by blanks (no lexeme holds
-one), of each root or argument term of at most ``_MEMO_LEXEMES`` lexemes
-read while no ``let`` name is in scope to its id; the size bound keeps keys
-linear in the input, and an error stores nothing.  A hit equals a full read:
-``decls`` only grows (``_declare`` and ``preproc._parse_aux`` never rebind
-a name) and the store only appends, so the same text interns the same id.
+``read_term`` reads a repeated term once per problem.  Its one memo,
+``Problem.term_memo``, maps to its id the lexemes, joined by blanks (no
+lexeme holds one), of each root term, and of each argument term of at most
+``_MEMO_LEXEMES`` lexemes read while no ``let`` name is in scope; roots do
+not overlap, so the keys stay linear in the input.  An error stores nothing.
+A hit equals a full read: ``decls`` only grows (``_declare`` and
+``preproc._parse_aux`` never rebind a name) and the store only appends, so
+the same text interns the same id.  ``preproc`` reads CNF lines by it too.
 
 The certificate reader is in the untrusted ``certkernel.preproc``: the
 kernel checks every id, index and clause code a certificate carries, so a
@@ -170,10 +171,7 @@ class Problem:
         self.sorts: dict[str, UninterpretedSort] = {}
         self.assertions: list[TermId] = []
         self.input_clauses: list[Clause] = []
-        # DIMACS only: the variables of the numerals that clauses use, in
-        # ascending order (numeral n names v<n>), and the header's count.
-        self.dimacs_vars: tuple[TermId, ...] = ()
-        self.dimacs_header_vars = 0
+        self.dimacs_header_vars = 0  # DIMACS only: the header's variable count
         self.term_memo: dict[str, TermId] = {}
 
 
@@ -202,7 +200,7 @@ _HEADS = {
 }
 _SWAPPED = frozenset({">=", ">"})
 _FINISHED = frozenset({Kind.EQ, Kind.MUL, Kind.IMPLIES, Kind.XOR, Kind.SUB})
-_MEMO_LEXEMES = 64  # the most lexemes of a term that read_term memoizes
+_MEMO_LEXEMES = 64  # the most lexemes of a subterm that read_term memoizes
 
 
 def _parse_sort(problem: Problem, lex: Lexemes, k: int) -> Sort:
@@ -331,13 +329,11 @@ def read_term(problem: Problem, lex: Lexemes, i: int) -> TermId:
     return its id.  A list's shape is checked before its children are read
     and its node is interned after, so the store gains the nodes, and the
     reader raises the errors, of a recursive reader without the memo."""
-    words, end, memo = lex.words, lex.close[i] + 1, problem.term_memo
-    key = None if end - i > _MEMO_LEXEMES else " ".join(words[i:end])
+    words, memo = lex.words, problem.term_memo
+    key = " ".join(words[i:lex.close[i] + 1])
     if (t := memo.get(key)) is None:
-        t = _unfold(_list_term, i, problem, lex, {}) if words[i] == "(" \
+        t = memo[key] = _unfold(_list_term, i, problem, lex, {}) if words[i] == "(" \
             else _atom(problem, lex, i, {})
-        if key is not None:
-            memo[key] = t
     return t
 
 
@@ -491,7 +487,6 @@ def parse_dimacs(text: str) -> Problem:
         raise ParseError(
             f"header promises {n_clauses} clauses, found {len(problem.input_clauses)}",
             len(split_lines(text)), 1)
-    problem.dimacs_vars = tuple(compress(var_ids, used))
     problem.dimacs_header_vars = n_vars
     return problem
 

@@ -7,8 +7,9 @@ true clause and can never strengthen the derivation).  The run succeeds
 when some stored clause is empty: Valid if no assume step was replayed,
 Trusted otherwise, with the assumed clauses reported verbatim.  Structural
 violations — bad ids, forward references, payload/rule mismatches, a field
-of a type no reader builds — stop the run as Invalid at the offending step,
-as does a rejected step whose payload declared a specific conclusion.
+of a type or length no reader builds (a float where an int is read) — stop
+the run as Invalid at the offending step, as does a rejected step whose
+payload declared a specific conclusion.
 Every small checker rejects by returning the ``TRIVIALLY_TRUE`` object
 itself, never an equal copy, so ``conclusion is TRIVIALLY_TRUE`` with a
 lemma other than [true] means exactly that the step was rejected.
@@ -163,7 +164,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
         if step_id != len(clauses):
             return result(Verdict.INVALID,
                           f"step id {step_id}, expected {len(clauses)}", step_id)
-        try:  # a field of a type no reader builds (1.0, None, "res") fails here
+        try:  # a field no reader builds (1.0, None, "res", (0,)) fails here
             if ps and (min(ps) < 0 or max(ps) >= step_id):
                 return result(Verdict.INVALID, "bad premise reference", step_id)
             entry = RULES.get(rule)
@@ -178,7 +179,7 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                 scanned = len(clauses)
 
             conclusion = dispatch(ctx, rule, list(map(slot, ps)), payload)
-        except (TypeError, AttributeError):
+        except (TypeError, AttributeError, ValueError):
             return result(Verdict.INVALID, "malformed step", step_id)
 
         if conclusion is TRIVIALLY_TRUE and hasattr(entry.payload, "lemma") \

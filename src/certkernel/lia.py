@@ -129,7 +129,8 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     flip equality rows.  When tightening is on, every contributed >= row and
     the final sum are gcd-tightened.  Accepts only a ground contradiction
     0 >= k with k >= 1 (all-zero multipliers sum to 0 >= 0).  A lemma
-    that is not ``terms.well_formed`` is rejected.
+    that is not ``terms.well_formed`` is rejected, and a multiplier that is
+    not an ``int`` (a float rounds) raises TypeError: a malformed step.
     """
     lemma = payload.lemma
     if not payload.combination or not well_formed(store, lemma):
@@ -143,6 +144,8 @@ def check_lia(store: TermStore, payload: LiaPayload) -> Clause:
     for idx, mult in payload.combination:
         if not (0 <= idx < len(rows)):
             return TRIVIALLY_TRUE
+        if mult.__class__ is not int:
+            raise TypeError(f"multiplier {mult!r} is not an int")
         if mult == 0:
             continue
         coeffs, constant, is_eq = rows[idx]

@@ -53,15 +53,13 @@ step head names ``res`` looks at the next line, so other lines cost
 nothing more.
 
 A ``<id> <rule> (<ints>) {<term>[ <index>]}`` line for a ``CnfPayload``
-rule is read without the full reader if the term's text is in a memo local
-to one reading of a certificate, which holds the id the full reader gave
-that text as a whole payload term on an earlier line.  A hit equals a full
-parse: the same bytes read against the same store and declarations intern
-the same id.  Any other line, and any line of a block that fails a check,
-goes through the full reader, which alone reports errors.  This line memo
-saves the lexer as well and keys whole payload terms of any size; the
-subterm memo of ``frontend.read_term``, kept per problem, only saves
-rereading terms of at most 64 lexemes on lines that are lexed.
+rule is read without the lexer if the term's text, with each bracket
+padded by a space, is a key of the problem's term memo
+(``frontend.read_term``).  The term holds only symbol characters, brackets
+and spaces, so the padded text equals a key only when lexing the term
+gives exactly that key's lexemes, and the full reader would find the same
+key: a hit equals a full read.  Any other line, and any line that fails a
+check, goes through the full reader, which alone reports errors.
 
 Nested proofs are trees in a small s-expression syntax::
 
@@ -392,27 +390,28 @@ def _res_steps(found: list[tuple[str, str]], next_id: int) -> list[Step] | None:
 
 
 def _memo_step(raw: str, head: re.Match | None, rule: RuleKind | None, next_id: int,
-               memo: dict[str, TermId]) -> tuple[Step | None, re.Match | None]:
-    """(step, None) for a well-formed ``CnfPayload`` line whose term is in
-    the memo (see the module docstring), where head is the line's
-    ``_STEP_HEAD`` match and rule the rule it names; otherwise (None, term),
-    where term is the line's one-term match, if any, for the caller to memo
-    once the full reader has accepted the line."""
+               memo: dict[str, TermId]) -> Step | None:
+    """The step of a well-formed ``CnfPayload`` line whose term is in the
+    term memo (see the module docstring), where head is the line's
+    ``_STEP_HEAD`` match and rule the rule it names; otherwise None."""
     entry = RULES.get(rule)  # None for no match or an unknown rule name
     if entry is None or entry.payload is not CnfPayload:
-        return None, None
+        return None
     term = _ONE_TERM.fullmatch(raw, head.end())
-    if term is None or term[1] not in memo:
-        return None, term
+    if term is None:
+        return None
+    target = memo.get(term[1].replace("(", "( ").replace(")", " )"))
+    if target is None:
+        return None
     try:
         step_id = int(head[1])
         premises = tuple(map(int, head[3].split()))
         index = int(term[2]) if term[2] is not None else 0
     except ValueError:  # past CPython's digit limit for int-string conversion
-        return None, term
+        return None
     if step_id != next_id or (premises and max(premises) >= step_id):
-        return None, term
-    return Step(step_id, rule, premises, CnfPayload(memo[term[1]], index)), None
+        return None
+    return Step(step_id, rule, premises, CnfPayload(target, index))
 
 
 def _blocks(text: str, problem: Problem):
@@ -423,7 +422,6 @@ def _blocks(text: str, problem: Problem):
     block: list[Step] = []
     qed: int | None = None
     next_id = len(problem.input_clauses)
-    memo: dict[str, TermId] = {}  # payload term text -> id, for _memo_step
     size = len(text)
     offset = lineno = full = 0  # no res line before line full + 1 is read in a block
 
@@ -457,7 +455,7 @@ def _blocks(text: str, problem: Problem):
                 offset = run.end()
                 lineno += len(new) - 1
         if new is None:
-            step, term = _memo_step(raw, head, rule, next_id, memo)
+            step = _memo_step(raw, head, rule, next_id, problem.term_memo)
             if step is None:
                 lex = Lexemes(raw, lineno)
                 items = lex.items()
@@ -468,7 +466,7 @@ def _blocks(text: str, problem: Problem):
                     if qed >= next_id or qed < 0:
                         raise ForwardReferenceError(f"qed names unknown id {qed}", lineno, 1)
                     continue
-                step = _read_step(problem, lex, items, lineno, next_id, term, memo)
+                step = _read_step(problem, lex, items, lineno, next_id)
             new = [step]
         if len(block) + len(new) > _RUN_LINES:
             yield block
@@ -483,10 +481,9 @@ def _blocks(text: str, problem: Problem):
     return qed
 
 
-def _read_step(problem: Problem, lex: Lexemes, items: list[int], lineno: int, next_id: int,
-               term: re.Match | None, memo: dict[str, TermId]) -> Step:
-    """The step of a lexed line other than qed, read in full; term is the
-    line's one-term match, memoed once the payload is read."""
+def _read_step(problem: Problem, lex: Lexemes, items: list[int], lineno: int,
+               next_id: int) -> Step:
+    """The step of a lexed line other than qed, read in full."""
     rule = _step_rule(lex, items)
     if rule is None:
         raise ParseError("expected: <id> <rule> (<premises>) {<payload>}", lineno, 1)
@@ -498,11 +495,7 @@ def _read_step(problem: Problem, lex: Lexemes, items: list[int], lineno: int, ne
         if p >= step_id or p < 0:
             raise ForwardReferenceError(
                 f"premise {p} is not before step {step_id}", lineno, 1)
-    payload = parse_payload(problem, rule, lex, items[3], None)
-    # Memo the term only if it alone made up the payload's first item.
-    if term is not None and len(lex.items(items[3])) == (1 if term[2] is None else 2):
-        memo[term[1]] = payload.target
-    return Step(step_id, rule, premises, payload)
+    return Step(step_id, rule, premises, parse_payload(problem, rule, lex, items[3], None))
 
 
 def parse_certificate(text: str, problem: Problem) -> Certificate:

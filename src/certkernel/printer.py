@@ -81,12 +81,13 @@ def clause_to_sexpr(store: TermStore, clause: Clause) -> str:
 
 
 def print_dimacs(problem) -> str:
-    """Canonical DIMACS text; an exact inverse of parse_dimacs on its output."""
-    numbers = {tid: int(problem.store.node(tid).extra[0][1:]) for tid in problem.dimacs_vars}
+    """Canonical DIMACS text; an exact inverse of parse_dimacs on its output.
+    Each literal's numeral is the name of its atom, v<numeral>, without the v."""
+    node = problem.store.node
     lines = [f"p cnf {problem.dimacs_header_vars} {len(problem.input_clauses)}"]
     for clause in problem.input_clauses:
-        row = [numbers[code >> 1] * (-1 if code & 1 else 1) for code in clause]
-        lines.append(" ".join(map(str, row + [0])))
+        row = [("-" if code & 1 else "") + node(code >> 1).extra[0][1:] for code in clause]
+        lines.append(" ".join(row + ["0"]))
     return "\n".join(lines) + "\n"
 
 

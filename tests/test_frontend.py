@@ -7,7 +7,7 @@ import pytest
 
 import gens
 from certkernel import (
-    AssumePayload, Certificate, ForwardReferenceError, Kind, ParseError, UnsupportedError,
+    AssumePayload, BOOL, Certificate, ForwardReferenceError, Kind, ParseError, UnsupportedError,
     Verdict, check, mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof,
     parse_smt2, pos, print_certificate, print_dimacs, to_sexpr,
 )
@@ -21,7 +21,9 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def test_dimacs_basic():
     prob = parse_dimacs("c a comment\np cnf 2 2\n1 -2 0\n2 0\n")
     assert len(prob.input_clauses) == 2
-    v1, v2 = prob.dimacs_vars
+    nodes = len(prob.store)
+    v1, v2 = (prob.store.var(name, BOOL) for name in ("v1", "v2"))
+    assert len(prob.store) == nodes
     assert prob.input_clauses[0] == mk_clause(prob.store, [pos(v1), neg(v2)])
     assert prob.input_clauses[1] == mk_clause(prob.store, [pos(v2)])
 
@@ -438,8 +440,9 @@ def test_memo_hit_keeps_the_line_checks():
 
 
 def test_memo_is_scoped_to_one_certificate():
-    """The same term text interns to different ids in problems A and B;
-    parsing A, B, A must give what a fresh parse of each gives."""
+    """The memo lives in its problem: the same term text interns to
+    different ids in problems A and B, and parsing A, B, A must give what a
+    fresh parse of each gives."""
     text = ("2 and_pos () {(and p q) 0}\n3 and_pos () {(and p q) 1}\n"
             "4 bb_not () {(and q p)}\n5 not_not () {(and q p)}\nqed 5\n")
     a = "(declare-const p Bool) (declare-const q Bool) (assert p) (assert (not p))"
@@ -448,6 +451,31 @@ def test_memo_is_scoped_to_one_certificate():
     assert expected[a] != expected[b]
     for src in (a, b, a):
         assert parse_certificate(text, parse_smt2(src)) == expected[src]
+
+
+def test_a_line_whose_term_was_read_elsewhere_is_not_lexed(monkeypatch):
+    """A CNF line whose term the problem or an earlier payload read as a
+    subterm takes the line path: only the lines before it and the qed line
+    build a Lexemes.  The same line with a double space or a tab is lexed.
+    Each reads as the full reader reads it."""
+    from certkernel import preproc
+    lexemes, made = preproc.Lexemes, []
+
+    def counting_lexemes(*args):
+        made.append(args)
+        return lexemes(*args)
+
+    monkeypatch.setattr(preproc, "Lexemes", counting_lexemes)
+    problem = _MEMO_PROBLEM + "(assert (or (and q p) (bvult a b)))"
+    from_assert = "3 and_pos () {(and q p) 0}\nqed 3\n"
+    for text, lexed in [
+            (from_assert, 1),
+            ("3 or_pos () {(or (and p q) p)}\n4 and_pos () {(and p q) 1}\nqed 4\n", 2),
+            (from_assert.replace(" q", "  q"), 2), (from_assert.replace(" p", "\tp"), 2)]:
+        made.clear()
+        cert = parse_certificate(text, parse_smt2(problem))
+        assert len(made) == lexed, text
+        assert cert == parse_certificate(_commented(text), parse_smt2(problem)), text
 
 
 def test_corpus_and_mutations_read_the_same_with_every_line_commented():
@@ -814,7 +842,7 @@ def _pipeline_outcome(parse_problem, parse_cert, problem_text, cert_text):
     except CertKernelError as e:
         return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
     return (prob.store._nodes, prob.logic, prob.decls, prob.sorts, prob.assertions,
-            prob.input_clauses, prob.dimacs_vars, cert)
+            prob.input_clauses, cert)
 
 
 def _both_pipelines(problem_text, cert_text=None, dimacs=False):
@@ -868,17 +896,17 @@ MEMO_AFTER_AUX = [
 
 
 def test_term_memo_holds_closed_terms_of_at_most_64_lexemes():
-    """The memo keys a term by its lexemes joined by blanks; it holds no
-    term of 65 lexemes and none read while a let name is in scope, holds a
-    let term once its names are restored, and keeps nothing of a read that
-    fails but the subterms read before the failure."""
+    """The memo keys a term by its lexemes joined by blanks; it holds every
+    root term, no subterm of 65 lexemes and none read while a let name is in
+    scope, holds a let term once its names are restored, and keeps nothing
+    of a read that fails but the subterms read before the failure."""
     prob = parse_smt2(_HEAD_DECLS)
     memo = prob.term_memo
     t64 = _term(prob, f"(or {_T64} {_T65} (let ((p r)) (and (or p q) q)))")
     key64, key65 = "( and " + "p " * 61 + ")", "( and " + "p " * 62 + ")"
     assert memo[key64] == _term(prob, _T64) and key65 not in memo
     _term(prob, _T65)
-    assert key65 not in memo
+    assert memo[key65] == prob.store.args(t64)[1]
     assert "( or p q )" not in memo and "( and ( or p q ) q )" not in memo
     assert memo["( let ( ( p r ) ) ( and ( or p q ) q ) )"] == prob.store.args(t64)[2]
     with pytest.raises(ParseError, match="unknown symbol n"):

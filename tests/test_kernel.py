@@ -409,6 +409,9 @@ def test_fields_of_types_no_reader_builds_are_malformed_steps():
              Step(2, RuleKind.AND_POS, (), CnfPayload(t, 0.0)),
              Step(2, RuleKind.BB_VAR, (), BvPayload(None)),
              Step(2, RuleKind.LIA, (), LiaPayload(lemma, 5)),
+             Step(2, RuleKind.LIA, (), LiaPayload(lemma, ((0, 1.0),))),
+             Step(2, RuleKind.LIA, (), LiaPayload(lemma, ((0, 1, 2),))),
+             Step(2, RuleKind.LIA, (), LiaPayload(lemma, ((0,),))),
              Step(2, RuleKind.ASSUME, (), AssumePayload(None)),
              Step(2, "res", (0, 1)), Step(2, [RuleKind.RES], (0, 1))]
     for codes in (tuple(lemma), list(lemma)):  # a lemma's codes, not a Clause
@@ -419,6 +422,31 @@ def test_fields_of_types_no_reader_builds_are_malformed_steps():
         result = check(store, inputs, Certificate((step,), 2))
         assert (result.verdict, result.step_id, result.reason) \
             == (Verdict.INVALID, 2, "malformed step"), step
+
+
+def test_a_float_multiplier_cannot_refute_a_satisfiable_problem():
+    """x = -1, y = -520251 satisfies the three asserts.  With float
+    multipliers the Farkas sum rounds to 0 >= k with k >= 1, so check_lia
+    would accept the lemma and three res steps would derive the empty
+    clause; the step is malformed instead."""
+    prob = parse_smt2(
+        "(declare-const x Int) (declare-const y Int)"
+        " (assert (not (<= (- (* 3 x) y) 520247))) (assert (not (<= 0 x)))"
+        " (assert (not (<= y (- 520252))))")
+    store = prob.store
+    lemma = mk_clause(store, [pos(store.args(t)[0]) for t in prob.assertions])
+    assert list(lemma) == [pos(store.args(t)[0]) for t in prob.assertions]
+    combination = ((0, 9.424572654094154e17), (1, 2.8273717962282465e18),
+                   (2, 9.424572654094154e17))
+    cert = Certificate((
+        Step(3, RuleKind.LIA, (), LiaPayload(lemma, combination)),
+        *(Step(4 + i, RuleKind.NOT_NOT, (), CnfPayload(t))
+          for i, t in enumerate(prob.assertions)),
+        Step(7, RuleKind.RES, (3, 4, 0)), Step(8, RuleKind.RES, (7, 5, 1)),
+        Step(9, RuleKind.RES, (8, 6, 2))), qed=9)
+    result = check(store, prob.input_clauses, cert)
+    assert (result.verdict, result.step_id, result.reason) \
+        == (Verdict.INVALID, 3, "malformed step")
 
 
 # Small satisfiable problems over every sort the checkers handle.

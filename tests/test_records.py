@@ -66,7 +66,7 @@ def test_check_result_and_problem_copy_and_pickle():
         assert type(twin) is type(result) and twin == result
     smt = parse_smt2("(set-logic QF_UF) (declare-sort U 0) (declare-const a U)"
                      " (declare-fun f (U) U) (assert (not (= (f a) a)))")
-    fields = ("logic", "decls", "sorts", "assertions", "input_clauses", "dimacs_vars",
+    fields = ("logic", "decls", "sorts", "assertions", "input_clauses",
               "dimacs_header_vars", "term_memo")
     for prob in (cnf, smt):
         for twin in _round_trips(prob):
