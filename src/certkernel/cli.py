@@ -10,7 +10,8 @@ Exit codes are a stable contract:
         byte offset; a CERTKERNEL_BUDGET that is not an integer and an
         option the parser rejects are usage errors, and --help exits 0),
         an internal error of the checker (one line naming the exception
-        type), or a --jobs worker that died; the other pairs still run
+        type), a --jobs worker that died (the other pairs still run), or
+        an unwritable output (a full disk, a closed pipe)
 
 Modes: check (default), stats, translate (nested proof -> linear
 certificate on stdout), and the debugging mode oracle (brute-force
@@ -33,6 +34,7 @@ oracle under ``--mode oracle`` and ``concurrent.futures`` in ``_run_pool``.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import sys
@@ -147,9 +149,7 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
             Verdict.TRUSTED: EXIT_INVALID if strict else EXIT_TRUSTED,
         }[result.verdict]
         return code, report
-    except CertKernelError as e:
-        return EXIT_ERROR, f"error: {e}\n"
-    except OSError as e:
+    except (CertKernelError, OSError) as e:
         return EXIT_ERROR, f"error: {e}\n"
     except MemoryError:
         return EXIT_ERROR, "error: out of memory\n"
@@ -209,13 +209,20 @@ def main(argv=None) -> int:
         outcomes = [_run_star(t) for t in tasks]
 
     worst = EXIT_VALID
-    for (path, _), (code, report) in zip(pairs, outcomes):
-        prefix = f"{path}: " if len(pairs) > 1 else ""
-        stream = sys.stderr if code == EXIT_ERROR else sys.stdout
-        for line in report.rstrip("\n").split("\n"):
-            print(prefix + line, file=stream)
-        if _SEVERITY[code] > _SEVERITY[worst]:
-            worst = code
+    try:
+        for (path, _), (code, report) in zip(pairs, outcomes):
+            prefix = f"{path}: " if len(pairs) > 1 else ""
+            stream = sys.stderr if code == EXIT_ERROR else sys.stdout
+            for line in report.rstrip("\n").split("\n"):
+                print(prefix + line, file=stream)
+            if _SEVERITY[code] > _SEVERITY[worst]:
+                worst = code
+        sys.stdout.flush()
+    except OSError as e:  # a full disk, a closed pipe; stdout flushes at exit, to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+        return EXIT_ERROR
     return worst
 
 

@@ -98,7 +98,7 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
             pair = (a, c)
         elif step.rule is EqRule.CONG:
             fn = step.fun
-            if fn is None or len(step.refs) != fn.arity:
+            if fn is None or len(step.refs) != len(fn.arg_sorts):
                 return TRIVIALLY_TRUE
             if any(not (0 <= r < len(derived)) for r in step.refs):
                 return TRIVIALLY_TRUE

@@ -363,7 +363,7 @@ def _declare(problem: Problem, lex: Lexemes, k: int, arg_sorts: tuple[Sort, ...]
     name = lex.words[k]
     if name.startswith("$"):
         raise lex.error(k, "names starting with $ are reserved")
-    if name in problem.decls or name in problem.sorts:
+    if name in problem.decls:
         raise lex.error(k, f"{name} is already declared")
     store = problem.store
     if not arg_sorts:

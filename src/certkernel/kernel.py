@@ -5,11 +5,13 @@ checker and whatever clause that checker returns is stored at the step's
 slot, rejected material included (rejections come back as the trivially
 true clause and can never strengthen the derivation).  The run succeeds
 when some stored clause is empty: Valid if no assume step was replayed,
-Trusted otherwise, with the assumed clauses reported verbatim.  Structural
-violations — bad ids, forward references, payload/rule mismatches, a field
-of a type or length no reader builds (a float where an int is read) — stop
-the run as Invalid at the offending step, as does a rejected step whose
-payload declared a specific conclusion.
+Trusted otherwise.  The ``CheckResult`` holds the assumed clauses verbatim,
+the number of stored clauses of each rule and the length of the longest,
+but no copy of the clause store.  Structural violations — bad ids, forward
+references, payload/rule mismatches, a field of a type or length no reader
+builds (a float where an int is read) — stop the run as Invalid at the
+offending step, as does a rejected step whose payload declared a specific
+conclusion.
 Every small checker rejects by returning the ``TRIVIALLY_TRUE`` object
 itself, never an equal copy, so ``conclusion is TRIVIALLY_TRUE`` with a
 lemma other than [true] means exactly that the step was rejected.
@@ -58,7 +60,7 @@ class CheckResult(NamedTuple):
     step_id: int | None = None
     assumptions: tuple[Clause, ...] = ()
     stats: tuple[tuple[str, int], ...] = ()
-    clauses: tuple[Clause, ...] = ()  # every stored clause, inputs first
+    widest: int = 0
 
 
 class CheckContext:
@@ -133,7 +135,6 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     empty clause.  Deterministic: identical inputs produce identical results.
     """
     clauses: list[Clause] = list(input_clauses)
-    n_inputs = len(clauses)
     slot = clauses.__getitem__
     ctx = CheckContext(store)
     assumptions: list[Clause] = []
@@ -143,19 +144,15 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     # lands in ctx.bitblast.used_vars, where no later walk enters it again.
     scanned = 0
 
-    counts: dict[RuleKind, int] = {}  # rules of the stored steps
+    counts = {RuleKind.INPUT: len(clauses)}  # rules of the stored clauses
 
     def result(verdict, reason=None, step_id=None) -> CheckResult:
-        counts[RuleKind.INPUT] = n_inputs
         stats = tuple((r.value, counts[r]) for r in RuleKind if counts.get(r))
-        return CheckResult(
-            verdict, reason=reason, step_id=step_id,
-            assumptions=tuple(assumptions), stats=stats, clauses=tuple(clauses))
+        return CheckResult(verdict, reason, step_id, tuple(assumptions), stats,
+                           max(map(len, clauses), default=0))
 
     def finish():
-        if assumptions:
-            return result(Verdict.TRUSTED)
-        return result(Verdict.VALID)
+        return result(Verdict.TRUSTED if assumptions else Verdict.VALID)
 
     if not all(clauses):
         return finish()

@@ -57,7 +57,7 @@ def _linearize(store: TermStore, sides) -> tuple[dict[TermId, int], int] | None:
         m = mults.get(t)
         if m is None:
             continue
-        k, _, args, value = node(t)
+        k, args, value = node(t)
         if k is Kind.INT_CONST:
             constant += m * value
         elif k is Kind.ADD:

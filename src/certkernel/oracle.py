@@ -289,9 +289,9 @@ def _collect_symbols(store: TermStore, clauses):
     funs: set[FunSym] = set()
     u_terms: dict[UninterpretedSort, int] = {}
     for t in store.postorder(code >> 1 for clause in clauses for code in clause):
-        node = store.node(t)
-        if isinstance(node.sort, UninterpretedSort):
-            u_terms[node.sort] = u_terms.get(node.sort, 0) + 1
+        node, sort = store.node(t), store.sort_of(t)
+        if isinstance(sort, UninterpretedSort):
+            u_terms[sort] = u_terms.get(sort, 0) + 1
         if node.kind is Kind.VAR:
             variables.append(t)
         elif node.kind is Kind.APPLY:
@@ -341,8 +341,9 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
                                      for s in u_sorts)):
         domains = dict(zip(u_sorts, sizes))
         values_of = functools.partial(_sort_values, int_box, domains)
-        if math.prod(1 << sort.width if isinstance(sort, BitVecSort) else len(values_of(sort))
-                     for sort in map(store.sort_of, variables)) > budget:
+        # A width of budget.bit_length() alone is past the budget; 1 << 10**20 is never built.
+        if math.prod(1 << min(sort.width, budget.bit_length()) if isinstance(sort, BitVecSort)
+                     else len(values_of(sort)) for sort in map(store.sort_of, variables)) > budget:
             return OracleResult(EXHAUSTED)
         try:
             found = _search(store, clauses, variables, values_of, counter, budget)

@@ -148,8 +148,8 @@ def stats_report(store: TermStore, result) -> str:
     lines = [f"verdict: {result.verdict.value}"]
     if result.reason:
         lines.append(f"reason: {result.reason}{_where(result)}")
-    lines.append(f"clauses stored: {len(result.clauses)}")
-    lines.append(f"max clause width: {max(map(len, result.clauses), default=0)}")
+    lines.append(f"clauses stored: {sum(count for _, count in result.stats)}")
+    lines.append(f"max clause width: {result.widest}")
     lines.append("rule counts:")
     lines += [f"  {name} {count}" for name, count in result.stats]
     if result.assumptions:

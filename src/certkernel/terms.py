@@ -9,7 +9,9 @@ evaluates semantics.
 
 Terms live in a per-problem append-only ``TermStore``.  Structurally equal
 nodes always receive the same ``TermId``, so id equality *is* structural
-equality.  ``TrueT`` and ``FalseT`` are interned first in every store and
+equality.  A node, ``(kind, args, extra)``, is stored once, as its own
+index key, and its sort, which those fields determine, in a list beside the
+nodes.  ``TrueT`` and ``FalseT`` are interned first in every store and
 therefore always have ids 0 and 1.  A node's arguments intern before it, so
 every argument id is smaller than its parent's and ascending id order is
 bottom-up.  Walks over a term use ``TermStore.postorder`` or an explicit
@@ -31,42 +33,36 @@ TermId = int
 # Sorts
 # ---------------------------------------------------------------------------
 
-class BoolSort:
-    """The sort of formulas.  Its one instance is ``BOOL``: ``BoolSort()``,
-    ``copy`` and ``pickle`` all return it, so equality and hashing are the
-    identity's, which run in C."""
+class _UnitSort:
+    """A sort with one instance, ``BOOL`` or ``INT``: the constructor, ``copy``
+    and ``pickle`` all return it, so equality and hashing are the identity's,
+    which run in C."""
 
     __slots__ = ()
 
     def __new__(cls):
-        return BOOL
+        return cls.ONE
 
     def __reduce__(self) -> str:
-        return "BOOL"  # pickled and copied as the module global
+        return str(self).upper()  # pickled and copied as the module global
 
     def __repr__(self) -> str:
-        return "BoolSort()"
+        return f"{self}Sort()"
 
     def __str__(self) -> str:
-        return "Bool"
+        return type(self).__name__[:-4]
 
 
-class IntSort:
-    """The sort of integers, with one instance ``INT`` (see ``BoolSort``)."""
+class BoolSort(_UnitSort):
+    """The sort of formulas."""
 
     __slots__ = ()
 
-    def __new__(cls):
-        return INT
 
-    def __reduce__(self) -> str:
-        return "INT"
+class IntSort(_UnitSort):
+    """The sort of integers."""
 
-    def __repr__(self) -> str:
-        return "IntSort()"
-
-    def __str__(self) -> str:
-        return "Int"
+    __slots__ = ()
 
 
 def class_eq(cls):
@@ -98,8 +94,8 @@ class UninterpretedSort(NamedTuple):
 
 Sort = Union[BoolSort, IntSort, BitVecSort, UninterpretedSort]
 
-BOOL = object.__new__(BoolSort)
-INT = object.__new__(IntSort)
+BOOL = BoolSort.ONE = object.__new__(BoolSort)
+INT = IntSort.ONE = object.__new__(IntSort)
 
 
 @class_eq
@@ -109,10 +105,6 @@ class FunSym(NamedTuple):
     name: str
     arg_sorts: tuple[Sort, ...]
     ret_sort: Sort
-
-    @property
-    def arity(self) -> int:
-        return len(self.arg_sorts)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +179,8 @@ SIGNATURES: dict[Kind, tuple[int, int | None, object, Sort | None]] = {
 }
 
 
-class Node(NamedTuple):
+class Node(NamedTuple):  # no class_eq: the plain tuple (kind, args, extra) finds it
     kind: Kind
-    sort: Sort
     args: tuple[TermId, ...]
     # Per-kind payload: variable name (str), integer value (int),
     # bit tuple LSB-first (tuple[bool, ...]), or FunSym.  None otherwise.
@@ -201,7 +192,8 @@ class TermStore:
 
     def __init__(self):
         self._nodes: list[Node] = []
-        self._index: dict[tuple, TermId] = {}
+        self._sorts: list[Sort] = []
+        self._index: dict[Node, TermId] = {}
         self.true_id = self.intern(Kind.TRUE)
         self.false_id = self.intern(Kind.FALSE)
 
@@ -219,7 +211,7 @@ class TermStore:
 
     def sort_of(self, t: TermId) -> Sort:
         """Sort of a term; total on valid ids."""
-        return self._nodes[t].sort
+        return self._sorts[t]
 
     # -- interning ----------------------------------------------------------
 
@@ -238,20 +230,20 @@ class TermStore:
         for a in args:
             if a.__class__ is not int or not 0 <= a < n:
                 raise SortError(f"invalid child id {a} for {kind.value}")
-        key = (kind, args, extra)
-        hit = self._index.get(key)
+        hit = self._index.get((kind, args, extra))
         if hit is not None and extra is None:
             return hit
         sort = self._compute_sort(kind, args, extra)
         if hit is not None:
             return hit
-        tid = len(self._nodes)
-        self._nodes.append(Node(kind, sort, args, extra))
-        self._index[key] = tid
-        return tid
+        node = Node(kind, args, extra)
+        self._nodes.append(node)
+        self._sorts.append(sort)
+        self._index[node] = n
+        return n
 
     def _compute_sort(self, kind: Kind, args: tuple[TermId, ...], extra: object) -> Sort:
-        sorts = tuple(self._nodes[a].sort for a in args)
+        sorts = tuple(map(self._sorts.__getitem__, args))
         sig = SIGNATURES.get(kind)
         if sig is not None:
             lo, hi, operand, result = sig
@@ -313,15 +305,16 @@ class TermStore:
     # -- constructors -------------------------------------------------------
 
     def var(self, name: str, sort: Sort) -> TermId:
-        """``intern(Kind.VAR, (), (name, sort))``: the same id, node and index
-        key, an existing variable's id on a hit, without the sort computation
-        (a variable's sort is its own)."""
+        """``intern(Kind.VAR, (), (name, sort))``: the same id, node and sort,
+        an existing variable's id on a hit, without the sort computation (a
+        variable's sort is its own)."""
         if not isinstance(name, str):
             raise SortError("variable name must be a string")
-        nodes, extra = self._nodes, (name, sort)
-        tid = self._index.setdefault((_VAR, (), extra), len(nodes))
+        nodes, node = self._nodes, Node(_VAR, (), (name, sort))
+        tid = self._index.setdefault(node, len(nodes))
         if tid == len(nodes):
-            nodes.append(Node(_VAR, sort, (), extra))
+            nodes.append(node)
+            self._sorts.append(sort)
         return tid
 
     def int_const(self, value: int) -> TermId:
@@ -441,7 +434,7 @@ def _literal_error(store: TermStore, code: object) -> str | None:
     code < 0 would read the store's end."""
     if code.__class__ is not int or not 0 <= code < 2 * len(store._nodes):
         return f"clause literal {code!r} is not a literal code of this problem"
-    sort = store._nodes[code >> 1].sort
+    sort = store._sorts[code >> 1]
     if sort is not BOOL:
         return f"clause literal atom {code >> 1} has sort {sort}, expected Bool"
     return None

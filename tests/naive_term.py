@@ -140,7 +140,7 @@ def _declare(problem, name_tok, arg_sorts, ret):
     name = name_tok.text
     if name.startswith("$"):
         raise ParseError("names starting with $ are reserved", *_pos_of(name_tok))
-    if name in problem.decls or name in problem.sorts:
+    if name in problem.decls:
         raise ParseError(f"{name} is already declared", *_pos_of(name_tok))
     store = problem.store
     if not arg_sorts:

@@ -487,17 +487,18 @@ print(code, tracemalloc.get_traced_memory()[1] / 1e6)
 """
 
 
-def test_a_100k_step_chain_peaks_below_78_mb(tmp_path):
+def test_a_100k_step_chain_peaks_below_57_mb(tmp_path):
     """run_one on the benchmark's 100 000-step DIMACS res chain (seed 1),
     in a fresh process under tracemalloc.  Read whole before replay, the
     certificate's steps and line list took the peak to 87 MB; read block
-    by block as replay consumes it, the peak is about 70 MB, level with
-    that of reading the problem."""
+    by block as replay consumes it, about 61 MB; with each term stored as
+    one node that is its own index key, and no copy of the stored clauses
+    in the result, about 53 MB."""
     pair = gens.benchmark_generator().generate("res_chain", 1, tmp_path)["pairs"][0]
     proc = subprocess.run([sys.executable, "-c", _PEAK, pair["problem"], pair["proof"]],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, peak_mb = proc.stdout.split()
-    assert code == "0" and float(peak_mb) < 78, peak_mb
+    assert code == "0" and float(peak_mb) < 57, peak_mb
     print(f"\nPASS memory: 100000-step chain checked at a {float(peak_mb):.1f} MB "
           f"tracemalloc peak")

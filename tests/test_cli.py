@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import os
 import signal
 import subprocess
 import sys
@@ -365,6 +366,30 @@ def test_input_that_is_not_utf8_names_file_and_offset(files, capsys):
          "--problem", str(files / "prob.cnf"), "--proof", "-"],
         input=b"\xff" + DIMACS_CERT.encode(), capture_output=True)
     assert (proc.returncode, proc.stderr) == (3, b"error: <stdin>: invalid UTF-8 at byte 0\n")
+
+
+@pytest.mark.parametrize("output", ["full", "closed-pipe"])
+def test_an_unwritable_stdout_exits_three_without_a_traceback(output):
+    """A VALID pair whose report cannot be written, to a full device or to a
+    pipe whose reader has closed, exits 3 with one error line on stderr."""
+    if output == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    args = [sys.executable, "-m", "certkernel.cli",
+            "--problem", str(CORPUS / "sat" / "chain5.cnf"),
+            "--proof", str(CORPUS / "sat" / "chain5.cert")]
+    if output == "full":
+        with open("/dev/full", "w") as stdout:
+            proc = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: cannot write report: ") \
+        and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_input_newlines_read_as_in_text_mode(tmp_path):

@@ -203,6 +203,21 @@ def test_smt2_predicate_encoding():
     assert prob.store.node(rhs).extra[0] == "$tt"
 
 
+@pytest.mark.parametrize("text,sort", [
+    ("(declare-sort U 0) (declare-const U U) (assert (= U U))", "U"),
+    ("(declare-const U Int) (declare-sort U 0) (assert (<= U U))", "Int"),
+], ids=["sort-first", "constant-first"])
+def test_a_sort_and_a_constant_may_share_a_name(text, sort):
+    """SMT-LIB keeps sort symbols apart from function symbols, so a sort and
+    a constant may share a name, declared in either order."""
+    from naive_term import naive_parse_smt2
+    for read in (parse_smt2, naive_parse_smt2):
+        prob = read(f"(set-logic QF_UFLIA) {text}")
+        const = prob.decls["U"][1]
+        assert str(prob.store.sort_of(const)) == sort and "U" in prob.sorts
+        assert prob.store.args(prob.assertions[0]) == (const, const)
+
+
 def test_smt2_unsupported_features():
     with pytest.raises(UnsupportedError):
         parse_smt2("(declare-const x Int)\n(assert (forall ((y Int)) (<= x y)))\n")
@@ -833,16 +848,16 @@ def test_lexer_matches_the_findall_lexer():
 
 
 def _pipeline_outcome(parse_problem, parse_cert, problem_text, cert_text):
-    """The store nodes, problem fields and certificate a problem reader and
-    a certificate reader build, or the type, message, line and column of the
-    error they raise."""
+    """The store nodes and sorts, problem fields and certificate a problem
+    reader and a certificate reader build, or the type, message, line and
+    column of the error they raise."""
     try:
         prob = parse_problem(problem_text)
         cert = None if cert_text is None else parse_cert(cert_text, prob)
     except CertKernelError as e:
         return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
-    return (prob.store._nodes, prob.logic, prob.decls, prob.sorts, prob.assertions,
-            prob.input_clauses, cert)
+    return (prob.store._nodes, prob.store._sorts, prob.logic, prob.decls, prob.sorts,
+            prob.assertions, prob.input_clauses, cert)
 
 
 def _both_pipelines(problem_text, cert_text=None, dimacs=False):
@@ -857,7 +872,7 @@ def _both_pipelines(problem_text, cert_text=None, dimacs=False):
 def _certificates_in_turn(parse_problem, parse_cert, texts):
     """The certificate, or the error type and message, of each certificate
     text read in turn against one problem read from _HEAD_DECLS, then the
-    store nodes and declarations that problem ends with."""
+    store nodes, sorts and declarations that problem ends with."""
     prob = parse_problem(_HEAD_DECLS)
     outcomes = []
     for text in texts:
@@ -865,7 +880,7 @@ def _certificates_in_turn(parse_problem, parse_cert, texts):
             outcomes.append(parse_cert(text, prob))
         except CertKernelError as e:
             outcomes.append((type(e), str(e)))
-    return outcomes, prob.store._nodes, prob.decls
+    return outcomes, prob.store._nodes, prob.store._sorts, prob.decls
 
 
 # Certificates whose terms repeat subterms, each term on a line of its own:

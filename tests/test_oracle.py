@@ -259,3 +259,11 @@ def test_the_oracle_builds_no_value_list_past_its_budget(asserts, report, tmp_pa
     start = time.perf_counter()
     assert run_one(str(path), None, "oracle", None, False, False) == (0, report)
     assert time.perf_counter() - start < 1
+
+
+def test_a_variable_wider_than_the_budget_has_bits_is_exhausted(tmp_path):
+    """A bit-vector variable of 10^20 bits is past any budget by its width
+    alone; the search-space check builds no 1 << 10^20."""
+    path = tmp_path / "huge.smt2"
+    path.write_text("(declare-const x (_ BitVec 100000000000000000000)) (assert (bvult x x))")
+    assert run_one(str(path), None, "oracle", None, False, False) == (0, "status exhausted\n")

@@ -73,6 +73,7 @@ def test_check_result_and_problem_copy_and_pickle():
             assert type(twin) is type(prob)
             assert [getattr(twin, f) for f in fields] == [getattr(prob, f) for f in fields]
             assert twin.store._nodes == prob.store._nodes
+            assert twin.store._sorts == prob.store._sorts
             assert twin.store._index == prob.store._index
 
 

@@ -291,7 +291,8 @@ def test_cnf_lemma_matches_the_string_template_checker():
     # position and under *.
     for kind, args in ((Kind.AND, (a, x)), (Kind.OR, (x, b)), (Kind.IMPLIES, (a, x)),
                        (Kind.NOT, (x,))):
-        store._nodes.append(Node(kind, BOOL, args, None))
+        store._nodes.append(Node(kind, args, None))
+        store._sorts.append(BOOL)
         targets.append(len(store) - 1)
     targets += [-1, len(store)]
     seen = {"clause": 0, "rejected": 0, "sort": 0}

@@ -70,6 +70,7 @@ def test_var_is_intern_of_a_var_node():
     assert ids == [interned.intern(Kind.VAR, (), (name, sort)) for name, sort in calls] \
         == [2, 3, 4, 2, 3, 5]
     assert store._nodes == interned._nodes and store._index == interned._index
+    assert store._sorts == interned._sorts
     assert (store.sort_of(3), store.sort_of(4)) == (INT, BOOL)
     for bad in (1, None, b"v1"):
         with pytest.raises(SortError, match="variable name must be a string"):
@@ -77,6 +78,22 @@ def test_var_is_intern_of_a_var_node():
         with pytest.raises(SortError, match="variable name must be a string"):
             interned.intern(Kind.VAR, (), (bad, BOOL))
     assert len(store) == len(interned) == 6
+
+
+def test_each_node_is_stored_once_as_its_own_index_key():
+    """After reading and replaying a corpus bit-vector pair, whose checkers
+    intern terms too, every index key is the very node stored at its id,
+    and each node has one sort beside it."""
+    from pathlib import Path
+
+    from certkernel import Verdict, check, parse_certificate, parse_smt2
+    pair = Path(__file__).resolve().parent.parent / "corpus" / "qbv" / "add_w2"
+    prob = parse_smt2(pair.with_suffix(".smt2").read_text())
+    cert = parse_certificate(pair.with_suffix(".cert").read_text(), prob)
+    assert check(prob.store, prob.input_clauses, cert).verdict is Verdict.VALID
+    store = prob.store
+    assert len(store._index) == len(store._nodes) == len(store._sorts) == len(store) > 2
+    assert all(store._nodes[tid] is node for node, tid in store._index.items())
 
 
 def test_true_false_have_fixed_ids():
@@ -362,8 +379,8 @@ def test_bool_and_int_sorts_are_singletons():
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(sort, protocol)) is sort
     for clone in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
-        assert [n.sort for n in clone._nodes[2:]] == [BOOL, INT]
-        assert clone._nodes[2].sort is BOOL and clone._nodes[3].sort is INT
+        assert [clone.sort_of(t) for t in (2, 3)] == [BOOL, INT]
+        assert clone.sort_of(2) is BOOL and clone.sort_of(3) is INT
         assert clone.var("p", BOOL) == 2 and len(clone) == len(store)
     with pytest.raises(AttributeError):
         BOOL.width = 1
