@@ -38,15 +38,18 @@ uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
 A DIMACS clause body is converted at once when it allows; see
-``_dimacs_body``.  Only the variables that a clause uses are made, after
-the body is read, in ascending numeral order.
+``_dimacs_body``.  The variables that a clause uses are then reserved in a
+new store, in ascending numeral order: ``v<n>`` is a Bool variable with an
+id from 2 on but no node, name or index entry of its own (see
+``certkernel.terms``), and a name lookup of ``v<n>``, such as ``(aux v5)``
+in a certificate, finds that id.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import compress, islice
+from itertools import accumulate, islice
 
 from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
@@ -445,7 +448,6 @@ def parse_smt2(text: str) -> Problem:
 def parse_dimacs(text: str) -> Problem:
     """Parse DIMACS CNF: ``p cnf V C`` header, 0-terminated clauses,
     ``c`` comment lines.  Literal range and clause count are enforced."""
-    problem = Problem(store=TermStore(), logic="SAT")
     offset = lineno = 0
     while offset < len(text):  # lines as split_lines gives them, up to the header
         end = text.find("\n", offset)
@@ -463,19 +465,20 @@ def parse_dimacs(text: str) -> Problem:
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
     values, top = _dimacs_body(text[offset:], lineno, n_vars)
-    # Only the variables that occur are made, in ascending numeral order, so
-    # the header's count costs nothing and the atoms keep their relative
+    # Only the variables that occur are reserved, in ascending numeral order,
+    # so the header's count costs nothing and the atoms keep their relative
     # order; the largest numeral in the body sizes the tables.
     used = bytearray(top + 1)  # used[n] = 1 if numeral n occurs
     for value in values:
         used[abs(value)] = 1
-    used[0] = 0
-    var, var_ids = problem.store.var, [0] * (top + 1)
-    for i in compress(range(len(var_ids)), used):
-        var_ids[i] = var(f"v{i}", BOOL)
+    problem = Problem(TermStore(used), logic="SAT")
+    # Reserved ids count up from 2, so a used numeral n has id 1 + the
+    # number of used numerals up to n, and used[0] = 1 (every clause ends
+    # in 0; a body without clauses uses no numeral): the running sum.
+    var_ids = list(accumulate(used))
 
-    # Every atom is a Bool variable made above, so the clauses need no
-    # sort check: a literal v encodes as 2 * atom + (v < 0).
+    # Every atom is a reserved Bool variable, so the clauses need no sort
+    # check: a literal v encodes as 2 * atom + (v < 0).
     codes: list[int] = []  # encoded literals of the clause being read
     for value in values:
         if value:

@@ -336,6 +336,10 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
     # complete search for those sorts.
     complete = all(n <= max_domain for n in u_terms.values()) \
         and INT not in map(store.sort_of, variables)
+    # One value of a bit-vector sort costs a step per bit, so a function
+    # into one wider than the budget would exhaust it on its first value.
+    if any(isinstance(fn.ret_sort, BitVecSort) and fn.ret_sort.width > budget for fn in funs):
+        return OracleResult(EXHAUSTED)
     counter = [0]
     for sizes in itertools.product(*(range(1, min(u_terms[s], max_domain) + 1)
                                      for s in u_sorts)):

@@ -17,11 +17,23 @@ every argument id is smaller than its parent's and ascending id order is
 bottom-up.  Walks over a term use ``TermStore.postorder`` or an explicit
 stack, not recursion, so a term of any depth can be walked.  Nothing here
 renders text: terms and clauses print through ``certkernel.printer``.
+
+A store may reserve, when it is made, a range of Bool variables named by
+numerals, as a DIMACS problem's are: ``v<n>`` for each chosen n takes the
+next id from 2 on, in ascending order of n.  The range keeps only the
+numerals, 8 bytes each, and one shared placeholder node and ``BOOL`` in the
+node and sort lists, so ``kind``, ``args``, ``sort_of`` and walks read it
+like any node; ``node`` makes a variable's node when asked.  Reserved nodes
+are not index keys, so a name lookup checks the range: whenever ``intern``
+or ``var`` would append a variable, a Bool ``v<n>`` with n reserved gets
+the reserved id instead, and one name never names two atoms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
+from itertools import compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import SortError
@@ -93,6 +105,7 @@ class UninterpretedSort(NamedTuple):
 
 
 Sort = Union[BoolSort, IntSort, BitVecSort, UninterpretedSort]
+_SORT_CLASSES = (BoolSort, IntSort, BitVecSort, UninterpretedSort)
 
 BOOL = BoolSort.ONE = object.__new__(BoolSort)
 INT = IntSort.ONE = object.__new__(IntSort)
@@ -145,7 +158,7 @@ class Kind(Enum):
 
 
 # Reading an Enum member off its class costs about 150 ns on Python 3.11;
-# TermStore.var and the per-kind checks of _compute_sort read these aliases.
+# TermStore.intern and the per-kind checks of _compute_sort read these aliases.
 _VAR, _INT_CONST, _BV_CONST, _APPLY, _EQ, _ITE = (
     Kind.VAR, Kind.INT_CONST, Kind.BV_CONST, Kind.APPLY, Kind.EQ, Kind.ITE)
 
@@ -182,26 +195,52 @@ SIGNATURES: dict[Kind, tuple[int, int | None, object, Sort | None]] = {
 class Node(NamedTuple):  # no class_eq: the plain tuple (kind, args, extra) finds it
     kind: Kind
     args: tuple[TermId, ...]
-    # Per-kind payload: variable name (str), integer value (int),
+    # Per-kind payload: variable (name, sort), integer value (int),
     # bit tuple LSB-first (tuple[bool, ...]), or FunSym.  None otherwise.
     extra: object
+
+
+class _ReservedVar(Node):
+    """The placeholder stored at every reserved variable's id; no interned
+    node equals it, since a variable's payload is never None."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "_RESERVED"  # pickled and copied as the module global
+
+
+_RESERVED = _ReservedVar(_VAR, (), None)
 
 
 class TermStore:
     """Append-only hash-consing store for one problem."""
 
-    def __init__(self):
+    def __init__(self, reserved: Sequence[int] = b""):
+        """A store of ``TrueT`` and ``FalseT`` and then, from id 2 on, the
+        reserved Bool variable ``v<n>`` for each n >= 1, in ascending order,
+        with ``reserved[n]`` nonzero (``reserved[0]`` is not read)."""
         self._nodes: list[Node] = []
         self._sorts: list[Sort] = []
         self._index: dict[Node, TermId] = {}
+        self._numerals: Sequence[int] = ()  # ascending by construction
         self.true_id = self.intern(Kind.TRUE)
         self.false_id = self.intern(Kind.FALSE)
+        if len(reserved) > 1:
+            from array import array  # imported on first use, not at start-up
+            self._numerals = numerals = array(
+                "q", compress(range(1, len(reserved)), islice(reserved, 1, None)))
+            self._nodes.extend(repeat(_RESERVED, len(numerals)))
+            self._sorts.extend(repeat(BOOL, len(numerals)))
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def node(self, t: TermId) -> Node:
-        return self._nodes[t]
+        node = self._nodes[t]
+        if node is _RESERVED:
+            return Node(_VAR, (), (f"v{self._numerals[t % len(self._nodes) - 2]}", BOOL))
+        return node
 
     def kind(self, t: TermId) -> Kind:
         return self._nodes[t].kind
@@ -222,25 +261,41 @@ class TermStore:
         demands (bit-vector children must share one width).  A node without
         a payload that is already interned passed that check on its first
         interning, so a hit skips it.  Argument ids must be ints and a
-        payload is checked on every call, because 1.0 == 1 and
-        (1,) == (True,) would make malformed nodes equal to interned keys.
+        payload is checked on every call, before the index is read, because
+        1.0 == 1 and (1,) == (True,) would make malformed nodes equal to
+        interned keys; a variable's payload is a ``(name, sort)`` pair.
         """
         args = tuple(args)
         n = len(self._nodes)
         for a in args:
             if a.__class__ is not int or not 0 <= a < n:
                 raise SortError(f"invalid child id {a} for {kind.value}")
-        hit = self._index.get((kind, args, extra))
-        if hit is not None and extra is None:
+        if extra is None and (hit := self._index.get((kind, args, None))) is not None:
             return hit
         sort = self._compute_sort(kind, args, extra)
-        if hit is not None:
+        if extra is not None and (hit := self._index.get((kind, args, extra))) is not None:
             return hit
+        if kind is _VAR and self._numerals:
+            hit = self._reserved_id(*extra)
+            if hit is not None:
+                return hit
         node = Node(kind, args, extra)
         self._nodes.append(node)
         self._sorts.append(sort)
         self._index[node] = n
         return n
+
+    def _reserved_id(self, name: str, sort: Sort) -> TermId | None:
+        """The reserved id of the variable ``(name, sort)``, or None.  Only a
+        Bool ``v<n>`` with n reserved, written without leading zeros, has one."""
+        digits = name[1:]
+        if sort is not BOOL or name[:1] != "v" or digits[:1] == "0" \
+                or not (digits.isascii() and digits.isdigit()) \
+                or len(digits) > 19:  # past every "q" array entry
+            return None
+        numerals, n = self._numerals, int(digits)
+        i = bisect_left(numerals, n)
+        return i + 2 if i < len(numerals) and numerals[i] == n else None
 
     def _compute_sort(self, kind: Kind, args: tuple[TermId, ...], extra: object) -> Sort:
         sorts = tuple(map(self._sorts.__getitem__, args))
@@ -262,9 +317,13 @@ class TermStore:
         if kind in (_VAR, _INT_CONST, _BV_CONST) and args:
             raise SortError(f"{kind.value} takes 0 arguments, got {len(args)}")
         if kind is _VAR:
+            if extra.__class__ is not tuple or len(extra) != 2:
+                raise SortError("variable payload must be a (name, sort) pair")
             name, sort = extra
             if not isinstance(name, str):
                 raise SortError("variable name must be a string")
+            if not isinstance(sort, _SORT_CLASSES):
+                raise SortError(f"variable sort must be a sort, got {sort!r}")
             return sort
         if kind is _INT_CONST:
             if not isinstance(extra, int):
@@ -305,17 +364,7 @@ class TermStore:
     # -- constructors -------------------------------------------------------
 
     def var(self, name: str, sort: Sort) -> TermId:
-        """``intern(Kind.VAR, (), (name, sort))``: the same id, node and sort,
-        an existing variable's id on a hit, without the sort computation (a
-        variable's sort is its own)."""
-        if not isinstance(name, str):
-            raise SortError("variable name must be a string")
-        nodes, node = self._nodes, Node(_VAR, (), (name, sort))
-        tid = self._index.setdefault(node, len(nodes))
-        if tid == len(nodes):
-            nodes.append(node)
-            self._sorts.append(sort)
-        return tid
+        return self.intern(_VAR, (), (name, sort))
 
     def int_const(self, value: int) -> TermId:
         return self.intern(Kind.INT_CONST, (), value)

@@ -7,9 +7,9 @@ import pytest
 
 import gens
 from certkernel import (
-    AssumePayload, BOOL, Certificate, ForwardReferenceError, Kind, ParseError, UnsupportedError,
-    Verdict, check, mk_clause, neg, parse_certificate, parse_dimacs, parse_nested_proof,
-    parse_smt2, pos, print_certificate, print_dimacs, to_sexpr,
+    AssumePayload, BOOL, Certificate, ForwardReferenceError, Kind, ParseError, TermStore,
+    UnsupportedError, Verdict, check, mk_clause, neg, parse_certificate, parse_dimacs,
+    parse_nested_proof, parse_smt2, pos, print_certificate, print_dimacs, to_sexpr,
 )
 from certkernel.errors import CertKernelError
 
@@ -133,6 +133,100 @@ def test_a_huge_dimacs_header_costs_no_memory(body):
         tracemalloc.stop()
     assert peak < 10_000_000, peak
     assert print_dimacs(prob) == "p cnf 100000000 1\n1 0\n"
+
+
+def _reference_dimacs(text):
+    """The problem of a valid DIMACS text, built as the reader built it
+    before variables were reserved: one ``var`` per numeral that occurs, in
+    ascending order, on a plain store, and ``mk_clause`` per clause."""
+    from certkernel.frontend import Problem
+    lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "c"]
+    header, values = lines[0].split(), [int(field) for line in lines[1:] for field in line.split()]
+    prob = Problem(TermStore(), "SAT")
+    ids = {n: prob.store.var(f"v{n}", BOOL) for n in sorted({abs(v) for v in values} - {0})}
+    codes = []
+    for v in values:
+        if v:
+            codes.append(2 * ids[abs(v)] + (v < 0))
+        else:
+            prob.input_clauses.append(mk_clause(prob.store, codes))
+            codes = []
+    prob.dimacs_header_vars = int(header[2])
+    return prob
+
+
+def _seeded_dimacs(rng):
+    """A DIMACS text over a random subset of 1..V, so its numerals have
+    gaps, with repeated and complementary literals, empty clauses and comments."""
+    n_vars = rng.randint(1, 40)
+    pool = rng.sample(range(1, n_vars + 1), rng.randint(1, n_vars))
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        lits = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        lits += lits[:rng.randint(0, 2)]
+        lines.append(" ".join(map(str, lits + [0])))
+        if rng.random() < 0.2:
+            lines.append("c note")
+    return f"p cnf {n_vars} {sum(not line.startswith('c') for line in lines)}\n" \
+        + "\n".join(lines) + "\n"
+
+
+def test_reserved_dimacs_variables_match_one_var_per_numeral():
+    """The reserved range gives every id, node, sort, clause and printed
+    byte that a store with one interned variable per numeral gives, on the
+    corpus and on seeded texts with numeral gaps."""
+    rng = random.Random(26)
+    texts = [path.read_text() for path in sorted(CORPUS.rglob("*.cnf"))]
+    assert len(texts) == 8
+    texts += [_seeded_dimacs(rng) for _ in range(200)]
+    texts += ["p cnf 5 2\n0\n0\n", "p cnf 9 1\n9 -9 9 0\n", "p cnf 3 0\n"]
+    for text in texts:
+        prob, ref = parse_dimacs(text), _reference_dimacs(text)
+        store, ref_store = prob.store, ref.store
+        assert len(store) == len(ref_store), text
+        assert [store.node(t) for t in range(len(store))] == \
+            [ref_store.node(t) for t in range(len(ref_store))]
+        assert [store.sort_of(t) for t in range(len(store))] == \
+            [ref_store.sort_of(t) for t in range(len(ref_store))]
+        assert prob.input_clauses == ref.input_clauses
+        assert print_dimacs(prob) == print_dimacs(ref)
+        for t in range(2, len(store)):
+            assert store.var(store.node(t).extra[0], BOOL) == t
+        assert len(store) == len(ref_store)
+
+
+def test_a_reserved_name_in_a_certificate_is_the_dimacs_variable():
+    """(aux v5) names the problem's variable v5, not a second atom; v05 and
+    a numeral that no clause uses make new variables after the range."""
+    prob = parse_dimacs("p cnf 9 2\n2 -5 0\n9 0\n")
+    v2, v5, v9 = 2, 3, 4
+    cert = parse_certificate("2 bb_const () {#b1 (aux v5 v05 v7 v9)}\n"
+                             "3 assume () {v5 (not v9)}\nqed 3\n", prob)
+    assert cert.steps[0].payload.aux == (v5, 6, 7, v9)
+    assert tuple(cert.steps[1].payload.lemma) == (pos(v5), neg(v9))
+    assert [prob.store.node(t).extra[0] for t in (6, 7)] == ["v05", "v7"]
+    assert prob.store.intern(Kind.VAR, (), ("v5", BOOL)) == v5
+
+
+def test_dimacs_variables_cost_no_record_each():
+    """Once parsed, a 100 000-variable problem keeps under 64 bytes a
+    variable beyond what its clauses hold: one slot in each of the node and
+    sort lists and one 8-byte numeral.  A Node, a name and an index entry
+    per variable kept about 275."""
+    import tracemalloc
+
+    n = 100_000
+    text = f"p cnf {n} {n // 2}\n" + "".join(f"{i} -{i + 1} 0\n" for i in range(1, n, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prob = parse_dimacs(text)
+        prob.input_clauses.clear()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prob.store) == n + 2
+    assert kept < 64 * n, kept / n
 
 
 # -- SMT-LIB ------------------------------------------------------------------

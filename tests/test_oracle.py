@@ -267,3 +267,15 @@ def test_a_variable_wider_than_the_budget_has_bits_is_exhausted(tmp_path):
     path = tmp_path / "huge.smt2"
     path.write_text("(declare-const x (_ BitVec 100000000000000000000)) (assert (bvult x x))")
     assert run_one(str(path), None, "oracle", None, False, False) == (0, "status exhausted\n")
+
+
+def test_a_function_wider_than_the_budget_has_bits_is_exhausted(tmp_path):
+    """One value of a 10^20-bit function result would cost more steps than
+    the budget allows, so the search ends exhausted before asking for it;
+    it gave an internal OverflowError from range(1 << 10^20)."""
+    path = tmp_path / "huge_fun.smt2"
+    path.write_text("(set-logic QF_BV) (declare-fun f (Bool) (_ BitVec 100000000000000000000))"
+                    " (assert (bvult (f true) (f true)))")
+    assert run_one(str(path), None, "oracle", None, False, False) == (0, "status exhausted\n")
+    prob = parse_smt2(path.read_text())
+    assert brute_unsat(prob.store, prob.input_clauses, budget=10).status == EXHAUSTED

@@ -125,8 +125,9 @@ def test_clauses_sorts_and_symbols_equal_only_their_own_class(value, others):
 def test_hash_cons_keys_keep_a_sort_and_its_lookalike_tuple_apart():
     store = TermStore()
     bv = store.var("x", BitVecSort(8))
-    assert store.var("x", (8,)) != bv
-    assert store.var("x", BitVecSort(8)) == bv
+    with pytest.raises(SortError, match="variable sort must be a sort, got \\(8,\\)"):
+        store.var("x", (8,))  # the lookalike is no sort at all
+    assert store.var("x", BitVecSort(8)) == bv and len(store) == 3
     with pytest.raises(SortError, match="apply payload must be a FunSym"):
         store.intern(Kind.APPLY, (bv, bv), ("f", (BitVecSort(8),) * 2, BOOL))
 

@@ -80,6 +80,78 @@ def test_var_is_intern_of_a_var_node():
     assert len(store) == len(interned) == 6
 
 
+@pytest.mark.parametrize("payload", [
+    None, ("x",), ("x", 5), ("x", "notasort"), ("x", BOOL, 1), ["x", BOOL], ("x", [BOOL]),
+    ("x", BitVecSort), ("x", None),
+], ids=repr)
+def test_a_variable_payload_that_is_not_a_name_and_a_sort_is_a_sort_error(payload):
+    """intern raised TypeError for None and for an unhashable part,
+    ValueError for ("x",), and made variables of sort 5 and "notasort"."""
+    store = TermStore()
+    with pytest.raises(SortError, match="variable"):
+        store.intern(Kind.VAR, (), payload)
+    if payload.__class__ is tuple and len(payload) == 2 and isinstance(payload[0], str):
+        with pytest.raises(SortError, match="variable sort must be a sort"):
+            store.var(*payload)
+    assert len(store) == 2
+
+
+def _reserving(*numerals):
+    """The flags that reserve v<n> for each of the numerals."""
+    flags = bytearray(max(numerals) + 1)
+    for n in numerals:
+        flags[n] = 1
+    return flags
+
+
+def test_a_reserved_variable_is_found_by_its_name():
+    """A Bool v<n> with n reserved is the reserved id, through var and
+    intern alike, and adds nothing.  Another sort, a name that spells n
+    another way and a numeral outside the range each make a new variable
+    after the range, once."""
+    store = TermStore(_reserving(3, 5, 9, 10))
+    assert len(store) == 6 and [store.node(t) for t in range(2, 6)] == [
+        (Kind.VAR, (), (f"v{n}", BOOL)) for n in (3, 5, 9, 10)]
+    assert [store.kind(t) for t in range(2, 6)] == [Kind.VAR] * 4
+    assert [store.sort_of(t) for t in range(2, 6)] == [BOOL] * 4
+    assert store.args(3) == () and store.node(-1) == store.node(5)
+    assert store.var("v5", BOOL) == store.intern(Kind.VAR, (), ("v5", BOOL)) == 3
+    assert store.var("v10", BOOL) == 5 and store.var("v3", BOOL) == 2
+    assert len(store) == 6 and len(store._index) == 2
+    others = [("v5", INT), ("v05", BOOL), ("v0", BOOL), ("V5", BOOL), ("v+5", BOOL),
+              ("v\u0665", BOOL), ("v5 ", BOOL), ("v", BOOL), ("5", BOOL), ("v4", BOOL),
+              ("v11", BOOL), ("v" + "9" * 25, BOOL)]
+    ids = [store.var(*other) for other in others]
+    assert ids == list(range(6, 6 + len(others)))
+    assert [store.intern(Kind.VAR, (), other) for other in others] == ids
+    a = store.intern(Kind.AND, (3, 9))
+    assert store.vars_of(a) == {3, 9} and store.postorder([a]) == [3, 9, a]
+    with pytest.raises(SortError, match="has sort Int"):
+        mk_clause(store, [pos(6)])
+    assert tuple(mk_clause(store, [neg(4), pos(2)])) == (pos(2), neg(4))
+
+
+def test_nonzero_flags_from_byte_one_on_choose_the_reserved_numerals():
+    store = TermStore(b"\x01\x00\x07\x01")
+    assert [store.node(t).extra[0] for t in range(2, len(store))] == ["v2", "v3"]
+    assert len(TermStore(b"\x01")) == len(TermStore(bytearray(9))) == 2
+
+
+def test_a_reserved_range_is_copied_and_pickled_whole():
+    """A copy or a pickle of a store with a reserved range keeps its
+    placeholder node, so the copy derives the same nodes and names."""
+    import copy
+    import pickle
+
+    store = TermStore(_reserving(7, 2))
+    store.var("x", INT)
+    for clone in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+        assert clone._nodes[2] is store._nodes[2]
+        assert [clone.node(t) for t in range(len(store))] == \
+            [store.node(t) for t in range(len(store))]
+        assert clone.var("v7", BOOL) == 3 and clone.var("x", INT) == 4 and len(clone) == 5
+
+
 def test_each_node_is_stored_once_as_its_own_index_key():
     """After reading and replaying a corpus bit-vector pair, whose checkers
     intern terms too, every index key is the very node stored at its id,
