@@ -38,9 +38,9 @@ uninterpreted predicate ``p : S -> Bool`` is parsed as a function into the
 sort ``$bool`` compared to the constant ``$tt``).
 
 A DIMACS clause body is converted at once when it allows; see
-``_dimacs_body``.  The variables that a clause uses are then reserved in a
-new store, in ascending numeral order: ``v<n>`` is a Bool variable with an
-id from 2 on but no node, name or index entry of its own (see
+``_dimacs_body``.  A new store then reserves ``v1`` … ``v<top>``, top the
+largest numeral in the body, so ``v<n>`` is the Bool variable with id
+n + 1 but no node, name or index entry of its own (see
 ``certkernel.terms``), and a name lookup of ``v<n>``, such as ``(aux v5)``
 in a certificate, finds that id.
 """
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import islice
 
 from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
@@ -465,24 +465,14 @@ def parse_dimacs(text: str) -> Problem:
     n_vars = _to_int(fields[2], lineno, 1)
     n_clauses = _to_int(fields[3], lineno, 1)
     values, top = _dimacs_body(text[offset:], lineno, n_vars)
-    # Only the variables that occur are reserved, in ascending numeral order,
-    # so the header's count costs nothing and the atoms keep their relative
-    # order; the largest numeral in the body sizes the tables.
-    used = bytearray(top + 1)  # used[n] = 1 if numeral n occurs
-    for value in values:
-        used[abs(value)] = 1
-    problem = Problem(TermStore(used), logic="SAT")
-    # Reserved ids count up from 2, so a used numeral n has id 1 + the
-    # number of used numerals up to n, and used[0] = 1 (every clause ends
-    # in 0; a body without clauses uses no numeral): the running sum.
-    var_ids = list(accumulate(used))
-
-    # Every atom is a reserved Bool variable, so the clauses need no sort
-    # check: a literal v encodes as 2 * atom + (v < 0).
+    # v<n> is atom n + 1, a reserved Bool variable, for every n up to the
+    # largest numeral, used or not: the header's count costs nothing, atom
+    # order is numeral order, and a clause needs no sort check.
+    problem = Problem(TermStore(top), logic="SAT")
     codes: list[int] = []  # encoded literals of the clause being read
     for value in values:
         if value:
-            codes.append(2 * var_ids[abs(value)] + (value < 0))
+            codes.append(2 * value + 2 if value > 0 else 3 - 2 * value)
         else:
             problem.input_clauses.append(Clause(sorted(set(codes))))
             codes = []

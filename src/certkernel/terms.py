@@ -18,22 +18,21 @@ bottom-up.  Walks over a term use ``TermStore.postorder`` or an explicit
 stack, not recursion, so a term of any depth can be walked.  Nothing here
 renders text: terms and clauses print through ``certkernel.printer``.
 
-A store may reserve, when it is made, a range of Bool variables named by
-numerals, as a DIMACS problem's are: ``v<n>`` for each chosen n takes the
-next id from 2 on, in ascending order of n.  The range keeps only the
-numerals, 8 bytes each, and one shared placeholder node and ``BOOL`` in the
-node and sort lists, so ``kind``, ``args``, ``sort_of`` and walks read it
-like any node; ``node`` makes a variable's node when asked.  Reserved nodes
-are not index keys, so a name lookup checks the range: whenever ``intern``
-or ``var`` would append a variable, a Bool ``v<n>`` with n reserved gets
-the reserved id instead, and one name never names two atoms.
+A store may reserve, when it is made, the Bool variables ``v1`` …
+``v<reserved>``, named by numerals as a DIMACS problem's are: ``v<n>`` is
+id n + 1.  The range keeps only its count, and one shared placeholder node
+and ``BOOL`` in the node and sort lists, so ``kind``, ``args``, ``sort_of``
+and walks read it like any node; ``node`` makes a variable's node when
+asked.  Reserved nodes are not index keys, so a name lookup checks the
+range: whenever ``intern`` or ``var`` would append a variable, a Bool
+``v<n>`` with n in the range gets the reserved id instead, and one name
+never names two atoms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import SortError
@@ -216,22 +215,17 @@ _RESERVED = _ReservedVar(_VAR, (), None)
 class TermStore:
     """Append-only hash-consing store for one problem."""
 
-    def __init__(self, reserved: Sequence[int] = b""):
-        """A store of ``TrueT`` and ``FalseT`` and then, from id 2 on, the
-        reserved Bool variable ``v<n>`` for each n >= 1, in ascending order,
-        with ``reserved[n]`` nonzero (``reserved[0]`` is not read)."""
+    def __init__(self, reserved: int = 0):
+        """A store of ``TrueT`` and ``FalseT`` and then the reserved Bool
+        variables ``v1`` … ``v<reserved>``, ``v<n>`` at id n + 1."""
         self._nodes: list[Node] = []
         self._sorts: list[Sort] = []
         self._index: dict[Node, TermId] = {}
-        self._numerals: Sequence[int] = ()  # ascending by construction
+        self._reserved = reserved
         self.true_id = self.intern(Kind.TRUE)
         self.false_id = self.intern(Kind.FALSE)
-        if len(reserved) > 1:
-            from array import array  # imported on first use, not at start-up
-            self._numerals = numerals = array(
-                "q", compress(range(1, len(reserved)), islice(reserved, 1, None)))
-            self._nodes.extend(repeat(_RESERVED, len(numerals)))
-            self._sorts.extend(repeat(BOOL, len(numerals)))
+        self._nodes.extend(repeat(_RESERVED, reserved))
+        self._sorts.extend(repeat(BOOL, reserved))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -239,7 +233,7 @@ class TermStore:
     def node(self, t: TermId) -> Node:
         node = self._nodes[t]
         if node is _RESERVED:
-            return Node(_VAR, (), (f"v{self._numerals[t % len(self._nodes) - 2]}", BOOL))
+            return Node(_VAR, (), (f"v{t % len(self._nodes) - 1}", BOOL))
         return node
 
     def kind(self, t: TermId) -> Kind:
@@ -263,7 +257,8 @@ class TermStore:
         interning, so a hit skips it.  Argument ids must be ints and a
         payload is checked on every call, before the index is read, because
         1.0 == 1 and (1,) == (True,) would make malformed nodes equal to
-        interned keys; a variable's payload is a ``(name, sort)`` pair.
+        interned keys; a variable's payload is a ``(name, sort)`` pair, and
+        a kind that takes no payload rejects one.
         """
         args = tuple(args)
         n = len(self._nodes)
@@ -275,31 +270,25 @@ class TermStore:
         sort = self._compute_sort(kind, args, extra)
         if extra is not None and (hit := self._index.get((kind, args, extra))) is not None:
             return hit
-        if kind is _VAR and self._numerals:
-            hit = self._reserved_id(*extra)
-            if hit is not None:
-                return hit
+        if kind is _VAR and sort is BOOL and self._reserved:
+            # v<n> with 1 <= n <= the count, written without leading zeros,
+            # is reserved at id n + 1.  int() has a digit limit.
+            name = extra[0]
+            digits = name[1:]
+            if name[:1] == "v" and digits[:1] != "0" and len(digits) < 20 \
+                    and digits.isascii() and digits.isdigit() and int(digits) <= self._reserved:
+                return int(digits) + 1
         node = Node(kind, args, extra)
         self._nodes.append(node)
         self._sorts.append(sort)
         self._index[node] = n
         return n
 
-    def _reserved_id(self, name: str, sort: Sort) -> TermId | None:
-        """The reserved id of the variable ``(name, sort)``, or None.  Only a
-        Bool ``v<n>`` with n reserved, written without leading zeros, has one."""
-        digits = name[1:]
-        if sort is not BOOL or name[:1] != "v" or digits[:1] == "0" \
-                or not (digits.isascii() and digits.isdigit()) \
-                or len(digits) > 19:  # past every "q" array entry
-            return None
-        numerals, n = self._numerals, int(digits)
-        i = bisect_left(numerals, n)
-        return i + 2 if i < len(numerals) and numerals[i] == n else None
-
     def _compute_sort(self, kind: Kind, args: tuple[TermId, ...], extra: object) -> Sort:
         sorts = tuple(map(self._sorts.__getitem__, args))
         sig = SIGNATURES.get(kind)
+        if extra is not None and (sig is not None or kind is _EQ or kind is _ITE):
+            raise SortError(f"{kind.value} takes no payload")
         if sig is not None:
             lo, hi, operand, result = sig
             if len(args) < lo or (hi is not None and len(args) > hi):

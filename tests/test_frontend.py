@@ -137,13 +137,14 @@ def test_a_huge_dimacs_header_costs_no_memory(body):
 
 def _reference_dimacs(text):
     """The problem of a valid DIMACS text, built as the reader built it
-    before variables were reserved: one ``var`` per numeral that occurs, in
-    ascending order, on a plain store, and ``mk_clause`` per clause."""
+    before variables were reserved: one ``var`` per numeral from 1 to the
+    largest in the body, used or not, in ascending order, on a plain store,
+    and ``mk_clause`` per clause."""
     from certkernel.frontend import Problem
     lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "c"]
     header, values = lines[0].split(), [int(field) for line in lines[1:] for field in line.split()]
     prob = Problem(TermStore(), "SAT")
-    ids = {n: prob.store.var(f"v{n}", BOOL) for n in sorted({abs(v) for v in values} - {0})}
+    ids = {n: prob.store.var(f"v{n}", BOOL) for n in range(1, max(map(abs, values), default=0) + 1)}
     codes = []
     for v in values:
         if v:
@@ -173,8 +174,8 @@ def _seeded_dimacs(rng):
 
 def test_reserved_dimacs_variables_match_one_var_per_numeral():
     """The reserved range gives every id, node, sort, clause and printed
-    byte that a store with one interned variable per numeral gives, on the
-    corpus and on seeded texts with numeral gaps."""
+    byte that a store with one interned variable per numeral up to the
+    largest gives, on the corpus and on seeded texts with numeral gaps."""
     rng = random.Random(26)
     texts = [path.read_text() for path in sorted(CORPUS.rglob("*.cnf"))]
     assert len(texts) == 8
@@ -196,23 +197,70 @@ def test_reserved_dimacs_variables_match_one_var_per_numeral():
 
 
 def test_a_reserved_name_in_a_certificate_is_the_dimacs_variable():
-    """(aux v5) names the problem's variable v5, not a second atom; v05 and
-    a numeral that no clause uses make new variables after the range."""
+    """(aux v5) names the problem's variable v5, not a second atom, and so
+    does v7, which no clause uses but is at most the largest numeral; v05
+    and a numeral past the largest make new variables after the range."""
     prob = parse_dimacs("p cnf 9 2\n2 -5 0\n9 0\n")
-    v2, v5, v9 = 2, 3, 4
-    cert = parse_certificate("2 bb_const () {#b1 (aux v5 v05 v7 v9)}\n"
+    v5, v7, v9 = 6, 8, 10
+    cert = parse_certificate("2 bb_const () {#b1 (aux v5 v05 v7 v10 v9)}\n"
                              "3 assume () {v5 (not v9)}\nqed 3\n", prob)
-    assert cert.steps[0].payload.aux == (v5, 6, 7, v9)
+    assert cert.steps[0].payload.aux == (v5, 12, v7, 13, v9)  # #b1 is 11
     assert tuple(cert.steps[1].payload.lemma) == (pos(v5), neg(v9))
-    assert [prob.store.node(t).extra[0] for t in (6, 7)] == ["v05", "v7"]
+    assert [prob.store.node(t).extra[0] for t in (v7, 12, 13)] == ["v7", "v05", "v10"]
     assert prob.store.intern(Kind.VAR, (), ("v5", BOOL)) == v5
 
 
+def _gap_certificate(rng, prob):
+    """A certificate over a DIMACS problem: res steps over random premises,
+    a bb_const step whose aux names are numerals inside and beyond the
+    range (and one with a leading zero), an assume over those names, and a
+    res step that uses the assumption."""
+    names = [f"v{rng.randint(1, len(prob.store) + 3)}" for _ in range(rng.randint(1, 4))]
+    names += ["v07"] * (rng.random() < 0.3)
+    lines, next_id = [], len(prob.input_clauses)
+
+    def res():
+        nonlocal next_id
+        premises = rng.sample(range(next_id), min(next_id, rng.randint(2, 3)))
+        lines.append(f"{next_id} res ({' '.join(map(str, premises))}) {{}}")
+        next_id += 1
+
+    for _ in range(rng.randint(0, 3) if next_id else 0):
+        res()
+    lines.append(f"{next_id} bb_const () {{#b{'1' * len(names)} (aux {' '.join(names)})}}")
+    lits = [name if rng.random() < 0.5 else f"(not {name})" for name in names]
+    lines.append(f"{next_id + 1} assume () {{{' '.join(lits)}}}")
+    next_id += 2
+    res()
+    return "\n".join(lines) + f"\nqed {next_id - 1}\n"
+
+
+def test_dimacs_gaps_check_and_report_as_one_var_per_numeral():
+    """On texts with numeral gaps, certificates whose aux and assumed names
+    fall on used numerals, unused ones, ones past the largest and ones with
+    a leading zero check to equal results and equal plain, --machine and
+    stats reports on the reader's store and on the reference store."""
+    from certkernel.printer import machine_record, plain_record, stats_report
+    rng = random.Random(27)
+    verdicts = set()
+    for _ in range(200):
+        text = _seeded_dimacs(rng)
+        prob, ref = parse_dimacs(text), _reference_dimacs(text)
+        cert = _gap_certificate(rng, prob)
+        result = check(prob.store, prob.input_clauses, parse_certificate(cert, prob))
+        ref_result = check(ref.store, ref.input_clauses, parse_certificate(cert, ref))
+        assert result == ref_result, (text, cert)
+        for report in (plain_record, machine_record, stats_report):
+            assert report(prob.store, result) == report(ref.store, ref_result), (text, cert)
+        verdicts.add(result.verdict)
+    assert verdicts == set(Verdict)
+
+
 def test_dimacs_variables_cost_no_record_each():
-    """Once parsed, a 100 000-variable problem keeps under 64 bytes a
+    """Once parsed, a 100 000-variable problem keeps under 20 bytes a
     variable beyond what its clauses hold: one slot in each of the node and
-    sort lists and one 8-byte numeral.  A Node, a name and an index entry
-    per variable kept about 275."""
+    sort lists.  A Node, a name and an index entry per variable kept about
+    275, and a table of the used numerals 8 bytes more."""
     import tracemalloc
 
     n = 100_000
@@ -226,7 +274,7 @@ def test_dimacs_variables_cost_no_record_each():
     finally:
         tracemalloc.stop()
     assert len(prob.store) == n + 2
-    assert kept < 64 * n, kept / n
+    assert kept < 20 * n, kept / n
 
 
 # -- SMT-LIB ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from certkernel import (
     UninterpretedSort, clause_to_sexpr, mk_clause, neg, pos, to_sexpr,
 )
 from certkernel.oracle import int_to_bits
-from certkernel.terms import well_formed
+from certkernel.terms import SIGNATURES, well_formed
 
 
 def test_intern_idempotent():
@@ -45,6 +45,34 @@ def test_intern_hit_does_not_accept_malformed_nodes():
     assert store.intern(Kind.BV_CONST, (), (True,)) == bit
     assert store.intern(Kind.NOT, [p]) == not_p
     assert len(store) == 6
+
+
+def _payload_free_args(store, kind):
+    """Argument ids that make a well-sorted node of a kind without payload."""
+    p, q = store.var("p", BOOL), store.var("q", BOOL)
+    i, j = store.var("i", INT), store.var("j", INT)
+    a, b = store.var("a", BitVecSort(4)), store.var("b", BitVecSort(4))
+    if kind is Kind.EQ:
+        return (i, j)
+    if kind is Kind.ITE:
+        return (p, i, j)
+    lo, _, operand, _ = SIGNATURES[kind]
+    return {BOOL: (p, q), INT: (i, j), BitVecSort: (a, b)}[operand][:lo]
+
+
+@pytest.mark.parametrize("kind", [*SIGNATURES, Kind.EQ, Kind.ITE], ids=lambda k: k.name)
+def test_a_kind_without_payload_rejects_one(kind):
+    """Constants, connectives, arithmetic, bit-vector operators, = and ite
+    take no payload: one that is not None is a SortError, never a second
+    node beside the payload-free one nor a TypeError from hashing it."""
+    store = TermStore()
+    args = _payload_free_args(store, kind)
+    plain = store.intern(kind, args)
+    size = len(store)
+    for payload in (5, 0, (), [1], {"a": 1}, "x"):
+        with pytest.raises(SortError, match="takes no payload"):
+            store.intern(kind, args, payload)
+    assert store.intern(kind, args) == plain and len(store) == size
 
 
 def test_argument_ids_must_be_ints():
@@ -96,45 +124,39 @@ def test_a_variable_payload_that_is_not_a_name_and_a_sort_is_a_sort_error(payloa
     assert len(store) == 2
 
 
-def _reserving(*numerals):
-    """The flags that reserve v<n> for each of the numerals."""
-    flags = bytearray(max(numerals) + 1)
-    for n in numerals:
-        flags[n] = 1
-    return flags
-
-
 def test_a_reserved_variable_is_found_by_its_name():
     """A Bool v<n> with n reserved is the reserved id, through var and
     intern alike, and adds nothing.  Another sort, a name that spells n
     another way and a numeral outside the range each make a new variable
     after the range, once."""
-    store = TermStore(_reserving(3, 5, 9, 10))
-    assert len(store) == 6 and [store.node(t) for t in range(2, 6)] == [
-        (Kind.VAR, (), (f"v{n}", BOOL)) for n in (3, 5, 9, 10)]
-    assert [store.kind(t) for t in range(2, 6)] == [Kind.VAR] * 4
-    assert [store.sort_of(t) for t in range(2, 6)] == [BOOL] * 4
-    assert store.args(3) == () and store.node(-1) == store.node(5)
-    assert store.var("v5", BOOL) == store.intern(Kind.VAR, (), ("v5", BOOL)) == 3
-    assert store.var("v10", BOOL) == 5 and store.var("v3", BOOL) == 2
-    assert len(store) == 6 and len(store._index) == 2
+    store = TermStore(10)
+    assert len(store) == 12 and [store.node(t) for t in range(2, 12)] == [
+        (Kind.VAR, (), (f"v{n}", BOOL)) for n in range(1, 11)]
+    assert [store.kind(t) for t in range(2, 12)] == [Kind.VAR] * 10
+    assert [store.sort_of(t) for t in range(2, 12)] == [BOOL] * 10
+    assert store.args(3) == () and store.node(-1) == store.node(11)
+    assert store.var("v5", BOOL) == store.intern(Kind.VAR, (), ("v5", BOOL)) == 6
+    assert store.var("v10", BOOL) == 11 and store.var("v1", BOOL) == 2
+    assert len(store) == 12 and len(store._index) == 2
     others = [("v5", INT), ("v05", BOOL), ("v0", BOOL), ("V5", BOOL), ("v+5", BOOL),
-              ("v\u0665", BOOL), ("v5 ", BOOL), ("v", BOOL), ("5", BOOL), ("v4", BOOL),
+              ("v\u0665", BOOL), ("v5 ", BOOL), ("v", BOOL), ("5", BOOL), ("v-1", BOOL),
               ("v11", BOOL), ("v" + "9" * 25, BOOL)]
     ids = [store.var(*other) for other in others]
-    assert ids == list(range(6, 6 + len(others)))
+    assert ids == list(range(12, 12 + len(others)))
     assert [store.intern(Kind.VAR, (), other) for other in others] == ids
     a = store.intern(Kind.AND, (3, 9))
     assert store.vars_of(a) == {3, 9} and store.postorder([a]) == [3, 9, a]
     with pytest.raises(SortError, match="has sort Int"):
-        mk_clause(store, [pos(6)])
+        mk_clause(store, [pos(12)])
     assert tuple(mk_clause(store, [neg(4), pos(2)])) == (pos(2), neg(4))
 
 
-def test_nonzero_flags_from_byte_one_on_choose_the_reserved_numerals():
-    store = TermStore(b"\x01\x00\x07\x01")
-    assert [store.node(t).extra[0] for t in range(2, len(store))] == ["v2", "v3"]
-    assert len(TermStore(b"\x01")) == len(TermStore(bytearray(9))) == 2
+def test_a_count_reserves_v1_to_that_numeral_from_id_2_on():
+    store = TermStore(3)
+    assert [store.node(t).extra[0] for t in range(2, len(store))] == ["v1", "v2", "v3"]
+    assert store.var("v3", BOOL) == 4 and store.var("v4", BOOL) == 5 == len(store) - 1
+    assert len(TermStore(0)) == len(TermStore()) == 2
+    assert TermStore(0).var("v1", BOOL) == 2
 
 
 def test_a_reserved_range_is_copied_and_pickled_whole():
@@ -143,13 +165,13 @@ def test_a_reserved_range_is_copied_and_pickled_whole():
     import copy
     import pickle
 
-    store = TermStore(_reserving(7, 2))
+    store = TermStore(7)
     store.var("x", INT)
     for clone in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
         assert clone._nodes[2] is store._nodes[2]
         assert [clone.node(t) for t in range(len(store))] == \
             [store.node(t) for t in range(len(store))]
-        assert clone.var("v7", BOOL) == 3 and clone.var("x", INT) == 4 and len(clone) == 5
+        assert clone.var("v7", BOOL) == 8 and clone.var("x", INT) == 9 and len(clone) == 10
 
 
 def test_each_node_is_stored_once_as_its_own_index_key():
