@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .steps import RuleKind
 from .terms import (
     BOOL, BitVecSort, Clause, Kind, TRIVIALLY_TRUE, TermId, TermStore,
     class_eq, mk_clause, pos,
@@ -40,14 +41,16 @@ class BitBlastState:
     """Per-run map from bit-vector terms to their bit formulas, plus the
     registry enforcing freshness of auxiliary variables.
 
-    ``used_vars`` holds every node a stored clause reaches, inputs and step
-    conclusions alike, plus the registered auxiliaries.  An aux variable is
-    fresh iff it is not in this set.
+    ``used_vars`` holds every node reached by the first ``scanned`` clauses
+    of ``clauses``, the replay's clause list (only read here), plus the
+    registered auxiliaries.  An aux check walks the clauses stored since, so
+    an aux variable is fresh iff it is not in the set; no node is entered twice.
     """
 
-    def __init__(self):
+    def __init__(self, clauses=()):
         self.bits: dict[TermId, tuple[TermId, ...]] = {}
         self.used_vars: set[TermId] = set()
+        self.clauses, self.scanned = clauses, 0
 
     def note_used(self, var_ids) -> None:
         self.used_vars.update(var_ids)
@@ -104,12 +107,15 @@ def _fresh_bool_vars(store: TermStore, state: BitBlastState, aux, t: TermId) -> 
     if not isinstance(sort, BitVecSort) or len(aux) != sort.width \
             or len(set(aux)) != sort.width:
         return False
+    used, new = state.used_vars, state.clauses[state.scanned:]
+    state.scanned += len(new)
+    used.update(store.postorder((code >> 1 for clause in new for code in clause), used))
     for v in aux:
         if not (0 <= v < len(store)):
             return False
         if store.kind(v) is not Kind.VAR or store.sort_of(v) != BOOL:
             return False
-        if v in state.used_vars:
+        if v in used:
             return False
     return True
 
@@ -160,22 +166,22 @@ def _blast_ult(store: TermStore, t: TermId, xs, aux):
     return None, _fparity(store, _IFF, t, formula)
 
 
-# Target kind -> (takes one fresh aux variable per bit, builder).  A builder
-# gets the store, the target, its operands' bit tuples and the aux variables,
-# and returns the target's bits (None for a Bool atom) and a Bool formula
-# that the step asserts as a unit clause (None for none).  bb_step has
-# checked everything the builder relies on.
+# Target kind -> (its rule, whose kernel.RULES entry is made from this row;
+# takes one fresh aux variable per bit; builder).  A builder gets the store,
+# the target, its operands' bit tuples and the aux variables, and returns the
+# target's bits (None for a Bool atom) and a Bool formula that the step
+# asserts as a unit clause (None for none).  bb_step has checked all it uses.
 BLASTERS = {
-    Kind.VAR: (True, lambda store, t, xs, aux: (tuple(aux), None)),
-    Kind.BV_CONST: (False, lambda store, t, xs, aux: (tuple(
+    Kind.VAR: (RuleKind.BB_VAR, True, lambda store, t, xs, aux: (tuple(aux), None)),
+    Kind.BV_CONST: (RuleKind.BB_CONST, False, lambda store, t, xs, aux: (tuple(
         store.true_id if b else store.false_id for b in store.node(t).extra), None)),
-    Kind.BV_NOT: (False, _pointwise(lambda store, col: _fnot(store, col[0]))),
-    Kind.BV_AND: (False, _pointwise(lambda store, col: _fjunction(store, _AND, col))),
-    Kind.BV_OR: (False, _pointwise(lambda store, col: _fjunction(store, _OR, col))),
-    Kind.BV_XOR: (False, _pointwise(lambda store, col: _fparity(store, _XOR, *col))),
-    Kind.BV_ADD: (True, _blast_add),
-    Kind.EQ: (False, _blast_eq),
-    Kind.BV_ULT: (False, _blast_ult),
+    Kind.BV_NOT: (RuleKind.BB_NOT, False, _pointwise(lambda s, col: _fnot(s, col[0]))),
+    Kind.BV_AND: (RuleKind.BB_AND, False, _pointwise(lambda s, col: _fjunction(s, _AND, col))),
+    Kind.BV_OR: (RuleKind.BB_OR, False, _pointwise(lambda s, col: _fjunction(s, _OR, col))),
+    Kind.BV_XOR: (RuleKind.BB_XOR, False, _pointwise(lambda s, col: _fparity(s, _XOR, *col))),
+    Kind.BV_ADD: (RuleKind.BB_ADD, True, _blast_add),
+    Kind.EQ: (RuleKind.BB_EQ, False, _blast_eq),
+    Kind.BV_ULT: (RuleKind.BB_ULT, False, _blast_ult),
 }
 
 
@@ -195,7 +201,7 @@ def bb_step(store: TermStore, state: BitBlastState, payload: BvPayload,
     xs = [state.bits.get(a) for a in store.args(t)]
     if None in xs or len({len(bits) for bits in xs}) > 1:
         return TRIVIALLY_TRUE
-    takes_aux, build = BLASTERS[kind]
+    _, takes_aux, build = BLASTERS[kind]
     aux = payload.aux if takes_aux else ()
     if takes_aux and not _fresh_bool_vars(store, state, aux, t):
         return TRIVIALLY_TRUE

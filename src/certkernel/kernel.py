@@ -8,28 +8,29 @@ when some stored clause is empty: Valid if no assume step was replayed,
 Trusted otherwise.  The ``CheckResult`` holds the assumed clauses verbatim,
 the number of stored clauses of each rule and the length of the longest,
 but no copy of the clause store.  Structural violations — bad ids, forward
-references, payload/rule mismatches, a field of a type or length no reader
-builds (a float where an int is read) — stop the run as Invalid at the
-offending step, as does a rejected step whose payload declared a specific
-conclusion.
+references, payload/rule mismatches, a step or field of a type or length no
+reader builds (a float where an int is read, a step of three fields) — stop
+the run as Invalid at the offending step, as does a rejected step whose
+payload declared a specific conclusion.
 Every small checker rejects by returning the ``TRIVIALLY_TRUE`` object
 itself, never an equal copy, so ``conclusion is TRIVIALLY_TRUE`` with a
 lemma other than [true] means exactly that the step was rejected.
 
 Small checkers are total over any integers in a payload and test a clause
 the payload declares with ``terms.well_formed``, so any ``Certificate`` is
-checked soundly and its reader, ``preproc.parse_certificate``, is untrusted.
+checked soundly and its readers, ``preproc.parse_certificate`` and
+``preproc.stream_certificate``, are untrusted.
 
 A run is strictly sequential; distinct runs share nothing mutable.
 
 How each rule is replayed is decided in one place, the ``RULES`` registry.
 Adding a rule means adding its ``RuleKind`` and one ``RULES`` entry: payload
-type and small checker.  A Tseitin-style CNF rule needs only
-a head kind and literal template in ``resolution.TSEITIN``, from which its
-entry is made; a bit-blasting rule needs one ``bitblast.BLASTERS`` row for
-its target kind and the entry ``_bb(Kind.X)``.  ``certkernel.preproc`` parses
-and ``certkernel.printer`` prints a payload by its type, so only a new payload
-type needs new certificate syntax.  Nothing here renders text.
+type and small checker.  A Tseitin-style CNF rule is only a head kind and
+literal template in ``resolution.TSEITIN``, and a bit-blasting rule one
+``bitblast.BLASTERS`` row; their entries are made from those tables, so
+this module holds no code of any one rule family.  ``certkernel.preproc``
+parses and ``certkernel.printer`` prints a payload by its type, so only a
+new payload type needs new certificate syntax.  Nothing here renders text.
 """
 
 from __future__ import annotations
@@ -64,20 +65,18 @@ class CheckResult(NamedTuple):
 
 
 class CheckContext:
-    """Mutable state of one replay: the term store plus bit-blast maps."""
+    """Mutable state of one replay: the term store and the bit-blast state."""
 
-    def __init__(self, store: TermStore):
-        self.store, self.bitblast = store, BitBlastState()
+    def __init__(self, store: TermStore, clauses=()):
+        self.store, self.bitblast = store, BitBlastState(clauses)
 
 
 @class_eq
 class Rule(NamedTuple):
     """How the main checker replays one rule: a step must carry a
     ``payload`` instance, and ``checker(ctx, premises, payload)`` is the
-    small checker.  The payload type says the rest.  A type with a
-    ``lemma`` names the intended conclusion, so a rejection stops the run
-    as Invalid; a ``BvPayload`` checker reads the aux-freshness registry,
-    so the clauses stored since the last scan are walked before it runs.
+    small checker.  The payload type says the rest: a type with a ``lemma``
+    names the intended conclusion, so a rejection stops the run as Invalid.
     """
 
     payload: type
@@ -102,15 +101,7 @@ RULES: dict[RuleKind, Rule] = {
                        lambda ctx, premises, p: euf.check_euf(ctx.store, p)),
     RuleKind.LIA: Rule(LiaPayload,
                        lambda ctx, premises, p: lia.check_lia(ctx.store, p)),
-    RuleKind.BB_VAR: _bb(Kind.VAR),
-    RuleKind.BB_CONST: _bb(Kind.BV_CONST),
-    RuleKind.BB_NOT: _bb(Kind.BV_NOT),
-    RuleKind.BB_AND: _bb(Kind.BV_AND),
-    RuleKind.BB_OR: _bb(Kind.BV_OR),
-    RuleKind.BB_XOR: _bb(Kind.BV_XOR),
-    RuleKind.BB_ADD: _bb(Kind.BV_ADD),
-    RuleKind.BB_EQ: _bb(Kind.EQ),
-    RuleKind.BB_ULT: _bb(Kind.BV_ULT),
+    **{rule: _bb(kind) for kind, (rule, _, _) in bitblast.BLASTERS.items()},
     RuleKind.ASSUME: Rule(AssumePayload, lambda ctx, premises, p:
                           p.lemma if well_formed(ctx.store, p.lemma) else TRIVIALLY_TRUE),
 }
@@ -136,13 +127,9 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     """
     clauses: list[Clause] = list(input_clauses)
     slot = clauses.__getitem__
-    ctx = CheckContext(store)
+    ctx = CheckContext(store, clauses)
     assumptions: list[Clause] = []
     assume = RuleKind.ASSUME
-    # A variable is "used" for aux freshness the moment a clause reaching it
-    # is stored; the walk waits for a bit-blasting step, and each node
-    # lands in ctx.bitblast.used_vars, where no later walk enters it again.
-    scanned = 0
 
     counts = {RuleKind.INPUT: len(clauses)}  # rules of the stored clauses
 
@@ -157,11 +144,13 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
     if not all(clauses):
         return finish()
 
-    for step_id, rule, ps, payload in cert.steps:
-        if step_id != len(clauses):
-            return result(Verdict.INVALID,
-                          f"step id {step_id}, expected {len(clauses)}", step_id)
-        try:  # a field no reader builds (1.0, None, "res", (0,)) fails here
+    step_id = None
+    for step in cert.steps:
+        try:  # a record or field no reader builds ((5,), 1.0, None, "res", (0,)) fails here
+            step_id, rule, ps, payload = step
+            if step_id != len(clauses):
+                return result(Verdict.INVALID,
+                              f"step id {step_id}, expected {len(clauses)}", step_id)
             if ps and (min(ps) < 0 or max(ps) >= step_id):
                 return result(Verdict.INVALID, "bad premise reference", step_id)
             entry = RULES.get(rule)
@@ -169,15 +158,11 @@ def check(store: TermStore, input_clauses, cert: Certificate) -> CheckResult:
                 return result(Verdict.INVALID,
                               f"payload does not match rule {rule.value}", step_id)
 
-            if entry.payload is BvPayload:
-                used = ctx.bitblast.used_vars
-                used.update(store.postorder(
-                    (code >> 1 for clause in clauses[scanned:] for code in clause), used))
-                scanned = len(clauses)
-
             conclusion = dispatch(ctx, rule, list(map(slot, ps)), payload)
-        except (TypeError, AttributeError, ValueError):
-            return result(Verdict.INVALID, "malformed step", step_id)
+        except (TypeError, AttributeError, ValueError):  # a record that did not
+            # unpack leaves step_id at the last step's id, one below len(clauses)
+            return result(Verdict.INVALID, "malformed step",
+                          step_id if step_id == len(clauses) else len(clauses))
 
         if conclusion is TRIVIALLY_TRUE and hasattr(entry.payload, "lemma") \
                 and payload.lemma != TRIVIALLY_TRUE:

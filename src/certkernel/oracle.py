@@ -181,7 +181,9 @@ def _search(store: TermStore, clauses, leaves, values_of, counter: list, budget)
     not yet tried and takes the first; after a failing evaluation the top
     entry takes its next value, or leaves the stack when it has none.  Every
     complete evaluation adds one to ``counter[0]``, which searches may
-    share, and the one past ``budget`` raises ResourceError.
+    share, and every bit-vector value an entry takes adds its width, since
+    building and evaluating it costs a step per bit; the evaluation that
+    ends past ``budget`` raises ResourceError.
     """
     entries: dict[tuple[FunSym, tuple], Value] = {}
 
@@ -211,6 +213,8 @@ def _search(store: TermStore, clauses, leaves, values_of, counter: list, budget)
                 value = next(untried, None)  # no value is None
                 if value is not None:
                     entries[key] = value
+                    if isinstance(value, tuple):  # a bit-vector
+                        counter[0] += len(value)
                     break
                 entries.pop(key, None)
                 stack.pop()
@@ -336,8 +340,9 @@ def brute_unsat(store: TermStore, clauses, int_box: tuple[int, int] = DEFAULT_IN
     # complete search for those sorts.
     complete = all(n <= max_domain for n in u_terms.values()) \
         and INT not in map(store.sort_of, variables)
-    # One value of a bit-vector sort costs a step per bit, so a function
-    # into one wider than the budget would exhaust it on its first value.
+    # One value of a bit-vector sort costs a step per bit (see _search), so a
+    # function into one wider than the budget would exhaust it on its first
+    # value, which for 10^20 bits could not even be built.
     if any(isinstance(fn.ret_sort, BitVecSort) and fn.ret_sort.width > budget for fn in funs):
         return OracleResult(EXHAUSTED)
     counter = [0]

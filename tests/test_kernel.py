@@ -251,11 +251,13 @@ def test_bit_blast_scan_over_depth_10000_input():
     assert result.reason == "empty clause not derived"
 
 
-def _deep_aux_certificate(rule: RuleKind, aux_name: str):
+def _deep_aux_certificate(rule: RuleKind, aux_name: str, head=(0, 1, 2)):
     """Inputs (= x #b1) and (= x #b0) over a 1-bit x, refuted through the
     bb_var mapping of x to the Bool variable aux_name.  Step 2, an API-built
     assume or and_pos step, stores a clause that reaches the variable ``a``
-    only 1 000 levels down."""
+    only 1 000 levels down, step 3 maps x and step 4 the constant #b1; steps
+    2 to 4 come in the order ``head`` gives, so (2, 0, 1) puts the bb_const
+    step, which takes no aux, first."""
     store = TermStore()
     x = store.var("x", BitVecSort(1))
     one, zero = store.bv_const((True,)), store.bv_const((False,))
@@ -283,6 +285,7 @@ def _deep_aux_certificate(rule: RuleKind, aux_name: str):
         (RuleKind.NOT_NOT, (), CnfPayload(store.intern(Kind.NOT, (v,)))),
         (RuleKind.RES, (11, 12, 9), None),                    # 13: []
     ]
+    steps[:3] = [steps[i] for i in head]
     cert = Certificate(tuple(Step(2 + i, *step) for i, step in enumerate(steps)), qed=13)
     return store, inputs, cert
 
@@ -291,13 +294,17 @@ def _deep_aux_certificate(rule: RuleKind, aux_name: str):
 def test_an_aux_reached_only_deep_in_an_earlier_conclusion_is_not_fresh(rule):
     """The freshness scan walks stored step conclusions, not only inputs, to
     any depth: naming ``a`` as the aux of x leaves x unmapped, and a fresh
-    name derives the empty clause."""
-    result = check(*_deep_aux_certificate(rule, "a"))
-    assert (result.verdict, result.reason) == (Verdict.INVALID, "empty clause not derived")
-    store, inputs, cert = _deep_aux_certificate(rule, "b")
-    result = check(store, inputs, cert)
-    assert result.verdict is (Verdict.TRUSTED if rule is RuleKind.ASSUME else Verdict.VALID)
-    assert sum(count for _, count in result.stats) == len(inputs) + len(cert.steps)
+    name derives the empty clause.  That holds too when a bb_* step that
+    takes no aux (bb_const) runs before the clause reaching ``a`` is stored,
+    or after it but before bb_var: a step that takes no aux may walk the
+    clauses stored so far, but must not mark them walked without it."""
+    for head in ((0, 1, 2), (2, 0, 1), (0, 2, 1)):
+        result = check(*_deep_aux_certificate(rule, "a", head))
+        assert (result.verdict, result.reason) == (Verdict.INVALID, "empty clause not derived")
+        store, inputs, cert = _deep_aux_certificate(rule, "b", head)
+        result = check(store, inputs, cert)
+        assert result.verdict is (Verdict.TRUSTED if rule is RuleKind.ASSUME else Verdict.VALID)
+        assert sum(count for _, count in result.stats) == len(inputs) + len(cert.steps)
 
 
 _SHIFT_PROBLEM = """(declare-const x Int) (declare-fun f (Int) Int)
@@ -424,6 +431,19 @@ def test_fields_of_types_no_reader_builds_are_malformed_steps():
         result = check(store, inputs, Certificate((step,), 2))
         assert (result.verdict, result.step_id, result.reason) \
             == (Verdict.INVALID, 2, "malformed step"), step
+
+
+def test_a_step_that_is_not_a_four_field_record_is_a_malformed_step():
+    """A step of three or five fields, or one that is no record at all, is
+    INVALID at the id the step should have had, first or after a good step,
+    never a ValueError or TypeError out of check."""
+    store, inputs = _unit_conflict()
+    records = [(2, RuleKind.RES, (0, 1)), (2, RuleKind.RES, (0, 1), None, None), 5, None]
+    for before in ((), (Step(2, RuleKind.RES, (0,)),)):
+        for record in records:
+            result = check(store, inputs, Certificate((*before, record)))
+            assert (result.verdict, result.step_id, result.reason) \
+                == (Verdict.INVALID, 2 + len(before), "malformed step"), (before, record)
 
 
 def test_a_float_multiplier_cannot_refute_a_satisfiable_problem():

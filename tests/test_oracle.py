@@ -269,6 +269,17 @@ def test_a_variable_wider_than_the_budget_has_bits_is_exhausted(tmp_path):
     assert run_one(str(path), None, "oracle", None, False, False) == (0, "status exhausted\n")
 
 
+def test_a_wide_function_value_costs_its_width_against_the_budget(tmp_path):
+    """Each value of a 100 000-bit function result costs its width, so the
+    default budget is spent after about 20 values; counted one per
+    evaluation, the search ran past 45 s."""
+    path = tmp_path / "wide_fun.smt2"
+    path.write_text("(declare-fun f (Bool) (_ BitVec 100000)) (assert (bvult (f true) (f true)))")
+    start = time.perf_counter()
+    assert run_one(str(path), None, "oracle", None, False, False) == (0, "status exhausted\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_a_function_wider_than_the_budget_has_bits_is_exhausted(tmp_path):
     """One value of a 10^20-bit function result would cost more steps than
     the budget allows, so the search ends exhausted before asking for it;

@@ -16,13 +16,15 @@ by the problem readers in ``frontend``.  A second guard rejects a
 module-level name of a trusted module that no trusted module reads and the
 package does not export, a third a class member that neither a trusted
 module nor the benchmark reads, and a fourth a function of the package that
-calls itself by name, outside a short list.
+calls itself by name, outside a short list.  The README's line counts of
+the trusted modules and of the package must match the sources.
 """
 
 import ast
 import hashlib
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -173,6 +175,26 @@ UNTRUSTED = {"printer", "preproc", "oracle", "cli"}
 CLAUSE_VIEWS = ("lits", "enc", "atoms", "is_empty")
 RENDERERS = {"to_sexpr", "clause_to_sexpr", "stats_report", "print_certificate",
              "print_dimacs", "_render_payload"}
+
+
+def test_readme_line_counts_match_the_sources():
+    """README's "The trusted modules (...) are N lines (`wc -l`), and the
+    whole package M" names the TRUSTED modules, and N and M are the newline
+    counts of those modules and of every package source."""
+    text = " ".join((HERE.parent / "README.md").read_text().split())
+    number = r"(\d{1,3}(?: \d{3})*)"
+    found = re.search(r"The trusted modules \(([^)]*)\) are " + number
+                      + r" lines \(`wc -l`\), and the whole package " + number, text)
+    assert found, "README states no line counts"
+    names, trusted, package = found.groups()
+    src = HERE.parent / "src" / "certkernel"
+
+    def lines(path):
+        return path.read_bytes().count(b"\n")
+
+    assert tuple(re.findall(r"`(\w+)`", names)) == TRUSTED
+    assert int(trusted.replace(" ", "")) == sum(lines(src / f"{name}.py") for name in TRUSTED)
+    assert int(package.replace(" ", "")) == sum(map(lines, src.glob("*.py")))
 
 
 def _imports(tree):
