@@ -42,7 +42,7 @@ by blocks changes no verdict's soundness.  In a certificate of more than
 one block, a term that replay makes first (a ``cong`` conclusion, say)
 gets its id before the later blocks' terms, not after them.
 
-Two shapes that ``printer.print_certificate`` writes are read without the
+Three shapes that ``printer.print_certificate`` writes are read without the
 full reader.  A ``<id> res (<ids>) {}`` line is converted from its step
 head, together with the run of such lines after it, each ending in a line
 feed, if the next line starts as the next step would.  The line and its
@@ -58,8 +58,20 @@ padded by a space, is a key of the problem's term memo
 (``frontend.read_term``).  The term holds only symbol characters, brackets
 and spaces, so the padded text equals a key only when lexing the term
 gives exactly that key's lexemes, and the full reader would find the same
-key: a hit equals a full read.  Any other line, and any line that fails a
-check, goes through the full reader, which alone reports errors.
+key: a hit equals a full read.
+
+An ``euf`` or ``lia`` line with no ``;`` is cut at its last ``) (just (``
+or ``) (farkas (``.  The proof group after the cut is converted by
+``split`` once it fullmatches a flat regex of its grammar (``refl`` left
+out).  Only the ``(lemma ...)`` group before it is lexed, and it must be
+one list; ``parse_literal`` reads it.  A hit equals a full read, as the
+full reader finds the same lexemes.  Ids, premises, grammar and ``cong``
+names are checked before a term is read, and a lemma that raises goes to
+the full reader, which raises the same error on the same store (interning
+is idempotent).  A converted group is kept by its text for one
+certificate, as ``decls`` never rebinds a ``cong`` name.  Any other line,
+and any line that fails a check, goes through the full reader, which alone
+reports errors.
 
 Nested proofs are trees in a small s-expression syntax::
 
@@ -103,9 +115,19 @@ _ONE_TERM = re.compile(rf"([{_SYM}]+|\([{_SYM}() ]*\))(?: (-?[0-9]+))?\}}")
 _RUN_LINES = 2048
 _RES_LINE = re.compile(r"([0-9]+) res \(([0-9 ]*)\) \{\}\n")
 _RES_RUN = re.compile(f"(?:{_RES_LINE.pattern}){{1,{_RUN_LINES - 1}}}")
+# The text that ends the lemma before an euf or lia proof group, and a flat
+# regex of the group, compiled by re on first use so that import skips it.
+_INT = "-?[0-9]+"
+_EQ_STEP = rf"\((?:hyp {_INT}|sym {_INT}|trans {_INT} {_INT}|cong [{_SYM}]+(?: {_INT})*)\)"
+_PAIR = rf"\({_INT} {_INT}\)"
+_PROOF_GROUP = {EufPayload: (") (just (", rf"\(just ({_EQ_STEP}(?: {_EQ_STEP})*)\)\}}"),
+                LiaPayload: (") (farkas (", rf"\(farkas ({_PAIR}(?: {_PAIR})*)\)( tighten)?\}}")}
 RULE_BY_NAME = {r.value: r for r in RuleKind}
 _BB_RULES = frozenset(r for r, entry in RULES.items() if entry.payload is BvPayload)
 _RES = RuleKind.RES  # an Enum member lookup costs about 150 ns
+# The argument count of each justification rule but cong, and its error.
+_EQ_ARITY = {"refl": (1, "refl takes one term"), "sym": (1, "sym takes one index"),
+             "trans": (2, "trans takes two indices"), "hyp": (1, "hyp takes one literal index")}
 
 
 @class_eq
@@ -269,18 +291,6 @@ def _parse_eqstep(problem: Problem, lex: Lexemes, k: int) -> EqStep:
         raise lex.error(k, "malformed justification step")
     head, *rest = lex.items(k)
     head = words[head]
-    if head == "refl":
-        if len(rest) != 1:
-            raise lex.error(k, "refl takes one term")
-        return EqStep(EqRule.REFL, term=read_term(problem, lex, rest[0]))
-    if head == "sym":
-        if len(rest) != 1:
-            raise lex.error(k, "sym takes one index")
-        return EqStep(EqRule.SYM, refs=(parse_int(lex, rest[0]),))
-    if head == "trans":
-        if len(rest) != 2:
-            raise lex.error(k, "trans takes two indices")
-        return EqStep(EqRule.TRANS, refs=(parse_int(lex, rest[0]), parse_int(lex, rest[1])))
     if head == "cong":
         if not rest or words[rest[0]] in _OPENING:
             raise lex.error(k, "cong takes a function name and indices")
@@ -289,11 +299,14 @@ def _parse_eqstep(problem: Problem, lex: Lexemes, k: int) -> EqStep:
             raise lex.error(rest[0], f"unknown function {words[rest[0]]}")
         return EqStep(EqRule.CONG, fun=decl[1],
                       refs=tuple(parse_int(lex, r) for r in rest[1:]))
-    if head == "hyp":
-        if len(rest) != 1:
-            raise lex.error(k, "hyp takes one literal index")
-        return EqStep(EqRule.HYP, hyp=parse_int(lex, rest[0]))
-    raise lex.error(k, f"unknown justification rule {head}")
+    if head not in _EQ_ARITY:
+        raise lex.error(k, f"unknown justification rule {head}")
+    if len(rest) != _EQ_ARITY[head][0]:
+        raise lex.error(k, _EQ_ARITY[head][1])
+    if head == "refl":
+        return EqStep(EqRule.REFL, term=read_term(problem, lex, rest[0]))
+    refs = tuple(parse_int(lex, r) for r in rest)
+    return EqStep(EqRule.HYP, hyp=refs[0]) if head == "hyp" else EqStep(EqRule(head), refs=refs)
 
 
 def _parse_aux(problem: Problem, lex: Lexemes, k: int) -> tuple[TermId, ...]:
@@ -389,29 +402,64 @@ def _res_steps(found: list[tuple[str, str]], next_id: int) -> list[Step] | None:
     return steps
 
 
-def _memo_step(raw: str, head: re.Match | None, rule: RuleKind | None, next_id: int,
-               memo: dict[str, TermId]) -> Step | None:
-    """The step of a well-formed ``CnfPayload`` line whose term is in the
-    term memo (see the module docstring), where head is the line's
-    ``_STEP_HEAD`` match and rule the rule it names; otherwise None."""
-    entry = RULES.get(rule)  # None for no match or an unknown rule name
-    if entry is None or entry.payload is not CnfPayload:
-        return None
-    term = _ONE_TERM.fullmatch(raw, head.end())
-    if term is None:
-        return None
-    target = memo.get(term[1].replace("(", "( ").replace(")", " )"))
-    if target is None:
+def _line_step(raw: str, head: re.Match | None, rule: RuleKind | None, next_id: int,
+               problem: Problem, groups: dict[str, object]) -> Step | None:
+    """The step of a line of the CNF, euf or lia shape (module docstring)
+    whose ``_STEP_HEAD`` match is head and rule rule, or None.  groups maps
+    the proof group texts read in this certificate to their parts."""
+    kind = RULES[rule].payload if rule in RULES else None  # rule None: no match
+    if kind is CnfPayload:
+        term = _ONE_TERM.fullmatch(raw, head.end())
+        if (target := term and problem.term_memo.get(
+                term[1].replace("(", "( ").replace(")", " )"))) is None:
+            return None
+    elif kind in _PROOF_GROUP and ";" not in raw:
+        cut = raw.rfind(_PROOF_GROUP[kind][0], head.end())
+        text = raw[cut + 2:]
+        if cut < 0 or not (proof := groups.get(text) or _proof_group(text, kind, problem)):
+            return None
+        groups[text] = proof
+    else:
         return None
     try:
-        step_id = int(head[1])
-        premises = tuple(map(int, head[3].split()))
-        index = int(term[2]) if term[2] is not None else 0
+        step_id, premises = int(head[1]), tuple(map(int, head[3].split()))
+        index = int(term[2] or 0) if kind is CnfPayload else 0
     except ValueError:  # past CPython's digit limit for int-string conversion
         return None
     if step_id != next_id or (premises and max(premises) >= step_id):
         return None
-    return Step(step_id, rule, premises, CnfPayload(target, index))
+    if kind is CnfPayload:
+        return Step(step_id, rule, premises, CnfPayload(target, index))
+    try:  # the lemma group alone, read as the full reader reads it
+        lex = Lexemes(raw[head.end():cut + 1])
+        if lex.words[:2] != ["(", "lemma"] or lex.close[0] != len(lex.words) - 1:
+            return None
+        lemma = _parse_clause(problem, lex, lex.items(0)[1:], None)
+    except ParseError:
+        return None
+    return Step(step_id, rule, premises, kind(lemma, *proof))
+
+
+def _proof_group(text: str, kind: type, problem: Problem) -> tuple | None:
+    """The payload fields after the lemma of an euf or lia proof group's text,
+    or None if it is outside ``_PROOF_GROUP`` or a ``cong`` names no function."""
+    found = re.fullmatch(_PROOF_GROUP[kind][1], text)
+    if found is None:
+        return None
+    entries, steps = [entry.split() for entry in found[1][1:-1].split(") (")], []
+    try:
+        if kind is LiaPayload:
+            return tuple((int(i), int(c)) for i, c in entries), found[2] is not None
+        for name, *args in entries:
+            decl = problem.decls.get(args.pop(0)) if name == "cong" else (None, None)
+            if decl is None or decl[0] == "var":
+                return None
+            refs = tuple(map(int, args))
+            steps.append(EqStep(EqRule.HYP, hyp=refs[0]) if name == "hyp"
+                         else EqStep(EqRule(name), refs=refs, fun=decl[1]))
+    except ValueError:  # past CPython's digit limit for int-string conversion
+        return None
+    return (tuple(steps),)
 
 
 def _blocks(text: str, problem: Problem):
@@ -420,6 +468,7 @@ def _blocks(text: str, problem: Problem):
     line and the rest of the text are read as well; it returns the qed id.
     A block is yielded only when the next step or run would overflow it."""
     block: list[Step] = []
+    groups: dict[str, object] = {}  # proof group text -> its parts, see _line_step
     qed: int | None = None
     next_id = len(problem.input_clauses)
     size = len(text)
@@ -455,7 +504,7 @@ def _blocks(text: str, problem: Problem):
                 offset = run.end()
                 lineno += len(new) - 1
         if new is None:
-            step = _memo_step(raw, head, rule, next_id, problem.term_memo)
+            step = _line_step(raw, head, rule, next_id, problem, groups)
             if step is None:
                 lex = Lexemes(raw, lineno)
                 items = lex.items()

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -536,8 +537,8 @@ _MEMO_PAYLOADS = ["{T}", "{T 3}", "{T 007}", "{T -3}", "{T (x)}", "{T (aux)}",
                   "{T (aux v)}", "{T (and p q)}"]
 
 
-def _same_with_memo_and_full_reader(texts):
-    fast, full = parse_smt2(_MEMO_PROBLEM), parse_smt2(_MEMO_PROBLEM)
+def _same_with_memo_and_full_reader(texts, problem=_MEMO_PROBLEM):
+    fast, full = parse_smt2(problem), parse_smt2(problem)
     for text in texts:
         assert _outcome(lambda: parse_certificate(text, fast)) \
             == _outcome(lambda: parse_certificate(_commented(text), full)), text
@@ -610,6 +611,123 @@ def test_memo_is_scoped_to_one_certificate():
         assert parse_certificate(text, parse_smt2(src)) == expected[src]
 
 
+_THEORY_PROBLEM = """
+    (declare-sort U 0) (declare-fun f (U) U) (declare-fun just (U) U)
+    (declare-fun farkas (Int) Int) (declare-const a U) (declare-const b U)
+    (declare-const x Int) (declare-const y Int)
+    (assert (= a b)) (assert (not (= (f a) (f b))))
+"""
+_EUF = "2 euf () {(lemma (not (= a b)) (= (f a) (f b))) (just (hyp 0) (cong f 0))}"
+_LIA = "2 lia () {(lemma (not (<= x y)) (not (< y x))) (farkas (0 1) (1 1))}"
+_BIG = "9" * 5000
+# euf and lia lines around the spelling that is read without lexing the
+# whole line; each must read as the full reader reads it.
+_THEORY_LINES = [
+    _EUF, _LIA, _LIA.replace("))}", ")) tighten}"),
+    "2 euf () {(lemma (not (= b a)) (not (= a b)) (= a b)) (just (hyp 1) (sym 0) (trans 1 0))}",
+    # blanks and brackets in the lemma, which is lexed, and in the group, which is not
+    _EUF.replace("(= a", "(=  a"), _EUF.replace("(not (= a b))", "(\tnot (= a b))"),
+    _EUF.replace("(not ", "( not "), _EUF.replace("(not (= a b))", "(not  (= a b))"),
+    _EUF.replace("(just (hyp 0)", "(just  (hyp 0)"), _EUF.replace("(hyp 0)", "(hyp\t0)"),
+    _EUF.replace(") (just", ")  (just"), _EUF.replace("0))}", "0) )}"), _EUF + " ",
+    _LIA.replace("(0 1)", "( 0 1)"), _LIA.replace("(1 1)", "(1  1)"),
+    # comments: lexing the lemma alone would drop these, but the line is unbalanced
+    "2 euf () {(lemma (= a b) ; x) (just (hyp 0))}", "2 euf () {(lemma (= a b)) ; x) (just (hyp 0))}", _EUF.replace("(= (f a)", "; (= (f a)"),
+    _EUF + " ; c", _LIA.replace("(0 1)", "(0 1) ;"),
+    # groups swapped, repeated or missing, tighten where it is refused
+    "2 euf () {(just (hyp 0) (cong f 0)) (lemma (not (= a b)) (= (f a) (f b)))}",
+    "2 lia () {(farkas (0 1) (1 1)) (lemma (not (<= x y)) (not (< y x)))}",
+    _EUF.replace("{", "{(lemma) "), _LIA.replace("}", " (farkas (0 1))}"),
+    _EUF.replace("))}", ")) tighten}"), _LIA.replace("))}", ")) tighten tighten}"),
+    _LIA.replace("))}", ")) (tighten)}"), _LIA.replace("{", "{tighten "),
+    "2 euf () {(lemma (not (= a b)) (= (f a) (f b)))}", "2 lia () {(farkas (0 1))}",
+    # justification steps outside the grammar of the line path
+    _EUF.replace("(hyp 0)", "(refl a)"), _EUF.replace("(hyp 0)", "(refl (f a))"),
+    _EUF.replace("cong f", "cong g"), _EUF.replace("cong f", "cong a"), _EUF.replace(" 0))}", "))}"),
+    _EUF.replace("cong f 0", "cong f 0 1"), _EUF.replace("cong f 0", "cong just 0"),
+    _EUF.replace("(hyp 0)", "(hyp)"), _EUF.replace("(hyp 0)", "(hyp 0 1)"),
+    _EUF.replace("(hyp 0)", "(sym 0 1)"), _EUF.replace("(hyp 0)", "(trans 0)"),
+    _EUF.replace("(hyp 0)", "(frob 0)"), _EUF.replace("(hyp 0)", "(hyp x)"),
+    _EUF.replace("(hyp 0)", "((hyp 0))"), _EUF.replace("(hyp 0)", "hyp"),
+    _LIA.replace("(0 1)", "(0 1 2)"), _LIA.replace("(0 1)", "(0 x)"), _LIA.replace("(0 1)", "0"),
+    # numerals
+    _EUF.replace("hyp 0", "hyp 007"), _EUF.replace("hyp 0", "hyp -0"),
+    _EUF.replace("hyp 0", "hyp -1"), _EUF.replace("hyp 0", "hyp 1234567890123456789"),
+    _EUF.replace("hyp 0", f"hyp {_BIG}"), _EUF.replace("cong f 0", f"cong f {_BIG}"),
+    _LIA.replace("(1 1)", "(1 -3)"), _LIA.replace("(1 1)", "(1 1234567890123456789)"),
+    _LIA.replace("(1 1)", f"(1 {_BIG})"), _LIA.replace("(0 1)", f"({_BIG} 1)"),
+    # empty groups
+    "2 euf () {(lemma) (just (hyp 0))}", "2 lia () {(lemma) (farkas (0 1))}",
+    _EUF.replace("(hyp 0) (cong f 0)", ""), _EUF.replace(" (hyp 0) (cong f 0)", ""),
+    _LIA.replace(" (0 1) (1 1)", ""), "2 euf () {(lemma) (just)}", "2 lia () {(lemma) (farkas)}",
+    # functions named just and farkas in the lemma, with and without a real group
+    "2 euf () {(lemma (not (= (just a) b)) (= (f (just a)) (f b))) (just (hyp 0) (cong f 0))}",
+    "2 euf () {(lemma (= (f a) (just (f b)))) (just (hyp 0))}",
+    "2 euf () {(lemma (= (f a) (just (f b))))}", "2 euf () {(lemma (= (f a) (just (hyp 0))}",
+    "2 lia () {(lemma (<= (farkas x) y) (<= x (farkas (farkas y)))) (farkas (0 1) (1 1))}",
+    "2 lia () {(lemma (<= (farkas (farkas y)) (farkas (0 1))) (farkas (0 1))}",
+    # lemmas that are not one list, unbalanced, unread or ill-sorted
+    "2 euf () {(lemma (= a b) (just (hyp 0))}", "2 euf () {(lemma (= a b))) (just (hyp 0))}",
+    "2 euf () {(lemma (= a b)) (lemma (= a b)) (just (hyp 0))}",
+    "2 euf () {x (lemma (= a b)) (just (hyp 0))}", "2 euf () {() (just (hyp 0))}",
+    "2 euf () {(lemma {= a b}) (just (hyp 0))}", "2 euf () {(lemma (= a b)}) (just (hyp 0))}",
+    "2 euf () {(lemma (= a c)) (just (hyp 0))}", "2 euf () {(lemma (= a x)) (just (hyp 0))}",
+    "2 euf () {(lemma (f a)) (just (hyp 0))}", "2 lia () {(lemma (<= x a)) (farkas (0 1))}",
+    "2 lia () {(lemma (div x y)) (farkas (0 1))}", "2 euf () {(lemma (= a b) #) (just (hyp 0))}",
+    # step heads
+    _EUF.replace("2 euf ()", "3 euf ()"), _EUF.replace("2 euf ()", "2 euf (2)"),
+    _EUF.replace("2 euf ()", "2 euf (0 1)"), _EUF.replace("2 euf ()", "02 euf ( 1 )"),
+    _EUF.replace("2 euf ()", f"2 euf ({_BIG})"), _EUF.replace("2 euf ()", f"{_BIG} euf ()"),
+    _EUF.replace("euf", "lia"), _LIA.replace("lia", "euf"), _EUF.replace("euf", "assume"),
+]
+
+
+def test_theory_lines_read_as_the_full_reader_reads_them():
+    """Each of _THEORY_LINES alone, after itself and after the canonical euf
+    and lia lines: the Certificate, or the error's type, message, line and
+    column, and the store and declarations, equal the full reader's."""
+    assert len(set(_THEORY_LINES)) == len(_THEORY_LINES)
+    texts = [f"{line}\nqed 2\n" for line in _THEORY_LINES]
+    for lead in (_EUF, _LIA):
+        texts += [f"{lead}\n{line.replace('2 ', '3 ', 1)}\nqed 3\n" for line in _THEORY_LINES]
+    texts += [f"{line}\n{line.replace('2 ', '3 ', 1)}\nqed 3\n" for line in _THEORY_LINES]
+    _same_with_memo_and_full_reader(texts, _THEORY_PROBLEM)
+
+
+def test_canonical_theory_lines_take_the_line_path(monkeypatch):
+    """Canonical euf and lia lines, one with a function named just in its
+    lemma, never reach the payload reader's group or justification-step
+    parsers."""
+    from certkernel import preproc
+    calls = []
+    for name in ("_tagged", "_parse_eqstep"):
+        def counting(*args, real=getattr(preproc, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(preproc, name, counting)
+    text = f"{_EUF}\n{_LIA.replace('2 ', '3 ', 1)}\n" \
+        "4 euf () {(lemma (= (just a) (just (f b)))) (just (hyp 0) (sym 0))}\nqed 4\n"
+    cert = parse_certificate(text, parse_smt2(_THEORY_PROBLEM))
+    assert calls == []
+    assert cert == parse_certificate(_commented(text), parse_smt2(_THEORY_PROBLEM))
+    assert calls.count("_tagged") == 3 and calls.count("_parse_eqstep") == 4
+
+
+def test_proof_groups_are_kept_for_one_certificate():
+    """The same (cong f 0) group means different functions in problems A and
+    B; reading A, B, A must give what a fresh read of each gives."""
+    text = _EUF + "\n3 euf () {(lemma (not (= b a)) (= (f b) (f a))) (just (hyp 0) (cong f 0))}" \
+        "\nqed 3\n"
+    a = _THEORY_PROBLEM
+    b = a.replace("(declare-sort U 0) (declare-fun f (U) U)",
+                  "(declare-sort U 0) (declare-sort V 0) (declare-fun f (U) V)")
+    b = b.replace("(not (= (f a) (f b)))", "(not (= a b))")
+    expected = {src: parse_certificate(_commented(text), parse_smt2(src)) for src in (a, b)}
+    assert expected[a] != expected[b]
+    for src in (a, b, a):
+        assert parse_certificate(text, parse_smt2(src)) == expected[src]
+
+
 def test_a_line_whose_term_was_read_elsewhere_is_not_lexed(monkeypatch):
     """A CNF line whose term the problem or an earlier payload read as a
     subterm takes the line path: only the lines before it and the qed line
@@ -635,6 +753,24 @@ def test_a_line_whose_term_was_read_elsewhere_is_not_lexed(monkeypatch):
         assert cert == parse_certificate(_commented(text), parse_smt2(problem)), text
 
 
+_THEORY_LINE = re.compile(r"^[0-9]+ (?:euf|lia) ", re.M)
+# What _mutate_theory_line puts into a line: characters and words of the
+# euf and lia payload grammar, and some that are outside it.
+_THEORY_EDITS = [*" \t()};-019x", " tighten", "(hyp 0) ", "(cong f 0)", "refl", "just",
+                 "farkas", "lemma", "not ", "(0 1) ", "9" * 5000]
+
+
+def _mutate_theory_line(text, rng):
+    """The certificate text with one euf or lia line damaged: one of
+    _THEORY_EDITS replaces a character, is inserted, or a character is
+    deleted, at a random column."""
+    lines = text.splitlines()
+    i = rng.choice([k for k, line in enumerate(lines) if _THEORY_LINE.match(line)])
+    line, at, op = lines[i], rng.randrange(len(lines[i])), rng.randrange(3)
+    lines[i] = line[:at] + (rng.choice(_THEORY_EDITS) if op < 2 else "") + line[at + (op != 1):]
+    return "\n".join(lines) + "\n"
+
+
 def test_corpus_and_mutations_read_the_same_with_every_line_commented():
     rng = random.Random(23)
     pairs = []
@@ -649,6 +785,10 @@ def test_corpus_and_mutations_read_the_same_with_every_line_commented():
     for _ in range(2000):
         parse, src, cert = rng.choice(pairs)
         cases.append((parse, src, gens.mutate_cert_text(cert, rng)))
+    theory = [pair for pair in pairs if _THEORY_LINE.search(pair[2])]
+    for _ in range(2000):
+        parse, src, cert = rng.choice(theory)
+        cases.append((parse, src, _mutate_theory_line(cert, rng)))
     for parse, src, cert in cases:
         fast, full = parse(src), parse(src)
         assert _outcome(lambda: parse_certificate(cert, fast)) \
@@ -1075,8 +1215,9 @@ def test_readers_match_the_naive_pipeline():
     """parse_smt2 and parse_certificate build what the tree readers in
     naive_term.py build, store nodes in the same order included, or raise
     the same error: on every corpus pair, on the head cases, on the memo
-    cases, and on the 20 000 seeded edits of corpus windows, each read as a
-    problem and as a certificate against its pair's problem."""
+    cases, on the euf and lia lines of _THEORY_LINES, and on the 20 000
+    seeded edits of corpus windows, each read as a problem and as a
+    certificate against its pair's problem."""
     pairs = {}
     for cert_path in sorted(CORPUS.rglob("*.cert")):
         prob_path = cert_path.with_suffix(".cnf")
@@ -1089,6 +1230,9 @@ def test_readers_match_the_naive_pipeline():
     for text in [t for texts in HEAD_CASES.values() for t in texts] + LET_CASES:
         ours, naive = _both_pipelines(_HEAD_DECLS, f"0 and_pos () {{{text}}}\nqed 0\n")
         assert ours == naive and not isinstance(ours[0], type), text
+    for line in _THEORY_LINES:
+        ours, naive = _both_pipelines(_THEORY_PROBLEM, f"{line}\nqed 2\n")
+        assert ours == naive, line
     from naive_term import naive_parse_certificate, naive_parse_smt2
     for terms in MEMO_CASES:
         cert_text = "".join(f"{i} and_pos () {{{t}}}\n" for i, t in enumerate(terms))
