@@ -114,12 +114,12 @@ def _run_pair(problem_path: str, proof_path: str | None, mode: str,
     try:
         problem = _parse_problem(problem_path, fmt)
         if mode == "oracle":
-            setting = os.environ.get("CERTKERNEL_BUDGET", "2000000")
+            from .oracle import DEFAULT_BUDGET, brute_unsat
+            setting = os.environ.get("CERTKERNEL_BUDGET")
             try:
-                budget = int(setting)
+                budget = DEFAULT_BUDGET if setting is None else int(setting)
             except ValueError:
                 return EXIT_ERROR, f"error: CERTKERNEL_BUDGET is not an integer: {setting!r}\n"
-            from .oracle import brute_unsat
             res = brute_unsat(problem.store, problem.input_clauses, budget=budget)
             return EXIT_VALID, oracle_report(problem.store, res)
 

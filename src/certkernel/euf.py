@@ -75,47 +75,39 @@ def check_euf(store: TermStore, payload: EufPayload) -> Clause:
 
     derived: list[tuple[TermId, TermId]] = []
     for step in payload.justification:
-        if step.rule is EqRule.REFL:
+        rule = step.rule
+        if rule is EqRule.REFL:
             t = step.term
             if t is None or not (0 <= t < len(store)):
                 return TRIVIALLY_TRUE
-            pair = (t, t)
-        elif step.rule is EqRule.SYM:
-            if len(step.refs) != 1 or not (0 <= step.refs[0] < len(derived)):
-                return TRIVIALLY_TRUE
-            a, b = derived[step.refs[0]]
-            pair = (b, a)
-        elif step.rule is EqRule.TRANS:
-            if len(step.refs) != 2:
-                return TRIVIALLY_TRUE
-            i, j = step.refs
-            if not (0 <= i < len(derived) and 0 <= j < len(derived)):
-                return TRIVIALLY_TRUE
-            a, b = derived[i]
-            b2, c = derived[j]
-            if b != b2:
-                return TRIVIALLY_TRUE
-            pair = (a, c)
-        elif step.rule is EqRule.CONG:
-            fn = step.fun
-            if fn is None or len(step.refs) != len(fn.arg_sorts):
-                return TRIVIALLY_TRUE
-            if any(not (0 <= r < len(derived)) for r in step.refs):
-                return TRIVIALLY_TRUE
-            us = tuple(derived[r][0] for r in step.refs)
-            vs = tuple(derived[r][1] for r in step.refs)
-            try:
-                pair = (store.apply(fn, us), store.apply(fn, vs))
-            except SortError:
-                return TRIVIALLY_TRUE
-        elif step.rule is EqRule.HYP:
+            derived.append((t, t))
+            continue
+        if rule is EqRule.HYP:
             k = step.hyp
             if k is None or not (0 <= k < len(lemma)) or not lemma[k] & 1:
                 return TRIVIALLY_TRUE
-            pair = store.args(lemma[k] >> 1)
-        else:  # pragma: no cover - exhaustive over EqRule
+            derived.append(store.args(lemma[k] >> 1))
+            continue
+        # sym, trans and cong name earlier steps: their count first, then each one
+        refs, fn = step.refs, step.fun
+        arity = 1 if rule is EqRule.SYM else 2 if rule is EqRule.TRANS else \
+            len(fn.arg_sorts) if rule is EqRule.CONG and fn is not None else None
+        if arity is None or len(refs) != arity or not all(0 <= r < len(derived) for r in refs):
             return TRIVIALLY_TRUE
-        derived.append(pair)
+        pairs = [derived[r] for r in refs]
+        if rule is EqRule.SYM:
+            derived.append(pairs[0][::-1])
+        elif rule is EqRule.TRANS:
+            (a, b), (b2, c) = pairs
+            if b != b2:
+                return TRIVIALLY_TRUE
+            derived.append((a, c))
+        else:
+            try:
+                derived.append((store.apply(fn, [u for u, _ in pairs]),
+                                store.apply(fn, [v for _, v in pairs])))
+            except SortError:
+                return TRIVIALLY_TRUE
 
     if not derived:
         return TRIVIALLY_TRUE

@@ -53,7 +53,7 @@ from itertools import islice
 
 from .errors import ParseError, SortError, UnsupportedError
 from .terms import (
-    BOOL, Clause, FunSym, INT, Kind, Sort, TermId, TermStore,
+    BOOL, Clause, FunSym, INT, Kind, SIGNATURES, Sort, TermId, TermStore,
     BitVecSort, UninterpretedSort, mk_clause, pos,
 )
 
@@ -190,18 +190,14 @@ _UNSUPPORTED_HEADS = frozenset({
 })
 
 
-# SMT-LIB operator heads and the kind each builds; the signature table in
-# terms checks arity and sorts.  (>= a b) is (<= b a), so the _SWAPPED heads
-# read their arguments in reverse order.  _list_term does more than intern
-# the _FINISHED kinds (one set test spares the rest slow Kind lookups).
-_HEADS = {
-    "not": Kind.NOT, "and": Kind.AND, "or": Kind.OR, "=>": Kind.IMPLIES,
-    "xor": Kind.XOR, "ite": Kind.ITE, "=": Kind.EQ, "<=": Kind.LE, "<": Kind.LT,
-    ">=": Kind.LE, ">": Kind.LT, "+": Kind.ADD, "-": Kind.SUB, "*": Kind.MUL,
-    "bvnot": Kind.BV_NOT, "bvand": Kind.BV_AND, "bvor": Kind.BV_OR,
-    "bvxor": Kind.BV_XOR, "bvadd": Kind.BV_ADD, "bvult": Kind.BV_ULT,
-}
-_SWAPPED = frozenset({">=", ">"})
+# SMT-LIB operator heads: each kind's value is its head, but true and false
+# are atoms, and = and - also build iff and neg.  The signature table in terms
+# checks arity and sorts.  (>= a b) is (<= b a), so the _SWAPPED heads read
+# their arguments in reverse order.  _list_term does more than intern the
+# _FINISHED kinds (one set test spares the rest slow Kind lookups).
+_SWAPPED = {">=": Kind.LE, ">": Kind.LT}
+_HEADS = {kind.value: kind for kind in (*SIGNATURES, Kind.EQ, Kind.ITE)
+          if kind not in (Kind.TRUE, Kind.FALSE, Kind.IFF, Kind.NEG)} | _SWAPPED
 _FINISHED = frozenset({Kind.EQ, Kind.MUL, Kind.IMPLIES, Kind.XOR, Kind.SUB})
 _MEMO_LEXEMES = 64  # the most lexemes of a subterm that read_term memoizes
 

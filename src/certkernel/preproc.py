@@ -205,8 +205,11 @@ def compact(cert: Certificate, n_inputs: int) -> Certificate:
     Every ``bb_*`` step stays, with the steps its premises reach: it reads
     the maps that earlier ``bb_*`` steps left in ``BitBlastState`` and
     names no premise for them.  Any other step stays only if the qed step
-    or a ``bb_*`` step reaches it through premises.  Input ids stay fixed;
-    surviving steps are renumbered densely in their original order.
+    or a ``bb_*`` step reaches it through premises.  A step names only
+    earlier steps as premises (``kernel.check`` rejects any other), so one
+    backward pass over the steps, in id order, marks the live ones.  Input
+    ids stay fixed, and so does a premise that names no step; surviving
+    steps are renumbered densely in their original order.
 
     For a certificate whose empty clause is derived in the qed step's cone
     (every certificate this package emits), a VALID or TRUSTED verdict is
@@ -216,26 +219,15 @@ def compact(cert: Certificate, n_inputs: int) -> Certificate:
     """
     if cert.qed is None:
         return cert
-    by_id = {s.id: s for s in cert.steps}
-    live: set[int] = set()
-    stack = [cert.qed, *(s.id for s in cert.steps if s.rule in _BB_RULES)]
-    while stack:
-        sid = stack.pop()
-        if sid < n_inputs or sid in live:
-            continue
-        live.add(sid)
-        step = by_id.get(sid)
-        if step is None:
-            continue
-        stack.extend(step.premises)
-
-    kept = [s for s in cert.steps if s.id in live]
-    remap = {i: i for i in range(n_inputs)}
-    for new_pos, step in enumerate(kept):
-        remap[step.id] = n_inputs + new_pos
-    steps = tuple(
-        Step(remap[s.id], s.rule, tuple(remap[p] for p in s.premises), s.payload)
-        for s in kept)
+    live, kept = {cert.qed}, []
+    for step in reversed(cert.steps):
+        if step.id in live or step.rule in _BB_RULES:
+            kept.append(step)
+            live.update(step.premises)
+    kept.reverse()
+    remap = {step.id: n_inputs + k for k, step in enumerate(kept)}
+    steps = tuple(Step(remap[s.id], s.rule, tuple(remap.get(p, p) for p in s.premises),
+                       s.payload) for s in kept)
     return Certificate(steps, qed=remap.get(cert.qed, cert.qed))
 
 

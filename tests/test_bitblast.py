@@ -3,9 +3,12 @@
 import itertools
 import random
 
+import pytest
+
 from certkernel import (
-    BOOL, BitBlastState, BitVecSort, BvPayload, CheckContext, Kind, Model,
-    RuleKind, TRIVIALLY_TRUE, TermStore, dispatch, eval_term, mk_clause, pos,
+    BOOL, INT, BitBlastState, BitVecSort, BvPayload, Certificate, CheckContext, CnfPayload,
+    Kind, Model, RuleKind, Step, TRIVIALLY_TRUE, TermStore, Verdict, check, dispatch,
+    eval_term, mk_clause, parse_smt2, pos,
 )
 from certkernel.bitblast import bb_step
 from certkernel.oracle import int_to_bits
@@ -57,6 +60,58 @@ def test_bb_var_rejections():
     # non-fresh aux (reuses x's bits)
     bb_step(store, state, BvPayload(w, state.bits[x]), Kind.VAR)
     assert w not in state.bits
+
+
+# Aux ids that are not Bool variables of the store, each made in the store
+# of the problem below.
+NOT_BOOL_VARIABLES = {
+    "true": lambda store: store.true_id,
+    "compound": lambda store: store.intern(Kind.AND, (store.var("p", BOOL),
+                                                      store.var("q", BOOL))),
+    "int_var": lambda store: store.var("n", INT),
+    "minus_one": lambda store: -1,
+    "len_store": len,
+}
+
+
+@pytest.mark.parametrize("make_aux", NOT_BOOL_VARIABLES.values(), ids=NOT_BOOL_VARIABLES)
+def test_bb_var_takes_only_bool_variables_as_aux(make_aux):
+    """(not (= x #b1)) is satisfiable for x of width 1.  A bb_var step that
+    named true as x's bit would let bb_eq link (= x #b1) to true, and this
+    certificate would refute the problem; any aux that is not a Bool
+    variable of the store rejects the bb_var step instead."""
+    prob = parse_smt2("(set-logic QF_BV) (declare-const x (_ BitVec 1))"
+                      " (assert (not (= x #b1)))")
+    store, x = prob.store, prob.decls["x"][1]
+    one = store.bv_const((True,))
+    atom = store.eq(x, one)
+    aux = make_aux(store)
+    cert = Certificate((
+        Step(1, RuleKind.BB_VAR, (), BvPayload(x, (aux,))),
+        Step(2, RuleKind.BB_CONST, (), BvPayload(one)),
+        Step(3, RuleKind.BB_EQ, (), BvPayload(atom)),
+        Step(4, RuleKind.NOT_NOT, (), CnfPayload(store.intern(Kind.NOT, (atom,)), 0)),
+        Step(5, RuleKind.RES, (0, 4), None),
+        Step(6, RuleKind.RES, (5, 3), None),
+    ), qed=6)
+    assert check(store, prob.input_clauses, cert).verdict is not Verdict.VALID
+
+
+def test_bitwise_rules_fold_constant_bits():
+    """bb_not maps #b1 to false and #b0 to true; bb_xor of a constant and x
+    maps to x's bit (#b0) or its negation (#b1)."""
+    store, state, x = _setup(1, "x")
+    zero, one = store.bv_const((False,)), store.bv_const((True,))
+    for c in (zero, one):
+        bb_step(store, state, BvPayload(c), Kind.BV_CONST)
+    x0 = state.bits[x][0]
+    for kind, args, bit in ((Kind.BV_NOT, (one,), store.false_id),
+                            (Kind.BV_NOT, (zero,), store.true_id),
+                            (Kind.BV_XOR, (zero, x), x0),
+                            (Kind.BV_XOR, (one, x), store.intern(Kind.NOT, (x0,)))):
+        t = store.intern(kind, args)
+        assert bb_step(store, state, BvPayload(t), kind) == TRIVIALLY_TRUE
+        assert state.bits[t] == (bit,), (kind, args)
 
 
 def test_bb_const_lsb_first():

@@ -101,6 +101,10 @@ def test_parse_error_exits_three(files, capsys):
                  "--proof", str(files / "prob.cert")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+    (files / "bare.cnf").write_text("c only comments\n\n  \nc and blanks\n")
+    code = main(["--problem", str(files / "bare.cnf"), "--proof", str(files / "cnf.cert")])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: line 1, col 1: missing DIMACS header\n")
 
 
 def test_a_malformed_line_after_the_empty_clause_exits_three(files, capsys):

@@ -91,6 +91,16 @@ def test_trans_requires_exact_middle_term():
         EqStep(EqRule.TRANS, refs=(0, 2)),
     ))
     assert check_euf(store, payload2) == lemma
+    # a = b and c = d do not chain to a = d
+    d = store.var("d", u)
+    h2 = store.eq(c, d)
+    wrong = mk_clause(store, [neg(h0), neg(h2), pos(store.eq(a, d))])
+    payload3 = EufPayload(wrong, (
+        EqStep(EqRule.HYP, hyp=wrong.index(neg(h0))),
+        EqStep(EqRule.HYP, hyp=wrong.index(neg(h2))),
+        EqStep(EqRule.TRANS, refs=(0, 1)),
+    ))
+    assert check_euf(store, payload3) == TRIVIALLY_TRUE
 
 
 def test_rejects_malformed_material():
@@ -119,6 +129,28 @@ def test_rejects_malformed_material():
         EqStep(EqRule.CONG, fun=f, refs=(0, 0)),
     ))
     assert check_euf(store, payload) == TRIVIALLY_TRUE
+
+
+def test_a_rejected_step_ends_the_replay():
+    """A refl of no term or of an id outside the store, a trans without two
+    refs, a cong without a function, and a sym or cong of a negative ref
+    each reject the lemma, though the steps after it prove it; replay stops
+    at the rejected step, so the cong after it interns nothing."""
+    store, u, a, b, c, f = _world()
+    lemma = mk_clause(store, [neg(store.eq(a, b)), pos(store.eq(b, a))])
+    for bad in (EqStep(EqRule.REFL), EqStep(EqRule.REFL, term=len(store)),
+                EqStep(EqRule.REFL, term=-1), EqStep(EqRule.TRANS, refs=(0,)),
+                EqStep(EqRule.TRANS, refs=(0, 0, 0)), EqStep(EqRule.SYM, refs=(-1,)),
+                EqStep(EqRule.CONG, refs=(0,)), EqStep(EqRule.CONG, fun=f, refs=(-1,))):
+        nodes = len(store)
+        payload = EufPayload(lemma, (EqStep(EqRule.HYP, hyp=0), bad,
+                                     EqStep(EqRule.CONG, fun=f, refs=(0,)),
+                                     EqStep(EqRule.SYM, refs=(0,))))
+        assert check_euf(store, payload) == TRIVIALLY_TRUE, bad
+        assert len(store) == nodes, bad
+    good = EufPayload(lemma, (EqStep(EqRule.HYP, hyp=0), EqStep(EqRule.CONG, fun=f, refs=(0,)),
+                              EqStep(EqRule.SYM, refs=(0,))))
+    assert check_euf(store, good) == lemma
 
 
 def test_accepted_random_lemmas_are_finite_model_valid():

@@ -48,6 +48,10 @@ def test_dimacs_errors_carry_positions():
     assert "terminating 0" in str(e.value)
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 3\n1 0\n")  # clause count mismatch
+    with pytest.raises(ParseError) as e:
+        parse_dimacs("c only comments\n\n  \nc and blanks\n")
+    assert (str(e.value), e.value.line, e.value.col) \
+        == ("line 1, col 1: missing DIMACS header", 1, 1)
 
 
 # Clause lines after "p cnf 3 1" that the reader must reject with this exact
@@ -1211,13 +1215,25 @@ def test_term_memo_holds_closed_terms_of_at_most_64_lexemes():
     assert "( or p q )" in memo and not any("xor" in key for key in memo)
 
 
+# Problems that declare a sort or constant the readers reject, or assert a
+# term that is not Bool.
+DECLARATION_ERRORS = [
+    "(declare-const b (_ BitVec 0))",
+    "(declare-sort $s 0)",
+    "(declare-sort U 0)\n(declare-sort U 0)",
+    "(declare-sort Bool 0)",
+    "(declare-const x Int) (assert x)",
+]
+
+
 def test_readers_match_the_naive_pipeline():
     """parse_smt2 and parse_certificate build what the tree readers in
     naive_term.py build, store nodes in the same order included, or raise
     the same error: on every corpus pair, on the head cases, on the memo
-    cases, on the euf and lia lines of _THEORY_LINES, and on the 20 000
-    seeded edits of corpus windows, each read as a problem and as a
-    certificate against its pair's problem."""
+    cases, on the euf and lia lines of _THEORY_LINES, on the problems of
+    DECLARATION_ERRORS, and on the 20 000 seeded edits of corpus windows,
+    each read as a problem and as a certificate against its pair's
+    problem."""
     pairs = {}
     for cert_path in sorted(CORPUS.rglob("*.cert")):
         prob_path = cert_path.with_suffix(".cnf")
@@ -1233,6 +1249,9 @@ def test_readers_match_the_naive_pipeline():
     for line in _THEORY_LINES:
         ours, naive = _both_pipelines(_THEORY_PROBLEM, f"{line}\nqed 2\n")
         assert ours == naive, line
+    for text in DECLARATION_ERRORS:
+        ours, naive = _both_pipelines(text)
+        assert ours == naive and isinstance(ours[0], type), text
     from naive_term import naive_parse_certificate, naive_parse_smt2
     for terms in MEMO_CASES:
         cert_text = "".join(f"{i} and_pos () {{{t}}}\n" for i, t in enumerate(terms))

@@ -8,7 +8,7 @@ import pytest
 import gens
 from certkernel import (
     BOOL, INT, FunSym, Kind, LiaPayload, Model, TRIVIALLY_TRUE, TermStore,
-    check_lia, eval_clause, mk_clause, neg, normalize_lia_literal, pos,
+    UninterpretedSort, check_lia, eval_clause, mk_clause, neg, normalize_lia_literal, pos,
 )
 
 
@@ -181,6 +181,9 @@ def test_normalize_rejects_integer_disequality_and_non_comparisons():
     x = store.var("x", INT)
     assert normalize_lia_literal(store, neg(store.eq(x, store.int_const(0)))) is None
     assert normalize_lia_literal(store, pos(store.var("p", BOOL))) is None
+    u = UninterpretedSort("U")
+    equal = store.eq(store.var("a", u), store.var("b", u))
+    assert normalize_lia_literal(store, pos(equal)) is None
 
 
 def test_product_needs_a_literal_factor():

@@ -102,6 +102,20 @@ def test_compact_drops_dead_steps_and_preserves_verdicts():
     assert compact(small, 2) == small
 
 
+def test_compact_keeps_a_premise_that_names_no_earlier_step():
+    """A premise past the last step or a negative one is kept as it is, and
+    one of the step itself is renumbered with it, so the compact certificate
+    fails for the same reason."""
+    store, inputs = _conflict_store()
+    for premises, kept in (((0, 9), (0, 9)), ((0, -1), (0, -1)), ((0, 3), (0, 2))):
+        cert = Certificate((Step(2, RuleKind.RES, (0, 0)), Step(3, RuleKind.RES, premises)),
+                           qed=3)
+        small = compact(cert, 2)
+        assert small == Certificate((Step(2, RuleKind.RES, kept),), qed=2)
+        assert check(store, inputs, small)[:2] == check(store, inputs, cert)[:2] \
+            == (Verdict.INVALID, "bad premise reference")
+
+
 def test_compact_differential_random():
     rng = random.Random(25)
     for _ in range(300):
