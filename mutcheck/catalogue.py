@@ -114,4 +114,7 @@ MUTANTS = [
     Mutant("compact.premise_naming_no_step", "src/certkernel/preproc.py",
            "remap.get(p, p)", "(remap[p] if p >= n_inputs else p)",
            ("tests/test_preproc.py::test_compact_keeps_a_premise_that_names_no_earlier_step",)),
+    Mutant("compact.input_ids_stay_fixed", "src/certkernel/preproc.py",
+           "step.id >= n_inputs and ", "",
+           ("tests/test_preproc.py::test_compact_keeps_a_premise_that_names_no_earlier_step",)),
 ]

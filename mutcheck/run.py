@@ -1,13 +1,12 @@
 """Mutation check: each catalogued fault must fail the tests written for it.
 
-    python3 mutcheck/run.py                  # every mutant
-    python3 mutcheck/run.py euf. compact.    # the mutants whose names start so
+    python3 mutcheck/run.py
 
 Every mutant of ``catalogue.MUTANTS`` is applied in turn to one temporary
 copy of ``src/`` and ``tests/`` (the rest of the repository is linked in),
 and only its own tests run on it, with ``pytest -x``.  A mutant is killed
 when pytest reports a failed test; it survives when its tests pass.  Before
-any mutant, the tests of all chosen mutants run once on the unchanged copy
+any mutant, the tests of all mutants run once on the unchanged copy
 and must pass.  One line per mutant; the exit status is 1 if a mutant
 survives, its text does not occur exactly once, or pytest ends otherwise
 (a collection error, say), and 0 when every mutant is killed.
@@ -37,11 +36,7 @@ def _pytest(tree: Path, tests) -> int:
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(prefixes: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not prefixes or m.name.startswith(tuple(prefixes))]
-    if not chosen:
-        print(f"no mutant named {' or '.join(prefixes)}*")
-        return 1
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -49,12 +44,12 @@ def main(prefixes: list[str]) -> int:
                             ignore=shutil.ignore_patterns("__pycache__"))
         for name in LINKED:
             (tree / name).symlink_to(ROOT / name)
-        code = _pytest(tree, sorted({t for m in chosen for t in m.tests}))
+        code = _pytest(tree, sorted({t for m in MUTANTS for t in m.tests}))
         if code != 0:
             print(f"the tests fail on the unchanged sources (pytest exit {code})")
             return 1
         survivors = 0
-        for m in chosen:
+        for m in MUTANTS:
             path, start = tree / m.file, time.monotonic()
             text = path.read_text()
             if text.count(m.old) != 1:
@@ -66,9 +61,9 @@ def main(prefixes: list[str]) -> int:
                 outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR: pytest exit {code}")
             survivors += outcome != "killed"
             print(f"{m.name:<36} {outcome} ({time.monotonic() - start:.1f} s)", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -208,8 +208,8 @@ def compact(cert: Certificate, n_inputs: int) -> Certificate:
     or a ``bb_*`` step reaches it through premises.  A step names only
     earlier steps as premises (``kernel.check`` rejects any other), so one
     backward pass over the steps, in id order, marks the live ones.  Input
-    ids stay fixed, and so does a premise that names no step; surviving
-    steps are renumbered densely in their original order.
+    ids stay fixed (a step with an input id is dropped), as does a premise
+    naming no step; kept steps are renumbered densely in their order.
 
     For a certificate whose empty clause is derived in the qed step's cone
     (every certificate this package emits), a VALID or TRUSTED verdict is
@@ -221,7 +221,7 @@ def compact(cert: Certificate, n_inputs: int) -> Certificate:
         return cert
     live, kept = {cert.qed}, []
     for step in reversed(cert.steps):
-        if step.id in live or step.rule in _BB_RULES:
+        if step.id >= n_inputs and (step.id in live or step.rule in _BB_RULES):
             kept.append(step)
             live.update(step.premises)
     kept.reverse()

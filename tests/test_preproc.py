@@ -105,7 +105,8 @@ def test_compact_drops_dead_steps_and_preserves_verdicts():
 def test_compact_keeps_a_premise_that_names_no_earlier_step():
     """A premise past the last step or a negative one is kept as it is, and
     one of the step itself is renumbered with it, so the compact certificate
-    fails for the same reason."""
+    fails for the same reason.  A step whose id is an input id is dropped,
+    bb_* or not, so a premise naming that id still names the input."""
     store, inputs = _conflict_store()
     for premises, kept in (((0, 9), (0, 9)), ((0, -1), (0, -1)), ((0, 3), (0, 2))):
         cert = Certificate((Step(2, RuleKind.RES, (0, 0)), Step(3, RuleKind.RES, premises)),
@@ -114,6 +115,9 @@ def test_compact_keeps_a_premise_that_names_no_earlier_step():
         assert small == Certificate((Step(2, RuleKind.RES, kept),), qed=2)
         assert check(store, inputs, small)[:2] == check(store, inputs, cert)[:2] \
             == (Verdict.INVALID, "bad premise reference")
+    for rule in (RuleKind.RES, RuleKind.BB_VAR):
+        cert = Certificate((Step(1, rule, (0, 0)), Step(2, RuleKind.RES, (0, 1))), qed=2)
+        assert compact(cert, 2) == Certificate((Step(2, RuleKind.RES, (0, 1)),), qed=2)
 
 
 def test_compact_differential_random():
